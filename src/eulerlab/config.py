@@ -3,12 +3,19 @@
 One assignment per line, ``#`` starts a comment, blank lines are ignored.
 Every system has a fixed key table; unknown keys, duplicate keys, missing
 required keys, and type mismatches are all rejected with the offending
-line number so configs stay diffable and honest.
+line number so configs stay diffable and honest.  Values are then passed
+through the library's own validators (grid sizes, CFL numbers, output
+cadences, profile and lemma parameters), so a config that the run would
+reject fails here, before any output is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+
+from . import selfsim
+from .grids import Grid1, Grid2
+from .stepping import check_cfl, check_schedule
 
 
 class ConfigError(ValueError):
@@ -138,6 +145,24 @@ _SCHEMAS: dict[str, dict] = {
 _SCHEMAS["degregorio"] = dict(_SCHEMAS["clm"])
 
 
+def _check_values(system: str, params: dict) -> None:
+    """Construct or check what the run would, without doing any of its work."""
+    if system in ("euler2d", "passive_scalar", "ipm"):
+        Grid2(params["nx"], params["ny"])
+        check_schedule(params["cfl"], params["diag_every"],
+                       params.get("snapshot_every", 0.0))
+    elif system in ("clm", "degregorio"):
+        Grid1(params["n"])
+        check_cfl(params["cfl"])
+    elif system == "selfsim":
+        selfsim.ProfileProblem(n=params["n"], L=params["domain_half_width"],
+                               model=params["model"])
+    elif system == "lemma_check":
+        selfsim.WeightedSpaceParams(N=params["weight_order"], delta=params["delta"],
+                                    grid_points=params["grid_points"],
+                                    grid_ratio=params["grid_ratio"])
+
+
 @dataclass
 class ExperimentConfig:
     """A validated experiment description (system plus typed parameters)."""
@@ -214,6 +239,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if params["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    try:
+        _check_values(system, params)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for system {system!r}: {exc}") from None
     return ExperimentConfig(system=system, params=params)
 
 

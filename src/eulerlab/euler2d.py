@@ -34,8 +34,7 @@ from .grids import Grid2
 from .lagrangian import FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient
 from .operators import advection_coeffs, biot_savart, dealias, leray_project, transport_coeffs
 from .snapshots import write_snapshot
-
-MAX_CFL = 0.5
+from .stepping import MAX_CFL, check_cfl, check_schedule
 
 
 @dataclass
@@ -95,8 +94,7 @@ def _cfl_dt(grid: Grid2, sup_u1: float, sup_u2: float, cfl: float) -> float:
 
 def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
     """One RK4 step; dt must respect the per-direction CFL bound."""
-    if not 0.0 < cfl <= MAX_CFL:
-        raise ValueError(f"cfl must lie in (0, {MAX_CFL}]")
+    check_cfl(cfl)
     grid = state.omega.grid
     u = state.velocity()
     limit = _cfl_dt(grid, u.u1.norm_inf(), u.u2.norm_inf(), cfl)
@@ -189,8 +187,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     every diagnostic time.  Blow-up (non-finite diagnostics) aborts with a
     checkpoint of the last finite state.
     """
-    if not 0.0 < cfl <= MAX_CFL:
-        raise ValueError(f"cfl must lie in (0, {MAX_CFL}]")
+    check_schedule(cfl, diag_every, snapshot_every or 0.0)
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     grid = omega0.grid

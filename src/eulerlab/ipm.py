@@ -20,6 +20,7 @@ import numpy as np
 from .fields import SpectralField2, VectorField2, to_values
 from .grids import Grid2
 from .operators import transport_coeffs
+from .stepping import check_schedule
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
 
@@ -96,14 +97,11 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     fraction.  The run is flagged ``under_resolved`` once the tail
     fraction of the density spectrum exceeds ``tail_threshold``.
     """
-    from .euler2d import MAX_CFL, _casimir_entries, _cfl_dt
+    from .euler2d import _casimir_entries, _cfl_dt
 
-    if not 0.0 < cfl <= MAX_CFL:
-        raise ValueError(f"cfl must lie in (0, {MAX_CFL}]")
+    check_schedule(cfl, diag_every)
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    if diag_every <= 0.0:
-        raise ValueError("diag_every must be positive")
 
     grid = rho0.grid
     c = rho0.coeffs.copy()

@@ -17,6 +17,7 @@ from scipy import ndimage
 from .fields import SpectralField2, VectorField2, l2_inner, to_values
 from .grids import TWO_PI, Grid2
 from .operators import dealias, transport_coeffs
+from .stepping import check_schedule
 
 # direct trigonometric summation is exact but quadratic in mode count;
 # above this many modes velocities are sampled from a refined grid instead
@@ -309,6 +310,7 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
     """
     if u.grid != f0.grid:
         raise ValueError("velocity and scalar live on different grids")
+    check_schedule(cfl, diag_every)
     grid = f0.grid
     phis = test_functions or []
     u1v = u.u1.values

@@ -28,6 +28,7 @@ from scipy import optimize
 from .fields import SpectralField1, to_coeffs, to_values
 from .grids import Grid1
 from .operators import dealias, hilbert_transform
+from .stepping import check_cfl
 
 MODELS = ("clm", "degregorio")
 
@@ -173,20 +174,50 @@ def clm_blowup_time(omega0: SpectralField1) -> float:
 # -- sup-norm refinement -----------------------------------------------------
 
 
+def _half_spectrum(omega: SpectralField1) -> tuple[float, np.ndarray, np.ndarray]:
+    """The field as mean + sum_m Re(a_m e^{i k_m x}) over modes 0 < m <= n/2.
+
+    a_m = c_m + conj(c_{-m}) (twice c_m for a real field) and the Nyquist
+    coefficient counts once, so the sum equals the real part of the
+    full-spectrum sum for any coefficients.  Zero amplitudes are dropped.
+    """
+    c, n2 = omega.coeffs, omega.grid.n // 2
+    a = np.empty(n2, dtype=np.complex128)
+    a[:-1] = c[1:n2] + np.conj(c[:n2:-1])
+    a[-1] = np.conj(c[n2])
+    k = (2.0 * np.pi / omega.grid.length) * np.arange(1, n2 + 1)
+    nz = np.flatnonzero(a)
+    return float(c[0].real), a[nz], k[nz]
+
+
 def refined_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> float:
     """Sup of |omega| via grid argmax plus local trig-interpolation zooming.
 
     The collocation max alone under-reads sharply peaked fields; a few
     rounds of windowed re-evaluation recover the true sup to near round-off.
+
+    Each window of ``points`` equispaced samples x0 + j*delta is evaluated
+    over the half spectrum with the recurrence
+    e^{ik(x0 + j delta)} = e^{ik x0} (e^{ik delta})^j: two exponentials and
+    one complex multiply per point instead of an exponential per point
+    and mode.  The j-th product carries at most about j rounding
+    errors, so a window value is off the direct sum by about
+    (points - 1) ulp times sum |a_m| (16 ulp at the default).
     """
+    mean, a, k = _half_spectrum(omega)
     vals = np.abs(omega.values)
     i0 = int(np.argmax(vals))
     best_x = i0 * omega.grid.dx
     best = float(vals[i0])
     half = omega.grid.dx
+    cand = np.empty(points)
     for _ in range(rounds):
         xs = best_x + np.linspace(-half, half, points)
-        cand = np.abs(omega.eval_at(xs))
+        phase = np.exp(1j * k * xs[0])
+        step = np.exp(1j * k * (2.0 * half / (points - 1)))
+        for j in range(points):
+            cand[j] = abs(mean + (phase @ a).real)
+            phase *= step
         j = int(np.argmax(cand))
         if cand[j] > best:
             best = float(cand[j])
@@ -262,8 +293,7 @@ def model_run(
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError("cfl must lie in (0, 0.5]")
+    check_cfl(cfl)
     rhs = _RHS[model]
     grid = omega0.grid
     c = dealias(omega0).coeffs.copy()

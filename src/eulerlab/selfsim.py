@@ -17,6 +17,12 @@ summing/integrating that model analytically.  The closure is linear in
 the samples, so the assembled matrices are the exact Frechet
 derivatives of the discrete residual.
 
+The discrete tail sums run over the tail nodes out to 50 L on each side.
+Since x_i - node = h (i - j), each kernel depends only on the index
+difference, so the sums of every grid row for one side and one decay
+power are a single direct-summation correlation (``np.correlate``) of
+the kernel with the node weights ``node**-p``, not an n-by-tail matrix.
+
 The module also carries the outgoing-trajectory check for the rescaled
 characteristic field and a coercivity certifier for weighted transport
 operators u f' + g f near a one-sided boundary (the lemma checker used
@@ -48,7 +54,6 @@ __all__ = [
 _TAIL_POWERS = (1, 3, 5)
 _FAR_CUT_FACTOR = 50.0  # discrete tail sums run out to this multiple of L
 _FAR_SERIES_TERMS = 10
-_CHUNK = 2048
 
 
 def closed_form_profile(x: np.ndarray) -> np.ndarray:
@@ -142,6 +147,42 @@ class ProfileProblem:
             val = ((-x[:, None]) ** m) @ coeff * (-1.0) ** power
         return val / math.pi
 
+    def _tail_distances(self, side: str) -> tuple[np.ndarray, float]:
+        """Row offsets r_i and the sign of the index difference on one side.
+
+        Row i and tail node t (t = 1, 2, ...) sit r_i + t grid steps apart,
+        with r_i = i on the left and r_i = n - 1 - i on the right, where
+        the index difference row - node is negative.
+        """
+        r = np.arange(self.n)
+        return (r, 1.0) if side == "left" else (r[::-1], -1.0)
+
+    def _tail_sums(self, kernel, side: str, weights: np.ndarray) -> np.ndarray:
+        """sum_t kernel(i - j_t) * weights[t - 1] for every row i.
+
+        ``kernel`` is odd in the index difference, so each sum is the
+        side's sign times a sum over distances r_i + t; for all rows at once
+        that is one correlation of the kernel at distances
+        1 .. n - 1 + len(weights) with the weights.
+        """
+        r, sign = self._tail_distances(side)
+        sums = np.correlate(kernel(np.arange(1, self.n + weights.size)), weights, "valid")
+        return sign * sums[r]
+
+    def _tail_terms(self, kernel, side: str, t: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+        """The individual terms kernel(i - j_t) * weights, shape (n, len(t))."""
+        r, sign = self._tail_distances(side)
+        return sign * kernel(r[:, None] + t[None, :]) * weights
+
+    def _hilbert_kernel(self, d: np.ndarray) -> np.ndarray:
+        """Parity-skip quadrature weight 2h / (pi (x_i - x_j)) at index difference d."""
+        return np.where(d % 2 == 1, (2.0 / math.pi) / d, 0.0)
+
+    def _deriv_kernel(self, d: np.ndarray) -> np.ndarray:
+        """Sinc-differentiation weight (-1)^d / (h d) at index difference d != 0."""
+        return np.where(d % 2 == 0, 1.0, -1.0) / (self.h * d)
+
     @cached_property
     def hilbert_matrix(self) -> np.ndarray:
         """Dense Hilbert transform: parity-skip quadrature plus tail closure."""
@@ -155,24 +196,21 @@ class ProfileProblem:
         left_rows, right_rows = self._edge_fits
         for side, rows in (("left", left_rows), ("right", right_rows)):
             nodes = self._tail_nodes(side)
-            jg = (n - 1 + np.arange(1, nodes.size + 1)) if side == "right" \
-                else -np.arange(1, nodes.size + 1)
+            cut = abs(nodes[-1]) + self.h
             for p_i, p in enumerate(_TAIL_POWERS):
-                acc = np.zeros(n)
-                for lo in range(0, nodes.size, _CHUNK):
-                    sl = slice(lo, lo + _CHUNK)
-                    par = (i[:, None] - jg[None, sl]) % 2 == 1
-                    ker = (2.0 * h / math.pi) / (x[:, None] - nodes[None, sl])
-                    acc += np.sum(np.where(par, ker, 0.0) * nodes[sl] ** (-p), axis=1)
-                cut = abs(nodes[-1]) + self.h
-                vec = acc + self._far_series(p, side, cut)
+                vec = (self._tail_sums(self._hilbert_kernel, side, nodes ** (-p))
+                       + self._far_series(p, side, cut))
                 mat += vec[:, None] * rows[p_i][None, :]
         return mat
 
     @cached_property
     def deriv_matrix(self) -> np.ndarray:
-        """Dense band-limited differentiation with the same tail closure."""
-        n, h, x = self.n, self.h, self.x
+        """Dense band-limited differentiation with the same tail closure.
+
+        The alternating tail series is summed directly up to its last
+        ``keep`` terms, whose partial sums are then averaged to the limit.
+        """
+        n, h = self.n, self.h
         i = np.arange(n)
         kk = i[:, None] - i[None, :]
         mat = np.zeros((n, n))
@@ -184,19 +222,12 @@ class ProfileProblem:
         keep = 32
         for side, rows in (("left", left_rows), ("right", right_rows)):
             nodes = self._tail_nodes(side)
-            jg = (n - 1 + np.arange(1, nodes.size + 1)) if side == "right" \
-                else -np.arange(1, nodes.size + 1)
             head = nodes.size - keep
+            t_last = np.arange(head + 1, nodes.size + 1)
             for p_i, p in enumerate(_TAIL_POWERS):
-                run = np.zeros(n)
-                for lo in range(0, head, _CHUNK):
-                    sl = slice(lo, min(lo + _CHUNK, head))
-                    kd = i[:, None] - jg[None, sl]
-                    term = np.where(kd % 2 == 0, 1.0, -1.0) / (h * kd)
-                    run += term @ (nodes[sl] ** (-p))
-                kd = i[:, None] - jg[None, head:]
-                term = (np.where(kd % 2 == 0, 1.0, -1.0) / (h * kd)
-                        * nodes[head:] ** (-p))
+                w = nodes ** (-p)
+                run = self._tail_sums(self._deriv_kernel, side, w[:head])
+                term = self._tail_terms(self._deriv_kernel, side, t_last, w[head:])
                 vec = _averaged_tail(run[:, None] + np.cumsum(term, axis=1))
                 mat += vec[:, None] * rows[p_i][None, :]
         return mat

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import eulerlab
 from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, csv_bytes, main)
 
 TINY_EULER = """\
@@ -55,8 +58,12 @@ class TestSubcommands:
         assert "requires system = selfsim" in capsys.readouterr().err
 
     def test_console_entry_point(self):
+        # the child imports the same eulerlab as this test, installed or not
+        src = str(pathlib.Path(eulerlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "eulerlab.cli", "presets"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "stratified_rest" in proc.stdout
 
@@ -77,6 +84,23 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
         assert "not an euler2d initial condition" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ("system = selfsim\nn = 63\n", "n must be an even integer >= 64"),
+        (TINY_CLM + "cfl = 0\n", "cfl must lie in"),
+        (TINY_CLM.replace("n = 256", "n = 1023"), "n must be an even integer >= 8"),
+        ("system = lemma_check\nweight_order = 2\n", "at least 4"),
+        (TINY_EULER.replace("diag_every = 0.25", "diag_every = 0"),
+         "diag_every must be positive"),
+        ("system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\ncfl = 0\n",
+         "cfl must lie in"),
+    ])
+    def test_bad_values_exit_2_before_any_output(self, tmp_path, capsys, text, match):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert match in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunArtifacts:

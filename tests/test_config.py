@@ -98,3 +98,59 @@ class TestRejections:
     def test_malformed_mode_triple(self):
         self.reject("system = couette_linear\nmodes = 1:0.3\nt_end = 1\n",
                      "not ky:phase:amp")
+
+
+EULER_16 = "system = euler2d\nnx = 16\nny = 16\npreset = taylor_green\nt_end = 1\n"
+
+
+class TestValueChecks:
+    """Values the run would reject are rejected by the parser, with no work done."""
+
+    @pytest.mark.parametrize("text, match", [
+        ("system = selfsim\nn = 63\n", r"'selfsim': n must be an even integer >= 64"),
+        ("system = selfsim\ndomain_half_width = 5\n", "L must be at least 10"),
+        ("system = selfsim\nmodel = degregorio\n", "only the CLM profile"),
+        ("system = clm\nn = 1024\nt_end = 1\ncfl = 0\n", r"'clm': cfl must lie in"),
+        ("system = degregorio\nn = 1024\nt_end = 1\ncfl = 0.6\n", "cfl must lie in"),
+        ("system = clm\nn = 1023\nt_end = 1\n", "n must be an even integer >= 8, got 1023"),
+        ("system = lemma_check\nweight_order = 2\n", "weight exponent N must be at least 4"),
+        ("system = lemma_check\ndelta = 0.7\n", "delta must lie in"),
+        ("system = lemma_check\ngrid_points = 500\n", "grid_points must lie in"),
+        (EULER_16.replace("nx = 16", "nx = 15"), "nx must be an even integer >= 8"),
+    ])
+    def test_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    # a zero cadence or CFL number used to pass and then hang the time loop
+    @pytest.mark.parametrize("text", [
+        "system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\ncfl = 0\n",
+        EULER_16 + "cfl = 0.6\n",
+        "system = ipm\nnx = 16\nny = 16\npreset = stratified_rest\nt_end = 1\n"
+        "cfl = -0.1\n",
+    ])
+    def test_2d_cfl_outside_the_stable_range(self, text):
+        with pytest.raises(ConfigError, match=r"cfl must lie in \(0, 0.5\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        EULER_16 + "diag_every = 0\n",
+        EULER_16 + "diag_every = -0.5\n",
+        EULER_16 + "diag_every = nan\n",
+        "system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\ndiag_every = 0\n",
+        "system = ipm\nnx = 16\nny = 16\npreset = stratified_rest\nt_end = 1\n"
+        "diag_every = -1\n",
+    ])
+    def test_nonpositive_diag_every(self, text):
+        with pytest.raises(ConfigError, match="diag_every must be positive"):
+            parse_config(text)
+
+    def test_negative_snapshot_every(self):
+        with pytest.raises(ConfigError, match="snapshot_every must be nonnegative"):
+            parse_config(EULER_16 + "snapshot_every = -1\n")
+
+    def test_boundary_values_pass(self):
+        assert parse_config("system = clm\nn = 8\nt_end = 1\ncfl = 0.5\n")["cfl"] == 0.5
+        assert parse_config("system = selfsim\nn = 64\ndomain_half_width = 10\n")["n"] == 64
+        assert parse_config("system = lemma_check\nweight_order = 4\n")["weight_order"] == 4
+        assert parse_config(EULER_16 + "snapshot_every = 0\n")["snapshot_every"] == 0.0

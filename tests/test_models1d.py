@@ -99,6 +99,45 @@ class TestClmExact:
                 clm_exact(w, t)
 
 
+def scan_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> float:
+    """refined_sup's zoom with every window point evaluated by eval_at."""
+    vals = np.abs(omega.values)
+    i0 = int(np.argmax(vals))
+    best_x, best, half = i0 * omega.grid.dx, float(vals[i0]), omega.grid.dx
+    for _ in range(rounds):
+        xs = best_x + np.linspace(-half, half, points)
+        cand = np.abs(omega.eval_at(xs))
+        j = int(np.argmax(cand))
+        if cand[j] > best:
+            best, best_x = float(cand[j]), float(xs[j])
+        half /= points - 1
+    return best
+
+
+class TestRefinedSup:
+    def test_matches_direct_scan_on_a_peaked_clm_state(self):
+        w = clm_exact(cosine(2048), 1.97)
+        direct = scan_sup(w)
+        assert direct > (1.0 + 1e-5) * w.norm_inf()  # the zoom beats the grid max
+        assert abs(refined_sup(w) - direct) < 1e-13 * direct
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_scan_with_a_nyquist_mode(self, seed):
+        g = Grid1(64)
+        w = SpectralField1.from_values(g, np.random.default_rng(seed).normal(size=64))
+        assert abs(w.coeffs[32]) > 1e-3
+        direct = scan_sup(w)
+        assert abs(refined_sup(w) - direct) < 1e-13 * direct
+
+    def test_finds_an_off_grid_extremum(self):
+        g = Grid1(64)
+        w = SpectralField1.from_values(g, 0.5 - 2.0 * np.cos(3.0 * (g.x - 0.01)))
+        assert w.norm_inf() < 2.5 - 1e-4
+        # the last window's spacing is dx / 2048, so the point found is
+        # within dx / 4096 of the extremum, where |w''| = 18
+        assert -1e-14 < 2.5 - refined_sup(w) < 9.0 * (g.dx / 4096) ** 2
+
+
 class TestBlowupTime:
     def test_cosine(self):
         assert abs(clm_blowup_time(cosine(256)) - 2.0) < 1e-9

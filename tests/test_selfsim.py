@@ -1,5 +1,7 @@
 """Tests for the line-profile solver and the coercivity decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,62 @@ class TestLineOperators:
             ss.ProfileProblem(n=128, L=5.0)
         with pytest.raises(ValueError, match="CLM"):
             ss.ProfileProblem(n=128, L=20.0, model="other")
+
+
+def _row_fsums(terms):
+    return np.array([math.fsum(row) for row in terms])
+
+
+def _reference_matrices(pb, keep=32):
+    """The operators entry by entry: every tail term x_i - node spelled out
+    and each row of terms summed with math.fsum (correctly rounded)."""
+    n, h, x = pb.n, pb.h, pb.x
+    i = np.arange(n)
+    kk = i[:, None] - i[None, :]
+    diff = np.where(kk == 0, 1.0, x[:, None] - x[None, :])
+    hm = np.where(kk % 2 == 1, (2.0 * h / math.pi) / diff, 0.0)
+    dm = np.where(kk != 0, np.where(kk % 2 == 0, 1.0, -1.0) / (h * np.where(kk == 0, 1, kk)),
+                  0.0)
+    for side, rows in zip(("left", "right"), pb._edge_fits):
+        nodes = pb._tail_nodes(side)
+        t = np.arange(1, nodes.size + 1)
+        jg = n - 1 + t if side == "right" else -t
+        kd = i[:, None] - jg[None, :]
+        hk = np.where(kd % 2 == 1, (2.0 * h / math.pi) / (x[:, None] - nodes[None, :]), 0.0)
+        dk = np.where(kd % 2 == 0, 1.0, -1.0) / (h * kd)
+        for p, row in zip(ss._TAIL_POWERS, rows):
+            w = nodes ** (-p)
+            hvec = _row_fsums(hk * w) + pb._far_series(p, side, abs(nodes[-1]) + h)
+            head = nodes.size - keep
+            partials = np.stack(
+                [_row_fsums(np.concatenate([dk[:, :head] * w[:head],
+                                            dk[:, head:head + j + 1] * w[head:head + j + 1]],
+                                           axis=1))
+                 for j in range(keep)], axis=1)
+            while partials.shape[1] > 1:
+                partials = 0.5 * (partials[:, 1:] + partials[:, :-1])
+            hm = hm + hvec[:, None] * row[None, :]
+            dm = dm + partials[:, 0][:, None] * row[None, :]
+    return hm, dm
+
+
+class TestTailSums:
+    @pytest.mark.parametrize("n, L", [(64, 10.0), (64, 20.0), (128, 20.0)])
+    def test_matrices_match_the_entrywise_reference(self, n, L):
+        pb = ss.ProfileProblem(n=n, L=L)
+        hm, dm = _reference_matrices(pb)
+        assert np.max(np.abs(pb.hilbert_matrix - hm)) < 1e-13 * np.max(np.abs(hm))
+        assert np.max(np.abs(pb.deriv_matrix - dm)) < 1e-13 * np.max(np.abs(dm))
+
+    def test_tail_sums_of_both_sides_are_mirror_images(self):
+        # both kernels are odd in the index difference, so with the same
+        # weights the right side's sums are the left side's, reversed and negated
+        pb = ss.ProfileProblem(n=64, L=10.0)
+        w = np.linspace(1.0, 2.0, 40)
+        for kernel in (pb._hilbert_kernel, pb._deriv_kernel):
+            left = pb._tail_sums(kernel, "left", w)
+            right = pb._tail_sums(kernel, "right", w)
+            assert np.array_equal(right, -left[::-1])
 
 
 class TestProfileResidual:
