@@ -15,7 +15,6 @@ import argparse
 import datetime as _dt
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -27,6 +26,7 @@ from . import __version__, euler2d, ipm, lagrangian, models1d, presets, selfsim
 from .config import ConfigError, ExperimentConfig, parse_config_file
 from .grids import Grid1, Grid2
 from .snapshots import write_snapshot
+from .stepping import BlowupError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,9 +85,9 @@ class RunManifest:
         atomic_write(self.output_dir / name, data)
         self.files.append(name)
 
-    def note_existing(self, name: str) -> None:
-        if (self.output_dir / name).exists():
-            self.files.append(name)
+    def note_snapshots(self) -> None:
+        """Add every EULB file in the output dir."""
+        self.files.extend(n for n in os.listdir(self.output_dir) if n.endswith(".eulb"))
 
     def write(self, status: str) -> None:
         if self._written:
@@ -112,45 +112,24 @@ class RunManifest:
 # -- runners -------------------------------------------------------------------
 
 
-def _euler_initial(cfg: ExperimentConfig, grid: Grid2):
-    name = cfg["preset"]
-    if name == "taylor_green":
-        return presets.taylor_green(grid)
-    if name == "taylor_green_perturbed":
-        return presets.taylor_green_perturbed(grid, eps=cfg["eps"])
-    if name == "shear_plus_band":
-        return presets.shear_plus_band(grid, seed=cfg["seed"],
-                                       kmax=cfg["kmax"], rms=cfg["rms"])
-    if name == "random_bandlimited":
-        return presets.random_bandlimited(grid, seed=cfg["seed"],
-                                          kmax=cfg["kmax"], rms=cfg["rms"])
-    raise ConfigError(f"preset {name!r} is not an euler2d initial condition")
+def _records_csv(records: list, fields: list[str]) -> bytes:
+    """One row per diagnostics record: ``fields``, then the casimirs by name."""
+    names = sorted(records[0].casimirs) if records else []
+    return csv_bytes(fields + names, ([getattr(r, f) for f in fields]
+                                      + [r.casimirs[n] for n in names] for r in records))
 
 
 def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     grid = Grid2(cfg["nx"], cfg["ny"])
-    omega0 = _euler_initial(cfg, grid)
+    omega0 = presets.build(cfg, "preset", grid)
     snap_dir = str(manifest.output_dir) if cfg["snapshot_every"] > 0 else None
     marker = cfg["marker_lattice"] or None
-    try:
-        res = euler2d.run(
-            omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-            casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
-            snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None)
-    except RuntimeError as exc:
-        for name in sorted(os.listdir(manifest.output_dir)):
-            if name.endswith(".eulb"):
-                manifest.note_existing(name)
-        manifest.write(f"blow-up detected: {exc}")
-        return EXIT_BLOWUP
-
-    casimir_names = sorted(res.diagnostics[0].casimirs) if res.diagnostics else []
-    header = ["t", "energy", "enstrophy", "palinstrophy", "omega_max",
-              "bkm_integral"] + casimir_names
-    rows = [[r.t, r.energy, r.enstrophy, r.palinstrophy, r.omega_max,
-             r.bkm_integral] + [r.casimirs[n] for n in casimir_names]
-            for r in res.diagnostics]
-    manifest.add_file("diagnostics.csv", csv_bytes(header, rows))
+    res = euler2d.run(
+        omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
+        casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
+        snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None)
+    manifest.add_file("diagnostics.csv", _records_csv(res.diagnostics, [
+        "t", "energy", "enstrophy", "palinstrophy", "omega_max", "bkm_integral"]))
 
     if marker:
         ts, spreads = lagrangian.twisting_series(res)
@@ -165,10 +144,7 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         fields = [p.positions[:, 0].reshape(m, m), p.positions[:, 1].reshape(m, m),
                   p.lifts[:, 0].reshape(m, m), p.lifts[:, 1].reshape(m, m)]
         write_snapshot(manifest.output_dir / "markers_final.eulb", fields, snap.t)
-        manifest.note_existing("markers_final.eulb")
-    for name in sorted(os.listdir(manifest.output_dir)):
-        if name.endswith(".eulb"):
-            manifest.note_existing(name)
+    manifest.note_snapshots()
     manifest.extra["sampler_method"] = (
         lagrangian.VelocitySampler.from_field(res.final.velocity()).method
         if marker else None)
@@ -189,18 +165,9 @@ def _run_couette(cfg: ExperimentConfig, manifest: RunManifest) -> int:
 
 def _run_passive_scalar(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     grid = Grid2(cfg["nx"], cfg["ny"])
-    if cfg["velocity"] == "shear_sin":
-        u = presets.shear_sin(grid)
-    elif cfg["velocity"] == "uniform":
-        u = presets.uniform_flow(grid)
-    else:
-        raise ConfigError(f"unknown velocity preset {cfg['velocity']!r}")
+    u = presets.build(cfg, "velocity", grid)
     f0 = presets.cos_x_scalar(grid)
-    phis = []
-    if cfg["test_function"] == "bessel_pair":
-        phis = [presets.bessel_pair_test_function(grid)]
-    elif cfg["test_function"] != "none":
-        raise ConfigError(f"unknown test function {cfg['test_function']!r}")
+    phis = presets.build(cfg, "test_function", grid)
     res = lagrangian.passive_scalar_evolve(u, f0, cfg["t_end"],
                                            test_functions=phis,
                                            cfl=cfg["cfl"],
@@ -240,17 +207,9 @@ def _run_model1d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
 def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     problem = selfsim.ProfileProblem(n=cfg["n"], L=cfg["domain_half_width"],
                                      model=cfg["model"])
-    w = selfsim.closed_form_profile(problem.x)
-    if cfg["guess"] == "perturbed":
-        w = w * (1.0 + cfg["perturb"] * np.exp(-problem.x ** 2 / 10.0))
-    elif cfg["guess"] != "exact":
-        raise ConfigError(f"unknown guess {cfg['guess']!r} (exact or perturbed)")
-    try:
-        sol = selfsim.newton_solve(problem, w, lam0=cfg["lam0"],
-                                   tol=cfg["tol"], max_iter=cfg["max_iter"])
-    except RuntimeError as exc:
-        manifest.write(f"failed: {exc}")
-        return EXIT_NUMERICAL
+    w = presets.build(cfg, "guess", problem)
+    sol = selfsim.newton_solve(problem, w, lam0=cfg["lam0"],
+                               tol=cfg["tol"], max_iter=cfg["max_iter"])
     manifest.add_file("profile.csv", csv_bytes(["X", "omega"],
                                                zip(problem.x, sol.omega)))
     outgoing = selfsim.outgoing_check(None, sol.lam)
@@ -267,26 +226,13 @@ def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-_LEMMA_TRANSPORT = {
-    "parabola": lambda t: t * (1.0 - t),
-    "sine": lambda t: math.sin(math.pi * t) / math.pi,
-}
-
-
 def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    if cfg["u_preset"] not in _LEMMA_TRANSPORT:
-        raise ConfigError(f"unknown u_preset {cfg['u_preset']!r}; "
-                          f"known: {', '.join(sorted(_LEMMA_TRANSPORT))}")
-    u = _LEMMA_TRANSPORT[cfg["u_preset"]]
+    u = presets.build(cfg, "u_preset", None)
     g_const = cfg["g_const"]
     params = selfsim.WeightedSpaceParams(
         N=cfg["weight_order"], delta=cfg["delta"],
         grid_points=cfg["grid_points"], grid_ratio=cfg["grid_ratio"])
-    try:
-        dec = selfsim.lemma_decomposition_check(u, lambda t: g_const, params)
-    except ValueError as exc:
-        manifest.write(f"failed: {exc}")
-        return EXIT_NUMERICAL
+    dec = selfsim.lemma_decomposition_check(u, lambda t: g_const, params)
     manifest.add_file("decomposition.csv", csv_bytes(
         ["c_inner", "c_coercive", "rank", "certified"],
         [[dec.c_inner, dec.c_coercive, dec.rank, dec.certified]]))
@@ -301,27 +247,11 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> int:
 
 def _run_ipm(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     grid = Grid2(cfg["nx"], cfg["ny"])
-    name = cfg["preset"]
-    if name == "heavy_over_light":
-        rho0 = presets.heavy_over_light(grid, cfg["eps"])
-    elif name == "light_over_heavy":
-        rho0 = presets.light_over_heavy(grid, cfg["eps"])
-    elif name == "stratified_rest":
-        rho0 = presets.stratified_rest(grid)
-    else:
-        raise ConfigError(f"preset {name!r} is not an ipm initial condition")
-    try:
-        res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"],
-                          diag_every=cfg["diag_every"],
-                          tail_threshold=cfg["tail_threshold"])
-    except RuntimeError as exc:
-        manifest.write(f"blow-up detected: {exc}")
-        return EXIT_BLOWUP
-    casimir_names = sorted(res.diagnostics[0].casimirs)
-    header = ["t", "mass", "grad_sup", "e_pot", "tail_fraction"] + casimir_names
-    rows = [[r.t, r.mass, r.grad_sup, r.e_pot, r.tail_fraction]
-            + [r.casimirs[n] for n in casimir_names] for r in res.diagnostics]
-    manifest.add_file("diagnostics.csv", csv_bytes(header, rows))
+    rho0 = presets.build(cfg, "preset", grid)
+    res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
+                      tail_threshold=cfg["tail_threshold"])
+    manifest.add_file("diagnostics.csv", _records_csv(
+        res.diagnostics, ["t", "mass", "grad_sup", "e_pot", "tail_fraction"]))
     manifest.extra["under_resolved"] = bool(res.under_resolved)
     manifest.write("completed")
     return EXIT_OK
@@ -340,15 +270,21 @@ _RUNNERS = {
 
 
 def dispatch(config: ExperimentConfig, output_dir=None) -> int:
-    """Run one experiment; returns the process exit code."""
+    """Run one experiment; returns the process exit code.
+
+    A typed blow-up (:class:`BlowupError`) exits 4 with the snapshots
+    written so far; any other error of the numerics exits 3.
+    """
     outdir = Path(output_dir if output_dir is not None else config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config, outdir)
     try:
         return _RUNNERS[config.system](config, manifest)
-    except ConfigError:
-        raise
-    except (ValueError, FloatingPointError) as exc:
+    except BlowupError as exc:
+        manifest.note_snapshots()
+        manifest.write(f"blow-up detected: {exc}")
+        return EXIT_BLOWUP
+    except (ValueError, FloatingPointError, RuntimeError) as exc:
         manifest.write(f"failed: {exc}")
         return EXIT_NUMERICAL
 
@@ -379,23 +315,22 @@ def main(argv=None) -> int:
         if name != "validate":
             p.add_argument("--output-dir", default=None,
                            help="override the config's output_dir")
-    sub.add_parser("presets", help="list named initial-condition presets")
+    sub.add_parser("presets", help="list the named inputs a config can select")
 
     args = parser.parse_args(argv)
 
     if args.command == "presets":
-        for name in sorted(presets.PRESETS):
-            print(f"{name:20s} {presets.PRESETS[name]}")
+        for name, p in sorted(presets.REGISTRY.items()):
+            params = f" ({', '.join(p.params)})" if p.params else ""
+            print(f"{name:24s} {p.system} {p.key}: {p.description}{params}")
         return EXIT_OK
 
     try:
         cfg = _load(args.config)
-        if args.command == "selfsim" and cfg.system != "selfsim":
-            raise ConfigError(f"'selfsim' subcommand requires system = selfsim, "
+        required = {"selfsim": "selfsim", "lemma-check": "lemma_check"}.get(args.command)
+        if required and cfg.system != required:
+            raise ConfigError(f"{args.command!r} subcommand requires system = {required}, "
                               f"got {cfg.system!r}")
-        if args.command == "lemma-check" and cfg.system != "lemma_check":
-            raise ConfigError(f"'lemma-check' subcommand requires system = "
-                              f"lemma_check, got {cfg.system!r}")
         if args.command == "validate":
             for key, value in cfg.echo().items():
                 print(f"{key} = {value}")

@@ -5,17 +5,18 @@ Every system has a fixed key table; unknown keys, duplicate keys, missing
 required keys, and type mismatches are all rejected with the offending
 line number so configs stay diffable and honest.  Values are then passed
 through the library's own validators (grid sizes, CFL numbers, output
-cadences, profile and lemma parameters), so a config that the run would
-reject fails here, before any output is written.
+cadences, time horizons, profile and lemma parameters) and every preset
+name is looked up in :data:`eulerlab.presets.REGISTRY`, so a config that
+the run would reject fails here, before any output is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from . import selfsim
+from . import presets, selfsim
 from .grids import Grid1, Grid2
-from .stepping import check_cfl, check_schedule
+from .stepping import check_cfl, check_schedule, check_t_end
 
 
 class ConfigError(ValueError):
@@ -74,12 +75,17 @@ _COMMON = {
     "seed": ("int", 0),
 }
 
+# the grid, CFL number and horizon of the 2D time-stepping systems
+_STEPPED_2D = {
+    "nx": ("int", _REQUIRED),
+    "ny": ("int", _REQUIRED),
+    "cfl": ("float", 0.4),
+    "t_end": ("float", _REQUIRED),
+}
+
 _SCHEMAS: dict[str, dict] = {
     "euler2d": {
-        "nx": ("int", _REQUIRED),
-        "ny": ("int", _REQUIRED),
-        "cfl": ("float", 0.4),
-        "t_end": ("float", _REQUIRED),
+        **_STEPPED_2D,
         "diag_every": ("float", 0.5),
         "preset": ("str", _REQUIRED),
         "eps": ("float", 1e-2),
@@ -96,10 +102,7 @@ _SCHEMAS: dict[str, dict] = {
         "t_count": ("int", 181),
     },
     "passive_scalar": {
-        "nx": ("int", _REQUIRED),
-        "ny": ("int", _REQUIRED),
-        "cfl": ("float", 0.4),
-        "t_end": ("float", _REQUIRED),
+        **_STEPPED_2D,
         "diag_every": ("float", 1.0),
         "velocity": ("str", "shear_sin"),
         "test_function": ("str", "bessel_pair"),
@@ -132,10 +135,7 @@ _SCHEMAS: dict[str, dict] = {
         "g_const": ("float", 1.0),
     },
     "ipm": {
-        "nx": ("int", _REQUIRED),
-        "ny": ("int", _REQUIRED),
-        "cfl": ("float", 0.4),
-        "t_end": ("float", _REQUIRED),
+        **_STEPPED_2D,
         "diag_every": ("float", 0.5),
         "preset": ("str", _REQUIRED),
         "eps": ("float", 1e-2),
@@ -147,8 +147,10 @@ _SCHEMAS["degregorio"] = dict(_SCHEMAS["clm"])
 
 def _check_values(system: str, params: dict) -> None:
     """Construct or check what the run would, without doing any of its work."""
+    if system != "couette_linear" and "t_end" in params:
+        check_t_end(params["t_end"])  # a falling couette time axis is legal
     if system in ("euler2d", "passive_scalar", "ipm"):
-        Grid2(params["nx"], params["ny"])
+        grid = Grid2(params["nx"], params["ny"])
         check_schedule(params["cfl"], params["diag_every"],
                        params.get("snapshot_every", 0.0))
     elif system in ("clm", "degregorio"):
@@ -161,6 +163,11 @@ def _check_values(system: str, params: dict) -> None:
         selfsim.WeightedSpaceParams(N=params["weight_order"], delta=params["delta"],
                                     grid_points=params["grid_points"],
                                     grid_ratio=params["grid_ratio"])
+    for key in presets.KEYS:
+        if key in params:
+            entry = presets.lookup(system, key, params[key])
+            if "kmax" in entry.params:
+                presets.check_kmax(grid, params["kmax"])
 
 
 @dataclass

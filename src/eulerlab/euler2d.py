@@ -32,9 +32,11 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .fields import SpectralField2, VectorField2, to_coeffs, to_values
 from .grids import Grid2
 from .lagrangian import FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient
-from .operators import advection_coeffs, biot_savart, dealias, leray_project, transport_coeffs
+from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
+                        transport_coeffs)
 from .snapshots import write_snapshot
-from .stepping import MAX_CFL, check_cfl, check_schedule
+from .stepping import (MAX_CFL, BlowupError, casimir_entries, cfl_dt, check_cfl,
+                       check_schedule, march, rk4_step)
 
 
 @dataclass
@@ -77,56 +79,56 @@ class EulerRunResult:
         return np.array([rec.t for rec in self.diagnostics])
 
 
+class _StageEval:
+    """One RK4 stage of (vorticity, *scalars[, marker lifts]): the velocity of
+    the vorticity transports all of them.
+
+    The velocity samples stay for the CFL rule.  The marker samplers of the
+    last four stages (one step) stay alive, as in a hand-written RK4 loop:
+    freeing each sampler's fine-grid arrays as soon as the next stage
+    replaces it lets glibc return the top of the heap to the OS and fault it
+    back in (four times the minor page faults of a 96^2 run with 64^2
+    markers).
+    """
+
+    def __init__(self, grid: Grid2, markers: bool):
+        self.grid = grid
+        self.markers = markers
+        self.u1v = self.u2v = None
+        self.samplers = []
+
+    def __call__(self, t: float, y: tuple) -> tuple:
+        g = self.grid
+        c, *rest = y
+        u1c, u2c = stream_velocity(c, g)
+        self.u1v = u1v = to_values(u1c)
+        self.u2v = u2v = to_values(u2c)
+        k = transport_coeffs(c, u1v, u2v, g)
+        k[0, 0] = 0.0
+        if not self.markers:
+            return (k, *(transport_coeffs(s, u1v, u2v, g) for s in rest))
+        *scalars, lifts = rest
+        sampler = VelocitySampler(g, u1c, u2c)
+        self.samplers = self.samplers[-3:] + [sampler]
+        return (k, *(transport_coeffs(s, u1v, u2v, g) for s in scalars), sampler(lifts))
+
+
 def euler_rhs(state: EulerState) -> SpectralField2:
     """Vorticity tendency -u.grad(omega), dealiased and mean-free."""
-    c = advection_coeffs(state.omega.coeffs, state.omega.grid)
+    (c,) = _StageEval(state.omega.grid, markers=False)(state.t, (state.omega.coeffs,))
     return SpectralField2(state.omega.grid, c, True)
-
-
-def _cfl_dt(grid: Grid2, sup_u1: float, sup_u2: float, cfl: float) -> float:
-    lim = math.inf
-    if sup_u1 > 0.0:
-        lim = grid.dx / sup_u1
-    if sup_u2 > 0.0:
-        lim = min(lim, grid.dy / sup_u2)
-    return cfl * lim
 
 
 def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
     """One RK4 step; dt must respect the per-direction CFL bound."""
     check_cfl(cfl)
     grid = state.omega.grid
-    u = state.velocity()
-    limit = _cfl_dt(grid, u.u1.norm_inf(), u.u2.norm_inf(), cfl)
+    u1v, u2v = state.velocity().values
+    limit = cfl_dt(grid, u1v, u2v, cfl)
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the CFL bound {limit:g}")
-    c = state.omega.coeffs
-    k1 = advection_coeffs(c, grid)
-    k2 = advection_coeffs(c + 0.5 * dt * k1, grid)
-    k3 = advection_coeffs(c + 0.5 * dt * k2, grid)
-    k4 = advection_coeffs(c + dt * k3, grid)
-    cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    (cn,) = rk4_step(_StageEval(grid, markers=False), state.t, (state.omega.coeffs,), dt)
     return EulerState(SpectralField2.from_coeffs(grid, cn, check=False), state.t + dt)
-
-
-def _casimir_entries(casimirs, symbol: str = "omega") -> list:
-    """Normalize the casimir spec to (name, callable) pairs.
-
-    Integer entries p mean the moment integral of the field raised to p;
-    callables are used as-is with their __name__.
-    """
-    out = []
-    for entry in casimirs or ():
-        if isinstance(entry, int):
-            p = entry
-            out.append((f"{symbol}^{p}", lambda w, p=p: w**p))
-        elif isinstance(entry, tuple):
-            out.append(entry)
-        elif callable(entry):
-            out.append((getattr(entry, "__name__", "casimir"), entry))
-        else:
-            raise TypeError("casimirs entries must be ints or callables")
-    return out
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, entries) -> DiagnosticsRecord:
@@ -149,31 +151,6 @@ def _check_finite(rec: DiagnosticsRecord) -> bool:
     return all(math.isfinite(v) for v in vals)
 
 
-class _StageEval:
-    """Shared per-stage work: velocity synthesis plus the vorticity tendency."""
-
-    def __init__(self, grid: Grid2, need_sampler: bool):
-        self.grid = grid
-        self.need_sampler = need_sampler
-
-    def __call__(self, c: np.ndarray):
-        g = self.grid
-        mask = g.dealias_mask
-        wc = c * mask
-        psi = g.inv_minus_k2 * wc
-        ikx = (1j * g.kx)[:, None]
-        iky = (1j * g.ky)[None, :]
-        u1c = -iky * psi
-        u2c = ikx * psi
-        u1v = to_values(u1c)
-        u2v = to_values(u2c)
-        adv = to_coeffs(u1v * to_values(ikx * wc) + u2v * to_values(iky * wc))
-        adv *= mask
-        adv[0, 0] = 0.0
-        sampler = VelocitySampler(g, u1c, u2c) if self.need_sampler else None
-        return -adv, u1v, u2v, sampler
-
-
 def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         diag_every: float = 0.5, casimirs=(4,), marker_lattice: int | None = None,
         scalars: dict | None = None, snapshot_dir: str | None = None,
@@ -184,121 +161,69 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     lattice (``marker_lattice`` markers per direction) whose snapshots are
     stored at the diagnostic cadence, and named passive scalar fields whose
     sup-gradient history is recorded.  ``observer(state)`` is called at
-    every diagnostic time.  Blow-up (non-finite diagnostics) aborts with a
-    checkpoint of the last finite state.
+    every diagnostic time.  A non-finite vorticity sup after a step, or
+    non-finite diagnostics, raise :class:`BlowupError`; with a
+    ``snapshot_dir`` the last finite state is checkpointed first.
     """
     check_schedule(cfl, diag_every, snapshot_every or 0.0)
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
     grid = omega0.grid
-    if not omega0.mean_free:
-        raise ValueError("vorticity must be mean-free")
-    c = dealias(omega0).coeffs.copy()
     scalars = dict(scalars or {})
-    scalar_c = {name: dealias(f).coeffs.copy() for name, f in scalars.items()}
-    stage = _StageEval(grid, need_sampler=marker_lattice is not None)
-
+    # EulerState rejects a vorticity with a nonzero mean
+    result = EulerRunResult(final=EulerState(omega0, 0.0), diagnostics=[],
+                            scalar_gradients={name: [] for name in scalars})
+    y = (dealias(omega0).coeffs.copy(), *(dealias(f).coeffs.copy() for f in scalars.values()))
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
-    lifts = markers.lifts.copy() if markers is not None else None
+    if markers is not None:
+        y += (markers.lifts.copy(),)
+    stage = _StageEval(grid, markers=markers is not None)
 
-    entries = _casimir_entries(casimirs)
-    t = 0.0
+    entries = casimir_entries(casimirs, "omega")
     bkm = 0.0
-    sup_prev = float(np.max(np.abs(to_values(c))))
-    result = EulerRunResult(final=EulerState(omega0, 0.0), diagnostics=[])
-    result.scalar_gradients = {name: [] for name in scalar_c}
+    sup_prev = float(np.max(np.abs(to_values(y[0]))))
 
-    snap_next = snapshot_every if (snapshot_dir and snapshot_every) else math.inf
-    snap_idx = 0
+    def checkpoint(tag: str, c: np.ndarray, t: float) -> None:
+        if snapshot_dir:
+            path = os.path.join(snapshot_dir, tag)
+            write_snapshot(path, [to_values(c)], t)
+            result.snapshot_paths.append(path)
 
-    def grad_sup(fc: np.ndarray) -> float:
-        gx = to_values((1j * grid.kx)[:, None] * fc)
-        gy = to_values((1j * grid.ky)[None, :] * fc)
-        return float(np.max(np.hypot(gx, gy)))
-
-    def current_state() -> EulerState:
-        return EulerState(SpectralField2.from_coeffs(grid, c, check=False), t)
-
-    def emit() -> bool:
-        rec = _diagnostics(grid, c, t, bkm, entries)
+    def emit(t: float, y: tuple, step: int) -> None:
+        rec = _diagnostics(grid, y[0], t, bkm, entries)
+        if not _check_finite(rec):
+            if math.isfinite(rec.omega_max):
+                checkpoint("checkpoint_abort.eulb", y[0], t)
+            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
         result.diagnostics.append(rec)
-        for name, fc in scalar_c.items():
-            result.scalar_gradients[name].append(grad_sup(fc))
+        for name, fc in zip(scalars, y[1:]):
+            result.scalar_gradients[name].append(gradient_sup(fc, grid))
         if markers is not None:
+            lifts = y[-1]
             frozen = ParticleSet(markers.wrapped(lifts), lifts.copy(),
                                  markers.lifts0.copy(), t, grid.lx, grid.ly)
             m = int(round(math.sqrt(frozen.count)))
             result.marker_snapshots.append(
                 FlowMapSnapshot(frozen, grid.lx / m, (m, m)))
         if observer is not None:
-            observer(current_state())
-        return _check_finite(rec)
+            observer(EulerState(SpectralField2.from_coeffs(grid, y[0], check=False), t))
 
-    def checkpoint(tag: str) -> None:
-        if snapshot_dir:
-            path = os.path.join(snapshot_dir, tag)
-            write_snapshot(path, [to_values(c)], t)
-            result.snapshot_paths.append(path)
-
-    if not emit():
-        checkpoint("checkpoint_abort.eulb")
-        raise RuntimeError("numerical blow-up detected at t=0")
-
-    next_diag = diag_every
-    while t < t_end - 1e-12:
-        k1, u1v, u2v, s1 = stage(c)
-        dt_cfl = _cfl_dt(grid, float(np.max(np.abs(u1v))),
-                         float(np.max(np.abs(u2v))), cfl)
-        dt = min(dt_cfl, next_diag - t, snap_next - t, t_end - t)
-        if not math.isfinite(dt) or dt <= 0.0:
-            dt = min(next_diag - t, t_end - t)
-
-        sk1 = {n: transport_coeffs(fc, u1v, u2v, grid) for n, fc in scalar_c.items()}
-        mk1 = s1(lifts) if s1 is not None else None
-
-        c2 = c + 0.5 * dt * k1
-        k2, u1v, u2v, s2 = stage(c2)
-        sk2 = {n: transport_coeffs(scalar_c[n] + 0.5 * dt * sk1[n], u1v, u2v, grid)
-               for n in sk1}
-        mk2 = s2(lifts + 0.5 * dt * mk1) if s2 is not None else None
-
-        c3 = c + 0.5 * dt * k2
-        k3, u1v, u2v, s3 = stage(c3)
-        sk3 = {n: transport_coeffs(scalar_c[n] + 0.5 * dt * sk2[n], u1v, u2v, grid)
-               for n in sk2}
-        mk3 = s3(lifts + 0.5 * dt * mk2) if s3 is not None else None
-
-        c4 = c + dt * k3
-        k4, u1v, u2v, s4 = stage(c4)
-        sk4 = {n: transport_coeffs(scalar_c[n] + dt * sk3[n], u1v, u2v, grid)
-               for n in sk3}
-        mk4 = s4(lifts + dt * mk3) if s4 is not None else None
-
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for n in scalar_c:
-            scalar_c[n] = scalar_c[n] + (dt / 6.0) * (sk1[n] + 2 * sk2[n] + 2 * sk3[n] + sk4[n])
-        if lifts is not None:
-            lifts = lifts + (dt / 6.0) * (mk1 + 2.0 * mk2 + 2.0 * mk3 + mk4)
-        t += dt
-
-        sup_new = float(np.max(np.abs(to_values(c))))
+    def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
+        nonlocal bkm, sup_prev
+        sup_new = float(np.max(np.abs(to_values(y_new[0]))))
+        if not math.isfinite(sup_new):
+            checkpoint("checkpoint_abort.eulb", y[0], t)
+            raise BlowupError(t + dt, step, result.diagnostics[-1])
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
-        if t >= snap_next - 1e-12:
-            checkpoint(f"snap_{snap_idx:05d}.eulb")
-            snap_idx += 1
-            snap_next += snapshot_every
-        if t >= next_diag - 1e-12 or t >= t_end - 1e-12:
-            if not emit():
-                checkpoint("checkpoint_abort.eulb")
-                raise RuntimeError(f"numerical blow-up detected at t={t:.6g}")
-            while next_diag <= t + 1e-12:
-                next_diag += diag_every
+    def snapshot(t: float, y: tuple, index: int) -> None:
+        checkpoint(f"snap_{index:05d}.eulb", y[0], t)
 
-    result.final = current_state()
+    t, y = march(stage, y, t_end, lambda t, y: cfl_dt(grid, stage.u1v, stage.u2v, cfl),
+                 diag_every, emit, snapshot_every or 0.0,
+                 snapshot if snapshot_dir else None, after_step)
+    result.final = EulerState(SpectralField2.from_coeffs(grid, y[0], check=False), t)
     result.scalars = {n: SpectralField2.from_coeffs(grid, fc, check=False)
-                      for n, fc in scalar_c.items()}
+                      for n, fc in zip(scalars, y[1:])}
     return result
 
 
@@ -546,15 +471,12 @@ def stream_h2_distance(omega1: SpectralField2, omega2: SpectralField2) -> float:
     if omega1.grid != omega2.grid:
         raise ValueError("fields live on different grids")
     g = omega1.grid
-    dpsi = g.inv_minus_k2 * (omega1.coeffs - omega2.coeffs)
-    w = (1.0 + g.k2) ** 2
-    return float(math.sqrt(g.lx * g.ly * np.sum(w * np.abs(dpsi) ** 2)))
+    return _h2_norm(g, g.inv_minus_k2 * (omega1.coeffs - omega2.coeffs))
 
 
-def _stream_h2_norm_of_psi(psi: SpectralField2) -> float:
-    g = psi.grid
+def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
     w = (1.0 + g.k2) ** 2
-    return float(math.sqrt(g.lx * g.ly * np.sum(w * np.abs(psi.coeffs) ** 2)))
+    return float(math.sqrt(g.lx * g.ly * np.sum(w * np.abs(psi_c) ** 2)))
 
 
 def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
@@ -583,7 +505,7 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
     band = (np.abs(grid.mx)[:, None] <= 3) & (np.abs(grid.my)[None, :] <= 3)
     pc *= band
     eta_psi = SpectralField2.from_coeffs(grid, pc, check=False).project_mean_free()
-    eta_psi = eta_psi * (1.0 / _stream_h2_norm_of_psi(eta_psi))
+    eta_psi = eta_psi * (1.0 / _h2_norm(grid, eta_psi.coeffs))
     eta_omega = SpectralField2.from_coeffs(grid, -grid.k2 * eta_psi.coeffs, check=False)
 
     omega_pert = omega_star + epsilon * eta_omega

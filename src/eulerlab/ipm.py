@@ -19,8 +19,8 @@ import numpy as np
 
 from .fields import SpectralField2, VectorField2, to_values
 from .grids import Grid2
-from .operators import transport_coeffs
-from .stepping import check_schedule
+from .operators import gradient_sup, transport_coeffs
+from .stepping import BlowupError, casimir_entries, cfl_dt, check_schedule, march
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
 
@@ -96,66 +96,40 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     fundamental cell (continuous y, not wrapped), and the spectral tail
     fraction.  The run is flagged ``under_resolved`` once the tail
     fraction of the density spectrum exceeds ``tail_threshold``.
+    Non-finite diagnostics raise :class:`~eulerlab.stepping.BlowupError`.
     """
-    from .euler2d import _casimir_entries, _cfl_dt
-
     check_schedule(cfl, diag_every)
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-
     grid = rho0.grid
-    c = rho0.coeffs.copy()
-    entries = _casimir_entries(casimirs, symbol="rho")
+    entries = casimir_entries(casimirs, "rho")
     yrow = grid.y[None, :]
-    t = 0.0
     result = IpmRunResult(final=IpmState(rho0, 0.0), diagnostics=[])
+    velocity = [None, None]  # the last stage's velocity samples, for the CFL rule
 
-    def stage(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u1c, u2c = _velocity_coeffs(rc, grid)
-        u1v = to_values(u1c)
-        u2v = to_values(u2c)
-        return transport_coeffs(rc, u1v, u2v, grid), u1v, u2v
+    def rhs(t: float, y: tuple) -> tuple:
+        u1c, u2c = _velocity_coeffs(y[0], grid)
+        velocity[:] = to_values(u1c), to_values(u2c)
+        return (transport_coeffs(y[0], *velocity, grid),)
 
-    def emit() -> bool:
+    def emit(t: float, y: tuple, step: int) -> None:
+        c = y[0]
         vals = to_values(c)
-        gx = to_values((1j * grid.kx)[:, None] * c)
-        gy = to_values((1j * grid.ky)[None, :] * c)
         rec = IpmDiagnostics(
             t=t,
             mass=float(np.sum(vals) * grid.cell_area),
             casimirs={name: float(np.sum(f(vals)) * grid.cell_area)
                       for name, f in entries},
-            grad_sup=float(np.max(np.hypot(gx, gy))),
+            grad_sup=gradient_sup(c, grid),
             e_pot=float(np.sum(vals * yrow) * grid.cell_area),
             tail_fraction=_tail_fraction(c, grid),
         )
+        if not (math.isfinite(rec.grad_sup) and math.isfinite(rec.e_pot)
+                and math.isfinite(rec.mass)):
+            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
         result.diagnostics.append(rec)
         if rec.tail_fraction > tail_threshold:
             result.under_resolved = True
-        return bool(np.isfinite(rec.grad_sup) and np.isfinite(rec.e_pot)
-                    and np.isfinite(rec.mass))
 
-    if not emit():
-        raise RuntimeError("numerical blow-up detected at t=0")
-
-    next_diag = diag_every
-    while t < t_end - 1e-12:
-        k1, u1v, u2v = stage(c)
-        dt_cfl = _cfl_dt(grid, float(np.max(np.abs(u1v))),
-                         float(np.max(np.abs(u2v))), cfl)
-        dt = min(dt_cfl, next_diag - t, t_end - t)
-        if not math.isfinite(dt) or dt <= 0.0:
-            dt = min(next_diag - t, t_end - t)
-        k2 = stage(c + 0.5 * dt * k1)[0]
-        k3 = stage(c + 0.5 * dt * k2)[0]
-        k4 = stage(c + dt * k3)[0]
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if t >= next_diag - 1e-12 or t >= t_end - 1e-12:
-            if not emit():
-                raise RuntimeError(f"numerical blow-up detected at t={t:.6g}")
-            while next_diag <= t + 1e-12:
-                next_diag += diag_every
-
+    t, (c,) = march(rhs, (rho0.coeffs.copy(),), t_end,
+                    lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit)
     result.final = IpmState(SpectralField2.from_coeffs(grid, c, check=False), t)
     return result

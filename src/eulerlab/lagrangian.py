@@ -17,7 +17,7 @@ from scipy import ndimage
 from .fields import SpectralField2, VectorField2, l2_inner, to_values
 from .grids import TWO_PI, Grid2
 from .operators import dealias, transport_coeffs
-from .stepping import check_schedule
+from .stepping import cfl_dt, check_schedule, march, rk4_step
 
 # direct trigonometric summation is exact but quadratic in mode count;
 # above this many modes velocities are sampled from a refined grid instead
@@ -36,8 +36,8 @@ class VelocitySampler:
         self.grid = grid
         if grid.nx * grid.ny <= _DIRECT_MODE_LIMIT:
             self.method = "spectral"
-            self._c1 = u1_coeffs
-            self._c2 = u2_coeffs
+            self._field = VectorField2(SpectralField2(grid, u1_coeffs, False),
+                                       SpectralField2(grid, u2_coeffs, False))
         else:
             self.method = "bicubic"
             fine = (2 * grid.nx, 2 * grid.ny)
@@ -51,10 +51,7 @@ class VelocitySampler:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         if self.method == "spectral":
-            g = self.grid
-            f1 = SpectralField2(g, self._c1, False)
-            f2 = SpectralField2(g, self._c2, False)
-            return np.stack([f1.eval_at(points), f2.eval_at(points)], axis=1)
+            return self._field.eval_at(points)
         coords = np.stack([points[:, 0] * self._scale[0],
                            points[:, 1] * self._scale[1]])
         out = np.empty((points.shape[0], 2))
@@ -161,14 +158,14 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
     callable (t, points) -> velocities for time-dependent flows.
     """
     vel = _as_sampler(velocity_source, particles.t)
+
+    def rhs(t: float, y: tuple) -> tuple:
+        return (vel(t, y[0]),)
+
     lifts = particles.lifts.copy()
     t = particles.t
     for _ in range(n_steps):
-        k1 = vel(t, lifts)
-        k2 = vel(t + 0.5 * dt, lifts + 0.5 * dt * k1)
-        k3 = vel(t + 0.5 * dt, lifts + 0.5 * dt * k2)
-        k4 = vel(t + dt, lifts + dt * k3)
-        lifts = lifts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        (lifts,) = rk4_step(rhs, t, (lifts,), dt)
         t += dt
     out = ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
                       t, particles.lx, particles.ly)
@@ -285,19 +282,6 @@ class MixingResult:
     fields: list = dc_field(default_factory=list)
 
 
-def _scalar_cfl_dt(u1v: np.ndarray, u2v: np.ndarray, grid: Grid2, cfl: float) -> float:
-    lim = math.inf
-    s1 = float(np.max(np.abs(u1v)))
-    s2 = float(np.max(np.abs(u2v)))
-    if s1 > 0.0:
-        lim = min(lim, grid.dx / s1)
-    if s2 > 0.0:
-        lim = min(lim, grid.dy / s2)
-    if not math.isfinite(lim):
-        return math.inf
-    return cfl * lim
-
-
 def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
                           test_functions: list | None = None,
                           cfl: float = 0.4, diag_every: float = 0.5,
@@ -315,41 +299,22 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
     phis = test_functions or []
     u1v = u.u1.values
     u2v = u.u2.values
-    dt_cfl = _scalar_cfl_dt(u1v, u2v, grid, cfl)
-    if not math.isfinite(dt_cfl):
-        dt_cfl = t_end
+    dt_cfl = cfl_dt(grid, u1v, u2v, cfl)
 
-    c = dealias(f0).coeffs.copy()
-    t = 0.0
+    def rhs(t: float, y: tuple) -> tuple:
+        return (transport_coeffs(y[0], u1v, u2v, grid),)
 
-    def rhs(fc: np.ndarray) -> np.ndarray:
-        return transport_coeffs(fc, u1v, u2v, grid)
+    times, rows, fields = [], [], []
 
-    def pairing_row(fc: np.ndarray) -> list[float]:
-        adv = SpectralField2(grid, -rhs(fc), True)  # u . grad f
-        return [l2_inner(adv, phi) for phi in phis]
+    def emit(t: float, y: tuple, step: int) -> None:
+        adv = SpectralField2(grid, -rhs(t, y)[0], True)  # u . grad f
+        times.append(t)
+        rows.append([l2_inner(adv, phi) for phi in phis])
+        if store_fields:
+            fields.append(SpectralField2.from_coeffs(grid, y[0], check=False))
 
-    times = [0.0]
-    rows = [pairing_row(c)]
-    fields = [SpectralField2.from_coeffs(grid, c, check=False)] if store_fields else []
-    next_diag = diag_every
-
-    while t < t_end - 1e-12:
-        dt = min(dt_cfl, next_diag - t, t_end - t)
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if t >= next_diag - 1e-12 or t >= t_end - 1e-12:
-            times.append(t)
-            rows.append(pairing_row(c))
-            if store_fields:
-                fields.append(SpectralField2.from_coeffs(grid, c, check=False))
-            if t >= next_diag - 1e-12:
-                next_diag += diag_every
-
+    _, (c,) = march(rhs, (dealias(f0).coeffs.copy(),), t_end, lambda t, y: dt_cfl,
+                    diag_every, emit)
     final = SpectralField2.from_coeffs(grid, c, check=False)
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,
@@ -371,6 +336,10 @@ def period_function(u, seeds, dt: float = 1e-3,
         lx, ly = u.grid.lx, u.grid.ly
     else:
         lx = ly = TWO_PI
+
+    def rhs(t: float, y: tuple) -> tuple:
+        return (vel(t, y[0][None, :])[0],)
+
     out = []
     for seed in seeds:
         seed = np.asarray(seed, dtype=np.float64)
@@ -380,11 +349,7 @@ def period_function(u, seeds, dt: float = 1e-3,
         d_hist = []
         period = math.inf
         while t < t_max:
-            k1 = vel(t, p[None, :])[0]
-            k2 = vel(t + 0.5 * dt, (p + 0.5 * dt * k1)[None, :])[0]
-            k3 = vel(t + 0.5 * dt, (p + 0.5 * dt * k2)[None, :])[0]
-            k4 = vel(t + dt, (p + dt * k3)[None, :])[0]
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            (p,) = rk4_step(rhs, t, (p,), dt)
             t += dt
             dx = (p[0] - seed[0] + lx / 2) % lx - lx / 2
             dy = (p[1] - seed[1] + ly / 2) % ly - ly / 2

@@ -28,7 +28,7 @@ from scipy import optimize
 from .fields import SpectralField1, to_coeffs, to_values
 from .grids import Grid1
 from .operators import dealias, hilbert_transform
-from .stepping import check_cfl
+from .stepping import check_cfl, rk4_step
 
 MODELS = ("clm", "degregorio")
 
@@ -240,14 +240,6 @@ def _spectral_tail(c: np.ndarray, grid: Grid1) -> float:
 # -- time integration --------------------------------------------------------
 
 
-def _rk4(c: np.ndarray, grid: Grid1, dt: float, rhs) -> np.ndarray:
-    k1 = rhs(c, grid)
-    k2 = rhs(c + 0.5 * dt * k1, grid)
-    k3 = rhs(c + 0.5 * dt * k2, grid)
-    k4 = rhs(c + dt * k3, grid)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _fit_t_star(ts: np.ndarray, sup: np.ndarray) -> float:
     """Fit sup ~ c/(T - t) on the tail window, optimizing T in log variables."""
     n = len(ts)
@@ -294,8 +286,12 @@ def model_run(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     check_cfl(cfl)
-    rhs = _RHS[model]
+    model_rhs = _RHS[model]
     grid = omega0.grid
+
+    def rhs(t: float, y: tuple) -> tuple:
+        return (model_rhs(y[0], grid),)
+
     c = dealias(omega0).coeffs.copy()
 
     t = 0.0
@@ -319,7 +315,7 @@ def model_run(
         if dt_max is not None:
             dt = min(dt, dt_max)
         dt = min(dt, t_end - t)
-        c = _rk4(c, grid, dt, rhs)
+        (c,) = rk4_step(rhs, t, (c,), dt)
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g}")
         t += dt

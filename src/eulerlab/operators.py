@@ -36,29 +36,6 @@ def perp_gradient(f: SpectralField2) -> VectorField2:
     return VectorField2(-1.0 * dy(f), dx(f))
 
 
-_CALCULUS = {
-    "dx": dx,
-    "dy": dy,
-    "laplacian": laplacian,
-    "inv_laplacian": inv_laplacian,
-    "perp_gradient": perp_gradient,
-}
-
-
-def spectral_calculus(f: SpectralField2, op: str):
-    """Dispatch table for the exact Fourier-symbol operators.
-
-    ``op`` is one of ``dx``, ``dy``, ``laplacian``, ``inv_laplacian``,
-    ``perp_gradient``. The last returns a :class:`VectorField2`; the rest
-    return :class:`SpectralField2`.
-    """
-    try:
-        fn = _CALCULUS[op]
-    except KeyError:
-        raise ValueError(f"unknown calculus op {op!r}; choose from {sorted(_CALCULUS)}") from None
-    return fn(f)
-
-
 def biot_savart(omega: SpectralField2) -> VectorField2:
     """Velocity with the prescribed vorticity: u = perp_grad(inv_laplacian(omega))."""
     if not omega.mean_free:
@@ -114,21 +91,12 @@ def dealias(f):
 # hot loops; these helpers keep that code in one place.
 
 
-def advection_coeffs(omega_c: np.ndarray, grid: Grid2) -> np.ndarray:
-    """Coefficients of -u.grad(omega) for u = biot_savart(omega), dealiased."""
-    mask = grid.dealias_mask
-    wc = omega_c * mask
-    psi = grid.inv_minus_k2 * wc
-    ikx = (1j * grid.kx)[:, None]
-    iky = (1j * grid.ky)[None, :]
-    u1 = to_values(-iky * psi)
-    u2 = to_values(ikx * psi)
-    wx = to_values(ikx * wc)
-    wy = to_values(iky * wc)
-    adv = to_coeffs(u1 * wx + u2 * wy)
-    adv *= mask
-    adv[0, 0] = 0.0
-    return -adv
+def stream_velocity(omega_c: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity coefficients perp_grad(inv_laplacian(omega)) of the dealiased vorticity."""
+    psi = grid.inv_minus_k2 * (omega_c * grid.dealias_mask)
+    u1 = -(1j * grid.ky)[None, :] * psi
+    u2 = (1j * grid.kx)[:, None] * psi
+    return u1, u2
 
 
 def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid2) -> np.ndarray:
@@ -140,3 +108,10 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
     adv = to_coeffs(u1 * fx + u2 * fy)
     adv *= mask
     return -adv
+
+
+def gradient_sup(f_c: np.ndarray, grid: Grid2) -> float:
+    """Max of |grad f| over the collocation points."""
+    gx = to_values((1j * grid.kx)[:, None] * f_c)
+    gy = to_values((1j * grid.ky)[None, :] * f_c)
+    return float(np.max(np.hypot(gx, gy)))

@@ -2,15 +2,21 @@
 
 Every preset is a deterministic function of (name, params, seed): calling
 it twice with the same arguments yields bit-identical fields, which is
-what makes rerun checksum tests meaningful.
+what makes rerun checksum tests meaningful.  :data:`REGISTRY` holds every
+name a config can select, with its system, its config key, the function
+that makes it and a one-line description; the config parser checks names against it and
+``euler-lab presets`` lists it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import selfsim
 from .fields import SpectralField1, SpectralField2, VectorField2, to_coeffs
 from .grids import Grid1, Grid2
 
@@ -21,21 +27,20 @@ def taylor_green(grid: Grid2) -> SpectralField2:
     return SpectralField2.from_values(grid, -2.0 * np.cos(X) * np.cos(Y)).project_mean_free()
 
 
-def couette_modes() -> list[tuple[int, float, float]]:
-    """Default shear-frame band for linearized-shear runs: one ky=1 mode."""
-    return [(1, 0.0, 1.0)]
-
-
 def clm_cosine(grid: Grid1, amplitude: float = 1.0) -> SpectralField1:
     """Cosine datum for the 1D models; closed-form evolution known."""
     return SpectralField1.from_values(grid, amplitude * np.cos(grid.x))
 
 
+def check_kmax(grid: Grid2, kmax: int) -> None:
+    if kmax < 1 or kmax > min(grid.nx, grid.ny) // 3:
+        raise ValueError("kmax must lie inside the dealiased band")
+
+
 def random_bandlimited(grid: Grid2, seed: int, kmax: int = 4,
                        rms: float = 0.2) -> SpectralField2:
     """Mean-free band-limited noise with coefficient-l2 size ``rms``."""
-    if kmax < 1 or kmax > min(grid.nx, grid.ny) // 3:
-        raise ValueError("kmax must lie inside the dealiased band")
+    check_kmax(grid, kmax)
     rng = np.random.default_rng(seed)
     c = to_coeffs(rng.normal(size=grid.shape))
     band = (np.abs(grid.mx)[:, None] <= kmax) & (np.abs(grid.my)[None, :] <= kmax)
@@ -129,43 +134,82 @@ def bessel_pair_test_function(grid: Grid2) -> SpectralField2:
     return SpectralField2.from_values(grid, 2.0 * (1.0 + np.cos(2.0 * Y)) * np.cos(X))
 
 
-PRESETS = {
-    "taylor_green": "euler2d: cellular steady vorticity -2 cos x cos y",
-    "taylor_green_perturbed": "euler2d: cellular state plus eps cos 2x cos y defect",
-    "shear_plus_band": "euler2d: cos y shear plus seeded band noise (seed, kmax, rms)",
-    "random_bandlimited": "euler2d: seeded mean-free band noise (seed, kmax, rms)",
-    "couette": "couette_linear: default single ky=1 shear-frame band",
-    "clm_cosine": "clm/degregorio: amplitude * cos x datum",
-    "heavy_over_light": "ipm: unstable stratification, seeded interface at y=pi",
-    "light_over_heavy": "ipm: stable orientation, same seeded interface",
-    "stratified_rest": "ipm: pure y-stratification (exact rest state)",
-    "shear_sin": "passive_scalar velocity: (sin y, 0)",
-    "uniform": "passive_scalar velocity: (1, 0) constant",
-    "bessel_pair": "passive_scalar test function with closed-form pairing",
+def perturbed_profile(problem, perturb: float) -> np.ndarray:
+    """Closed-form self-similar profile times 1 + perturb exp(-X^2/10)."""
+    x = problem.x
+    return selfsim.closed_form_profile(x) * (1.0 + perturb * np.exp(-x ** 2 / 10.0))
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A named input of one system, selected in its config by ``key = name``.
+
+    ``make(grid, **params)`` takes the run's grid (the selfsim
+    ``ProfileProblem`` for a guess, nothing for a transport profile) and
+    the config values of ``params``.
+    """
+
+    system: str
+    key: str
+    make: Callable
+    description: str
+    params: tuple = ()
+
+    def build(self, grid, cfg):
+        return self.make(grid, **{p: cfg[p] for p in self.params})
+
+
+# what the value of each selecting config key names
+_KINDS = {"preset": "initial condition", "velocity": "velocity",
+          "test_function": "test function", "guess": "initial guess",
+          "u_preset": "transport profile"}
+KEYS = tuple(_KINDS)
+_BAND = ("seed", "kmax", "rms")
+
+REGISTRY = {
+    "taylor_green": Preset("euler2d", "preset", taylor_green,
+                           "cellular steady vorticity -2 cos x cos y"),
+    "taylor_green_perturbed": Preset("euler2d", "preset", taylor_green_perturbed,
+                                     "cellular state plus eps cos 2x cos y defect", ("eps",)),
+    "shear_plus_band": Preset("euler2d", "preset", shear_plus_band,
+                              "cos y shear plus seeded band noise", _BAND),
+    "random_bandlimited": Preset("euler2d", "preset", random_bandlimited,
+                                 "seeded mean-free band noise", _BAND),
+    "heavy_over_light": Preset("ipm", "preset", heavy_over_light,
+                               "unstable stratification, seeded interface at y=pi", ("eps",)),
+    "light_over_heavy": Preset("ipm", "preset", light_over_heavy,
+                               "stable orientation, same seeded interface", ("eps",)),
+    "stratified_rest": Preset("ipm", "preset", stratified_rest,
+                              "pure y-stratification (exact rest state)"),
+    "shear_sin": Preset("passive_scalar", "velocity", shear_sin, "(sin y, 0)"),
+    "uniform": Preset("passive_scalar", "velocity", uniform_flow, "(1, 0) constant"),
+    "bessel_pair": Preset("passive_scalar", "test_function",
+                          lambda grid: [bessel_pair_test_function(grid)],
+                          "weight 2 (1 + cos 2y) cos x with closed-form pairing"),
+    "none": Preset("passive_scalar", "test_function", lambda grid: [],
+                   "no test function (the pairing table holds t only)"),
+    "exact": Preset("selfsim", "guess", lambda problem: selfsim.closed_form_profile(problem.x),
+                    "the closed-form profile"),
+    "perturbed": Preset("selfsim", "guess", perturbed_profile,
+                        "closed-form profile times 1 + perturb exp(-X^2/10)", ("perturb",)),
+    "parabola": Preset("lemma_check", "u_preset", lambda _: lambda t: t * (1.0 - t),
+                       "u(t) = t (1 - t)"),
+    "sine": Preset("lemma_check", "u_preset",
+                   lambda _: lambda t: math.sin(math.pi * t) / math.pi, "u(t) = sin(pi t) / pi"),
 }
 
 
-def init_library(name: str, grid=None, **params):
-    """Build a named preset; unknown names raise ValueError."""
-    builders = {
-        "taylor_green": lambda: taylor_green(grid),
-        "taylor_green_perturbed": lambda: taylor_green_perturbed(
-            grid, params.get("eps", 0.3)),
-        "shear_plus_band": lambda: shear_plus_band(
-            grid, seed=params.get("seed", 0), kmax=params.get("kmax", 3),
-            rms=params.get("rms", 0.02)),
-        "random_bandlimited": lambda: random_bandlimited(
-            grid, seed=params.get("seed", 0), kmax=params.get("kmax", 4),
-            rms=params.get("rms", 0.2)),
-        "couette": lambda: couette_modes(),
-        "clm_cosine": lambda: clm_cosine(grid, params.get("amplitude", 1.0)),
-        "heavy_over_light": lambda: heavy_over_light(grid, params.get("eps", 1e-2)),
-        "light_over_heavy": lambda: light_over_heavy(grid, params.get("eps", 1e-2)),
-        "stratified_rest": lambda: stratified_rest(grid),
-        "shear_sin": lambda: shear_sin(grid),
-        "uniform": lambda: uniform_flow(grid),
-        "bessel_pair": lambda: bessel_pair_test_function(grid),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(sorted(builders))}")
-    return builders[name]()
+def lookup(system: str, key: str, name: str) -> Preset:
+    """The entry that ``key = name`` selects in a ``system`` config."""
+    entry = REGISTRY.get(name)
+    if entry is None or (entry.system, entry.key) != (system, key):
+        known = sorted(n for n, e in REGISTRY.items() if (e.system, e.key) == (system, key))
+        article = "an" if system[0] in "aeiou" else "a"
+        raise ValueError(f"{key} {name!r} is not {article} {system} {_KINDS[key]}; "
+                         f"known: {', '.join(known)}")
+    return entry
+
+
+def build(cfg, key: str, grid):
+    """Build the input that ``cfg[key]`` names for the run on ``grid``."""
+    return lookup(cfg.system, key, cfg[key]).build(grid, cfg)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import eulerlab
-from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, csv_bytes, main)
+from eulerlab import cli
+from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
+from eulerlab.stepping import BlowupError
 
 TINY_EULER = """\
 system = euler2d
@@ -94,6 +96,28 @@ class TestConfigErrors:
          "diag_every must be positive"),
         ("system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\ncfl = 0\n",
          "cfl must lie in"),
+        # every config key that names a preset, checked against its system
+        (TINY_EULER.replace("taylor_green", "stratified_rest"),
+         "not an euler2d initial condition"),
+        ("system = ipm\nnx = 16\nny = 16\nt_end = 1\npreset = taylor_green\n",
+         "not an ipm initial condition"),
+        ("system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\nvelocity = swirl\n",
+         "velocity 'swirl' is not a passive_scalar velocity"),
+        ("system = passive_scalar\nnx = 16\nny = 16\nt_end = 1\ntest_function = gauss\n",
+         "not a passive_scalar test function"),
+        ("system = selfsim\nguess = wobbly\n", "guess 'wobbly' is not a selfsim initial guess"),
+        ("system = lemma_check\nu_preset = cubic\n", "not a lemma_check transport profile"),
+        # a negative horizon, for every system that steps in time
+        (TINY_EULER.replace("t_end = 0.5", "t_end = -1"), "t_end must be nonnegative"),
+        ("system = ipm\nnx = 16\nny = 16\nt_end = -1\npreset = stratified_rest\n",
+         "t_end must be nonnegative"),
+        ("system = passive_scalar\nnx = 16\nny = 16\nt_end = -1\n",
+         "t_end must be nonnegative"),
+        (TINY_CLM.replace("t_end = 2.5", "t_end = -1"), "t_end must be nonnegative"),
+        ("system = degregorio\nn = 64\nt_end = -0.5\n", "t_end must be nonnegative"),
+        # kmax outside the dealiased band of the grid (16 // 3 = 5)
+        ("system = euler2d\nnx = 16\nny = 16\nt_end = 1\npreset = random_bandlimited\n"
+         "kmax = 9\n", "kmax must lie inside the dealiased band"),
     ])
     def test_bad_values_exit_2_before_any_output(self, tmp_path, capsys, text, match):
         cfg = write_cfg(tmp_path, text)
@@ -101,6 +125,35 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
         assert match in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_kmax_is_checked_only_where_a_preset_reads_it(self, tmp_path):
+        cfg = write_cfg(tmp_path, TINY_EULER + "kmax = 99\n")
+        assert main(["validate", "--config", cfg]) == EXIT_OK
+
+
+class TestFailureExitCodes:
+    """Only a typed blow-up is reported as one; other errors are failures."""
+
+    @pytest.mark.parametrize("module, func, text", [
+        ("euler2d", "run", TINY_EULER),
+        ("ipm", "ipm_run", "system = ipm\nnx = 16\nny = 16\nt_end = 1\n"
+                           "preset = stratified_rest\n"),
+    ])
+    @pytest.mark.parametrize("error, code, status", [
+        (BlowupError(0.75, 12), EXIT_BLOWUP, "blow-up detected: numerical blow-up"),
+        (RuntimeError("solver exploded"), EXIT_NUMERICAL, "failed: solver exploded"),
+    ])
+    def test_exit_code_follows_the_error_type(self, tmp_path, monkeypatch, module, func,
+                                              text, error, code, status):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(getattr(cli, module), func, fail)
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == code
+        assert read_manifest(out)["status"].startswith(status)
 
 
 class TestRunArtifacts:

@@ -149,8 +149,16 @@ class TestValueChecks:
         with pytest.raises(ConfigError, match="snapshot_every must be nonnegative"):
             parse_config(EULER_16 + "snapshot_every = -1\n")
 
+    def test_falling_couette_time_axis_is_legal(self):
+        cfg = parse_config("system = couette_linear\nmodes = 1:0:1\nt_start = 5\n"
+                           "t_end = -1\n")
+        assert cfg["t_end"] == -1.0
+
     def test_boundary_values_pass(self):
         assert parse_config("system = clm\nn = 8\nt_end = 1\ncfl = 0.5\n")["cfl"] == 0.5
         assert parse_config("system = selfsim\nn = 64\ndomain_half_width = 10\n")["n"] == 64
         assert parse_config("system = lemma_check\nweight_order = 4\n")["weight_order"] == 4
         assert parse_config(EULER_16 + "snapshot_every = 0\n")["snapshot_every"] == 0.0
+        assert parse_config(EULER_16.replace("t_end = 1", "t_end = 0"))["t_end"] == 0.0
+        band = EULER_16.replace("taylor_green", "random_bandlimited")
+        assert parse_config(band + "kmax = 5\n")["kmax"] == 5

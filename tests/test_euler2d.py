@@ -162,6 +162,47 @@ class TestRunDiagnostics:
             e2.run(mean_full, 1.0)
 
 
+def poison_after(monkeypatch, module, calls):
+    """Make ``module.transport_coeffs`` return NaN from call ``calls + 1`` on."""
+    real = module.transport_coeffs
+    count = [0]
+
+    def poisoned(*args):
+        count[0] += 1
+        out = real(*args)
+        return out * np.nan if count[0] > calls else out
+
+    monkeypatch.setattr(module, "transport_coeffs", poisoned)
+
+
+class TestBlowup:
+    def test_nonfinite_step_raises_typed_error_and_checkpoints_last_finite_state(
+            self, tmp_path, monkeypatch):
+        g = Grid2(16, 16)
+        w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
+        poison_after(monkeypatch, e2, 4 * 3)  # four stages a step: step 4 goes bad
+        with pytest.raises(e2.BlowupError) as info:
+            e2.run(w, 2.0, diag_every=0.25, casimirs=(), snapshot_dir=str(tmp_path))
+        exc = info.value
+        assert exc.step == 4
+        assert exc.last_record is not None and exc.last_record.t < exc.t < 0.75
+        assert "numerical blow-up detected" in str(exc)
+        fields_read, t_read = read_snapshot(tmp_path / "checkpoint_abort.eulb")
+        assert np.all(np.isfinite(fields_read[0]))
+        assert exc.last_record.t < t_read < exc.t
+        # the state is steady, so the checkpoint is the initial field
+        assert np.max(np.abs(fields_read[0] - w.values)) < 1e-12
+
+    def test_nonfinite_initial_state(self, tmp_path):
+        g = Grid2(16, 16)
+        c = np.zeros(g.shape, dtype=complex)
+        c[1, 0] = c[-1, 0] = np.nan
+        with pytest.raises(e2.BlowupError) as info:
+            e2.run(SpectralField2(g, c, True), 1.0, snapshot_dir=str(tmp_path))
+        assert info.value.step == 0 and info.value.last_record is None
+        assert os.listdir(tmp_path) == []
+
+
 class TestShearBandEvolution:
     def test_single_mode_closed_forms(self):
         ts = np.linspace(10, 100, 181)

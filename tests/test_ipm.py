@@ -111,3 +111,14 @@ class TestRun:
             ipm.ipm_run(rho, -1.0)
         with pytest.raises(ValueError, match="diag_every"):
             ipm.ipm_run(rho, 1.0, diag_every=0.0)
+
+    def test_nonfinite_diagnostics_raise_typed_error(self, monkeypatch):
+        g = Grid2(32, 32)
+        real = ipm.transport_coeffs
+        monkeypatch.setattr(ipm, "transport_coeffs",
+                            lambda *args: real(*args) * np.nan)
+        with pytest.raises(ipm.BlowupError) as info:
+            ipm.ipm_run(heavy_over_light(g), 1.0, diag_every=0.5)
+        exc = info.value
+        assert exc.t > 0.0 and exc.step >= 1
+        assert exc.last_record is not None and exc.last_record.t == 0.0

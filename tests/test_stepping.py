@@ -1,0 +1,137 @@
+"""The shared integrator: RK4 order, the output cadence, the CFL rule, blow-up."""
+
+import math
+
+import numpy as np
+import pytest
+
+from eulerlab.grids import Grid2
+from eulerlab.stepping import BlowupError, cfl_dt, march, rk4_step
+
+
+def mixed_rhs(t, y):
+    """Three independent linear problems of different shapes and dtypes."""
+    a, b, c = y
+    return (-a, 1j * b, np.cos(t) * np.ones_like(c))
+
+
+def mixed_exact(t, y0):
+    a, b, c = y0
+    return (a * math.exp(-t), b * np.exp(1j * t), c + math.sin(t))
+
+
+def mixed_state():
+    return (np.array([1.0, -2.0, 0.5]),
+            np.array([[1.0 + 1.0j, 0.5], [-0.25j, 2.0]]),
+            np.arange(8.0).reshape(4, 2))
+
+
+def rk4_errors(n_steps):
+    y0 = mixed_state()
+    y, t, dt = y0, 0.0, 1.0 / n_steps
+    for _ in range(n_steps):
+        y = rk4_step(mixed_rhs, t, y, dt)
+        t += dt
+    return [float(np.max(np.abs(got - want))) for got, want in zip(y, mixed_exact(1.0, y0))]
+
+
+class TestRk4Step:
+    def test_fourth_order_on_mixed_shapes(self):
+        coarse, fine = rk4_errors(10), rk4_errors(20)
+        for e_coarse, e_fine in zip(coarse, fine):
+            assert e_fine > 0.0
+            assert 13.0 < e_coarse / e_fine < 19.0
+
+    def test_shapes_and_dtypes_kept(self):
+        y = mixed_state()
+        out = rk4_step(mixed_rhs, 0.0, y, 0.1)
+        assert [(a.shape, a.dtype) for a in out] == [(a.shape, a.dtype) for a in y]
+
+    def test_given_first_stage_is_used(self):
+        y = mixed_state()
+        k1 = mixed_rhs(0.0, y)
+        calls = []
+
+        def counting(t, y):
+            calls.append(t)
+            return mixed_rhs(t, y)
+
+        with_k1 = rk4_step(counting, 0.0, y, 0.1, k1)
+        assert calls == [0.05, 0.05, 0.1]
+        for a, b in zip(with_k1, rk4_step(mixed_rhs, 0.0, y, 0.1)):
+            assert np.array_equal(a, b)
+
+
+def zero_rhs(t, y):
+    return tuple(np.zeros_like(a) for a in y)
+
+
+def run_march(t_end, diag_every, dt, snapshot_every=0.0):
+    log = {"emit": [], "snap": [], "dt": []}
+    march(zero_rhs, (np.zeros(2),), t_end, lambda t, y: dt, diag_every,
+          lambda t, y, step: log["emit"].append((t, step)),
+          snapshot_every, lambda t, y, index: log["snap"].append((t, index)),
+          lambda t, dt, y, y_new, step: log["dt"].append(dt))
+    return log
+
+
+class TestMarch:
+    def test_emits_on_the_cadence_and_at_t_end(self):
+        log = run_march(1.0, 0.3, 0.07)
+        times = [t for t, _ in log["emit"]]
+        np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
+        steps = [s for _, s in log["emit"]]
+        assert steps[0] == 0 and steps == sorted(steps)
+        assert steps[-1] == len(log["dt"])
+        assert max(log["dt"]) <= 0.07
+
+    def test_snapshot_times(self):
+        log = run_march(1.0, 0.3, 0.07, snapshot_every=0.25)
+        np.testing.assert_allclose([t for t, _ in log["snap"]], [0.25, 0.5, 0.75, 1.0],
+                                   atol=1e-12)
+        assert [i for _, i in log["snap"]] == [0, 1, 2, 3]
+
+    def test_no_snapshots_without_a_callback(self):
+        log = {"dt": []}
+        march(zero_rhs, (np.zeros(2),), 1.0, lambda t, y: 0.7, 0.5,
+              lambda t, y, step: None, 0.25, None,
+              lambda t, dt, y, y_new, step: log["dt"].append(dt))
+        assert log["dt"] == [0.5, 0.5]
+
+    def test_fluid_at_rest_steps_by_the_cadence(self):
+        grid = Grid2(8, 8)
+        rest = np.zeros(grid.shape)
+        assert cfl_dt(grid, rest, rest, 0.4) == math.inf
+        log = run_march(1.0, 0.3, cfl_dt(grid, rest, rest, 0.4))
+        np.testing.assert_allclose(log["dt"], [0.3, 0.3, 0.3, 0.1], atol=1e-12)
+
+    def test_zero_horizon_emits_once(self):
+        log = run_march(0.0, 0.3, 0.07)
+        assert log["emit"] == [(0.0, 0)] and log["dt"] == []
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.nan])
+    def test_rejects_negative_horizon(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be nonnegative"):
+            run_march(t_end, 0.3, 0.07)
+
+    def test_returns_final_time_and_state(self):
+        t, (y,) = march(lambda t, y: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
+                        lambda t, y: 0.1, 0.5, lambda t, y, step: None)
+        assert t == pytest.approx(1.0)
+        np.testing.assert_allclose(y, 1.0, atol=1e-12)
+
+
+class TestCflDt:
+    def test_per_direction_limit(self):
+        grid = Grid2(16, 32, lx=2.0, ly=1.0)
+        u1 = np.full(grid.shape, 0.5)
+        u2 = np.full(grid.shape, -2.0)
+        assert cfl_dt(grid, u1, u2, 0.4) == pytest.approx(
+            0.4 * min(grid.dx / 0.5, grid.dy / 2.0))
+
+
+def test_blowup_error_carries_its_context():
+    exc = BlowupError(1.25, 17, last_record="rec")
+    assert isinstance(exc, RuntimeError)
+    assert (exc.t, exc.step, exc.last_record) == (1.25, 17, "rec")
+    assert "t=1.25" in str(exc) and "step 17" in str(exc)
