@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import presets, selfsim
 from .grids import Grid1, Grid2
+from .lagrangian import check_lattice
 from .stepping import check_cfl, check_schedule, check_t_end
 
 
@@ -153,9 +154,13 @@ def _check_values(system: str, params: dict) -> None:
         grid = Grid2(params["nx"], params["ny"])
         check_schedule(params["cfl"], params["diag_every"],
                        params.get("snapshot_every", 0.0))
+        if params.get("marker_lattice", 0) != 0:  # 0: no markers
+            check_lattice(params["marker_lattice"])
     elif system in ("clm", "degregorio"):
         Grid1(params["n"])
         check_cfl(params["cfl"])
+        if not params["dt_max"] >= 0.0:  # 0: no cap
+            raise ValueError("dt_max must be nonnegative (0 means no cap)")
     elif system == "selfsim":
         selfsim.ProfileProblem(n=params["n"], L=params["domain_half_width"],
                                model=params["model"])

@@ -13,7 +13,8 @@ stability certificate with a perturbation experiment, and a dense probe
 for kernels of the linearized operator.
 
 Stream-level H2 distances used by the certificate are computed spectrally:
-``sqrt(lx*ly * sum((1+|k|^2)^2 |psi1_hat - psi2_hat|^2))``.
+``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
+spectrum with the grid's Parseval weight w.
 
 On the torus the boundary condition of the classical stability theorem is
 replaced by a mean-free constraint on psi; the certificate is that torus
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .fields import SpectralField2, VectorField2, to_coeffs, to_values
+from .fields import SpectralField2, VectorField2, mode_power, to_coeffs, to_values
 from .grids import Grid2
 from .lagrangian import FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
@@ -128,12 +129,12 @@ def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the CFL bound {limit:g}")
     (cn,) = rk4_step(_StageEval(grid, markers=False), state.t, (state.omega.coeffs,), dt)
-    return EulerState(SpectralField2.from_coeffs(grid, cn, check=False), state.t + dt)
+    return EulerState(SpectralField2.from_coeffs(grid, cn), state.t + dt)
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, entries) -> DiagnosticsRecord:
     area = grid.lx * grid.ly
-    p2 = np.abs(c) ** 2
+    p2 = mode_power(grid, c)
     energy = 0.5 * area * float(np.sum(np.divide(p2, grid.k2, out=np.zeros_like(p2),
                                                  where=grid.k2 > 0)))
     enstrophy = area * float(np.sum(p2))
@@ -204,7 +205,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
             result.marker_snapshots.append(
                 FlowMapSnapshot(frozen, grid.lx / m, (m, m)))
         if observer is not None:
-            observer(EulerState(SpectralField2.from_coeffs(grid, y[0], check=False), t))
+            observer(EulerState(SpectralField2.from_coeffs(grid, y[0]), t))
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
         nonlocal bkm, sup_prev
@@ -221,9 +222,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     t, y = march(stage, y, t_end, lambda t, y: cfl_dt(grid, stage.u1v, stage.u2v, cfl),
                  diag_every, emit, snapshot_every or 0.0,
                  snapshot if snapshot_dir else None, after_step)
-    result.final = EulerState(SpectralField2.from_coeffs(grid, y[0], check=False), t)
-    result.scalars = {n: SpectralField2.from_coeffs(grid, fc, check=False)
-                      for n, fc in zip(scalars, y[1:])}
+    result.final = EulerState(SpectralField2.from_coeffs(grid, y[0]), t)
+    result.scalars = {n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(scalars, y[1:])}
     return result
 
 
@@ -311,8 +311,7 @@ def steady_residual(psi: SpectralField2) -> float:
     lap = -g.k2 * pc
     bracket = to_values(ikx * pc) * to_values(iky * lap) \
         - to_values(iky * pc) * to_values(ikx * lap)
-    bc = to_coeffs(bracket) * mask
-    return float(math.sqrt(g.lx * g.ly * np.sum(np.abs(bc) ** 2)))
+    return _coeff_l2(g, to_coeffs(bracket) * mask)
 
 
 @dataclass
@@ -329,7 +328,7 @@ class SteadyState:
 
 
 def _coeff_l2(grid: Grid2, c: np.ndarray) -> float:
-    return float(math.sqrt(grid.lx * grid.ly * np.sum(np.abs(c) ** 2)))
+    return float(math.sqrt(grid.lx * grid.ly * np.sum(mode_power(grid, c))))
 
 
 def _equation_residual_coeffs(psi_c: np.ndarray, F, grid: Grid2) -> np.ndarray:
@@ -341,14 +340,17 @@ def _equation_residual_coeffs(psi_c: np.ndarray, F, grid: Grid2) -> np.ndarray:
 
 def _near_null_basis(grid: Grid2, fp_mean: float, width: float = 0.3) -> np.ndarray | None:
     """Value-space basis of Fourier modes where the linearization symbol
-    -|k|^2 - mean(F') nearly vanishes (candidate kernel directions)."""
+    -|k|^2 - mean(F') nearly vanishes (candidate kernel directions).
+
+    Each pair of modes +-k is visited once, from its half-spectrum entry
+    (my > 0, or my = 0 and mx > 0); Nyquist modes are left out."""
     cols = []
     X, Y = grid.meshgrid()
     for i, mx in enumerate(grid.mx):
         for j, my in enumerate(grid.my):
-            if (mx == 0 and my == 0) or mx < 0 or (mx == 0 and my < 0):
+            if my == 0 and mx <= 0:
                 continue
-            if abs(mx) * 2 == grid.nx or abs(my) * 2 == grid.ny:
+            if abs(mx) * 2 == grid.nx or my * 2 == grid.ny:
                 continue
             if abs(grid.k2[i, j] + fp_mean) > width:
                 continue
@@ -440,7 +442,7 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
         rc = _equation_residual_coeffs(psi_c, F, grid)
         rnorm = _coeff_l2(grid, rc)
         if rnorm < tol:
-            psi = SpectralField2.from_coeffs(grid, psi_c, check=False)
+            psi = SpectralField2.from_coeffs(grid, psi_c)
             return SteadyState(psi=psi, F=F, F_prime=F_prime,
                                residual=steady_residual(psi),
                                equation_residual=rnorm,
@@ -476,7 +478,7 @@ def stream_h2_distance(omega1: SpectralField2, omega2: SpectralField2) -> float:
 
 def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
     w = (1.0 + g.k2) ** 2
-    return float(math.sqrt(g.lx * g.ly * np.sum(w * np.abs(psi_c) ** 2)))
+    return float(math.sqrt(g.lx * g.ly * np.sum(w * mode_power(g, psi_c))))
 
 
 def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
@@ -498,15 +500,15 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
     min_fprime = float(np.min(steady.F_prime(samples)))
     certified = min_fprime > 0.0
 
-    omega_star = SpectralField2.from_coeffs(grid, -grid.k2 * steady.psi.coeffs, check=False)
+    omega_star = SpectralField2.from_coeffs(grid, -grid.k2 * steady.psi.coeffs)
 
     rng = np.random.default_rng(seed)
     pc = to_coeffs(rng.normal(size=grid.shape))
     band = (np.abs(grid.mx)[:, None] <= 3) & (np.abs(grid.my)[None, :] <= 3)
     pc *= band
-    eta_psi = SpectralField2.from_coeffs(grid, pc, check=False).project_mean_free()
+    eta_psi = SpectralField2.from_coeffs(grid, pc).project_mean_free()
     eta_psi = eta_psi * (1.0 / _h2_norm(grid, eta_psi.coeffs))
-    eta_omega = SpectralField2.from_coeffs(grid, -grid.k2 * eta_psi.coeffs, check=False)
+    eta_omega = SpectralField2.from_coeffs(grid, -grid.k2 * eta_psi.coeffs)
 
     omega_pert = omega_star + epsilon * eta_omega
     distances = []

@@ -1,9 +1,21 @@
-"""Real periodic scalar/vector fields stored as complex Fourier coefficients.
+"""Real periodic scalar/vector fields stored as half-spectrum Fourier coefficients.
 
-Transforms use numpy's ``norm="forward"`` convention, so ``coeffs[0, 0]``
-is the mean of the field and Parseval reads
+Every real field, 1D and 2D, is held as the output of ``numpy.fft.rfftn``:
+2D coefficients have shape ``(nx, ny//2 + 1)`` (x modes in FFT ordering,
+y modes 0..ny/2) and 1D coefficients shape ``(n//2 + 1,)``.  The modes
+with negative last index are the conjugates of the stored ones and are
+never held, so a field is real by construction.  Transforms use numpy's
+``norm="forward"`` convention, so ``coeffs[0, 0]`` is the mean of the
+field.  With the grid's Parseval ``weight`` w (2 on the interior columns
+of the last axis, 1 on mode 0 and on the Nyquist mode) Parseval reads
 
-    integral of f^2 over the cell  ==  lx * ly * sum(|coeffs|^2).
+    integral of f^2 over the cell  ==  lx * ly * sum(w * |coeffs|^2)
+
+and ``integral of f g == lx * ly * sum(w * Re(conj(f_hat) g_hat))``
+(``length`` in place of ``lx * ly`` in 1D).  A coefficient on the Nyquist
+row mx = -nx/2 or the Nyquist column my = ny/2 stands for the mode its
+index names; point evaluation and operators read it that way, and the
+inverse transform keeps only the part of it that is real on the grid.
 """
 
 from __future__ import annotations
@@ -21,23 +33,13 @@ _EVAL_CHUNK = 4096
 
 
 def to_coeffs(values: np.ndarray) -> np.ndarray:
-    """Physical samples -> Fourier coefficients (any dimensionality)."""
-    return np.fft.fftn(values, norm="forward")
+    """Physical samples -> half-spectrum Fourier coefficients (1D or 2D)."""
+    return np.fft.rfftn(values, norm="forward")
 
 
 def to_values(coeffs: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of a real field -> physical samples."""
-    return np.fft.ifftn(coeffs, norm="forward").real
-
-
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max deviation from coeff(-k) == conj(coeff(k)); zero for real fields."""
-    flipped = coeffs
-    for axis in range(coeffs.ndim):
-        n = coeffs.shape[axis]
-        idx = (-np.arange(n)) % n
-        flipped = np.take(flipped, idx, axis=axis)
-    return float(np.max(np.abs(coeffs - np.conj(flipped))))
+    """Half-spectrum Fourier coefficients -> physical samples (even length)."""
+    return np.fft.irfftn(coeffs, norm="forward")
 
 
 def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -51,17 +53,16 @@ def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     return c, mean_free
 
 
-def _check_hermitian(coeffs: np.ndarray) -> None:
-    scale = float(np.max(np.abs(coeffs)))
-    if scale > 0.0 and hermitian_defect(coeffs) > 1e-10 * scale:
-        raise ValueError("coefficients are not Hermitian-symmetric (field would not be real)")
+def mode_power(grid: Grid1 | Grid2, coeffs: np.ndarray) -> np.ndarray:
+    """w * |coeffs|^2 per stored mode; it sums to the mean square of the field."""
+    return grid.weight * (coeffs.real ** 2 + coeffs.imag ** 2)
 
 
 @dataclass(frozen=True)
 class SpectralField2:
     """
-    Real scalar field on a :class:`Grid2`, held as complex coefficients
-    indexed ``[mx, my]`` in FFT ordering.
+    Real scalar field on a :class:`Grid2`, held as its half spectrum
+    indexed ``[mx, my]``, shape ``grid.coeff_shape``.
 
     Instances are immutable; operations return new fields.
     """
@@ -71,10 +72,9 @@ class SpectralField2:
     mean_free: bool
 
     def __post_init__(self) -> None:
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
+        if self.coeffs.shape != self.grid.coeff_shape:
+            raise ValueError(f"coefficient shape {self.coeffs.shape} does not match "
+                             f"grid {self.grid.coeff_shape}")
 
     # -- constructors ---------------------------------------------------
 
@@ -87,18 +87,13 @@ class SpectralField2:
         return cls(grid, coeffs, mean_free)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2, coeffs: np.ndarray, check: bool = True) -> "SpectralField2":
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != grid.shape:
-            raise ValueError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
-        if check:
-            _check_hermitian(coeffs)
+    def from_coeffs(cls, grid: Grid2, coeffs: np.ndarray) -> "SpectralField2":
         c, mean_free = _normalize(coeffs)
         return cls(grid, c, mean_free)
 
     @classmethod
     def zeros(cls, grid: Grid2) -> "SpectralField2":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), True)
+        return cls(grid, np.zeros(grid.coeff_shape, dtype=np.complex128), True)
 
     # -- views and reductions -------------------------------------------
 
@@ -114,7 +109,7 @@ class SpectralField2:
     def norm_l2(self) -> float:
         """Domain-integral L2 norm, sqrt(integral f^2)."""
         g = self.grid
-        return float(np.sqrt(g.lx * g.ly * np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(g.lx * g.ly * np.sum(mode_power(g, self.coeffs))))
 
     def norm_inf(self) -> float:
         """Max |f| over collocation points (a lower bound for the true sup)."""
@@ -162,26 +157,30 @@ class SpectralField2:
 
 
 def _eval_modes_2d(coeffs: np.ndarray, grid: Grid2, points: np.ndarray) -> np.ndarray:
+    """Re sum over the half spectrum of w * c * e^{i k.x}: the weight adds the
+    conjugate of each interior column."""
     out = np.empty(points.shape[0])
+    wc = coeffs * grid.weight
     kx, ky = grid.kx, grid.ky
     for start in range(0, points.shape[0], _EVAL_CHUNK):
         sl = slice(start, start + _EVAL_CHUNK)
         ex = np.exp(1j * np.outer(points[sl, 0], kx))
         ey = np.exp(1j * np.outer(points[sl, 1], ky))
-        out[sl] = np.einsum("pk,kl,pl->p", ex, coeffs, ey).real
+        out[sl] = np.einsum("pk,kl,pl->p", ex, wc, ey).real
     return out
 
 
 @dataclass(frozen=True)
 class SpectralField1:
-    """Real scalar field on the circle (:class:`Grid1`), complex coefficients."""
+    """Real scalar field on the circle (:class:`Grid1`), half-spectrum
+    coefficients of shape ``(n//2 + 1,)``."""
 
     grid: Grid1
     coeffs: np.ndarray
     mean_free: bool
 
     def __post_init__(self) -> None:
-        if self.coeffs.shape != (self.grid.n,):
+        if self.coeffs.shape != (self.grid.n // 2 + 1,):
             raise ValueError("coefficient length does not match grid")
 
     @classmethod
@@ -193,18 +192,13 @@ class SpectralField1:
         return cls(grid, coeffs, mean_free)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid1, coeffs: np.ndarray, check: bool = True) -> "SpectralField1":
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != (grid.n,):
-            raise ValueError("coefficient length does not match grid")
-        if check:
-            _check_hermitian(coeffs)
+    def from_coeffs(cls, grid: Grid1, coeffs: np.ndarray) -> "SpectralField1":
         c, mean_free = _normalize(coeffs)
         return cls(grid, c, mean_free)
 
     @classmethod
     def zeros(cls, grid: Grid1) -> "SpectralField1":
-        return cls(grid, np.zeros(grid.n, dtype=np.complex128), True)
+        return cls(grid, np.zeros(grid.n // 2 + 1, dtype=np.complex128), True)
 
     @property
     def values(self) -> np.ndarray:
@@ -215,7 +209,7 @@ class SpectralField1:
         return float(self.coeffs[0].real)
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(self.grid.length * np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(self.grid.length * np.sum(mode_power(self.grid, self.coeffs))))
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -223,7 +217,7 @@ class SpectralField1:
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=np.float64))
         nz = np.flatnonzero(self.coeffs)  # dealiased fields are 1/3 zeros
-        k, cz = self.grid.k[nz], self.coeffs[nz]
+        k, cz = self.grid.k[nz], (self.grid.weight * self.coeffs)[nz]
         out = np.empty(points.shape[0])
         for start in range(0, points.shape[0], _EVAL_CHUNK):
             sl = slice(start, start + _EVAL_CHUNK)
@@ -304,49 +298,55 @@ def l2_inner(f: SpectralField2, g: SpectralField2) -> float:
     """Domain-integral L2 inner product of two real fields."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    return float(f.grid.lx * f.grid.ly * np.sum(np.conj(f.coeffs) * g.coeffs).real)
+    cross = f.coeffs.real * g.coeffs.real + f.coeffs.imag * g.coeffs.imag
+    return float(f.grid.lx * f.grid.ly * np.sum(f.grid.weight * cross))
 
 
-def _resample_axis(coeffs: np.ndarray, n_dst: int, axis: int) -> np.ndarray:
-    """Band-limited resampling (zero padding / truncation) along one axis."""
-    n_src = coeffs.shape[axis]
+def _resample_x(coeffs: np.ndarray, n_dst: int) -> np.ndarray:
+    """Band-limited resampling (zero padding / truncation) along the full axis 0."""
+    n_src = coeffs.shape[0]
     if n_src == n_dst:
         return coeffs
-    shape = list(coeffs.shape)
-    shape[axis] = n_dst
-    out = np.zeros(shape, dtype=np.complex128)
-
-    def take(arr: np.ndarray, idx: int) -> np.ndarray:
-        return np.take(arr, idx % arr.shape[axis], axis=axis)
-
-    def put(idx: int, val: np.ndarray) -> None:
-        sl: list = [slice(None)] * out.ndim
-        sl[axis] = idx % n_dst
-        out[tuple(sl)] = val
-
+    out = np.zeros((n_dst,) + coeffs.shape[1:], dtype=np.complex128)
     h = min(n_src, n_dst) // 2
     # modes 0 .. h-1 and -1 .. -(h-1)
-    src_lo = [slice(None)] * coeffs.ndim
-    src_lo[axis] = slice(0, h)
-    dst_lo = [slice(None)] * out.ndim
-    dst_lo[axis] = slice(0, h)
-    out[tuple(dst_lo)] = coeffs[tuple(src_lo)]
-    if h > 1:
-        src_hi = [slice(None)] * coeffs.ndim
-        src_hi[axis] = slice(n_src - (h - 1), n_src)
-        dst_hi = [slice(None)] * out.ndim
-        dst_hi[axis] = slice(n_dst - (h - 1), n_dst)
-        out[tuple(dst_hi)] = coeffs[tuple(src_hi)]
-    # shared Nyquist mode m = -h: split on upsampling, fold on downsampling
-    # (the half/half split preserves Hermitian symmetry because the source
-    # Nyquist slab is itself conjugate-symmetric along the other axes)
+    out[:h] = coeffs[:h]
+    out[n_dst - h + 1:] = coeffs[n_src - h + 1:]
+    # shared Nyquist row m = -h: split on upsampling, fold on downsampling
+    # (the half/half split keeps the field real because the source Nyquist
+    # row is itself conjugate-symmetric along y)
     if n_dst > n_src:
-        nyq = take(coeffs, -h)
-        put(-h, 0.5 * nyq)
-        put(h, 0.5 * nyq)
+        out[-h] = out[h] = 0.5 * coeffs[-h]
     else:
-        put(-h, take(coeffs, -h) + take(coeffs, h))
+        out[-h] = coeffs[-h] + coeffs[h]
     return out
+
+
+def _resample_y(coeffs: np.ndarray, n_dst: int) -> np.ndarray:
+    """Band-limited resampling along the half axis 1 to ``n_dst`` samples.
+
+    The source Nyquist column my = h stands for the modes +h and -h at
+    once: upsampling keeps half of it at +h (the implied conjugate column
+    carries the other half to -h); downsampling folds the column at -h,
+    the conjugate of the stored column at +h with mx mirrored, onto +h.
+    """
+    n_src = 2 * (coeffs.shape[1] - 1)
+    if n_src == n_dst:
+        return coeffs
+    out = np.zeros((coeffs.shape[0], n_dst // 2 + 1), dtype=np.complex128)
+    h = min(n_src, n_dst) // 2
+    out[:, :h] = coeffs[:, :h]
+    if n_dst > n_src:
+        out[:, h] = 0.5 * coeffs[:, h]
+    else:
+        mirror = (-np.arange(coeffs.shape[0])) % coeffs.shape[0]
+        out[:, h] = coeffs[:, h] + np.conj(coeffs[mirror, h])
+    return out
+
+
+def resample_coeffs(coeffs: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Half spectrum of the same trigonometric interpolant on an (nx, ny) grid."""
+    return _resample_y(_resample_x(coeffs, nx), ny)
 
 
 def resample(field: SpectralField2, nx: int, ny: int) -> SpectralField2:
@@ -355,7 +355,5 @@ def resample(field: SpectralField2, nx: int, ny: int) -> SpectralField2:
     zero padding (upsampling) or mode truncation (downsampling).
     """
     g = field.grid
-    new_grid = Grid2(nx, ny, g.lx, g.ly)
-    c = _resample_axis(field.coeffs, nx, axis=0)
-    c = _resample_axis(c, ny, axis=1)
-    return SpectralField2.from_coeffs(new_grid, c, check=False)
+    return SpectralField2.from_coeffs(Grid2(nx, ny, g.lx, g.ly),
+                                      resample_coeffs(field.coeffs, nx, ny))

@@ -14,15 +14,26 @@ def _check_size(n: int, name: str) -> None:
         raise ValueError(f"{name} must be an even integer >= 8, got {n}")
 
 
+def _parseval_weight(n: int) -> np.ndarray:
+    """Weights of the half-spectrum modes 0..n/2 in a Parseval sum."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
 @dataclass(frozen=True)
 class Grid2:
     """
     Doubly periodic collocation grid on [0, lx) x [0, ly).
 
     Arrays are indexed ``[ix, iy]`` (x along axis 0, y along axis 1).
-    Wavenumbers follow numpy FFT ordering: integer modes run through
-    0, 1, ..., n/2 - 1, -n/2, ..., -1 and the radian wavenumber of mode
-    m is 2*pi*m / l.
+    Coefficients are the half spectrum of ``numpy.fft.rfftn``, shape
+    ``coeff_shape = (nx, ny//2 + 1)``: the x modes ``mx`` follow numpy FFT
+    ordering 0, 1, ..., nx/2 - 1, -nx/2, ..., -1 and the y modes ``my`` run
+    0, 1, ..., ny/2.  The radian wavenumber of mode m is 2*pi*m / l.
+    ``weight`` is the Parseval weight of each y column: 2 on the interior
+    columns, which stand for a mode and its conjugate, and 1 on my = 0 and
+    on the Nyquist column my = ny/2.
 
     Parameters
     ----------
@@ -44,7 +55,7 @@ class Grid2:
             raise ValueError("domain lengths must be positive")
 
         mx = np.rint(np.fft.fftfreq(self.nx) * self.nx).astype(np.int64)
-        my = np.rint(np.fft.fftfreq(self.ny) * self.ny).astype(np.int64)
+        my = np.arange(self.ny // 2 + 1)
         kx = (TWO_PI / self.lx) * mx.astype(np.float64)
         ky = (TWO_PI / self.ly) * my.astype(np.float64)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
@@ -58,6 +69,7 @@ class Grid2:
         object.__setattr__(self, "ky", ky)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "weight", _parseval_weight(self.ny))
 
         with np.errstate(divide="ignore"):
             inv = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
@@ -65,7 +77,13 @@ class Grid2:
 
     @property
     def shape(self) -> tuple[int, int]:
+        """Shape of the collocation values."""
         return (self.nx, self.ny)
+
+    @property
+    def coeff_shape(self) -> tuple[int, int]:
+        """Shape of the half-spectrum coefficients."""
+        return (self.nx, self.ny // 2 + 1)
 
     @property
     def dx(self) -> float:
@@ -95,7 +113,11 @@ class Grid2:
 
 @dataclass(frozen=True)
 class Grid1:
-    """Periodic grid with n points on the circle of length 2*pi."""
+    """Periodic grid with n points on the circle of length 2*pi.
+
+    Coefficients are the half spectrum of ``numpy.fft.rfft``, modes
+    ``m = 0, 1, ..., n/2``, with the Parseval ``weight`` of :class:`Grid2`.
+    """
 
     n: int
     length: float = TWO_PI
@@ -104,10 +126,11 @@ class Grid1:
         _check_size(self.n, "n")
         if self.length <= 0:
             raise ValueError("length must be positive")
-        m = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
+        m = np.arange(self.n // 2 + 1)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", (TWO_PI / self.length) * m.astype(np.float64))
-        object.__setattr__(self, "dealias_mask", np.abs(m) <= self.n // 3)
+        object.__setattr__(self, "dealias_mask", m <= self.n // 3)
+        object.__setattr__(self, "weight", _parseval_weight(self.n))
 
     @property
     def dx(self) -> float:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField2, VectorField2, to_values
+from .fields import SpectralField2, VectorField2, mode_power, to_values
 from .grids import Grid2
-from .operators import gradient_sup, transport_coeffs
+from .operators import dealias, gradient_sup, transport_coeffs
 from .stepping import BlowupError, casimir_entries, cfl_dt, check_schedule, march
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
@@ -78,7 +78,7 @@ def _tail_fraction(rho_c: np.ndarray, grid: Grid2) -> float:
     cy = max(grid.ny // 3, 1)
     outer = ((np.abs(grid.mx)[:, None] > 0.8 * cx)
              | (np.abs(grid.my)[None, :] > 0.8 * cy)) & grid.dealias_mask
-    power = np.abs(rho_c) ** 2
+    power = mode_power(grid, rho_c)
     power[0, 0] = 0.0
     total = float(np.sum(power))
     if total == 0.0:
@@ -96,7 +96,9 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     fundamental cell (continuous y, not wrapped), and the spectral tail
     fraction.  The run is flagged ``under_resolved`` once the tail
     fraction of the density spectrum exceeds ``tail_threshold``.
-    Non-finite diagnostics raise :class:`~eulerlab.stepping.BlowupError`.
+    The density is dealiased on entry, as the vorticity is in
+    :func:`eulerlab.euler2d.run`.  Non-finite diagnostics raise
+    :class:`~eulerlab.stepping.BlowupError`.
     """
     check_schedule(cfl, diag_every)
     grid = rho0.grid
@@ -129,7 +131,7 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
         if rec.tail_fraction > tail_threshold:
             result.under_resolved = True
 
-    t, (c,) = march(rhs, (rho0.coeffs.copy(),), t_end,
+    t, (c,) = march(rhs, (dealias(rho0).coeffs.copy(),), t_end,
                     lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit)
-    result.final = IpmState(SpectralField2.from_coeffs(grid, c, check=False), t)
+    result.final = IpmState(SpectralField2.from_coeffs(grid, c), t)
     return result

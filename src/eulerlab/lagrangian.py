@@ -14,7 +14,7 @@ from dataclasses import field as dc_field
 import numpy as np
 from scipy import ndimage
 
-from .fields import SpectralField2, VectorField2, l2_inner, to_values
+from .fields import SpectralField2, VectorField2, l2_inner, resample_coeffs, to_values
 from .grids import TWO_PI, Grid2
 from .operators import dealias, transport_coeffs
 from .stepping import cfl_dt, check_schedule, march, rk4_step
@@ -28,8 +28,14 @@ class VelocitySampler:
     """Evaluate a velocity field at arbitrary points.
 
     Small grids use direct mode summation (exact); larger ones are
-    oversampled by zero-padding onto a doubled grid and interpolated with
-    periodic cubic splines.  The chosen method is exposed for metadata.
+    oversampled onto a doubled grid and interpolated with periodic cubic
+    splines.  The spline coefficients come straight from the velocity's
+    half spectrum: zero-padded, divided by the cubic B-spline symbol
+    (4 + 2 cos theta) / 6 on each axis of the fine grid (the periodic
+    prefilter is diagonal in Fourier space; M. Unser, "Splines: a perfect
+    fit for signal and image processing", IEEE Signal Processing Magazine,
+    1999) and transformed once, so ``map_coordinates`` runs with its
+    prefilter off.  The chosen method is exposed for metadata.
     """
 
     def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray):
@@ -41,8 +47,9 @@ class VelocitySampler:
         else:
             self.method = "bicubic"
             fine = (2 * grid.nx, 2 * grid.ny)
-            self._v1 = _pad_values(u1_coeffs, fine)
-            self._v2 = _pad_values(u2_coeffs, fine)
+            inverse_symbol = _bspline_inverse_symbol(*fine)
+            self._v1, self._v2 = (to_values(resample_coeffs(c, *fine) * inverse_symbol)
+                                  for c in (u1_coeffs, u2_coeffs))
             self._scale = (fine[0] / grid.lx, fine[1] / grid.ly)
 
     @classmethod
@@ -55,20 +62,25 @@ class VelocitySampler:
         coords = np.stack([points[:, 0] * self._scale[0],
                            points[:, 1] * self._scale[1]])
         out = np.empty((points.shape[0], 2))
-        out[:, 0] = ndimage.map_coordinates(self._v1, coords, order=3, mode="grid-wrap")
-        out[:, 1] = ndimage.map_coordinates(self._v2, coords, order=3, mode="grid-wrap")
+        for i, v in enumerate((self._v1, self._v2)):
+            out[:, i] = ndimage.map_coordinates(v, coords, order=3, mode="grid-wrap",
+                                                prefilter=False)
         return out
 
 
-def _pad_values(coeffs: np.ndarray, fine: tuple[int, int]) -> np.ndarray:
-    nx, ny = coeffs.shape
-    out = np.zeros(fine, dtype=complex)
-    hx, hy = nx // 2, ny // 2
-    out[:hx, :hy] = coeffs[:hx, :hy]
-    out[:hx, -hy:] = coeffs[:hx, -hy:]
-    out[-hx:, :hy] = coeffs[-hx:, :hy]
-    out[-hx:, -hy:] = coeffs[-hx:, -hy:]
-    return to_values(out)
+def _bspline_inverse_symbol(nx: int, ny: int) -> np.ndarray:
+    """1 / B(theta_x) B(theta_y) on the half spectrum of an (nx, ny) grid, where
+    B(theta) = (4 + 2 cos theta) / 6 is the symbol of the periodic cubic
+    B-spline at the mode's phase step theta = 2 pi m / n."""
+    bx = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(nx))) / 6.0
+    by = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(ny // 2 + 1) / ny)) / 6.0
+    return 1.0 / (bx[:, None] * by[None, :])
+
+
+def check_lattice(m: int) -> None:
+    """Reject a marker lattice with fewer than 2 markers per direction."""
+    if m < 2:
+        raise ValueError("lattice needs m >= 2 per direction")
 
 
 @dataclass
@@ -89,8 +101,7 @@ class ParticleSet:
     @classmethod
     def lattice(cls, m: int, lx: float = TWO_PI, ly: float = TWO_PI) -> "ParticleSet":
         """Uniform m-by-m marker lattice over the fundamental domain."""
-        if m < 2:
-            raise ValueError("lattice needs m >= 2 per direction")
+        check_lattice(m)
         x = np.arange(m) * (lx / m)
         y = np.arange(m) * (ly / m)
         xx, yy = np.meshgrid(x, y, indexing="ij")
@@ -311,11 +322,11 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
         times.append(t)
         rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
-            fields.append(SpectralField2.from_coeffs(grid, y[0], check=False))
+            fields.append(SpectralField2.from_coeffs(grid, y[0]))
 
     _, (c,) = march(rhs, (dealias(f0).coeffs.copy(),), t_end, lambda t, y: dt_cfl,
                     diag_every, emit)
-    final = SpectralField2.from_coeffs(grid, c, check=False)
+    final = SpectralField2.from_coeffs(grid, c)
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,
                         final=final, fields=fields)

@@ -177,17 +177,13 @@ def clm_blowup_time(omega0: SpectralField1) -> float:
 def _half_spectrum(omega: SpectralField1) -> tuple[float, np.ndarray, np.ndarray]:
     """The field as mean + sum_m Re(a_m e^{i k_m x}) over modes 0 < m <= n/2.
 
-    a_m = c_m + conj(c_{-m}) (twice c_m for a real field) and the Nyquist
-    coefficient counts once, so the sum equals the real part of the
-    full-spectrum sum for any coefficients.  Zero amplitudes are dropped.
+    a_m = 2 c_m, and the Nyquist coefficient counts once: the Parseval
+    weights of the grid.  Zero amplitudes are dropped.
     """
-    c, n2 = omega.coeffs, omega.grid.n // 2
-    a = np.empty(n2, dtype=np.complex128)
-    a[:-1] = c[1:n2] + np.conj(c[:n2:-1])
-    a[-1] = np.conj(c[n2])
-    k = (2.0 * np.pi / omega.grid.length) * np.arange(1, n2 + 1)
+    c, g = omega.coeffs, omega.grid
+    a = g.weight[1:] * c[1:]
     nz = np.flatnonzero(a)
-    return float(c[0].real), a[nz], k[nz]
+    return float(c[0].real), a[nz], g.k[1:][nz]
 
 
 def refined_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> float:
@@ -230,7 +226,7 @@ def _spectral_tail(c: np.ndarray, grid: Grid1) -> float:
     """Relative magnitude of the top decade of retained modes."""
     cut = grid.n // 3
     lo = max(1, int(0.9 * cut))
-    band = (np.abs(grid.m) >= lo) & (np.abs(grid.m) <= cut)
+    band = (grid.m >= lo) & (grid.m <= cut)
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
@@ -286,6 +282,8 @@ def model_run(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     check_cfl(cfl)
+    if dt_max is not None and not dt_max > 0.0:
+        raise ValueError("dt_max must be positive")
     model_rhs = _RHS[model]
     grid = omega0.grid
 
@@ -301,7 +299,7 @@ def model_run(
     cap_reached = False
 
     if store_states:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c, check=False), 0.0, model))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0, model))
     last_stored_sup = sups[0]
 
     while t < t_end:
@@ -327,11 +325,11 @@ def model_run(
         if _spectral_tail(c, grid) > tail_threshold:
             under_resolved = True
         if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
-            states.append(ModelState(SpectralField1.from_coeffs(grid, c, check=False), t, model))
+            states.append(ModelState(SpectralField1.from_coeffs(grid, c), t, model))
             last_stored_sup = sup_new
 
     if store_states and states[-1].t < t:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c, check=False), t, model))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, c), t, model))
 
     ts_a = np.array(ts)
     sups_a = np.array(sups)
@@ -354,7 +352,7 @@ def model_run(
         under_resolved=under_resolved,
         cap_reached=cap_reached,
     )
-    final = ModelState(SpectralField1.from_coeffs(grid, c, check=False), t, model)
+    final = ModelState(SpectralField1.from_coeffs(grid, c), t, model)
     return ModelRunResult(report=report, final=final, states=states)
 
 

@@ -58,7 +58,17 @@ def hilbert_transform(f: SpectralField1) -> SpectralField1:
 
 
 def leray_project(v: VectorField2) -> VectorField2:
-    """Remove the gradient part: u_hat -= k (k . u_hat) / |k|^2, k != 0."""
+    """Remove the gradient part: u_hat -= k (k . u_hat) / |k|^2, k != 0.
+
+    Each stored coefficient is projected with the wavevector its index
+    names, so on the Nyquist row kx = -pi nx / lx and on the Nyquist
+    column ky = +pi ny / ly.  That makes the operator an exact projection
+    of the half spectrum.  (Taking the real part of a full-spectrum
+    projection instead averages, on those two lines, the projector of a
+    mode with that of its alias, whose kx*ky cross term has the opposite
+    sign.)  Band-limited fields have no Nyquist content and do not see
+    the choice.
+    """
     g = v.grid
     kx = g.kx[:, None]
     ky = g.ky[None, :]
@@ -87,8 +97,8 @@ def dealias(f):
 
 # -- pseudo-spectral building blocks on raw coefficient arrays ------------
 #
-# The time steppers work on bare complex arrays to avoid wrapper churn in
-# hot loops; these helpers keep that code in one place.
+# The time steppers work on bare half-spectrum arrays to avoid wrapper
+# churn in hot loops; these helpers keep that code in one place.
 
 
 def stream_velocity(omega_c: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import selfsim
-from .fields import SpectralField1, SpectralField2, VectorField2, to_coeffs
+from .fields import SpectralField1, SpectralField2, VectorField2, mode_power, to_coeffs
 from .grids import Grid1, Grid2
 
 
@@ -39,15 +39,15 @@ def check_kmax(grid: Grid2, kmax: int) -> None:
 
 def random_bandlimited(grid: Grid2, seed: int, kmax: int = 4,
                        rms: float = 0.2) -> SpectralField2:
-    """Mean-free band-limited noise with coefficient-l2 size ``rms``."""
+    """Mean-free band-limited noise whose root-mean-square value is ``rms``."""
     check_kmax(grid, kmax)
     rng = np.random.default_rng(seed)
     c = to_coeffs(rng.normal(size=grid.shape))
     band = (np.abs(grid.mx)[:, None] <= kmax) & (np.abs(grid.my)[None, :] <= kmax)
     c *= band
     c[0, 0] = 0.0
-    f = SpectralField2.from_coeffs(grid, c, check=False)
-    scale = math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
+    f = SpectralField2.from_coeffs(grid, c)
+    scale = math.sqrt(float(np.sum(mode_power(grid, f.coeffs))))
     if scale == 0.0:
         raise ValueError("empty band")
     return f * (rms / scale)

@@ -115,6 +115,13 @@ class TestConfigErrors:
          "t_end must be nonnegative"),
         (TINY_CLM.replace("t_end = 2.5", "t_end = -1"), "t_end must be nonnegative"),
         ("system = degregorio\nn = 64\nt_end = -0.5\n", "t_end must be nonnegative"),
+        # a backwards step cap for the 1D models (0 means no cap)
+        (TINY_CLM + "dt_max = -0.1\n", "dt_max must be nonnegative"),
+        ("system = degregorio\nn = 64\nt_end = 1\ndt_max = -1e-3\n",
+         "dt_max must be nonnegative"),
+        # a marker lattice needs 2 markers per direction (0 means none)
+        (TINY_EULER + "marker_lattice = 1\n", "lattice needs m >= 2"),
+        (TINY_EULER + "marker_lattice = -4\n", "lattice needs m >= 2"),
         # kmax outside the dealiased band of the grid (16 // 3 = 5)
         ("system = euler2d\nnx = 16\nny = 16\nt_end = 1\npreset = random_bandlimited\n"
          "kmax = 9\n", "kmax must lie inside the dealiased band"),

@@ -162,3 +162,6 @@ class TestValueChecks:
         assert parse_config(EULER_16.replace("t_end = 1", "t_end = 0"))["t_end"] == 0.0
         band = EULER_16.replace("taylor_green", "random_bandlimited")
         assert parse_config(band + "kmax = 5\n")["kmax"] == 5
+        assert parse_config(EULER_16 + "marker_lattice = 0\n")["marker_lattice"] == 0
+        assert parse_config(EULER_16 + "marker_lattice = 2\n")["marker_lattice"] == 2
+        assert parse_config("system = clm\nn = 8\nt_end = 1\ndt_max = 0\n")["dt_max"] == 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab import euler2d as e2
-from eulerlab.fields import SpectralField2, VectorField2, l2_inner, to_coeffs
+from eulerlab.fields import SpectralField2, VectorField2, l2_inner, mode_power, to_coeffs
 from eulerlab.grids import Grid2
 from eulerlab.operators import biot_savart
 from eulerlab.snapshots import read_snapshot
@@ -27,33 +27,35 @@ def random_band(g, seed, kmax, rms):
     band = (np.abs(g.mx)[:, None] <= kmax) & (np.abs(g.my)[None, :] <= kmax)
     c *= band
     c[0, 0] = 0.0
-    f = SpectralField2.from_coeffs(g, c, check=False)
-    return f * (rms / math.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    f = SpectralField2.from_coeffs(g, c)
+    return f * (rms / math.sqrt(np.sum(mode_power(g, f.coeffs))))
 
 
 class TestVorticityTendency:
     def test_matches_brute_force_transform(self):
-        """Cross-check against an explicit DFT-matrix evaluation."""
+        """Cross-check against an explicit full-spectrum DFT-matrix evaluation,
+        whose first n/2 + 1 columns are the half spectrum."""
         n = 16
         g = Grid2(n, n)
         x = g.x
-        E = np.exp(-1j * np.outer(g.mx, x))
-        Einv = np.exp(1j * np.outer(x, g.mx))
+        m = g.mx  # FFT ordering of all n modes, on both axes
+        E = np.exp(-1j * np.outer(m, x))
+        Einv = np.exp(1j * np.outer(x, m))
 
         def brute_rhs(vals):
             c = E @ vals @ E.T / n ** 2
-            k2 = g.mx[:, None] ** 2 + g.my[None, :] ** 2
+            k2 = m[:, None] ** 2 + m[None, :] ** 2
             psi = np.where(k2 > 0, -c / np.where(k2 > 0, k2, 1), 0.0)
-            ikx = 1j * g.mx[:, None] * np.ones((1, n))
-            iky = 1j * g.my[None, :] * np.ones((n, 1))
+            ikx = 1j * m[:, None] * np.ones((1, n))
+            iky = 1j * m[None, :] * np.ones((n, 1))
             u1 = (Einv @ (-iky * psi) @ Einv.T).real
             u2 = (Einv @ (ikx * psi) @ Einv.T).real
             wx = (Einv @ (ikx * c) @ Einv.T).real
             wy = (Einv @ (iky * c) @ Einv.T).real
             adv = E @ (u1 * wx + u2 * wy) @ E.T / n ** 2
-            adv *= (np.abs(g.mx)[:, None] <= n // 3) & (np.abs(g.my)[None, :] <= n // 3)
+            adv *= (np.abs(m)[:, None] <= n // 3) & (np.abs(m)[None, :] <= n // 3)
             adv[0, 0] = 0.0
-            return -adv
+            return -adv[:, :n // 2 + 1]
 
         for fn in (lambda X, Y: np.cos(X) + np.cos(2 * Y),
                    lambda X, Y: np.cos(X) + 0.5 * np.cos(2 * Y) + 0.3 * np.sin(X + Y)):
@@ -195,7 +197,7 @@ class TestBlowup:
 
     def test_nonfinite_initial_state(self, tmp_path):
         g = Grid2(16, 16)
-        c = np.zeros(g.shape, dtype=complex)
+        c = np.zeros(g.coeff_shape, dtype=complex)
         c[1, 0] = c[-1, 0] = np.nan
         with pytest.raises(e2.BlowupError) as info:
             e2.run(SpectralField2(g, c, True), 1.0, snapshot_dir=str(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 from eulerlab import ipm
 from eulerlab.fields import SpectralField2, to_coeffs
 from eulerlab.grids import Grid2
+from eulerlab.operators import dealias
 from eulerlab.presets import heavy_over_light, light_over_heavy, stratified_rest
 
 
@@ -13,7 +14,7 @@ def band_noise(g, seed, kmax):
     rng = np.random.default_rng(seed)
     c = to_coeffs(rng.normal(size=g.shape))
     c *= (np.abs(g.mx)[:, None] <= kmax) & (np.abs(g.my)[None, :] <= kmax)
-    return SpectralField2.from_coeffs(g, c, check=False)
+    return SpectralField2.from_coeffs(g, c)
 
 
 class TestConstitutiveLaw:
@@ -54,9 +55,22 @@ class TestRun:
         _, Y = g.meshgrid()
         rest = SpectralField2.from_values(g, -np.sin(Y) + 0.2 * np.cos(2 * Y))
         res = ipm.ipm_run(rest, 10.0, diag_every=1.0)
-        assert np.max(np.abs(res.final.rho.values - rest.values)) == 0.0
+        # the run starts from the dealiased density (round-off modes above
+        # the 2/3 cut removed) and must hold it bit for bit
+        assert np.max(np.abs(res.final.rho.values - dealias(rest).values)) == 0.0
         assert not res.under_resolved
         assert np.allclose(res.times, np.arange(0.0, 10.5, 1.0), atol=1e-9)
+
+    def test_modes_above_the_cut_are_dropped_on_entry(self):
+        g = Grid2(48, 48)
+        X, Y = g.meshgrid()
+        rho = heavy_over_light(g, eps=0.05) + SpectralField2.from_values(
+            g, 0.3 * np.cos(20 * X) + 0.2 * np.sin(22 * Y))
+        assert np.max(np.abs(rho.coeffs * ~g.dealias_mask)) > 0.09
+        res = ipm.ipm_run(rho, 1.0, diag_every=0.25)
+        ref = ipm.ipm_run(dealias(rho), 1.0, diag_every=0.25)
+        assert res.diagnostics == ref.diagnostics
+        np.testing.assert_array_equal(res.final.rho.coeffs, ref.final.rho.coeffs)
 
     def test_heavy_interface_destabilizes_and_stratifies(self):
         g = Grid2(128, 128)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from eulerlab import euler2d as e2, lagrangian as lag
-from eulerlab.fields import SpectralField2, VectorField2, to_coeffs
+from eulerlab.fields import SpectralField2, VectorField2, mode_power, resample, to_coeffs
 from eulerlab.grids import Grid2
 
 TWO_PI = 2.0 * np.pi
@@ -24,8 +25,8 @@ def random_band(g, seed, kmax, rms):
     band = (np.abs(g.mx)[:, None] <= kmax) & (np.abs(g.my)[None, :] <= kmax)
     c *= band
     c[0, 0] = 0.0
-    f = SpectralField2.from_coeffs(g, c, check=False)
-    return f * (rms / math.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    f = SpectralField2.from_coeffs(g, c)
+    return f * (rms / math.sqrt(np.sum(mode_power(g, f.coeffs))))
 
 
 def cell_velocity(t, pts):
@@ -55,6 +56,23 @@ class TestVelocitySampler:
         want = np.stack([np.cos(pts[:, 0]) * np.sin(pts[:, 1]),
                          -np.sin(pts[:, 0]) * np.cos(pts[:, 1])], axis=-1)
         assert np.max(np.abs(got - want)) < 1e-4
+
+    def test_fourier_prefilter_matches_the_spline_filter(self):
+        # white noise, so the Nyquist row and column of the velocity count
+        g = Grid2(96, 80)
+        rng = np.random.default_rng(3)
+        u = VectorField2.from_values(g, rng.standard_normal(g.shape),
+                                     rng.standard_normal(g.shape))
+        sampler = lag.VelocitySampler.from_field(u)
+        assert sampler.method == "bicubic"
+        pts = rng.uniform(-1.0, 7.0, size=(500, 2))
+        coords = np.stack([pts[:, 0] * (2 * g.nx / g.lx), pts[:, 1] * (2 * g.ny / g.ly)])
+        got = sampler(pts)
+        for i, comp in enumerate((u.u1, u.u2)):
+            fine = resample(comp, 2 * g.nx, 2 * g.ny).values
+            want = ndimage.map_coordinates(fine, coords, order=3, mode="grid-wrap",
+                                           prefilter=True)
+            assert np.max(np.abs(got[:, i] - want)) < 1e-13 * np.max(np.abs(fine))
 
     def test_points_outside_fundamental_cell_wrap(self):
         g = Grid2(32, 32)

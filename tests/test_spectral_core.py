@@ -10,6 +10,8 @@ from eulerlab.fields import (
     VectorField2,
     l2_inner,
     resample,
+    to_coeffs,
+    to_values,
 )
 from eulerlab.grids import Grid1, Grid2
 from eulerlab.operators import (
@@ -50,8 +52,16 @@ class TestGrids:
     def test_wavenumber_layout(self):
         g = Grid2(16, 12, lx=2 * np.pi, ly=4.0)
         assert list(g.mx[:3]) == [0, 1, 2] and g.mx[8] == -8
+        assert list(g.my) == [0, 1, 2, 3, 4, 5, 6]
+        assert g.coeff_shape == (16, 7) == g.k2.shape == g.dealias_mask.shape
         np.testing.assert_allclose(g.kx, g.mx * (2 * np.pi / g.lx))
         np.testing.assert_allclose(g.ky, g.my * (2 * np.pi / g.ly))
+        g1 = Grid1(12)
+        assert list(g1.m) == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_parseval_weight_row(self):
+        assert list(Grid2(16, 12).weight) == [1, 2, 2, 2, 2, 2, 1]
+        assert list(Grid1(8).weight) == [1, 2, 2, 2, 1]
 
     def test_cell_geometry(self):
         g = Grid2(16, 32, lx=1.0, ly=2.0)
@@ -76,12 +86,11 @@ class TestSpectralField2:
         f = SpectralField2.from_values(g, vals)
         assert np.max(np.abs(f.values - vals)) < 1e-13 * np.max(np.abs(vals))
 
-    def test_rejects_non_hermitian_coeffs(self):
+    def test_accepts_only_the_half_spectrum(self):
         g = Grid2(8, 8)
-        c = np.zeros(g.shape, dtype=complex)
-        c[1, 0] = 1.0  # no conjugate partner at (-1, 0)
-        with pytest.raises(ValueError, match="Hermitian"):
-            SpectralField2.from_coeffs(g, c)
+        assert SpectralField2.from_coeffs(g, np.zeros((8, 5))).coeffs.shape == (8, 5)
+        with pytest.raises(ValueError, match="does not match"):
+            SpectralField2.from_coeffs(g, np.zeros(g.shape, dtype=complex))
 
     def test_mean_flag_and_projection(self):
         g = Grid2(16, 16)
@@ -138,11 +147,13 @@ class TestSpectralField1:
         xs = np.array([0.1, 1.7, 5.1])
         np.testing.assert_allclose(f.eval_at(xs), np.sin(2 * xs), atol=1e-13)
 
-    def test_rejects_non_hermitian(self):
-        c = np.zeros(16, dtype=complex)
+    def test_accepts_only_the_half_spectrum(self):
+        c = np.zeros(9, dtype=complex)
         c[2] = 1.0j
-        with pytest.raises(ValueError, match="Hermitian"):
-            SpectralField1.from_coeffs(Grid1(16), c)
+        f = SpectralField1.from_coeffs(Grid1(16), c)
+        np.testing.assert_allclose(f.values, -2.0 * np.sin(2 * Grid1(16).x), atol=1e-15)
+        with pytest.raises(ValueError, match="does not match"):
+            SpectralField1.from_coeffs(Grid1(16), np.zeros(16, dtype=complex))
 
 
 class TestSpectralCalculus:
@@ -318,6 +329,74 @@ class TestInnerProduct:
         a, b = random_field(g, 51), random_field(g, 52)
         quad = np.sum(a.values * b.values) * g.cell_area
         assert l2_inner(a, b) == pytest.approx(quad, rel=1e-12)
+
+
+even_size = st.integers(4, 8).map(lambda h: 2 * h)
+
+
+class TestHalfSpectrumLayout:
+    """Properties of the one layout, on white noise (Nyquist lines included)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=even_size, ny=even_size, seed=st.integers(0, 2**31 - 1))
+    def test_round_trip_and_parseval_2d(self, nx, ny, seed):
+        g = Grid2(nx, ny, lx=1.5, ly=2.5)
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        assert to_coeffs(a).shape == g.coeff_shape
+        np.testing.assert_allclose(to_values(to_coeffs(a)), a, atol=1e-13)
+        fa, fb = SpectralField2.from_values(g, a), SpectralField2.from_values(g, b)
+        assert fa.norm_l2() == pytest.approx(np.sqrt(np.sum(a * a) * g.cell_area), rel=1e-12)
+        assert l2_inner(fa, fb) == pytest.approx(np.sum(a * b) * g.cell_area,
+                                                 rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda h: 2 * h), seed=st.integers(0, 2**31 - 1))
+    def test_round_trip_norm_and_eval_1d(self, n, seed):
+        g = Grid1(n)
+        v = np.random.default_rng(seed).standard_normal(n)
+        f = SpectralField1.from_values(g, v)
+        assert f.coeffs.shape == (n // 2 + 1,)
+        np.testing.assert_allclose(f.values, v, atol=1e-13)
+        assert f.norm_l2() == pytest.approx(np.sqrt(np.sum(v * v) * g.dx), rel=1e-12)
+        np.testing.assert_allclose(f.eval_at(g.x), v, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=even_size, ny=even_size, up=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    def test_resample_up_then_down_and_eval_at_nodes(self, nx, ny, up, seed):
+        g = Grid2(nx, ny)
+        f = SpectralField2.from_values(g, np.random.default_rng(seed).standard_normal(g.shape))
+        back = resample(resample(f, nx + 2 * up, ny + 4 * up), nx, ny)
+        np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-14)
+        xx, yy = g.meshgrid()
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        np.testing.assert_allclose(f.eval_at(pts), f.values.ravel(), atol=1e-12)
+
+    def test_leray_projects_each_entry_with_its_own_wavevector(self):
+        # the Nyquist row is mx = -4 (kx = -4), the Nyquist column my = +4
+        g = Grid2(8, 8)
+        c = np.zeros(g.coeff_shape, dtype=complex)
+        row = c.copy()
+        row[4, 1] = 1.0  # u2 at (mx, my) = (-4, 1)
+        col = c.copy()
+        col[1, 4] = 1.0  # u1 at (1, 4)
+        p = leray_project(VectorField2(SpectralField2(g, c, True), SpectralField2(g, row, True)))
+        assert p.u1.coeffs[4, 1] == pytest.approx(4.0 / 17.0)
+        assert p.u2.coeffs[4, 1] == pytest.approx(1.0 - 1.0 / 17.0)
+        p = leray_project(VectorField2(SpectralField2(g, col, True), SpectralField2(g, c, True)))
+        assert p.u1.coeffs[1, 4] == pytest.approx(1.0 - 1.0 / 17.0)
+        assert p.u2.coeffs[1, 4] == pytest.approx(-4.0 / 17.0)
+
+    def test_leray_is_a_projection_on_white_noise(self):
+        g = Grid2(16, 12)
+        rng = np.random.default_rng(7)
+        v = VectorField2.from_values(g, rng.standard_normal(g.shape),
+                                     rng.standard_normal(g.shape))
+        pv = leray_project(v)
+        np.testing.assert_allclose(leray_project(pv).u1.coeffs, pv.u1.coeffs, atol=1e-15)
+        np.testing.assert_allclose(leray_project(pv).u2.coeffs, pv.u2.coeffs, atol=1e-15)
+        div = g.kx[:, None] * pv.u1.coeffs + g.ky[None, :] * pv.u2.coeffs
+        assert np.max(np.abs(div)) < 1e-13
 
 
 class TestSnapshots:

@@ -11,8 +11,14 @@ config (default: every ``configs/*.cfg``) is parsed and run through
 (the two children run side by side).  The script then compares, per
 config, the exit codes, the manifest statuses, the manifest extras and the
 sha256 of every file the manifests list.  For a CSV file that differs it
-prints the largest relative difference of each column.  Exit status 0
-means every config matched byte for byte.
+prints, per column, the largest entry-by-entry relative difference and
+the largest absolute difference scaled by the column's largest magnitude
+(``max|x - y| / max|column|``); the second keeps round-off on entries that
+are themselves round-off (a conserved mass of 1e-16) from looking like a
+defect.  For a field snapshot (``.eulb``) that differs it prints, per
+block, the largest difference scaled by the field's largest magnitude,
+and the two times if they differ.  Exit status 0 means every config
+matched byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +32,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from eulerlab.snapshots import read_snapshot  # noqa: E402
 
 # run by each child: parse and dispatch every (config, output dir) pair
 _CHILD = """
@@ -59,18 +70,33 @@ def _csv_columns(path: Path) -> dict:
     return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
 
 
-def _rel_diff(a: str, b: str) -> float:
+def _diffs(a: str, b: str) -> tuple[float, float]:
+    """(absolute, relative) difference of two CSV entries."""
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return 0.0 if a == b else math.inf
+        return (0.0, 0.0) if a == b else (math.inf, math.inf)
     if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0, 0.0
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y))
+
+
+def _magnitude(entry: str) -> float:
+    try:
+        x = abs(float(entry))
+    except ValueError:
         return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+    return x if math.isfinite(x) else 0.0
+
+
+def _scaled(diff: float, scale: float) -> float:
+    if diff == 0.0:
+        return 0.0
+    return diff / scale if scale > 0.0 else math.inf
 
 
 def csv_report(a: Path, b: Path) -> list[str]:
-    """Largest relative difference of each column of two CSV files."""
+    """Largest relative and column-scaled differences of each column of two CSVs."""
     ca, cb = _csv_columns(a), _csv_columns(b)
     if list(ca) != list(cb):
         return [f"    header differs: {list(ca)} vs {list(cb)}"]
@@ -79,9 +105,27 @@ def csv_report(a: Path, b: Path) -> list[str]:
         if len(ca[name]) != len(cb[name]):
             lines.append(f"    {name}: {len(ca[name])} vs {len(cb[name])} rows")
             continue
-        worst = max((_rel_diff(x, y) for x, y in zip(ca[name], cb[name])), default=0.0)
-        if worst:
-            lines.append(f"    {name}: max relative difference {worst:.3g}")
+        pairs = [_diffs(x, y) for x, y in zip(ca[name], cb[name])]
+        worst_abs = max((d for d, _ in pairs), default=0.0)
+        worst_rel = max((r for _, r in pairs), default=0.0)
+        if worst_rel:
+            scale = max(map(_magnitude, ca[name] + cb[name]), default=0.0)
+            lines.append(f"    {name}: max relative difference {worst_rel:.3g}, "
+                         f"max|x - y| / max|column| {_scaled(worst_abs, scale):.3g}")
+    return lines
+
+
+def eulb_report(a: Path, b: Path) -> list[str]:
+    """Largest difference of each field block of two snapshots, scaled by the
+    field's largest magnitude."""
+    (fa, ta), (fb, tb) = read_snapshot(a), read_snapshot(b)
+    if len(fa) != len(fb) or any(x.shape != y.shape for x, y in zip(fa, fb)):
+        return [f"    blocks differ: {[x.shape for x in fa]} vs {[y.shape for y in fb]}"]
+    lines = [] if ta == tb else [f"    time: {ta!r} vs {tb!r}"]
+    for i, (x, y) in enumerate(zip(fa, fb)):
+        scale = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
+        lines.append(f"    block {i}: max|x - y| / max|field| "
+                     f"{_scaled(float(np.max(np.abs(x - y))), scale):.3g}")
     return lines
 
 
@@ -117,8 +161,9 @@ def compare(parent: Path, change: Path, configs: list[Path], work: Path) -> bool
         if extra != "same":
             print(f"    extra: {ma.get('extra')} vs {mb.get('extra')}")
         for name in differing:
-            if name.endswith(".csv") and (pa / name).exists() and (ch / name).exists():
-                for line in csv_report(pa / name, ch / name):
+            report = {".csv": csv_report, ".eulb": eulb_report}.get(Path(name).suffix)
+            if report and (pa / name).exists() and (ch / name).exists():
+                for line in report(pa / name, ch / name):
                     print(f"    {name}{line}")
     return same_all
 
