@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from . import presets, selfsim
+from . import euler2d, presets, selfsim
 from .grids import Grid1, Grid2
 from .lagrangian import check_lattice
 from .stepping import check_cfl, check_schedule, check_t_end
@@ -40,7 +40,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_mode_list(s: str) -> list[tuple[int, float, float]]:
-    """Shear-frame bands as ``ky:phase:amp`` triples separated by ``;``."""
+    """Shear-frame bands as ``kx:eta0:amp`` triples separated by ``;``."""
     modes = []
     for part in s.split(";"):
         part = part.strip()
@@ -48,7 +48,7 @@ def _parse_mode_list(s: str) -> list[tuple[int, float, float]]:
             continue
         bits = part.split(":")
         if len(bits) != 3:
-            raise ValueError(f"mode {part!r} is not ky:phase:amp")
+            raise ValueError(f"mode {part!r} is not kx:eta0:amp")
         modes.append((int(bits[0]), float(bits[1]), float(bits[2])))
     if not modes:
         raise ValueError("empty mode list")
@@ -161,9 +161,14 @@ def _check_values(system: str, params: dict) -> None:
         check_cfl(params["cfl"])
         if not params["dt_max"] >= 0.0:  # 0: no cap
             raise ValueError("dt_max must be nonnegative (0 means no cap)")
+    elif system == "couette_linear":
+        euler2d.check_couette_modes(params["modes"])
+        if params["t_count"] < 0:
+            raise ValueError("t_count must be nonnegative")
     elif system == "selfsim":
         selfsim.ProfileProblem(n=params["n"], L=params["domain_half_width"],
                                model=params["model"])
+        selfsim.check_max_iter(params["max_iter"])
     elif system == "lemma_check":
         selfsim.WeightedSpaceParams(N=params["weight_order"], delta=params["delta"],
                                     grid_points=params["grid_points"],

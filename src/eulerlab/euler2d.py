@@ -133,7 +133,7 @@ def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, entries) -> DiagnosticsRecord:
-    area = grid.lx * grid.ly
+    area = grid.measure
     p2 = mode_power(grid, c)
     energy = 0.5 * area * float(np.sum(np.divide(p2, grid.k2, out=np.zeros_like(p2),
                                                  where=grid.k2 > 0)))
@@ -266,6 +266,13 @@ def weber_residual(state: EulerState, flowmap: FlowMapSnapshot,
 # -- linearized Couette, exact symbol ------------------------------------------
 
 
+def check_couette_modes(modes) -> None:
+    """Reject the mode (0, 0): a constant vorticity has no velocity."""
+    for kx, eta0, _ in modes:
+        if kx == 0 and eta0 == 0:
+            raise ValueError("mode (0, 0) has no velocity representation")
+
+
 def couette_linear_evolve(modes, ts) -> dict:
     """Free-transport evolution of vorticity modes around a linear shear.
 
@@ -276,6 +283,7 @@ def couette_linear_evolve(modes, ts) -> dict:
     means (kx = 0) are undamped; their constant contribution to u1 is
     reported separately as ``shear_u1_l2`` and excluded from ``u1_l2``.
     """
+    check_couette_modes(modes)
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     u1sq = np.zeros_like(ts)
     u2sq = np.zeros_like(ts)
@@ -284,8 +292,6 @@ def couette_linear_evolve(modes, ts) -> dict:
     for kx, eta0, amp in modes:
         a2 = float(amp) ** 2
         if kx == 0:
-            if eta0 == 0:
-                raise ValueError("mode (0, 0) has no velocity representation")
             shear_sq += a2 / eta0**2
             h1sq += a2 * (1.0 + eta0**2)
             continue
@@ -306,12 +312,10 @@ def steady_residual(psi: SpectralField2) -> float:
     g = psi.grid
     mask = g.dealias_mask
     pc = psi.coeffs * mask
-    ikx = (1j * g.kx)[:, None]
-    iky = (1j * g.ky)[None, :]
     lap = -g.k2 * pc
-    bracket = to_values(ikx * pc) * to_values(iky * lap) \
-        - to_values(iky * pc) * to_values(ikx * lap)
-    return _coeff_l2(g, to_coeffs(bracket) * mask)
+    bracket = to_values(g.ikx * pc) * to_values(g.iky * lap) \
+        - to_values(g.iky * pc) * to_values(g.ikx * lap)
+    return SpectralField2(g, to_coeffs(bracket) * mask, False).norm_l2()
 
 
 @dataclass
@@ -325,10 +329,6 @@ class SteadyState:
     equation_residual: float   # L2 norm of laplacian(psi) - F(psi)
     converged: bool
     iterations: int
-
-
-def _coeff_l2(grid: Grid2, c: np.ndarray) -> float:
-    return float(math.sqrt(grid.lx * grid.ly * np.sum(mode_power(grid, c))))
 
 
 def _equation_residual_coeffs(psi_c: np.ndarray, F, grid: Grid2) -> np.ndarray:
@@ -440,7 +440,7 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
     rnorm = math.inf
     for iterations in range(max_iter + 1):
         rc = _equation_residual_coeffs(psi_c, F, grid)
-        rnorm = _coeff_l2(grid, rc)
+        rnorm = SpectralField2(grid, rc, True).norm_l2()
         if rnorm < tol:
             psi = SpectralField2.from_coeffs(grid, psi_c)
             return SteadyState(psi=psi, F=F, F_prime=F_prime,
@@ -456,7 +456,8 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
                              "is singular or nearly so at the current iterate")
         for damp in (1.0, 0.5, 0.25, 0.125):
             trial = psi_c + damp * dc
-            tr = _coeff_l2(grid, _equation_residual_coeffs(trial, F, grid))
+            tr = SpectralField2(grid, _equation_residual_coeffs(trial, F, grid),
+                                True).norm_l2()
             if tr < rnorm * (1.0 - 1e-4 * damp):
                 psi_c = trial
                 break
@@ -478,7 +479,7 @@ def stream_h2_distance(omega1: SpectralField2, omega2: SpectralField2) -> float:
 
 def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
     w = (1.0 + g.k2) ** 2
-    return float(math.sqrt(g.lx * g.ly * np.sum(w * mode_power(g, psi_c))))
+    return float(math.sqrt(g.measure * np.sum(w * mode_power(g, psi_c))))
 
 
 def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,

@@ -2,20 +2,22 @@
 
 Every real field, 1D and 2D, is held as the output of ``numpy.fft.rfftn``:
 2D coefficients have shape ``(nx, ny//2 + 1)`` (x modes in FFT ordering,
-y modes 0..ny/2) and 1D coefficients shape ``(n//2 + 1,)``.  The modes
-with negative last index are the conjugates of the stored ones and are
-never held, so a field is real by construction.  Transforms use numpy's
-``norm="forward"`` convention, so ``coeffs[0, 0]`` is the mean of the
-field.  With the grid's Parseval ``weight`` w (2 on the interior columns
-of the last axis, 1 on mode 0 and on the Nyquist mode) Parseval reads
+y modes 0..ny/2) and 1D coefficients shape ``(n//2 + 1,)``.  One base class,
+:class:`SpectralField`, carries the arithmetic of both; the 1D and 2D
+fields add only point evaluation.  The modes with negative last index are
+the conjugates of the stored ones and are never held, so a field is real
+by construction.  Transforms use numpy's ``norm="forward"`` convention, so
+the first coefficient is the mean of the field.  With the grid's Parseval
+``weight`` w (2 on the interior columns of the last axis, 1 on mode 0 and
+on the Nyquist mode) and its ``measure`` (lx * ly, or the length in 1D)
 
-    integral of f^2 over the cell  ==  lx * ly * sum(w * |coeffs|^2)
+    integral of f^2 over the cell  ==  measure * sum(w * |coeffs|^2).
 
-and ``integral of f g == lx * ly * sum(w * Re(conj(f_hat) g_hat))``
-(``length`` in place of ``lx * ly`` in 1D).  A coefficient on the Nyquist
-row mx = -nx/2 or the Nyquist column my = ny/2 stands for the mode its
-index names; point evaluation and operators read it that way, and the
-inverse transform keeps only the part of it that is real on the grid.
+A coefficient on the Nyquist row mx = -nx/2 or the Nyquist column
+my = ny/2 stands for the mode its index names; point evaluation reads it
+that way, and the inverse transform keeps only the part of it that is real
+on the grid.  The Fourier multipliers and their Nyquist rule live on the
+grids (:mod:`eulerlab.grids`).
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ def to_values(coeffs: np.ndarray) -> np.ndarray:
 def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Cast to complex128 and snap a round-off-level mean to exactly zero."""
     c = np.ascontiguousarray(coeffs, dtype=np.complex128).copy()
-    flat0 = (0,) * c.ndim
     scale = float(np.max(np.abs(c)))
-    mean_free = bool(abs(c[flat0]) <= MEAN_TOL * scale)
+    mean_free = bool(abs(c.flat[0]) <= MEAN_TOL * scale)
     if mean_free:
-        c[flat0] = 0.0
+        c.flat[0] = 0.0
     return c, mean_free
 
 
@@ -59,15 +60,12 @@ def mode_power(grid: Grid1 | Grid2, coeffs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralField2:
-    """
-    Real scalar field on a :class:`Grid2`, held as its half spectrum
-    indexed ``[mx, my]``, shape ``grid.coeff_shape``.
+class SpectralField:
+    """Real field held as its half spectrum, shape ``grid.coeff_shape``: what
+    the 1D and 2D fields share.  Immutable; operations return new fields of
+    the same class."""
 
-    Instances are immutable; operations return new fields.
-    """
-
-    grid: Grid2
+    grid: Grid1 | Grid2
     coeffs: np.ndarray
     mean_free: bool
 
@@ -79,7 +77,7 @@ class SpectralField2:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_values(cls, grid: Grid2, values: np.ndarray) -> "SpectralField2":
+    def from_values(cls, grid: Grid1 | Grid2, values: np.ndarray) -> "SpectralField":
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape:
             raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
@@ -87,132 +85,85 @@ class SpectralField2:
         return cls(grid, coeffs, mean_free)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2, coeffs: np.ndarray) -> "SpectralField2":
+    def from_coeffs(cls, grid: Grid1 | Grid2, coeffs: np.ndarray) -> "SpectralField":
         c, mean_free = _normalize(coeffs)
         return cls(grid, c, mean_free)
 
     @classmethod
-    def zeros(cls, grid: Grid2) -> "SpectralField2":
+    def zeros(cls, grid: Grid1 | Grid2) -> "SpectralField":
         return cls(grid, np.zeros(grid.coeff_shape, dtype=np.complex128), True)
 
     # -- views and reductions -------------------------------------------
 
     @property
     def values(self) -> np.ndarray:
-        """Physical samples on the collocation grid, shape (nx, ny)."""
+        """Physical samples on the collocation grid, shape ``grid.shape``."""
         return to_values(self.coeffs)
 
     @property
     def mean(self) -> float:
-        return float(self.coeffs[0, 0].real)
+        return float(self.coeffs.flat[0].real)
 
     def norm_l2(self) -> float:
         """Domain-integral L2 norm, sqrt(integral f^2)."""
         g = self.grid
-        return float(np.sqrt(g.lx * g.ly * np.sum(mode_power(g, self.coeffs))))
+        return float(np.sqrt(g.measure * np.sum(mode_power(g, self.coeffs))))
 
     def norm_inf(self) -> float:
         """Max |f| over collocation points (a lower bound for the true sup)."""
         return float(np.max(np.abs(self.values)))
 
-    def project_mean_free(self) -> "SpectralField2":
+    def project_mean_free(self) -> "SpectralField":
         c = self.coeffs.copy()
-        c[0, 0] = 0.0
-        return SpectralField2(self.grid, c, True)
+        c.flat[0] = 0.0
+        return type(self)(self.grid, c, True)
 
     # -- arithmetic ------------------------------------------------------
 
-    def _binary(self, other: "SpectralField2", sign: float) -> "SpectralField2":
+    def _binary(self, other: "SpectralField", sign: float) -> "SpectralField":
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
         c = self.coeffs + sign * other.coeffs
-        return SpectralField2(self.grid, c, bool(abs(c[0, 0]) == 0.0))
+        return type(self)(self.grid, c, bool(abs(c.flat[0]) == 0.0))
 
-    def __add__(self, other: "SpectralField2") -> "SpectralField2":
+    def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._binary(other, 1.0)
 
-    def __sub__(self, other: "SpectralField2") -> "SpectralField2":
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self._binary(other, -1.0)
 
-    def __mul__(self, scalar: float) -> "SpectralField2":
-        return SpectralField2(self.grid, self.coeffs * float(scalar), self.mean_free)
+    def __mul__(self, scalar: float) -> "SpectralField":
+        return type(self)(self.grid, self.coeffs * float(scalar), self.mean_free)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField2":
+    def __neg__(self) -> "SpectralField":
         return self * -1.0
 
-    # -- point evaluation -------------------------------------------------
+
+class SpectralField2(SpectralField):
+    """Real scalar field on a :class:`Grid2`, half spectrum indexed ``[mx, my]``."""
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """
-        Evaluate the trigonometric interpolant at arbitrary points.
-
-        Parameters
-        ----------
-        points : (p, 2) array
-            Locations; periodicity makes wrapping unnecessary.
+        Evaluate the trigonometric interpolant at (p, 2) points: Re of the sum
+        over the half spectrum of w * c * e^{i k.x}, where the Parseval weight
+        w adds the conjugate of each interior column.
         """
-        return _eval_modes_2d(self.coeffs, self.grid, np.asarray(points, dtype=np.float64))
+        points = np.asarray(points, dtype=np.float64)
+        g = self.grid
+        out = np.empty(points.shape[0])
+        wc = self.coeffs * g.weight
+        for start in range(0, points.shape[0], _EVAL_CHUNK):
+            sl = slice(start, start + _EVAL_CHUNK)
+            ex = np.exp(1j * np.outer(points[sl, 0], g.kx))
+            ey = np.exp(1j * np.outer(points[sl, 1], g.ky))
+            out[sl] = np.einsum("pk,kl,pl->p", ex, wc, ey).real
+        return out
 
 
-def _eval_modes_2d(coeffs: np.ndarray, grid: Grid2, points: np.ndarray) -> np.ndarray:
-    """Re sum over the half spectrum of w * c * e^{i k.x}: the weight adds the
-    conjugate of each interior column."""
-    out = np.empty(points.shape[0])
-    wc = coeffs * grid.weight
-    kx, ky = grid.kx, grid.ky
-    for start in range(0, points.shape[0], _EVAL_CHUNK):
-        sl = slice(start, start + _EVAL_CHUNK)
-        ex = np.exp(1j * np.outer(points[sl, 0], kx))
-        ey = np.exp(1j * np.outer(points[sl, 1], ky))
-        out[sl] = np.einsum("pk,kl,pl->p", ex, wc, ey).real
-    return out
-
-
-@dataclass(frozen=True)
-class SpectralField1:
-    """Real scalar field on the circle (:class:`Grid1`), half-spectrum
-    coefficients of shape ``(n//2 + 1,)``."""
-
-    grid: Grid1
-    coeffs: np.ndarray
-    mean_free: bool
-
-    def __post_init__(self) -> None:
-        if self.coeffs.shape != (self.grid.n // 2 + 1,):
-            raise ValueError("coefficient length does not match grid")
-
-    @classmethod
-    def from_values(cls, grid: Grid1, values: np.ndarray) -> "SpectralField1":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (grid.n,):
-            raise ValueError("value length does not match grid")
-        coeffs, mean_free = _normalize(to_coeffs(values))
-        return cls(grid, coeffs, mean_free)
-
-    @classmethod
-    def from_coeffs(cls, grid: Grid1, coeffs: np.ndarray) -> "SpectralField1":
-        c, mean_free = _normalize(coeffs)
-        return cls(grid, c, mean_free)
-
-    @classmethod
-    def zeros(cls, grid: Grid1) -> "SpectralField1":
-        return cls(grid, np.zeros(grid.n // 2 + 1, dtype=np.complex128), True)
-
-    @property
-    def values(self) -> np.ndarray:
-        return to_values(self.coeffs)
-
-    @property
-    def mean(self) -> float:
-        return float(self.coeffs[0].real)
-
-    def norm_l2(self) -> float:
-        return float(np.sqrt(self.grid.length * np.sum(mode_power(self.grid, self.coeffs))))
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values)))
+class SpectralField1(SpectralField):
+    """Real scalar field on the circle (:class:`Grid1`), modes 0..n/2."""
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=np.float64))
@@ -224,23 +175,6 @@ class SpectralField1:
             ex = np.exp(1j * np.outer(points[sl], k))
             out[sl] = (ex @ cz).real
         return out
-
-    def __add__(self, other: "SpectralField1") -> "SpectralField1":
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        c = self.coeffs + other.coeffs
-        return SpectralField1(self.grid, c, bool(abs(c[0]) == 0.0))
-
-    def __sub__(self, other: "SpectralField1") -> "SpectralField1":
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        c = self.coeffs - other.coeffs
-        return SpectralField1(self.grid, c, bool(abs(c[0]) == 0.0))
-
-    def __mul__(self, scalar: float) -> "SpectralField1":
-        return SpectralField1(self.grid, self.coeffs * float(scalar), self.mean_free)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -294,12 +228,12 @@ class VectorField2:
     __rmul__ = __mul__
 
 
-def l2_inner(f: SpectralField2, g: SpectralField2) -> float:
+def l2_inner(f: SpectralField, g: SpectralField) -> float:
     """Domain-integral L2 inner product of two real fields."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     cross = f.coeffs.real * g.coeffs.real + f.coeffs.imag * g.coeffs.imag
-    return float(f.grid.lx * f.grid.ly * np.sum(f.grid.weight * cross))
+    return float(f.grid.measure * np.sum(f.grid.weight * cross))
 
 
 def _resample_x(coeffs: np.ndarray, n_dst: int) -> np.ndarray:

@@ -1,4 +1,11 @@
-"""Periodic collocation grids and their precomputed wavenumber arrays."""
+"""Periodic collocation grids: wavenumbers, masks, Parseval weights and every
+Fourier multiplier of the lab (``ikx``, ``iky``, ``inv_minus_k2``, ``ik``,
+``hilbert``); no other module builds one.  Odd derivatives follow the
+Nyquist rule (L. N. Trefethen, *Spectral Methods in MATLAB*, 2000, ch. 3):
+ik is zero on the Nyquist mode of its axis, which is (-1)^j on the grid and
+has a derivative that vanishes at every node.  The Hilbert symbol keeps its
+Nyquist value, so that H^2 = -1 on the coefficients of a mean-free field.
+"""
 
 from __future__ import annotations
 
@@ -21,19 +28,31 @@ def _parseval_weight(n: int) -> np.ndarray:
     return w
 
 
+def _axis(n: int, length: float, half: bool) -> tuple:
+    """Modes, wavenumbers, derivative symbol and 2/3-rule mask of one axis,
+    over all n modes in FFT order or over the half axis 0..n/2."""
+    m = np.arange(n // 2 + 1) if half else np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+    k = (TWO_PI / length) * m.astype(np.float64)
+    ik = 1j * k
+    ik[n // 2] = 0.0  # the Nyquist mode, -n/2 on a full axis and n/2 on a half one
+    return m, k, ik, np.abs(m) <= n // 3
+
+
 @dataclass(frozen=True)
 class Grid2:
     """
     Doubly periodic collocation grid on [0, lx) x [0, ly).
 
-    Arrays are indexed ``[ix, iy]`` (x along axis 0, y along axis 1).
+    Arrays are indexed ``[ix, iy]`` (x along axis 0, y along axis 1), values
+    have ``shape`` (nx, ny) and the cell has area ``measure`` = lx * ly.
     Coefficients are the half spectrum of ``numpy.fft.rfftn``, shape
     ``coeff_shape = (nx, ny//2 + 1)``: the x modes ``mx`` follow numpy FFT
     ordering 0, 1, ..., nx/2 - 1, -nx/2, ..., -1 and the y modes ``my`` run
     0, 1, ..., ny/2.  The radian wavenumber of mode m is 2*pi*m / l.
     ``weight`` is the Parseval weight of each y column: 2 on the interior
     columns, which stand for a mode and its conjugate, and 1 on my = 0 and
-    on the Nyquist column my = ny/2.
+    on the Nyquist column my = ny/2.  ``ikx`` (nx, 1) and ``iky`` (1, ny//2 + 1)
+    broadcast against the coefficients; ``inv_minus_k2`` is -1/|k|^2, 0 at k = 0.
 
     Parameters
     ----------
@@ -54,36 +73,26 @@ class Grid2:
         if self.lx <= 0 or self.ly <= 0:
             raise ValueError("domain lengths must be positive")
 
-        mx = np.rint(np.fft.fftfreq(self.nx) * self.nx).astype(np.int64)
-        my = np.arange(self.ny // 2 + 1)
-        kx = (TWO_PI / self.lx) * mx.astype(np.float64)
-        ky = (TWO_PI / self.ly) * my.astype(np.float64)
+        mx, kx, ikx, keep_x = _axis(self.nx, self.lx, half=False)
+        my, ky, iky, keep_y = _axis(self.ny, self.ly, half=True)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
 
-        cut_x, cut_y = self.nx // 3, self.ny // 3
-        mask = (np.abs(mx)[:, None] <= cut_x) & (np.abs(my)[None, :] <= cut_y)
-
+        object.__setattr__(self, "shape", (self.nx, self.ny))
+        object.__setattr__(self, "coeff_shape", (self.nx, self.ny // 2 + 1))
+        object.__setattr__(self, "measure", self.lx * self.ly)
         object.__setattr__(self, "mx", mx)
         object.__setattr__(self, "my", my)
         object.__setattr__(self, "kx", kx)
         object.__setattr__(self, "ky", ky)
         object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "ikx", ikx[:, None])
+        object.__setattr__(self, "iky", iky[None, :])
+        object.__setattr__(self, "dealias_mask", keep_x[:, None] & keep_y[None, :])
         object.__setattr__(self, "weight", _parseval_weight(self.ny))
 
         with np.errstate(divide="ignore"):
             inv = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
         object.__setattr__(self, "inv_minus_k2", inv)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the collocation values."""
-        return (self.nx, self.ny)
-
-    @property
-    def coeff_shape(self) -> tuple[int, int]:
-        """Shape of the half-spectrum coefficients."""
-        return (self.nx, self.ny // 2 + 1)
 
     @property
     def dx(self) -> float:
@@ -113,10 +122,13 @@ class Grid2:
 
 @dataclass(frozen=True)
 class Grid1:
-    """Periodic grid with n points on the circle of length 2*pi.
+    """Periodic grid with n points on a circle of ``length`` (default 2*pi).
 
-    Coefficients are the half spectrum of ``numpy.fft.rfft``, modes
-    ``m = 0, 1, ..., n/2``, with the Parseval ``weight`` of :class:`Grid2`.
+    Values have ``shape`` (n,), the circle has length ``measure``, and
+    coefficients are the half spectrum of ``numpy.fft.rfft``, modes
+    ``m = 0, 1, ..., n/2`` (``coeff_shape``), with the Parseval ``weight``
+    of :class:`Grid2`, the derivative symbol ``ik`` and the Hilbert symbol
+    ``hilbert`` = -i sgn(m).
     """
 
     n: int
@@ -126,10 +138,15 @@ class Grid1:
         _check_size(self.n, "n")
         if self.length <= 0:
             raise ValueError("length must be positive")
-        m = np.arange(self.n // 2 + 1)
+        m, k, ik, keep = _axis(self.n, self.length, half=True)
+        object.__setattr__(self, "shape", (self.n,))
+        object.__setattr__(self, "coeff_shape", (self.n // 2 + 1,))
+        object.__setattr__(self, "measure", self.length)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", (TWO_PI / self.length) * m.astype(np.float64))
-        object.__setattr__(self, "dealias_mask", m <= self.n // 3)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ik", ik)
+        object.__setattr__(self, "hilbert", -1j * np.sign(m))
+        object.__setattr__(self, "dealias_mask", keep)
         object.__setattr__(self, "weight", _parseval_weight(self.n))
 
     @property

@@ -37,11 +37,9 @@ class IpmState:
 
 
 def _velocity_coeffs(rho_c: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    kx = grid.kx[:, None]
-    ky = grid.ky[None, :]
-    inv = np.where(grid.k2 > 0.0, 1.0 / np.where(grid.k2 > 0.0, grid.k2, 1.0), 0.0)
-    u1 = kx * ky * inv * rho_c
-    u2 = -(kx * kx) * inv * rho_c
+    """u = (kx ky, -kx^2) rho / |k|^2 = perp grad psi, laplacian(psi) = -d(rho)/dx."""
+    u1 = grid.ikx * grid.iky * grid.inv_minus_k2 * rho_c
+    u2 = -(grid.ikx * grid.ikx) * grid.inv_minus_k2 * rho_c
     return u1, u2
 
 

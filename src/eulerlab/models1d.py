@@ -69,28 +69,28 @@ class ModelRunResult:
 # -- right-hand sides --------------------------------------------------------
 
 
-def _hilbert_coeffs(c: np.ndarray, grid: Grid1) -> np.ndarray:
-    return -1j * np.sign(grid.m) * c
-
-
 def _clm_rhs_coeffs(c: np.ndarray, grid: Grid1) -> np.ndarray:
     mask = grid.dealias_mask
     wc = c * mask
     w = to_values(wc)
-    h = to_values(_hilbert_coeffs(wc, grid))
+    h = to_values(grid.hilbert * wc)
     return to_coeffs(w * h) * mask
+
+
+def _degregorio_velocity(hw: np.ndarray, grid: Grid1) -> np.ndarray:
+    """Coefficients of the mean-free u with du/dx = H(omega): H(omega) / (ik)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(grid.ik != 0, hw / np.where(grid.ik != 0, grid.ik, 1.0), 0.0)
 
 
 def _degregorio_rhs_coeffs(c: np.ndarray, grid: Grid1) -> np.ndarray:
     mask = grid.dealias_mask
     wc = c * mask
-    hw = _hilbert_coeffs(wc, grid)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        uc = np.where(grid.m != 0, hw / np.where(grid.m != 0, 1j * grid.k, 1.0), 0.0)
-    u = to_values(uc)
+    hw = grid.hilbert * wc
+    u = to_values(_degregorio_velocity(hw, grid))
     ux = to_values(hw)
     w = to_values(wc)
-    wx = to_values(1j * grid.k * wc)
+    wx = to_values(grid.ik * wc)
     return to_coeffs(-u * wx + w * ux) * mask
 
 
@@ -104,9 +104,7 @@ def _transport_dt_cap(c: np.ndarray, grid: Grid1) -> float:
     k_max sup|u|; RK4 is stable to ~2.8 there, so cap dt below that
     (the sup-based law alone is unstable on fine grids for smooth data).
     """
-    hw = _hilbert_coeffs(c * grid.dealias_mask, grid)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        uc = np.where(grid.m != 0, hw / np.where(grid.m != 0, 1j * grid.k, 1.0), 0.0)
+    uc = _degregorio_velocity(grid.hilbert * (c * grid.dealias_mask), grid)
     sup_u = float(np.max(np.abs(to_values(uc))))
     k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
     if sup_u * k_max == 0.0:
@@ -315,7 +313,8 @@ def model_run(
         dt = min(dt, t_end - t)
         (c,) = rk4_step(rhs, t, (c,), dt)
         if not np.all(np.isfinite(c)):
-            raise FloatingPointError(f"non-finite state at t = {t + dt:.6g}")
+            raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} "
+                                     f"(step {len(ts)})")
         t += dt
         f = SpectralField1(grid, c, bool(abs(c[0]) == 0.0))
         sup_new = refined_sup(f)

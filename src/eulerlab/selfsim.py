@@ -279,6 +279,12 @@ def linearized_operator(omega: np.ndarray, lam: float,
     return a, col
 
 
+def check_max_iter(max_iter: int) -> None:
+    """Reject a negative Newton budget (0 only measures the guess)."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
+
+
 def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
                  lam0: float = 1.0, tol: float = 1e-10,
                  max_iter: int = 25) -> ProfileSolution:
@@ -291,6 +297,7 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     Newton step ("Hypothesis 1": the profile linearization is invertible
     transverse to the scaling direction) does not hold there.
     """
+    check_max_iter(max_iter)
     omega = np.asarray(omega0, dtype=np.float64).copy()
     lam = float(lam0)
     norm_row = problem.deriv_matrix[problem.i_zero]
@@ -322,9 +329,7 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
         res = profile_residual(omega, lam, problem)
         defect = norm_row @ omega + 4.0
         rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    if rnorm < tol:
-        return ProfileSolution(omega, lam, rnorm, max_iter, True, problem)
-    return ProfileSolution(omega, lam, rnorm, max_iter, False, problem)
+    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), problem)
 
 
 def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,

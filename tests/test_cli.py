@@ -2,15 +2,20 @@ import hashlib
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eulerlab
-from eulerlab import cli
+from eulerlab import cli, models1d, presets
 from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
+from eulerlab.config import SYSTEMS
 from eulerlab.stepping import BlowupError
 
 TINY_EULER = """\
@@ -125,6 +130,12 @@ class TestConfigErrors:
         # kmax outside the dealiased band of the grid (16 // 3 = 5)
         ("system = euler2d\nnx = 16\nny = 16\nt_end = 1\npreset = random_bandlimited\n"
          "kmax = 9\n", "kmax must lie inside the dealiased band"),
+        # values that used to fail inside the run, after the output dir existed
+        ("system = couette_linear\nmodes = 1:0:1\nt_end = 1\nt_count = -1\n",
+         "t_count must be nonnegative"),
+        ("system = couette_linear\nmodes = 1:0:1; 0:0:1\nt_end = 1\n",
+         "mode (0, 0) has no velocity representation"),
+        ("system = selfsim\nn = 64\nmax_iter = -1\n", "max_iter must be nonnegative"),
     ])
     def test_bad_values_exit_2_before_any_output(self, tmp_path, capsys, text, match):
         cfg = write_cfg(tmp_path, text)
@@ -161,6 +172,104 @@ class TestFailureExitCodes:
         assert main(["run", "--config", write_cfg(tmp_path, text),
                      "--output-dir", str(out)]) == code
         assert read_manifest(out)["status"].startswith(status)
+
+    def test_a_1d_failure_names_its_step(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(models1d._RHS, "clm", lambda c, grid: np.full_like(c, np.nan))
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, TINY_CLM),
+                     "--output-dir", str(out)]) == EXIT_NUMERICAL
+        status = read_manifest(out)["status"]
+        assert status.startswith("failed: non-finite state") and status.endswith("(step 1)")
+
+
+def _names(system, key):
+    """The preset names a config key accepts, and one that names nothing."""
+    return sorted(n for n, p in presets.REGISTRY.items()
+                  if (p.system, p.key) == (system, key)), ["bogus"]
+
+
+# (valid, invalid) values of every key, as config text: grids of 16^2 or
+# smaller, 1D grids of at most 256 points, short horizons.  The cosine
+# datum of the 1D models blows up at t = 2 / |amplitude|, past every
+# horizon drawn here.
+_GRID = (["8", "16"], ["6", "15"])
+_STEPPED_2D = {"nx": _GRID, "ny": _GRID, "cfl": (["0.3", "0.5"], ["0", "0.6"]),
+               "t_end": (["0", "0.1", "0.3"], ["-1"]),
+               "diag_every": (["0.1", "0.25"], ["-0.1", "0"])}
+_MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]), "amplitude": (["-1", "0", "1"], []),
+             "cfl": (["0.1", "0.5"], ["0", "0.6"]), "t_end": (["0", "0.3"], ["-1"]),
+             "omega_cap": (["0", "1.5", "5"], []), "dt_max": (["0", "0.05"], ["-0.1"]),
+             "tail_threshold": (["0", "1e-6"], [])}
+_KEYS = {
+    "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
+                "eps": (["0", "0.3"], []), "kmax": (["1", "2"], ["0", "6"]),
+                "rms": (["0.2"], []), "casimir_powers": (["", "2 4"], []),
+                "marker_lattice": (["0", "2", "8"], ["-1", "1"]),
+                "snapshot_every": (["0", "0.1"], ["-1"])},
+    "couette_linear": {"modes": (["1:0:1", "1:0.5:1; 0:1:0.5", "2:-1:0.3"],
+                                 ["0:0:1", "1:0:1; 0:0:2"]),
+                       "t_start": (["0", "2"], []), "t_end": (["-1", "1", "3"], []),
+                       "t_count": (["0", "1", "9"], ["-1"])},
+    "passive_scalar": {**_STEPPED_2D, "velocity": _names("passive_scalar", "velocity"),
+                       "test_function": _names("passive_scalar", "test_function")},
+    "clm": _MODEL_1D,
+    "degregorio": _MODEL_1D,
+    "selfsim": {"n": (["64", "128"], ["63", "30"]), "domain_half_width": (["10", "20"], ["9"]),
+                "model": (["clm"], ["degregorio"]), "lam0": (["1", "1.1"], []),
+                "tol": (["1e-10", "1e-6"], []), "max_iter": (["0", "3"], ["-1"]),
+                "guess": _names("selfsim", "guess"), "perturb": (["0", "0.05"], [])},
+    "lemma_check": {"weight_order": (["4", "8"], ["3"]),
+                    "delta": (["0.1", "0.3"], ["0", "0.5"]),
+                    "grid_points": (["16", "64"], ["15", "401"]),
+                    "grid_ratio": (["1.1"], ["1"]),
+                    "u_preset": _names("lemma_check", "u_preset"), "g_const": (["-1", "1"], [])},
+    "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"), "eps": (["0", "0.01"], []),
+            "tail_threshold": (["1e-6"], [])},
+}
+
+
+@st.composite
+def _configs(draw):
+    """A valid config of some system, or one with a single key set out of range."""
+    system = draw(st.sampled_from(SYSTEMS))
+    keys = {"seed": (["0", "7"], ["-1"]), **_KEYS[system]}
+    params = {k: draw(st.sampled_from(valid)) for k, (valid, _) in keys.items()}
+    broken = draw(st.none() | st.sampled_from([k for k, (_, bad) in keys.items() if bad]))
+    if broken is not None:
+        params[broken] = draw(st.sampled_from(keys[broken][1]))
+    return f"system = {system}\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; no handler of the program catches it."""
+
+
+class TestConfigProperty:
+    """Any config, valid or not, ends in a known exit code with the artifacts it promises."""
+
+    LIMIT_S = 10
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_configs())
+    def test_exit_code_and_manifest(self, text):
+        def hang(signum, frame):
+            raise _Hang(f"no exit within {self.LIMIT_S} s:\n{text}")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = pathlib.Path(tmp) / "run.cfg", pathlib.Path(tmp) / "out"
+            cfg.write_text(text)
+            previous = signal.signal(signal.SIGALRM, hang)
+            signal.alarm(self.LIMIT_S)
+            try:
+                code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_BLOWUP), text
+            if code == EXIT_CONFIG:
+                assert not out.exists(), text
+            else:
+                assert list(out.rglob("manifest.json")) == [out / "manifest.json"], text
 
 
 class TestRunArtifacts:

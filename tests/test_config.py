@@ -97,7 +97,7 @@ class TestRejections:
 
     def test_malformed_mode_triple(self):
         self.reject("system = couette_linear\nmodes = 1:0.3\nt_end = 1\n",
-                     "not ky:phase:amp")
+                     "not kx:eta0:amp")
 
 
 EULER_16 = "system = euler2d\nnx = 16\nny = 16\npreset = taylor_green\nt_end = 1\n"

@@ -1,4 +1,5 @@
 """Tests for the 1D blow-up models: CLM and its transport variant."""
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import models1d
 from eulerlab.fields import SpectralField1
 from eulerlab.grids import Grid1
 from eulerlab.models1d import (
@@ -201,6 +203,17 @@ class TestModelRun:
     def test_rejects_a_nonpositive_step_cap(self, dt_max):
         with pytest.raises(ValueError, match="dt_max must be positive"):
             model_run(cosine(64), "clm", t_end=1.0, dt_max=dt_max)
+
+    def test_a_non_finite_state_names_its_step(self, monkeypatch):
+        stages = itertools.count()
+        clm = models1d._RHS["clm"]
+
+        def poisoned(c, grid):  # finite for two RK4 steps of four stages each
+            return clm(c, grid) * (np.nan if next(stages) >= 8 else 1.0)
+
+        monkeypatch.setitem(models1d._RHS, "clm", poisoned)
+        with pytest.raises(FloatingPointError, match=r"non-finite state at t = .* \(step 3\)"):
+            model_run(cosine(64), "clm", t_end=1.0)
 
     def test_rejects_bad_cfl(self):
         with pytest.raises(ValueError, match="cfl"):

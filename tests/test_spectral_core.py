@@ -147,6 +147,20 @@ class TestSpectralField1:
         xs = np.array([0.1, 1.7, 5.1])
         np.testing.assert_allclose(f.eval_at(xs), np.sin(2 * xs), atol=1e-13)
 
+    def test_shares_the_arithmetic_of_the_2d_field(self):
+        g = Grid1(16)
+        f = SpectralField1.from_values(g, 0.5 + np.cos(g.x))
+        h = -(2.0 * f - f)
+        assert isinstance(h, SpectralField1) and h.mean == pytest.approx(-0.5)
+        np.testing.assert_allclose(h.values, -0.5 - np.cos(g.x), atol=1e-15)
+        p = f.project_mean_free()
+        assert isinstance(p, SpectralField1) and p.mean_free and p.mean == 0.0
+        assert (f + SpectralField1.zeros(g)).norm_l2() == pytest.approx(f.norm_l2())
+        with pytest.raises(ValueError, match="value shape"):
+            SpectralField1.from_values(g, np.zeros(17))
+        with pytest.raises(ValueError, match="different grids"):
+            f + SpectralField1.zeros(Grid1(32))
+
     def test_accepts_only_the_half_spectrum(self):
         c = np.zeros(9, dtype=complex)
         c[2] = 1.0j
@@ -386,6 +400,17 @@ class TestHalfSpectrumLayout:
         p = leray_project(VectorField2(SpectralField2(g, col, True), SpectralField2(g, c, True)))
         assert p.u1.coeffs[1, 4] == pytest.approx(1.0 - 1.0 / 17.0)
         assert p.u2.coeffs[1, 4] == pytest.approx(-4.0 / 17.0)
+
+    def test_odd_derivatives_vanish_on_their_own_nyquist_line(self):
+        # the row mx = -nx/2 for d/dx, the column my = ny/2 for d/dy
+        g = Grid2(16, 16)
+        f = SpectralField2.from_values(g, np.random.default_rng(3).standard_normal(g.shape))
+        assert np.min(np.abs(f.coeffs[g.nx // 2, :])) > 0.0
+        assert np.min(np.abs(f.coeffs[:, -1])) > 0.0
+        assert np.all(dx(f).coeffs[g.nx // 2, :] == 0.0)
+        assert np.all(dy(f).coeffs[:, -1] == 0.0)
+        np.testing.assert_array_equal(dx(f).coeffs[:g.nx // 2], (1j * g.kx[:g.nx // 2, None])
+                                      * f.coeffs[:g.nx // 2])
 
     def test_leray_is_a_projection_on_white_noise(self):
         g = Grid2(16, 12)
