@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import euler2d, presets, selfsim
 from .grids import Grid1, Grid2
-from .lagrangian import check_lattice
 from .stepping import check_cfl, check_schedule, check_t_end
 
 
@@ -155,7 +154,7 @@ def _check_values(system: str, params: dict) -> None:
         check_schedule(params["cfl"], params["diag_every"],
                        params.get("snapshot_every", 0.0))
         if params.get("marker_lattice", 0) != 0:  # 0: no markers
-            check_lattice(params["marker_lattice"])
+            euler2d.check_weber_lattice(params["marker_lattice"])
     elif system in ("clm", "degregorio"):
         Grid1(params["n"])
         check_cfl(params["cfl"])

@@ -30,9 +30,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .fields import SpectralField2, VectorField2, mode_power, to_coeffs, to_values
+from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coeffs, to_values
 from .grids import Grid2
-from .lagrangian import FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient
+from .lagrangian import (FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient,
+                         check_lattice)
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
                         transport_coeffs)
 from .snapshots import write_snapshot
@@ -84,39 +85,40 @@ class _StageEval:
     """One RK4 stage of (vorticity, *scalars[, marker lifts]): the velocity of
     the vorticity transports all of them.
 
-    The velocity samples stay for the CFL rule.  The marker samplers of the
-    last four stages (one step) stay alive, as in a hand-written RK4 loop:
-    freeing each sampler's fine-grid arrays as soon as the next stage
-    replaces it lets glibc return the top of the heap to the OS and fault it
-    back in (four times the minor page faults of a 96^2 run with 64^2
-    markers).
+    Everything the stage computes lives in its workspace and is rewritten by
+    the next stage: the velocity coefficients, the velocity samples (which
+    stay until then for the CFL rule), the transport temporaries and the
+    marker sampler's spline arrays.  The tendencies go into ``out``, whose
+    entries may be ``None`` for freshly allocated ones.
     """
 
-    def __init__(self, grid: Grid2, markers: bool):
+    def __init__(self, grid: Grid2, markers: bool, work: Workspace | None = None):
         self.grid = grid
         self.markers = markers
-        self.u1v = self.u2v = None
-        self.samplers = []
+        self.work = work = Workspace() if work is None else work
+        self.uc = tuple(work.array(("stage.uc", i), grid.coeff_shape, np.complex128)
+                        for i in range(2))
+        self.u1v, self.u2v = (work.array(("stage.uv", i), grid.shape) for i in range(2))
 
-    def __call__(self, t: float, y: tuple) -> tuple:
-        g = self.grid
+    def __call__(self, t: float, y: tuple, out: tuple) -> tuple:
+        g, w = self.grid, self.work
         c, *rest = y
-        u1c, u2c = stream_velocity(c, g)
-        self.u1v = u1v = to_values(u1c)
-        self.u2v = u2v = to_values(u2c)
-        k = transport_coeffs(c, u1v, u2v, g)
+        u1c, u2c = stream_velocity(c, g, self.uc)
+        u1v = to_values(u1c, self.u1v)
+        u2v = to_values(u2c, self.u2v)
+        k = transport_coeffs(c, u1v, u2v, g, out[0], w)
         k[0, 0] = 0.0
         if not self.markers:
-            return (k, *(transport_coeffs(s, u1v, u2v, g) for s in rest))
+            return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(rest, out[1:])))
         *scalars, lifts = rest
-        sampler = VelocitySampler(g, u1c, u2c)
-        self.samplers = self.samplers[-3:] + [sampler]
-        return (k, *(transport_coeffs(s, u1v, u2v, g) for s in scalars), sampler(lifts))
+        sampler = VelocitySampler(g, u1c, u2c, w)
+        return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(scalars, out[1:])),
+                sampler(lifts, out[-1]))
 
 
 def euler_rhs(state: EulerState) -> SpectralField2:
     """Vorticity tendency -u.grad(omega), dealiased and mean-free."""
-    (c,) = _StageEval(state.omega.grid, markers=False)(state.t, (state.omega.coeffs,))
+    (c,) = _StageEval(state.omega.grid, markers=False)(state.t, (state.omega.coeffs,), (None,))
     return SpectralField2(state.omega.grid, c, True)
 
 
@@ -176,7 +178,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     if markers is not None:
         y += (markers.lifts.copy(),)
-    stage = _StageEval(grid, markers=markers is not None)
+    work = Workspace()
+    stage = _StageEval(grid, markers=markers is not None, work=work)
 
     entries = casimir_entries(casimirs, "omega")
     bkm = 0.0
@@ -209,7 +212,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
         nonlocal bkm, sup_prev
-        sup_new = float(np.max(np.abs(to_values(y_new[0]))))
+        vals = to_values(y_new[0], work.array("run.omega", grid.shape))
+        sup_new = float(np.max(np.abs(vals, out=vals)))
         if not math.isfinite(sup_new):
             checkpoint("checkpoint_abort.eulb", y[0], t)
             raise BlowupError(t + dt, step, result.diagnostics[-1])
@@ -221,13 +225,21 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     t, y = march(stage, y, t_end, lambda t, y: cfl_dt(grid, stage.u1v, stage.u2v, cfl),
                  diag_every, emit, snapshot_every or 0.0,
-                 snapshot if snapshot_dir else None, after_step)
+                 snapshot if snapshot_dir else None, after_step, work)
     result.final = EulerState(SpectralField2.from_coeffs(grid, y[0]), t)
     result.scalars = {n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(scalars, y[1:])}
     return result
 
 
 # -- Weber formula check -------------------------------------------------------
+
+
+def check_weber_lattice(m: int) -> None:
+    """Reject a marker lattice that :func:`weber_residual` cannot put on a
+    :class:`Grid2`: the CLI checks every euler2d run with markers."""
+    check_lattice(m)
+    if m < 8 or m % 2 != 0:
+        raise ValueError(f"marker_lattice must be an even integer >= 8, got {m}")
 
 
 def weber_residual(state: EulerState, flowmap: FlowMapSnapshot,

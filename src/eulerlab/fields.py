@@ -34,14 +34,39 @@ MEAN_TOL = 1e-13
 _EVAL_CHUNK = 4096
 
 
-def to_coeffs(values: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Preallocated arrays of one run, by name.
+
+    ``array(name, shape, dtype)`` returns the same array for a name on every
+    call, zero-filled when first made (and made anew if the shape or dtype
+    changes).  Names are namespaced by their users: ``"rk4..."`` for the
+    integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for a 2D stage,
+    ``"transport..."`` for :func:`eulerlab.operators.transport_coeffs` and
+    ``"sampler..."`` for the marker sampler.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict = {}
+
+    def array(self, name, shape: tuple, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.zeros(shape, dtype)
+        return a
+
+
+def to_coeffs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples -> half-spectrum Fourier coefficients (1D or 2D)."""
-    return np.fft.rfftn(values, norm="forward")
+    return np.fft.rfftn(values, norm="forward", out=out)
 
 
-def to_values(coeffs: np.ndarray) -> np.ndarray:
-    """Half-spectrum Fourier coefficients -> physical samples (even length)."""
-    return np.fft.irfftn(coeffs, norm="forward")
+def to_values(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum Fourier coefficients -> physical samples (even length).
+
+    numpy's ``irfftn`` makes one complex temporary of the coefficient shape
+    for the passes over the leading axes, even with ``out``.
+    """
+    return np.fft.irfftn(coeffs, norm="forward", out=out)
 
 
 def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:

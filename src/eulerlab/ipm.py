@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField2, VectorField2, mode_power, to_values
+from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_values
 from .grids import Grid2
 from .operators import dealias, gradient_sup, transport_coeffs
 from .stepping import BlowupError, casimir_entries, cfl_dt, check_schedule, march
@@ -36,16 +36,16 @@ class IpmState:
         return ipm_velocity(self.rho)
 
 
-def _velocity_coeffs(rho_c: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    """u = (kx ky, -kx^2) rho / |k|^2 = perp grad psi, laplacian(psi) = -d(rho)/dx."""
-    u1 = grid.ikx * grid.iky * grid.inv_minus_k2 * rho_c
-    u2 = -(grid.ikx * grid.ikx) * grid.inv_minus_k2 * rho_c
-    return u1, u2
+def _velocity_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers (kx ky, -kx^2) / |k|^2 that take rho to u = perp grad psi,
+    laplacian(psi) = -d(rho)/dx."""
+    return (grid.ikx * grid.iky * grid.inv_minus_k2,
+            -(grid.ikx * grid.ikx) * grid.inv_minus_k2)
 
 
 def ipm_velocity(rho: SpectralField2) -> VectorField2:
     """Divergence-free part of the buoyancy force (0, -rho), mean removed."""
-    u1, u2 = _velocity_coeffs(rho.coeffs, rho.grid)
+    u1, u2 = (m * rho.coeffs for m in _velocity_symbols(rho.grid))
     return VectorField2(SpectralField2(rho.grid, u1, True),
                         SpectralField2(rho.grid, u2, True))
 
@@ -103,12 +103,16 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     entries = casimir_entries(casimirs, "rho")
     yrow = grid.y[None, :]
     result = IpmRunResult(final=IpmState(rho0, 0.0), diagnostics=[])
-    velocity = [None, None]  # the last stage's velocity samples, for the CFL rule
+    work = Workspace()
+    symbols = _velocity_symbols(grid)
+    uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
+    # the last stage's velocity samples, kept for the CFL rule
+    velocity = tuple(work.array(("stage.uv", i), grid.shape) for i in range(2))
 
-    def rhs(t: float, y: tuple) -> tuple:
-        u1c, u2c = _velocity_coeffs(y[0], grid)
-        velocity[:] = to_values(u1c), to_values(u2c)
-        return (transport_coeffs(y[0], *velocity, grid),)
+    def rhs(t: float, y: tuple, out: tuple) -> tuple:
+        for m, v in zip(symbols, velocity):
+            to_values(np.multiply(m, y[0], out=uc), v)
+        return (transport_coeffs(y[0], *velocity, grid, out[0], work),)
 
     def emit(t: float, y: tuple, step: int) -> None:
         c = y[0]
@@ -130,6 +134,6 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
             result.under_resolved = True
 
     t, (c,) = march(rhs, (dealias(rho0).coeffs.copy(),), t_end,
-                    lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit)
+                    lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit, work=work)
     result.final = IpmState(SpectralField2.from_coeffs(grid, c), t)
     return result

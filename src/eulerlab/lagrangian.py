@@ -7,6 +7,7 @@ on the lifts so that wrapping never introduces jumps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from dataclasses import field as dc_field
@@ -14,7 +15,7 @@ from dataclasses import field as dc_field
 import numpy as np
 from scipy import ndimage
 
-from .fields import SpectralField2, VectorField2, l2_inner, resample_coeffs, to_values
+from .fields import SpectralField2, VectorField2, Workspace, l2_inner
 from .grids import TWO_PI, Grid2
 from .operators import dealias, transport_coeffs
 from .stepping import cfl_dt, check_schedule, march, rk4_step
@@ -36,9 +37,14 @@ class VelocitySampler:
     fit for signal and image processing", IEEE Signal Processing Magazine,
     1999) and transformed once, so ``map_coordinates`` runs with its
     prefilter off.  The chosen method is exposed for metadata.
+
+    With a workspace ``work`` the spline arrays and the sampling scratch
+    live in it, so a sampler is valid only until the next one is built in
+    the same workspace.
     """
 
-    def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray):
+    def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray,
+                 work: Workspace | None = None):
         self.grid = grid
         if grid.nx * grid.ny <= _DIRECT_MODE_LIMIT:
             self.method = "spectral"
@@ -46,35 +52,68 @@ class VelocitySampler:
                                        SpectralField2(grid, u2_coeffs, False))
         else:
             self.method = "bicubic"
-            fine = (2 * grid.nx, 2 * grid.ny)
-            inverse_symbol = _bspline_inverse_symbol(*fine)
-            self._v1, self._v2 = (to_values(resample_coeffs(c, *fine) * inverse_symbol)
-                                  for c in (u1_coeffs, u2_coeffs))
-            self._scale = (fine[0] / grid.lx, fine[1] / grid.ly)
+            self._work = work = Workspace() if work is None else work
+            self._v1, self._v2 = (_spline_coeffs(grid, c, work, ("sampler.v", i))
+                                  for i, c in enumerate((u1_coeffs, u2_coeffs)))
+            self._scale = (2 * grid.nx / grid.lx, 2 * grid.ny / grid.ly)
 
     @classmethod
     def from_field(cls, u: VectorField2) -> "VelocitySampler":
         return cls(u.grid, u.u1.coeffs, u.u2.coeffs)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Velocities at (p, 2) points, written into ``out`` when given."""
+        if out is None:
+            out = np.empty((points.shape[0], 2))
         if self.method == "spectral":
-            return self._field.eval_at(points)
-        coords = np.stack([points[:, 0] * self._scale[0],
-                           points[:, 1] * self._scale[1]])
-        out = np.empty((points.shape[0], 2))
+            out[...] = self._field.eval_at(points)
+            return out
+        coords = self._work.array("sampler.coords", (2, points.shape[0]))
+        for i in range(2):
+            np.multiply(points[:, i], self._scale[i], out=coords[i])
         for i, v in enumerate((self._v1, self._v2)):
-            out[:, i] = ndimage.map_coordinates(v, coords, order=3, mode="grid-wrap",
-                                                prefilter=False)
+            ndimage.map_coordinates(v, coords, output=out[:, i], order=3, mode="grid-wrap",
+                                    prefilter=False)
         return out
 
 
+@functools.lru_cache(maxsize=8)
 def _bspline_inverse_symbol(nx: int, ny: int) -> np.ndarray:
     """1 / B(theta_x) B(theta_y) on the half spectrum of an (nx, ny) grid, where
     B(theta) = (4 + 2 cos theta) / 6 is the symbol of the periodic cubic
-    B-spline at the mode's phase step theta = 2 pi m / n."""
+    B-spline at the mode's phase step theta = 2 pi m / n.  Cached per grid
+    and read-only."""
     bx = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(nx))) / 6.0
     by = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(ny // 2 + 1) / ny)) / 6.0
-    return 1.0 / (bx[:, None] * by[None, :])
+    inv = 1.0 / (bx[:, None] * by[None, :])
+    inv.flags.writeable = False
+    return inv
+
+
+def _spline_coeffs(grid: Grid2, coeffs: np.ndarray, work: Workspace, name) -> np.ndarray:
+    """Cubic spline coefficients of a field on the doubled grid, into ``work``.
+
+    The same numbers as ``to_values(resample_coeffs(coeffs, 2 nx, 2 ny) *
+    inverse symbol)``, computed over the nonzero part of the padded half
+    spectrum only: its first ny/2 + 1 columns are zero-padded along x and
+    prefiltered, transformed along x, and the y transform of all ny + 1
+    columns (the rest of them zero) gives the values.
+    """
+    nx, ny = grid.nx, grid.ny
+    cols, h = ny // 2 + 1, nx // 2
+    # rows of the x-padded spectrum: the zero rows h+1 .. 2nx-h-1 are never written
+    padded = work.array("sampler.padded", (2 * nx, cols), np.complex128)
+    padded[:h] = coeffs[:h]
+    padded[2 * nx - h + 1:] = coeffs[nx - h + 1:]
+    padded[-h] = padded[h] = 0.5 * coeffs[-h]
+    # the Nyquist column is split between +ny/2 and its implied conjugate
+    np.multiply(0.5, padded[:, -1], out=padded[:, -1])
+    np.multiply(padded, _bspline_inverse_symbol(2 * nx, 2 * ny)[:, :cols], out=padded)
+    # columns cols .. ny of the x pass stay zero
+    xpass = work.array("sampler.xpass", (2 * nx, ny + 1), np.complex128)
+    np.fft.ifft(padded, axis=0, norm="forward", out=xpass[:, :cols])
+    return np.fft.irfft(xpass, 2 * ny, axis=1, norm="forward",
+                        out=work.array(name, (2 * nx, 2 * ny)))
 
 
 def check_lattice(m: int) -> None:
@@ -170,13 +209,14 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
     """
     vel = _as_sampler(velocity_source, particles.t)
 
-    def rhs(t: float, y: tuple) -> tuple:
+    def rhs(t: float, y: tuple, out: tuple) -> tuple:
         return (vel(t, y[0]),)
 
     lifts = particles.lifts.copy()
     t = particles.t
+    work = Workspace()
     for _ in range(n_steps):
-        (lifts,) = rk4_step(rhs, t, (lifts,), dt)
+        (lifts,) = rk4_step(rhs, t, (lifts,), dt, work=work)
         t += dt
     out = ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
                       t, particles.lx, particles.ly)
@@ -312,20 +352,22 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
     u2v = u.u2.values
     dt_cfl = cfl_dt(grid, u1v, u2v, cfl)
 
-    def rhs(t: float, y: tuple) -> tuple:
-        return (transport_coeffs(y[0], u1v, u2v, grid),)
+    work = Workspace()
+
+    def rhs(t: float, y: tuple, out: tuple) -> tuple:
+        return (transport_coeffs(y[0], u1v, u2v, grid, out[0], work),)
 
     times, rows, fields = [], [], []
 
     def emit(t: float, y: tuple, step: int) -> None:
-        adv = SpectralField2(grid, -rhs(t, y)[0], True)  # u . grad f
+        adv = SpectralField2(grid, -rhs(t, y, (None,))[0], True)  # u . grad f
         times.append(t)
         rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
             fields.append(SpectralField2.from_coeffs(grid, y[0]))
 
     _, (c,) = march(rhs, (dealias(f0).coeffs.copy(),), t_end, lambda t, y: dt_cfl,
-                    diag_every, emit)
+                    diag_every, emit, work=work)
     final = SpectralField2.from_coeffs(grid, c)
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,
@@ -348,9 +390,10 @@ def period_function(u, seeds, dt: float = 1e-3,
     else:
         lx = ly = TWO_PI
 
-    def rhs(t: float, y: tuple) -> tuple:
+    def rhs(t: float, y: tuple, out: tuple) -> tuple:
         return (vel(t, y[0][None, :])[0],)
 
+    work = Workspace()
     out = []
     for seed in seeds:
         seed = np.asarray(seed, dtype=np.float64)
@@ -360,7 +403,7 @@ def period_function(u, seeds, dt: float = 1e-3,
         d_hist = []
         period = math.inf
         while t < t_max:
-            (p,) = rk4_step(rhs, t, (p,), dt)
+            (p,) = rk4_step(rhs, t, (p,), dt, work=work)
             t += dt
             dx = (p[0] - seed[0] + lx / 2) % lx - lx / 2
             dy = (p[1] - seed[1] + ly / 2) % ly - ly / 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import optimize
 
-from .fields import SpectralField1, to_coeffs, to_values
+from .fields import SpectralField1, Workspace, to_coeffs, to_values
 from .grids import Grid1
 from .operators import dealias, hilbert_transform
 from .stepping import check_cfl, rk4_step
@@ -285,8 +285,10 @@ def model_run(
     model_rhs = _RHS[model]
     grid = omega0.grid
 
-    def rhs(t: float, y: tuple) -> tuple:
+    def rhs(t: float, y: tuple, out: tuple) -> tuple:
         return (model_rhs(y[0], grid),)
+
+    work = Workspace()
 
     c = dealias(omega0).coeffs.copy()
 
@@ -311,7 +313,7 @@ def model_run(
         if dt_max is not None:
             dt = min(dt, dt_max)
         dt = min(dt, t_end - t)
-        (c,) = rk4_step(rhs, t, (c,), dt)
+        (c,) = rk4_step(rhs, t, (c,), dt, work=work)
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} "
                                      f"(step {len(ts)})")

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (SpectralField, SpectralField1, SpectralField2, VectorField2, to_coeffs,
-                     to_values)
+from .fields import (SpectralField, SpectralField1, SpectralField2, VectorField2, Workspace,
+                     to_coeffs, to_values)
 from .grids import Grid2
 
 
@@ -92,24 +92,41 @@ def dealias(f: SpectralField) -> SpectralField:
 # -- pseudo-spectral building blocks on raw coefficient arrays ------------
 #
 # The time steppers work on bare half-spectrum arrays to avoid wrapper
-# churn in hot loops; these helpers keep that code in one place.
+# churn in hot loops; these helpers keep that code in one place.  Each
+# writes its result into ``out`` when given one (and returns it), and keeps
+# its temporaries in ``work`` (a :class:`~eulerlab.fields.Workspace`), so a
+# stage that passes both allocates no grid-sized array of its own.
 
 
-def stream_velocity(omega_c: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
+def stream_velocity(omega_c: np.ndarray, grid: Grid2,
+                    out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Velocity coefficients perp_grad(inv_laplacian(omega)) of the dealiased vorticity."""
-    psi = grid.inv_minus_k2 * (omega_c * grid.dealias_mask)
-    return -grid.iky * psi, grid.ikx * psi
+    if out is None:
+        out = (np.empty(grid.coeff_shape, np.complex128),
+               np.empty(grid.coeff_shape, np.complex128))
+    u1, u2 = out
+    psi = np.multiply(omega_c, grid.dealias_mask, out=u2)
+    np.multiply(grid.inv_minus_k2, psi, out=psi)
+    np.multiply(-grid.iky, psi, out=u1)
+    np.multiply(grid.ikx, psi, out=u2)
+    return u1, u2
 
 
-def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid2) -> np.ndarray:
+def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid2,
+                     out: np.ndarray | None = None,
+                     work: Workspace | None = None) -> np.ndarray:
     """Coefficients of -u.grad(f) for prescribed physical velocity samples."""
+    work = Workspace() if work is None else work
     mask = grid.dealias_mask
-    fc = f_c * mask
-    fx = to_values(grid.ikx * fc)
-    fy = to_values(grid.iky * fc)
-    adv = to_coeffs(u1 * fx + u2 * fy)
+    fc = np.multiply(f_c, mask, out=work.array("transport.fc", grid.coeff_shape, np.complex128))
+    d = work.array("transport.d", grid.coeff_shape, np.complex128)
+    fx = to_values(np.multiply(grid.ikx, fc, out=d), work.array("transport.fx", grid.shape))
+    fy = to_values(np.multiply(grid.iky, fc, out=d), work.array("transport.fy", grid.shape))
+    np.multiply(u1, fx, out=fx)
+    np.multiply(u2, fy, out=fy)
+    adv = to_coeffs(np.add(fx, fy, out=fx), out)
     adv *= mask
-    return -adv
+    return np.negative(adv, out=adv)
 
 
 def gradient_sup(f_c: np.ndarray, grid: Grid2) -> float:

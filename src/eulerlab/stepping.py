@@ -2,12 +2,27 @@
 
 Each time-stepping system (2D Euler with its scalars and markers, IPM,
 passive scalars, particle advection, the 1D models) supplies a right-hand
-side ``rhs(t, y)`` over its state tuple ``y`` (field coefficients, scalar
-coefficients, marker lifts) and steps it with :func:`rk4_step`.
+side ``rhs(t, y, out)`` over its state tuple ``y`` (field coefficients,
+scalar coefficients, marker lifts) and steps it with :func:`rk4_step`.
 :func:`march` adds the schedule of the 2D runs: a step-size rule such as
 :func:`cfl_dt`, diagnostics and snapshots at fixed cadences, and a
 per-step hook.  A run that meets a non-finite state raises
 :class:`BlowupError`.
+
+Buffers.  :func:`rk4_step` keeps its arrays in a
+:class:`~eulerlab.fields.Workspace` (its own, unless the caller passes
+one): four sets of tendency buffers k1-k4, one set of stage inputs and two
+sets of results.  ``out`` is the tendency set of the stage being
+evaluated, one array per entry of ``y`` with that entry's shape and dtype.
+The rhs returns its tendencies; it may write them into ``out`` and return
+those arrays, or return arrays of its own, but never the arrays of its
+input ``y``.  All four tendencies are live until the final combination,
+so a stage set is never reused within a step; the stage input set is
+rewritten before each of stages 2-4 and then holds the sum of the final
+combination.  The result of a step goes into whichever result set does
+not hold ``y``: it stays valid through the next step, which reads it as
+its ``y``, and is overwritten by the step after.  A caller that keeps a
+state longer copies it.
 """
 
 from __future__ import annotations
@@ -15,6 +30,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .fields import Workspace
 
 #: largest CFL number the RK4 loops accept
 MAX_CFL = 0.5
@@ -60,8 +77,9 @@ def check_t_end(t_end: float) -> None:
 def cfl_dt(grid, u1v: np.ndarray, u2v: np.ndarray, cfl: float) -> float:
     """cfl times the per-direction advective limit; ``inf`` for a fluid at rest."""
     lim = math.inf
-    s1 = float(np.max(np.abs(u1v)))
-    s2 = float(np.max(np.abs(u2v)))
+    # max |u| as max(max u, -min u): the same number, with no temporary
+    s1 = max(float(np.max(u1v)), -float(np.min(u1v)))
+    s2 = max(float(np.max(u2v)), -float(np.min(u2v)))
     if s1 > 0.0:
         lim = grid.dx / s1
     if s2 > 0.0:
@@ -69,28 +87,60 @@ def cfl_dt(grid, u1v: np.ndarray, u2v: np.ndarray, cfl: float) -> float:
     return cfl * lim
 
 
-def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None) -> tuple:
-    """One RK4 step of the tuple ``y``; ``rhs(t, y)`` gives one tendency per entry.
+def _buffers(work: Workspace, name: str, y: tuple) -> tuple:
+    """One workspace array per entry of ``y``, with its shape and dtype."""
+    return tuple(work.array((name, i), a.shape, a.dtype) for i, a in enumerate(y))
+
+
+def _results(work: Workspace, y: tuple) -> tuple:
+    """Per entry of ``y``, the result buffer of the two that does not hold it."""
+    out = []
+    for i, a in enumerate(y):
+        b = work.array(("rk4.y0", i), a.shape, a.dtype)
+        out.append(work.array(("rk4.y1", i), a.shape, a.dtype) if a is b else b)
+    return tuple(out)
+
+
+def _stage_input(y: tuple, h: float, k: tuple, out: tuple) -> tuple:
+    """y + h k into ``out``, entry by entry."""
+    for a, kk, o in zip(y, k, out):
+        np.add(a, np.multiply(h, kk, out=o), out=o)
+    return out
+
+
+def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None,
+             work: Workspace | None = None) -> tuple:
+    """One RK4 step of the tuple ``y``; ``rhs(t, y, out)`` gives one tendency per entry.
 
     A caller that has evaluated the first stage already (to pick ``dt``
-    from its velocity) passes it as ``k1``.
+    from its velocity) passes it as ``k1``.  The buffers live in ``work``
+    (see the module docstring for who owns them and for how long).
     """
+    work = Workspace() if work is None else work
     if k1 is None:
-        k1 = rhs(t, y)
+        k1 = rhs(t, y, _buffers(work, "rk4.k1", y))
     h = 0.5 * dt
-    k2 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k1)))
-    k3 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
+    stage = _buffers(work, "rk4.stage", y)
+    k2 = rhs(t + h, _stage_input(y, h, k1, stage), _buffers(work, "rk4.k2", y))
+    k3 = rhs(t + h, _stage_input(y, h, k2, stage), _buffers(work, "rk4.k3", y))
+    k4 = rhs(t + dt, _stage_input(y, dt, k3, stage), _buffers(work, "rk4.k4", y))
     w = dt / 6.0
-    return tuple(a + w * (p + 2.0 * q + 2.0 * r + s)
-                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+    y_new = _results(work, y)
+    # a + w * (p + 2.0 * q + 2.0 * r + s), in that order of operations
+    for a, p, q, r, s, acc, o in zip(y, k1, k2, k3, k4, stage, y_new):
+        np.add(p, np.multiply(2.0, q, out=acc), out=acc)
+        np.add(acc, np.multiply(2.0, r, out=o), out=acc)
+        np.add(acc, s, out=acc)
+        np.add(a, np.multiply(w, acc, out=acc), out=o)
+    return y_new
 
 
 def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
-          snapshot_every: float = 0.0, snapshot=None, after_step=None) -> tuple:
+          snapshot_every: float = 0.0, snapshot=None, after_step=None,
+          work: Workspace | None = None) -> tuple:
     """Advance ``y`` from t = 0 to ``t_end``; returns the final (t, y).
 
-    Each step evaluates the first stage ``rhs(t, y)``, then takes
+    Each step evaluates the first stage ``rhs(t, y, out)``, then takes
     ``dt_rule(t, y)`` (which may read what that stage left behind, such as
     its velocity) cut to land on the next diagnostics time, snapshot time
     and ``t_end``; with no finite positive rule (a fluid at rest) it steps
@@ -99,20 +149,23 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
     multiples of ``snapshot_every`` ``snapshot(t, y, index)`` (when both are
     set), then at multiples of ``diag_every`` and at ``t_end``
     ``emit(t, y, step)``, which also runs at t = 0.  A time within 1e-12 of
-    a target counts as reaching it.
+    a target counts as reaching it.  Every step runs in the workspace
+    ``work`` (a new one if none is given), so the states the callbacks see
+    follow the lifetime rule of :func:`rk4_step`.
     """
     check_t_end(t_end)
+    work = Workspace() if work is None else work
     t, step = 0.0, 0
     emit(t, y, step)
     next_diag = diag_every
     snap_next = snapshot_every if (snapshot is not None and snapshot_every) else math.inf
     snap_idx = 0
     while t < t_end - _TOL:
-        k1 = rhs(t, y)
+        k1 = rhs(t, y, _buffers(work, "rk4.k1", y))
         dt = min(dt_rule(t, y), next_diag - t, snap_next - t, t_end - t)
         if not math.isfinite(dt) or dt <= 0.0:
             dt = min(next_diag - t, t_end - t)
-        y_new = rk4_step(rhs, t, y, dt, k1)
+        y_new = rk4_step(rhs, t, y, dt, k1, work)
         step += 1
         if after_step is not None:
             after_step(t, dt, y, y_new, step)

@@ -127,6 +127,10 @@ class TestConfigErrors:
         # a marker lattice needs 2 markers per direction (0 means none)
         (TINY_EULER + "marker_lattice = 1\n", "lattice needs m >= 2"),
         (TINY_EULER + "marker_lattice = -4\n", "lattice needs m >= 2"),
+        # the Weber check grids the final lattice, which needs an even m >= 8
+        (TINY_EULER + "marker_lattice = 2\n", "marker_lattice must be an even integer >= 8"),
+        (TINY_EULER + "marker_lattice = 7\n", "marker_lattice must be an even integer >= 8"),
+        (TINY_EULER + "marker_lattice = 9\n", "marker_lattice must be an even integer >= 8"),
         # kmax outside the dealiased band of the grid (16 // 3 = 5)
         ("system = euler2d\nnx = 16\nny = 16\nt_end = 1\npreset = random_bandlimited\n"
          "kmax = 9\n", "kmax must lie inside the dealiased band"),
@@ -204,7 +208,7 @@ _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
                 "eps": (["0", "0.3"], []), "kmax": (["1", "2"], ["0", "6"]),
                 "rms": (["0.2"], []), "casimir_powers": (["", "2 4"], []),
-                "marker_lattice": (["0", "2", "8"], ["-1", "1"]),
+                "marker_lattice": (["0", "8"], ["-1", "1", "2", "9"]),
                 "snapshot_every": (["0", "0.1"], ["-1"])},
     "couette_linear": {"modes": (["1:0:1", "1:0.5:1; 0:1:0.5", "2:-1:0.3"],
                                  ["0:0:1", "1:0:1; 0:0:2"]),

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,58 @@ def poison_after(monkeypatch, module, calls):
         return out * np.nan if count[0] > calls else out
 
     monkeypatch.setattr(module, "transport_coeffs", poisoned)
+
+
+class TestWorkspace:
+    def test_runs_in_one_process_are_bit_identical(self):
+        # 72^2 samples markers through the spline path, whose arrays are reused
+        g = Grid2(72, 72)
+        w = random_band(g, 5, 6, 0.5)
+        scalars = {"a": field(g, lambda X, Y: np.cos(X + Y)),
+                   "b": field(g, lambda X, Y: np.sin(2 * X) * np.cos(Y))}
+        first, second = (e2.run(w, 0.5, diag_every=0.25, casimirs=(), marker_lattice=8,
+                                scalars=scalars) for _ in range(2))
+        assert first.final.omega.coeffs.tobytes() == second.final.omega.coeffs.tobytes()
+        for name in scalars:
+            assert first.scalars[name].coeffs.tobytes() == second.scalars[name].coeffs.tobytes()
+        for a, b in zip(first.marker_snapshots, second.marker_snapshots):
+            assert a.particles.lifts.tobytes() == b.particles.lifts.tobytes()
+        assert len(first.marker_snapshots) == 3
+
+    def test_steps_allocate_no_grid_sized_arrays(self, monkeypatch):
+        """After the first diagnostics interval, the steps between two diagnostics
+        allocate less than two coefficient arrays at their peak (stages with
+        fresh arrays peak at about fourteen)."""
+        g = Grid2(64, 64)
+        w = random_band(g, 2, 6, 0.5)
+        windows, state = [], {"base": 0, "steps": 0}
+        real_diag, real_cfl = e2._diagnostics, e2.cfl_dt
+
+        def diagnostics(*args):
+            windows.append((tracemalloc.get_traced_memory()[1] - state["base"],
+                            state["steps"]))
+            return real_diag(*args)
+
+        def counting_cfl(*args):
+            state["steps"] += 1
+            return real_cfl(*args)
+
+        def observer(_):  # the end of each diagnostics call opens a window
+            tracemalloc.reset_peak()
+            state.update(base=tracemalloc.get_traced_memory()[0], steps=0)
+
+        monkeypatch.setattr(e2, "_diagnostics", diagnostics)
+        monkeypatch.setattr(e2, "cfl_dt", counting_cfl)
+        tracemalloc.start()
+        try:
+            e2.run(w, 3.0, cfl=0.4, diag_every=1.0, casimirs=(), observer=observer,
+                   scalars={"s": field(g, lambda X, Y: np.cos(X + 2 * Y))})
+        finally:
+            tracemalloc.stop()
+        bound = 2 * 16 * g.coeff_shape[0] * g.coeff_shape[1]
+        steady = windows[2:]  # t = 0, then the interval that builds the workspace
+        assert len(steady) == 2 and all(steps >= 10 for _, steps in steady)
+        assert all(peak < bound for peak, _ in steady), (steady, bound)
 
 
 class TestBlowup:

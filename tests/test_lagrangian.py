@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from eulerlab import euler2d as e2, lagrangian as lag
-from eulerlab.fields import SpectralField2, VectorField2, mode_power, resample, to_coeffs
+from eulerlab.fields import (SpectralField2, VectorField2, Workspace, mode_power, resample,
+                             resample_coeffs, to_coeffs, to_values)
 from eulerlab.grids import Grid2
 
 TWO_PI = 2.0 * np.pi
@@ -73,6 +74,24 @@ class TestVelocitySampler:
             want = ndimage.map_coordinates(fine, coords, order=3, mode="grid-wrap",
                                            prefilter=True)
             assert np.max(np.abs(got[:, i] - want)) < 1e-13 * np.max(np.abs(fine))
+
+    def test_workspace_sampler_matches_the_full_padded_transform_bit_for_bit(self):
+        # the x pass runs over the nonzero columns only; the Nyquist lines count
+        g = Grid2(96, 80)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.0, 7.0, size=(300, 2))
+        coords = np.stack([pts[:, 0] * (2 * g.nx / g.lx), pts[:, 1] * (2 * g.ny / g.ly)])
+        inverse = lag._bspline_inverse_symbol(2 * g.nx, 2 * g.ny)
+        work = Workspace()
+        for _ in range(2):  # the second build reuses the first one's arrays
+            u = VectorField2.from_values(g, rng.standard_normal(g.shape),
+                                         rng.standard_normal(g.shape))
+            got = lag.VelocitySampler(g, u.u1.coeffs, u.u2.coeffs, work)(pts)
+            for i, comp in enumerate((u.u1, u.u2)):
+                fine = to_values(resample_coeffs(comp.coeffs, 2 * g.nx, 2 * g.ny) * inverse)
+                want = ndimage.map_coordinates(fine, coords, order=3, mode="grid-wrap",
+                                               prefilter=False)
+                assert got[:, i].tobytes() == want.tobytes()
 
     def test_points_outside_fundamental_cell_wrap(self):
         g = Grid2(32, 32)
@@ -268,6 +287,29 @@ class TestMixing:
         late = np.max(np.abs(p[res.times >= 70.0]))
         early = np.max(np.abs(p[res.times <= 10.0]))
         assert late > 0.5 * early
+
+    def test_test_functions_leave_the_scalar_unchanged(self, monkeypatch):
+        # emit evaluates the tendency outside a step; it must not disturb the
+        # stage buffers of the step that follows
+        g = Grid2(16, 64)
+        X, Y = g.meshgrid()
+        u = VectorField2.from_values(g, np.sin(Y), 0.3 * np.cos(X))
+        f0 = SpectralField2.from_values(g, np.cos(X) * np.sin(2 * Y))
+        phi = SpectralField2.from_values(g, np.cos(X) * (1.0 + np.cos(2 * Y)))
+        real, outside_steps = lag.transport_coeffs, []
+
+        def counting(*args):
+            if args[4] is None:
+                outside_steps.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lag, "transport_coeffs", counting)
+        bare = lag.passive_scalar_evolve(u, f0, 3.0, cfl=0.4, diag_every=0.5)
+        outside_steps.clear()
+        paired = lag.passive_scalar_evolve(u, f0, 3.0, test_functions=[phi],
+                                           cfl=0.4, diag_every=0.5)
+        assert len(outside_steps) == len(paired.times) == 7
+        assert paired.final.coeffs.tobytes() == bare.final.coeffs.tobytes()
 
     def test_grid_mismatch_rejected(self):
         other = SpectralField2.zeros(Grid2(16, 16))

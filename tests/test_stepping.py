@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from eulerlab.fields import Workspace
 from eulerlab.grids import Grid2
 from eulerlab.stepping import BlowupError, cfl_dt, march, rk4_step
 
 
-def mixed_rhs(t, y):
+def mixed_rhs(t, y, out=None):
     """Three independent linear problems of different shapes and dtypes."""
     a, b, c = y
     return (-a, 1j * b, np.cos(t) * np.ones_like(c))
@@ -52,7 +53,7 @@ class TestRk4Step:
         k1 = mixed_rhs(0.0, y)
         calls = []
 
-        def counting(t, y):
+        def counting(t, y, out):
             calls.append(t)
             return mixed_rhs(t, y)
 
@@ -62,7 +63,76 @@ class TestRk4Step:
             assert np.array_equal(a, b)
 
 
-def zero_rhs(t, y):
+def spectral_state():
+    """A complex (n, n/2 + 1) half spectrum and real (p, 2) marker lifts."""
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
+    return (c, rng.uniform(0.0, 2.0 * np.pi, size=(40, 2)))
+
+
+def coupled_rhs(t, y, out=None):
+    """A nonlinear coupled rhs that writes into ``out`` when it is given."""
+    c, p = y
+    kc = 1j * np.cos(t) * c - 0.1 * c * np.abs(c) + np.mean(np.sin(p))
+    kp = np.stack([np.sin(p[:, 1]) + c[1, 1].real, np.cos(p[:, 0]) * c[2, 0].imag], axis=1)
+    if out is None:
+        return kc, kp
+    out[0][...] = kc
+    out[1][...] = kp
+    return out
+
+
+def reference_rk4(rhs, t, y, dt):
+    """RK4 with fresh arrays in the operation order of :func:`rk4_step`."""
+    k1 = rhs(t, y)
+    h = 0.5 * dt
+    k2 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k1)))
+    k3 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k2)))
+    k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
+    w = dt / 6.0
+    return tuple(a + w * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuffers:
+    def test_workspace_steps_match_fresh_arrays_bit_for_bit(self):
+        y0 = spectral_state()
+        work = Workspace()
+        y, want, t, dt = y0, y0, 0.0, 0.037
+        for _ in range(5):
+            y = rk4_step(coupled_rhs, t, y, dt, work=work)
+            want = reference_rk4(coupled_rhs, t, want, dt)
+            t += dt
+            assert all(same_bits(a, b) for a, b in zip(y, want))
+        assert all(same_bits(a, b) for a, b in zip(y0, spectral_state()))
+
+    def test_result_survives_the_next_step(self):
+        work = Workspace()
+        y1 = rk4_step(coupled_rhs, 0.0, spectral_state(), 0.05, work=work)
+        kept = tuple(a.copy() for a in y1)
+        y2 = rk4_step(coupled_rhs, 0.05, y1, 0.05, work=work)
+        assert all(same_bits(a, b) for a, b in zip(y1, kept))
+        assert all(a is not b for a, b in zip(y1, y2))
+
+    def test_march_with_a_workspace_matches_fresh_steps(self):
+        steps, emitted = [], []
+        t, y = march(coupled_rhs, spectral_state(), 0.12, lambda t, y: 0.05, 1.0,
+                     lambda t, y, step: emitted.append(tuple(a.copy() for a in y)),
+                     after_step=lambda t, dt, y, y_new, step: steps.append((t, dt)),
+                     work=Workspace())
+        want = spectral_state()
+        for tw, dt in steps:
+            want = reference_rk4(coupled_rhs, tw, want, dt)
+        assert len(steps) == 3 and t == pytest.approx(0.12)
+        assert all(same_bits(a, b) for a, b in zip(y, want))
+        assert all(same_bits(a, b) for a, b in zip(emitted[-1], want))
+
+
+def zero_rhs(t, y, out):
     return tuple(np.zeros_like(a) for a in y)
 
 
@@ -115,7 +185,7 @@ class TestMarch:
             run_march(t_end, 0.3, 0.07)
 
     def test_returns_final_time_and_state(self):
-        t, (y,) = march(lambda t, y: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
+        t, (y,) = march(lambda t, y, out: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
                         lambda t, y: 0.1, 0.5, lambda t, y, step: None)
         assert t == pytest.approx(1.0)
         np.testing.assert_allclose(y, 1.0, atol=1e-12)
