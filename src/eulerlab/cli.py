@@ -2,7 +2,8 @@
 
 Every run writes plot-ready CSV (17 significant digits), optional EULB
 field containers, and exactly one ``manifest.json`` naming the config
-echo, code version, wall time, and sha256 of every emitted file.  All
+echo, code version, wall time, environment, and sha256 of every emitted
+file.  All
 writes are write-then-rename so readers never observe partial files.
 
 Exit codes: 0 success; 2 config error; 3 numerical failure; 4 blow-up
@@ -16,11 +17,13 @@ import datetime as _dt
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, euler2d, ipm, lagrangian, models1d, presets, selfsim
 from .config import ConfigError, ExperimentConfig, parse_config_file
@@ -69,6 +72,14 @@ def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
+def _environment() -> dict:
+    """What sets the bits of a run besides its config: the library versions
+    (numpy's transforms and reductions) and the CPU they dispatch on."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "machine": platform.machine()}
+
+
 class RunManifest:
     """Collects run metadata and emits manifest.json exactly once."""
 
@@ -100,6 +111,7 @@ class RunManifest:
             "started_utc": self.started,
             "finished_utc": _utc_now(),
             "wall_seconds": round(time.monotonic() - self._t0, 3),
+            "environment": _environment(),
             "status": status,
             "files": {name: _sha256(self.output_dir / name)
                       for name in sorted(set(self.files))},

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import euler2d, presets, selfsim
 from .grids import Grid1, Grid2
-from .stepping import check_cfl, check_schedule, check_t_end
+from .stepping import check_casimir_powers, check_cfl, check_schedule, check_t_end
 
 
 class ConfigError(ValueError):
@@ -155,6 +155,7 @@ def _check_values(system: str, params: dict) -> None:
                        params.get("snapshot_every", 0.0))
         if params.get("marker_lattice", 0) != 0:  # 0: no markers
             euler2d.check_weber_lattice(params["marker_lattice"])
+        check_casimir_powers(params.get("casimir_powers", ()))
     elif system in ("clm", "degregorio"):
         Grid1(params["n"])
         check_cfl(params["cfl"])

@@ -37,8 +37,8 @@ from .lagrangian import (FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
                         transport_coeffs)
 from .snapshots import write_snapshot
-from .stepping import (MAX_CFL, BlowupError, casimir_entries, cfl_dt, check_cfl,
-                       check_schedule, march, rk4_step)
+from .stepping import (MAX_CFL, BlowupError, casimir_integrals, cfl_dt, check_casimir_powers,
+                       check_cfl, check_schedule, march, rk4_step, sup_abs)
 
 
 @dataclass
@@ -134,18 +134,20 @@ def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
     return EulerState(SpectralField2.from_coeffs(grid, cn), state.t + dt)
 
 
-def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, entries) -> DiagnosticsRecord:
+def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, powers,
+                 vals: np.ndarray, work: Workspace) -> DiagnosticsRecord:
+    """The record of the vorticity coefficients ``c``, whose samples are
+    ``vals``, at time t; ``work`` holds the Casimir powers."""
     area = grid.measure
     p2 = mode_power(grid, c)
     energy = 0.5 * area * float(np.sum(np.divide(p2, grid.k2, out=np.zeros_like(p2),
                                                  where=grid.k2 > 0)))
     enstrophy = area * float(np.sum(p2))
     palinstrophy = area * float(np.sum(grid.k2 * p2))
-    vals = to_values(c)
-    cas = {name: grid.cell_area * float(np.sum(fn(vals))) for name, fn in entries}
+    cas = casimir_integrals(vals, powers, "omega", grid.cell_area, work)
     return DiagnosticsRecord(t=t, energy=energy, enstrophy=enstrophy, casimirs=cas,
-                             omega_max=float(np.max(np.abs(vals))),
-                             bkm_integral=bkm, palinstrophy=palinstrophy)
+                             omega_max=sup_abs(vals), bkm_integral=bkm,
+                             palinstrophy=palinstrophy)
 
 
 def _check_finite(rec: DiagnosticsRecord) -> bool:
@@ -169,6 +171,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     ``snapshot_dir`` the last finite state is checkpointed first.
     """
     check_schedule(cfl, diag_every, snapshot_every or 0.0)
+    check_casimir_powers(casimirs)
     grid = omega0.grid
     scalars = dict(scalars or {})
     # EulerState rejects a vorticity with a nonzero mean
@@ -181,25 +184,27 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     work = Workspace()
     stage = _StageEval(grid, markers=markers is not None, work=work)
 
-    entries = casimir_entries(casimirs, "omega")
+    # the samples of the current vorticity: made here for t = 0, then by
+    # after_step for each new state; emit and snapshot read them
+    omega = to_values(y[0], work.array("run.omega", grid.shape))
     bkm = 0.0
-    sup_prev = float(np.max(np.abs(to_values(y[0]))))
+    sup_prev = sup_abs(omega)
 
-    def checkpoint(tag: str, c: np.ndarray, t: float) -> None:
+    def checkpoint(tag: str, vals: np.ndarray, t: float) -> None:
         if snapshot_dir:
             path = os.path.join(snapshot_dir, tag)
-            write_snapshot(path, [to_values(c)], t)
+            write_snapshot(path, [vals], t)
             result.snapshot_paths.append(path)
 
-    def emit(t: float, y: tuple, step: int) -> None:
-        rec = _diagnostics(grid, y[0], t, bkm, entries)
+    def emit(t: float, y: tuple, step: int, k1) -> None:
+        rec = _diagnostics(grid, y[0], t, bkm, casimirs, omega, work)
         if not _check_finite(rec):
             if math.isfinite(rec.omega_max):
-                checkpoint("checkpoint_abort.eulb", y[0], t)
+                checkpoint("checkpoint_abort.eulb", omega, t)
             raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
         result.diagnostics.append(rec)
         for name, fc in zip(scalars, y[1:]):
-            result.scalar_gradients[name].append(gradient_sup(fc, grid))
+            result.scalar_gradients[name].append(gradient_sup(fc, grid, work))
         if markers is not None:
             lifts = y[-1]
             frozen = ParticleSet(markers.wrapped(lifts), lifts.copy(),
@@ -212,16 +217,15 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
         nonlocal bkm, sup_prev
-        vals = to_values(y_new[0], work.array("run.omega", grid.shape))
-        sup_new = float(np.max(np.abs(vals, out=vals)))
+        sup_new = sup_abs(to_values(y_new[0], omega))
         if not math.isfinite(sup_new):
-            checkpoint("checkpoint_abort.eulb", y[0], t)
+            checkpoint("checkpoint_abort.eulb", to_values(y[0]), t)
             raise BlowupError(t + dt, step, result.diagnostics[-1])
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
     def snapshot(t: float, y: tuple, index: int) -> None:
-        checkpoint(f"snap_{index:05d}.eulb", y[0], t)
+        checkpoint(f"snap_{index:05d}.eulb", omega, t)
 
     t, y = march(stage, y, t_end, lambda t, y: cfl_dt(grid, stage.u1v, stage.u2v, cfl),
                  diag_every, emit, snapshot_every or 0.0,

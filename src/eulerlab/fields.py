@@ -41,8 +41,10 @@ class Workspace:
     call, zero-filled when first made (and made anew if the shape or dtype
     changes).  Names are namespaced by their users: ``"rk4..."`` for the
     integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for a 2D stage,
-    ``"transport..."`` for :func:`eulerlab.operators.transport_coeffs` and
-    ``"sampler..."`` for the marker sampler.
+    ``"transport..."`` for :func:`eulerlab.operators.transport_coeffs`,
+    ``"sampler..."`` for the marker sampler, ``"casimir..."`` and
+    ``"gradient..."`` for the diagnostics reductions and ``"run..."`` for
+    what a run keeps between its callbacks.
     """
 
     def __init__(self) -> None:
@@ -81,7 +83,8 @@ def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def mode_power(grid: Grid1 | Grid2, coeffs: np.ndarray) -> np.ndarray:
     """w * |coeffs|^2 per stored mode; it sums to the mean square of the field."""
-    return grid.weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+    re, im = coeffs.real, coeffs.imag
+    return grid.weight * (re * re + im * im)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_values
 from .grids import Grid2
 from .operators import dealias, gradient_sup, transport_coeffs
-from .stepping import BlowupError, casimir_entries, cfl_dt, check_schedule, march
+from .stepping import (BlowupError, casimir_integrals, cfl_dt, check_casimir_powers,
+                       check_schedule, march)
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
 
@@ -71,11 +72,16 @@ class IpmRunResult:
         return np.array([rec.t for rec in self.diagnostics])
 
 
-def _tail_fraction(rho_c: np.ndarray, grid: Grid2) -> float:
+def _outer_band(grid: Grid2) -> np.ndarray:
+    """The dealiased modes beyond 0.8 of the 2/3-rule cutoff in either direction."""
     cx = max(grid.nx // 3, 1)
     cy = max(grid.ny // 3, 1)
-    outer = ((np.abs(grid.mx)[:, None] > 0.8 * cx)
-             | (np.abs(grid.my)[None, :] > 0.8 * cy)) & grid.dealias_mask
+    return ((np.abs(grid.mx)[:, None] > 0.8 * cx)
+            | (np.abs(grid.my)[None, :] > 0.8 * cy)) & grid.dealias_mask
+
+
+def _tail_fraction(rho_c: np.ndarray, grid: Grid2, outer: np.ndarray) -> float:
+    """The share of the fluctuation power of rho on the modes of ``outer``."""
     power = mode_power(grid, rho_c)
     power[0, 0] = 0.0
     total = float(np.sum(power))
@@ -99,32 +105,33 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     :class:`~eulerlab.stepping.BlowupError`.
     """
     check_schedule(cfl, diag_every)
+    check_casimir_powers(casimirs)
     grid = rho0.grid
-    entries = casimir_entries(casimirs, "rho")
     yrow = grid.y[None, :]
+    outer = _outer_band(grid)
     result = IpmRunResult(final=IpmState(rho0, 0.0), diagnostics=[])
     work = Workspace()
     symbols = _velocity_symbols(grid)
     uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
     # the last stage's velocity samples, kept for the CFL rule
     velocity = tuple(work.array(("stage.uv", i), grid.shape) for i in range(2))
+    rho, rho_y = (work.array(("run.rho", i), grid.shape) for i in range(2))
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:
         for m, v in zip(symbols, velocity):
             to_values(np.multiply(m, y[0], out=uc), v)
         return (transport_coeffs(y[0], *velocity, grid, out[0], work),)
 
-    def emit(t: float, y: tuple, step: int) -> None:
+    def emit(t: float, y: tuple, step: int, k1) -> None:
         c = y[0]
-        vals = to_values(c)
+        vals = to_values(c, rho)
         rec = IpmDiagnostics(
             t=t,
             mass=float(np.sum(vals) * grid.cell_area),
-            casimirs={name: float(np.sum(f(vals)) * grid.cell_area)
-                      for name, f in entries},
-            grad_sup=gradient_sup(c, grid),
-            e_pot=float(np.sum(vals * yrow) * grid.cell_area),
-            tail_fraction=_tail_fraction(c, grid),
+            casimirs=casimir_integrals(vals, casimirs, "rho", grid.cell_area, work),
+            grad_sup=gradient_sup(c, grid, work),
+            e_pot=float(np.sum(np.multiply(vals, yrow, out=rho_y)) * grid.cell_area),
+            tail_fraction=_tail_fraction(c, grid, outer),
         )
         if not (math.isfinite(rec.grad_sup) and math.isfinite(rec.e_pot)
                 and math.isfinite(rec.mass)):

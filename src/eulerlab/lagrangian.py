@@ -359,10 +359,14 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
 
     times, rows, fields = [], [], []
 
-    def emit(t: float, y: tuple, step: int) -> None:
-        adv = SpectralField2(grid, -rhs(t, y, (None,))[0], True)  # u . grad f
+    def emit(t: float, y: tuple, step: int, k1) -> None:
         times.append(t)
-        rows.append([l2_inner(adv, phi) for phi in phis])
+        if phis:
+            # u . grad f is -k1, the first stage of the next step; at t_end no
+            # step follows, and the last record evaluates it
+            k1 = rhs(t, y, (None,)) if k1 is None else k1
+            adv = SpectralField2(grid, np.negative(k1[0]), True)
+            rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
             fields.append(SpectralField2.from_coeffs(grid, y[0]))
 

@@ -129,6 +129,9 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
     return np.negative(adv, out=adv)
 
 
-def gradient_sup(f_c: np.ndarray, grid: Grid2) -> float:
-    """Max of |grad f| over the collocation points."""
-    return float(np.max(np.hypot(to_values(grid.ikx * f_c), to_values(grid.iky * f_c))))
+def gradient_sup(f_c: np.ndarray, grid: Grid2, work: Workspace) -> float:
+    """Max of |grad f| over the collocation points, with the samples in ``work``."""
+    d = work.array("gradient.d", grid.coeff_shape, np.complex128)
+    fx = to_values(np.multiply(grid.ikx, f_c, out=d), work.array("gradient.fx", grid.shape))
+    fy = to_values(np.multiply(grid.iky, f_c, out=d), work.array("gradient.fy", grid.shape))
+    return float(np.max(np.hypot(fx, fy, out=fx)))

@@ -6,8 +6,11 @@ side ``rhs(t, y, out)`` over its state tuple ``y`` (field coefficients,
 scalar coefficients, marker lifts) and steps it with :func:`rk4_step`.
 :func:`march` adds the schedule of the 2D runs: a step-size rule such as
 :func:`cfl_dt`, diagnostics and snapshots at fixed cadences, and a
-per-step hook.  A run that meets a non-finite state raises
-:class:`BlowupError`.
+per-step hook; its diagnostics callback gets the first stage of the step
+that follows, so a record reuses it.  A run that meets a non-finite state
+raises :class:`BlowupError`.  :func:`casimir_integrals` gives the moment
+integrals of the records, by the binary powering of
+:func:`integer_powers`.
 
 Buffers.  :func:`rk4_step` keeps its arrays in a
 :class:`~eulerlab.fields.Workspace` (its own, unless the caller passes
@@ -74,12 +77,15 @@ def check_t_end(t_end: float) -> None:
         raise ValueError("t_end must be nonnegative")
 
 
+def sup_abs(vals: np.ndarray) -> float:
+    """max |vals| as max(max vals, -min vals): the same number, with no temporary."""
+    return max(float(np.max(vals)), -float(np.min(vals)))
+
+
 def cfl_dt(grid, u1v: np.ndarray, u2v: np.ndarray, cfl: float) -> float:
     """cfl times the per-direction advective limit; ``inf`` for a fluid at rest."""
     lim = math.inf
-    # max |u| as max(max u, -min u): the same number, with no temporary
-    s1 = max(float(np.max(u1v)), -float(np.min(u1v)))
-    s2 = max(float(np.max(u2v)), -float(np.min(u2v)))
+    s1, s2 = sup_abs(u1v), sup_abs(u2v)
     if s1 > 0.0:
         lim = grid.dx / s1
     if s2 > 0.0:
@@ -140,28 +146,36 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
           work: Workspace | None = None) -> tuple:
     """Advance ``y`` from t = 0 to ``t_end``; returns the final (t, y).
 
-    Each step evaluates the first stage ``rhs(t, y, out)``, then takes
+    Each step evaluates the first stage k1 = ``rhs(t, y, out)``, then takes
     ``dt_rule(t, y)`` (which may read what that stage left behind, such as
     its velocity) cut to land on the next diagnostics time, snapshot time
     and ``t_end``; with no finite positive rule (a fluid at rest) it steps
     by the cadence.  After the step from (t, y) to (t + dt, y_new) run
     ``after_step(t, dt, y, y_new, step)`` (steps count from 1), then at
     multiples of ``snapshot_every`` ``snapshot(t, y, index)`` (when both are
-    set), then at multiples of ``diag_every`` and at ``t_end``
-    ``emit(t, y, step)``, which also runs at t = 0.  A time within 1e-12 of
-    a target counts as reaching it.  Every step runs in the workspace
+    set).  At t = 0, at multiples of ``diag_every`` and at ``t_end`` run
+    ``emit(t, y, step, k1)``, where ``k1`` is the first stage of the next
+    step, already evaluated at (t, y); at ``t_end`` no step follows and
+    ``k1`` is ``None``.  So within a step the order is k1, then ``emit``,
+    then ``dt_rule``: ``emit`` may read k1 and whatever else the stage
+    left behind, but must write none of it.  A time within 1e-12 of a
+    target counts as reaching it.  Every step runs in the workspace
     ``work`` (a new one if none is given), so the states the callbacks see
     follow the lifetime rule of :func:`rk4_step`.
     """
     check_t_end(t_end)
     work = Workspace() if work is None else work
-    t, step = 0.0, 0
-    emit(t, y, step)
+    t, step, due = 0.0, 0, True
     next_diag = diag_every
     snap_next = snapshot_every if (snapshot is not None and snapshot_every) else math.inf
     snap_idx = 0
-    while t < t_end - _TOL:
-        k1 = rhs(t, y, _buffers(work, "rk4.k1", y))
+    while True:
+        more = t < t_end - _TOL
+        k1 = rhs(t, y, _buffers(work, "rk4.k1", y)) if more else None
+        if due:
+            emit(t, y, step, k1)
+        if not more:
+            return t, y
         dt = min(dt_rule(t, y), next_diag - t, snap_next - t, t_end - t)
         if not math.isfinite(dt) or dt <= 0.0:
             dt = min(next_diag - t, t_end - t)
@@ -175,13 +189,46 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
             snapshot(t, y, snap_idx)
             snap_idx += 1
             snap_next += snapshot_every
-        if t >= next_diag - _TOL or t >= t_end - _TOL:
-            emit(t, y, step)
-            while next_diag <= t + _TOL:
-                next_diag += diag_every
-    return t, y
+        due = t >= next_diag - _TOL or t >= t_end - _TOL
+        while next_diag <= t + _TOL:
+            next_diag += diag_every
 
 
-def casimir_entries(powers, symbol: str) -> list:
-    """(name, f) pairs for the moment integrals of the field to each power p."""
-    return [(f"{symbol}^{p}", lambda w, p=p: w**p) for p in powers or ()]
+def check_casimir_powers(powers) -> None:
+    """Reject a Casimir power below 1: the integral of w^0 is the cell area,
+    and a negative power divides by the round-off zeros of w."""
+    for p in powers or ():
+        if p < 1:
+            raise ValueError(f"casimir_powers must be integers >= 1, got {p}")
+
+
+def integer_powers(vals: np.ndarray, powers, work: Workspace):
+    """Yield (p, vals^p) for each integer p >= 1 of ``powers``, in order.
+
+    The powers come by binary powering: a ladder of squares vals^(2^i),
+    shared by every p, then the product of the rungs of p's set bits from
+    the lowest, so vals^3 = vals^2 * vals and vals^4 = vals^2 * vals^2.  A
+    product of correctly rounded multiplications is within about (p - 1)
+    ulp of the exact power, on every machine; numpy's ``power`` takes a
+    scalar path for p >= 3 on negative bases that is dozens of times
+    slower, and its bits depend on the SIMD dispatch.  vals^2 is
+    ``vals * vals``, the bits of ``vals**2``.  The arrays live in ``work``
+    under ``"casimir..."``; each is valid until the next is yielded.
+    """
+    ladder = [vals]
+    for p in powers or ():
+        while 1 << len(ladder) <= p:
+            rung = work.array(("casimir.rung", len(ladder)), vals.shape)
+            ladder.append(np.multiply(ladder[-1], ladder[-1], out=rung))
+        term, *rest = (rung for i, rung in enumerate(ladder) if p >> i & 1)
+        for rung in rest:
+            term = np.multiply(term, rung, out=work.array("casimir.term", vals.shape))
+        yield p, term
+
+
+def casimir_integrals(vals: np.ndarray, powers, symbol: str, cell_area: float,
+                      work: Workspace) -> dict:
+    """``{f"{symbol}^{p}": cell_area * sum(vals^p)}``: the collocation Casimirs
+    of the samples ``vals``, with the powers of :func:`integer_powers`."""
+    return {f"{symbol}^{p}": cell_area * float(np.sum(wp))
+            for p, wp in integer_powers(vals, powers, work)}

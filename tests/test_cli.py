@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -131,6 +133,9 @@ class TestConfigErrors:
         (TINY_EULER + "marker_lattice = 2\n", "marker_lattice must be an even integer >= 8"),
         (TINY_EULER + "marker_lattice = 7\n", "marker_lattice must be an even integer >= 8"),
         (TINY_EULER + "marker_lattice = 9\n", "marker_lattice must be an even integer >= 8"),
+        # a Casimir power below 1 integrates the cell area or divides by round-off zeros
+        (TINY_EULER + "casimir_powers = 0\n", "casimir_powers must be integers >= 1"),
+        (TINY_EULER + "casimir_powers = -1\n", "casimir_powers must be integers >= 1"),
         # kmax outside the dealiased band of the grid (16 // 3 = 5)
         ("system = euler2d\nnx = 16\nny = 16\nt_end = 1\npreset = random_bandlimited\n"
          "kmax = 9\n", "kmax must lie inside the dealiased band"),
@@ -207,7 +212,7 @@ _MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]), "amplitude": (["-1", "0", 
 _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
                 "eps": (["0", "0.3"], []), "kmax": (["1", "2"], ["0", "6"]),
-                "rms": (["0.2"], []), "casimir_powers": (["", "2 4"], []),
+                "rms": (["0.2"], []), "casimir_powers": (["", "2 4"], ["0", "-1"]),
                 "marker_lattice": (["0", "8"], ["-1", "1", "2", "9"]),
                 "snapshot_every": (["0", "0.1"], ["-1"])},
     "couette_linear": {"modes": (["1:0:1", "1:0.5:1; 0:1:0.5", "2:-1:0.3"],
@@ -289,6 +294,14 @@ class TestRunArtifacts:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("t,energy,enstrophy")
         assert len(lines) == 1 + 3  # t = 0, 0.25, 0.5
+
+    def test_manifest_names_the_environment(self, tmp_path):
+        out = tmp_path / "a"
+        main(["run", "--config", write_cfg(tmp_path, TINY_EULER), "--output-dir", str(out)])
+        env = read_manifest(out)["environment"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                       "machine": platform.machine()}
 
     def test_manifest_checksums_match_files(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_EULER)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab import euler2d as e2
-from eulerlab.fields import SpectralField2, VectorField2, l2_inner, mode_power, to_coeffs
+from eulerlab.fields import (SpectralField2, VectorField2, Workspace, l2_inner, mode_power,
+                             to_coeffs, to_values)
 from eulerlab.grids import Grid2
 from eulerlab.operators import biot_savart
 from eulerlab.snapshots import read_snapshot
@@ -130,6 +131,23 @@ class TestRunDiagnostics:
         assert np.allclose(r1.times, [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-9)
         for a, b in zip(r1.diagnostics, r2.diagnostics):
             assert a.energy == b.energy and a.enstrophy == b.enstrophy
+
+    def test_records_match_diagnostics_from_the_coefficients(self, tmp_path):
+        # the run reads the samples its steps made; a record made afresh from
+        # the coefficients, and the snapshot of the same time, have its bits
+        g = Grid2(32, 32)
+        w = random_band(g, 4, 4, 0.5)
+        states = []
+        res = e2.run(w, 1.0, diag_every=0.25, casimirs=(2, 3, 4),
+                     snapshot_dir=str(tmp_path), snapshot_every=0.25,
+                     observer=lambda s: states.append((s.t, s.omega.coeffs.copy())))
+        assert len(res.diagnostics) == len(states) == 5
+        for rec, (t, c) in zip(res.diagnostics, states):
+            assert rec == e2._diagnostics(g, c, t, rec.bkm_integral, (2, 3, 4), to_values(c),
+                                          Workspace())
+        for i, (t, c) in enumerate(states[1:]):
+            blocks, t_read = read_snapshot(tmp_path / f"snap_{i:05d}.eulb")
+            assert t_read == t and blocks[0].tobytes() == to_values(c).tobytes()
 
     def test_quadratic_invariants_drift(self):
         g = Grid2(64, 64)

@@ -289,8 +289,9 @@ class TestMixing:
         assert late > 0.5 * early
 
     def test_test_functions_leave_the_scalar_unchanged(self, monkeypatch):
-        # emit evaluates the tendency outside a step; it must not disturb the
-        # stage buffers of the step that follows
+        # the pairings read the first stage of the next step; only the final
+        # record, which no step follows, evaluates the tendency outside a
+        # step, and the scalar keeps the bits of a run with no pairings
         g = Grid2(16, 64)
         X, Y = g.meshgrid()
         u = VectorField2.from_values(g, np.sin(Y), 0.3 * np.cos(X))
@@ -305,11 +306,26 @@ class TestMixing:
 
         monkeypatch.setattr(lag, "transport_coeffs", counting)
         bare = lag.passive_scalar_evolve(u, f0, 3.0, cfl=0.4, diag_every=0.5)
-        outside_steps.clear()
+        assert outside_steps == []
         paired = lag.passive_scalar_evolve(u, f0, 3.0, test_functions=[phi],
                                            cfl=0.4, diag_every=0.5)
-        assert len(outside_steps) == len(paired.times) == 7
+        assert len(outside_steps) == 1 and len(paired.times) == 7
         assert paired.final.coeffs.tobytes() == bare.final.coeffs.tobytes()
+
+    def test_pairings_match_a_fresh_tendency_per_record(self):
+        g = Grid2(16, 64)
+        X, Y = g.meshgrid()
+        u = VectorField2.from_values(g, np.sin(Y), 0.3 * np.cos(X))
+        f0 = SpectralField2.from_values(g, np.cos(X) * np.sin(2 * Y))
+        phis = [SpectralField2.from_values(g, np.cos(X) * (1.0 + np.cos(2 * Y))),
+                SpectralField2.from_values(g, np.sin(X + Y))]
+        res = lag.passive_scalar_evolve(u, f0, 3.0, test_functions=phis, cfl=0.4,
+                                        diag_every=0.5, store_fields=True)
+        u1v, u2v = u.u1.values, u.u2.values
+        want = [[lag.l2_inner(SpectralField2(g, -lag.transport_coeffs(f.coeffs, u1v, u2v, g),
+                                             True), phi) for f in res.fields] for phi in phis]
+        assert res.pairings.shape == (2, 7)
+        assert res.pairings.tobytes() == np.array(want).tobytes()
 
     def test_grid_mismatch_rejected(self):
         other = SpectralField2.zeros(Grid2(16, 16))

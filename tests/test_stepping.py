@@ -1,13 +1,15 @@
 """The shared integrator: RK4 order, the output cadence, the CFL rule, blow-up."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eulerlab.fields import Workspace
 from eulerlab.grids import Grid2
-from eulerlab.stepping import BlowupError, cfl_dt, march, rk4_step
+from eulerlab.stepping import (BlowupError, casimir_integrals, cfl_dt, integer_powers, march,
+                               rk4_step)
 
 
 def mixed_rhs(t, y, out=None):
@@ -121,7 +123,7 @@ class TestBuffers:
     def test_march_with_a_workspace_matches_fresh_steps(self):
         steps, emitted = [], []
         t, y = march(coupled_rhs, spectral_state(), 0.12, lambda t, y: 0.05, 1.0,
-                     lambda t, y, step: emitted.append(tuple(a.copy() for a in y)),
+                     lambda t, y, step, k1: emitted.append(tuple(a.copy() for a in y)),
                      after_step=lambda t, dt, y, y_new, step: steps.append((t, dt)),
                      work=Workspace())
         want = spectral_state()
@@ -139,7 +141,7 @@ def zero_rhs(t, y, out):
 def run_march(t_end, diag_every, dt, snapshot_every=0.0):
     log = {"emit": [], "snap": [], "dt": []}
     march(zero_rhs, (np.zeros(2),), t_end, lambda t, y: dt, diag_every,
-          lambda t, y, step: log["emit"].append((t, step)),
+          lambda t, y, step, k1: log["emit"].append((t, step)),
           snapshot_every, lambda t, y, index: log["snap"].append((t, index)),
           lambda t, dt, y, y_new, step: log["dt"].append(dt))
     return log
@@ -164,7 +166,7 @@ class TestMarch:
     def test_no_snapshots_without_a_callback(self):
         log = {"dt": []}
         march(zero_rhs, (np.zeros(2),), 1.0, lambda t, y: 0.7, 0.5,
-              lambda t, y, step: None, 0.25, None,
+              lambda t, y, step, k1: None, 0.25, None,
               lambda t, dt, y, y_new, step: log["dt"].append(dt))
         assert log["dt"] == [0.5, 0.5]
 
@@ -184,11 +186,62 @@ class TestMarch:
         with pytest.raises(ValueError, match="t_end must be nonnegative"):
             run_march(t_end, 0.3, 0.07)
 
+    def test_emit_gets_the_first_stage_of_the_next_step(self):
+        calls, records = [], []
+
+        def counting_rhs(t, y, out):
+            calls.append(t)
+            return coupled_rhs(t, y, out)
+
+        def emit(t, y, step, k1):
+            fresh = coupled_rhs(t, y)
+            records.append((step, None if k1 is None
+                            else all(same_bits(a, b) for a, b in zip(k1, fresh))))
+
+        march(counting_rhs, spectral_state(), 0.2, lambda t, y: 0.03, 0.05, emit)
+        steps = records[-1][0]
+        assert [same for _, same in records] == [True] * 4 + [None]
+        assert len(calls) == 4 * steps
+
     def test_returns_final_time_and_state(self):
         t, (y,) = march(lambda t, y, out: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
-                        lambda t, y: 0.1, 0.5, lambda t, y, step: None)
+                        lambda t, y: 0.1, 0.5, lambda t, y, step, k1: None)
         assert t == pytest.approx(1.0)
         np.testing.assert_allclose(y, 1.0, atol=1e-12)
+
+
+class TestIntegerPowers:
+    def values(self):
+        rng = np.random.default_rng(5)
+        return rng.normal(size=(32, 32)) * np.exp(rng.uniform(-3.0, 3.0, size=(32, 32)))
+
+    def test_square_has_the_bits_of_the_library_square(self):
+        vals = self.values()
+        ((p, sq),) = integer_powers(vals, (2,), Workspace())
+        assert p == 2 and same_bits(sq, vals**2)
+
+    def test_powers_within_p_minus_1_ulp_of_the_exact_power(self):
+        vals = self.values()
+        exact_vals = [Fraction(float(v)) for v in vals.ravel()]
+        for p, wp in integer_powers(vals, range(3, 9), Workspace()):
+            for got, x in zip(wp.ravel(), exact_vals):
+                exact = x**p
+                assert abs(Fraction(float(got)) - exact) <= (p - 1) * 2.0**-52 * abs(exact)
+
+    def test_casimir_sums_match_exact_sums(self):
+        vals = self.values()
+        sums = casimir_integrals(vals, range(3, 9), "w", 1.0, Workspace())
+        for p in range(3, 9):
+            exact = [float(Fraction(float(v))**p) for v in vals.ravel()]
+            scale = math.fsum(abs(e) for e in exact)
+            assert abs(sums[f"w^{p}"] - math.fsum(exact)) <= 1e-14 * scale
+
+    def test_shared_ladder_gives_each_power_alone(self):
+        vals, work = self.values(), Workspace()
+        together = casimir_integrals(vals, (2, 3, 4, 7), "w", 0.5, work)
+        alone = {k: v for p in (7, 4, 3, 2)
+                 for k, v in casimir_integrals(vals, (p,), "w", 0.5, Workspace()).items()}
+        assert together == alone
 
 
 class TestCflDt:

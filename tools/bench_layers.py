@@ -1,4 +1,5 @@
-"""Time the spectral stage, the marker sampler and a 256^2 run in two source trees.
+"""Time the spectral stage, the marker sampler, the diagnostics records and a
+256^2 run in two source trees.
 
 Usage::
 
@@ -14,6 +15,14 @@ first, and each child measures in-process:
   transforms, transport) at n^2, n = 96, 128, 256, median of 200 calls;
 - ``sampler_96_ms``: one marker sampler build plus one sample of 4,096
   points at 96^2, median of 200;
+- ``diagnostics_128_ms``: one Euler diagnostics record
+  (``euler2d._diagnostics``) at 128^2 with the Casimir powers 2, 3 and 4,
+  called as the run calls it at a step: with the vorticity samples the
+  step made when the tree's signature takes them, else from the
+  coefficients alone; median of 200;
+- ``ipm_emit_128_ms``: one IPM diagnostics record at 128^2 (the ``emit``
+  callback that ``ipm.ipm_run`` hands to ``march``, taken from a run of
+  zero length), median of 200;
 - ``run_256``: ``euler2d.run`` on seeded band noise at 256^2 with the
   shape of the ``euler-256`` benchmark workload (t_end 5, cfl 0.4,
   diagnostics every 1.25, no snapshots): wall time, steps, ms per step and
@@ -48,7 +57,7 @@ GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant
 _CHILD = r"""
 import inspect, json, resource, statistics, time
 import numpy as np
-from eulerlab import euler2d, fields, lagrangian, operators, presets
+from eulerlab import euler2d, fields, ipm, lagrangian, operators, presets, stepping
 from eulerlab.grids import Grid2
 
 
@@ -86,12 +95,41 @@ def sampler_call(grid, omega, points):
     return lambda: lagrangian.VelocitySampler(grid, u1c, u2c)(points)
 
 
+def diagnostics_call(grid, omega):
+    c, powers = omega.coeffs, (2, 3, 4)
+    if "vals" in inspect.signature(euler2d._diagnostics).parameters:
+        vals, work = fields.to_values(c), fields.Workspace()
+        return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, powers, vals, work)
+    entries = stepping.casimir_entries(powers, "omega")
+    return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, entries)
+
+
+def ipm_emit_call(grid, rho):
+    grabbed, real_march = {}, ipm.march
+
+    def grab(rhs, y, t_end, dt_rule, diag_every, emit, **kwargs):
+        grabbed.update(emit=emit, y=y)
+        return real_march(rhs, y, t_end, dt_rule, diag_every, emit, **kwargs)
+
+    ipm.march = grab
+    try:
+        ipm.ipm_run(rho, 0.0)
+    finally:
+        ipm.march = real_march
+    emit, y = grabbed["emit"], grabbed["y"]
+    if len(inspect.signature(emit).parameters) == 4:
+        return lambda: emit(0.0, y, 0, None)
+    return lambda: emit(0.0, y, 0)
+
+
 res = {}
 for n in (96, 128, 256):
     res[f"stage_{n}_ms"] = median_ms(stage_call(*band(n)))
 grid, omega = band(96)
 points = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(4096, 2))
 res["sampler_96_ms"] = median_ms(sampler_call(grid, omega, points))
+res["diagnostics_128_ms"] = median_ms(diagnostics_call(*band(128)))
+res["ipm_emit_128_ms"] = median_ms(ipm_emit_call(*band(128)))
 
 grid, omega = band(256)
 euler2d.run(omega, 0.2, cfl=0.4, diag_every=0.1, casimirs=(4,))  # warm-up
