@@ -273,8 +273,7 @@ _RUNNERS = {
     "euler2d": _run_euler2d,
     "couette_linear": _run_couette,
     "passive_scalar": _run_passive_scalar,
-    "clm": _run_model1d,
-    "degregorio": _run_model1d,
+    **dict.fromkeys(models1d.MODELS, _run_model1d),
     "selfsim": _run_selfsim,
     "lemma_check": _run_lemma_check,
     "ipm": _run_ipm,

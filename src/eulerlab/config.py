@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from . import euler2d, presets, selfsim
+from . import euler2d, models1d, presets, selfsim
 from .grids import Grid1, Grid2
 from .stepping import check_casimir_powers, check_cfl, check_schedule, check_t_end
 
@@ -23,8 +23,8 @@ class ConfigError(ValueError):
     """Raised for any malformed or inconsistent experiment config."""
 
 
-SYSTEMS = ("euler2d", "couette_linear", "passive_scalar", "clm",
-           "degregorio", "selfsim", "lemma_check", "ipm")
+SYSTEMS = ("euler2d", "couette_linear", "passive_scalar", *models1d.MODELS,
+           "selfsim", "lemma_check", "ipm")
 
 _REQUIRED = object()
 
@@ -107,7 +107,7 @@ _SCHEMAS: dict[str, dict] = {
         "velocity": ("str", "shear_sin"),
         "test_function": ("str", "bessel_pair"),
     },
-    "clm": {
+    **dict.fromkeys(models1d.MODELS, {
         "n": ("int", _REQUIRED),
         "amplitude": ("float", 1.0),
         "cfl": ("float", 0.1),
@@ -115,7 +115,7 @@ _SCHEMAS: dict[str, dict] = {
         "omega_cap": ("float", 0.0),
         "dt_max": ("float", 0.0),
         "tail_threshold": ("float", 1e-6),
-    },
+    }),
     "selfsim": {
         "n": ("int", 1024),
         "domain_half_width": ("float", 20.0),
@@ -142,7 +142,6 @@ _SCHEMAS: dict[str, dict] = {
         "tail_threshold": ("float", 1e-6),
     },
 }
-_SCHEMAS["degregorio"] = dict(_SCHEMAS["clm"])
 
 
 def _check_values(system: str, params: dict) -> None:
@@ -156,7 +155,7 @@ def _check_values(system: str, params: dict) -> None:
         if params.get("marker_lattice", 0) != 0:  # 0: no markers
             euler2d.check_weber_lattice(params["marker_lattice"])
         check_casimir_powers(params.get("casimir_powers", ()))
-    elif system in ("clm", "degregorio"):
+    elif system in models1d.MODELS:
         Grid1(params["n"])
         check_cfl(params["cfl"])
         if not params["dt_max"] >= 0.0:  # 0: no cap

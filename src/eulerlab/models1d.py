@@ -1,11 +1,15 @@
 """1D vorticity-model solvers on the circle.
 
-Two right-hand sides share the state representation:
+One family of models shares the state representation (H. Okamoto,
+T. Sakajo and M. Wunsch, Nonlinearity 21, 2008):
 
-* ``clm``        : d(omega)/dt = omega * H(omega)
-* ``degregorio`` : d(omega)/dt = -u d(omega)/dx + omega du/dx,  du/dx = H(omega)
+    d(omega)/dt + a u d(omega)/dx = omega H(omega),   du/dx = H(omega),  mean(u) = 0
 
-The first has a closed-form solution through the Riccati variable
+The names of :data:`MODELS` are aliases for a: ``clm`` is a = 0 (the
+Constantin-Lax-Majda model) and ``degregorio`` is a = 1.  Runs step on
+:func:`eulerlab.stepping.march`.
+
+At a = 0 the model has a closed-form solution through the Riccati variable
 z = H(omega) + i*omega (dz/dt = z^2/2), which this module uses as an
 oracle: with that substitution
 
@@ -28,9 +32,10 @@ from scipy import optimize
 from .fields import SpectralField1, Workspace, to_coeffs, to_values
 from .grids import Grid1
 from .operators import dealias, hilbert_transform
-from .stepping import check_cfl, rk4_step
+from .stepping import check_cfl, march, sup_abs
 
-MODELS = ("clm", "degregorio")
+#: model name -> the transport coefficient a
+MODELS = {"clm": 0.0, "degregorio": 1.0}
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class ModelState:
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
+            raise ValueError(f"unknown model {self.model!r}; choose from {tuple(MODELS)}")
 
 
 @dataclass
@@ -66,61 +71,32 @@ class ModelRunResult:
     states: list[ModelState] = dc_field(default_factory=list)
 
 
-# -- right-hand sides --------------------------------------------------------
+# -- the right-hand side ------------------------------------------------------
 
 
-def _clm_rhs_coeffs(c: np.ndarray, grid: Grid1) -> np.ndarray:
-    mask = grid.dealias_mask
-    wc = c * mask
-    w = to_values(wc)
-    h = to_values(grid.hilbert * wc)
-    return to_coeffs(w * h) * mask
+def _rhs_coeffs(c: np.ndarray, grid: Grid1, a: float, u: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased omega * H(omega) - a u omega_x; with a != 0 the velocity
+    samples go into ``u`` (a new array if none is given).
 
-
-def _degregorio_velocity(hw: np.ndarray, grid: Grid1) -> np.ndarray:
-    """Coefficients of the mean-free u with du/dx = H(omega): H(omega) / (ik)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(grid.ik != 0, hw / np.where(grid.ik != 0, grid.ik, 1.0), 0.0)
-
-
-def _degregorio_rhs_coeffs(c: np.ndarray, grid: Grid1) -> np.ndarray:
+    At a = 0 neither u nor omega_x is transformed.  u is the mean-free
+    antiderivative H(omega) / (ik) of H(omega), with zero at k = 0.
+    """
     mask = grid.dealias_mask
     wc = c * mask
     hw = grid.hilbert * wc
-    u = to_values(_degregorio_velocity(hw, grid))
-    ux = to_values(hw)
-    w = to_values(wc)
+    w, h = to_values(wc), to_values(hw)
+    if a == 0.0:
+        return to_coeffs(w * h) * mask
+    with np.errstate(invalid="ignore", divide="ignore"):
+        uc = np.where(grid.ik != 0, hw / np.where(grid.ik != 0, grid.ik, 1.0), 0.0)
+    u = to_values(uc, u)
     wx = to_values(grid.ik * wc)
-    return to_coeffs(-u * wx + w * ux) * mask
+    return to_coeffs(w * h - a * u * wx) * mask
 
 
-_RHS = {"clm": _clm_rhs_coeffs, "degregorio": _degregorio_rhs_coeffs}
-
-
-def _transport_dt_cap(c: np.ndarray, grid: Grid1) -> float:
-    """RK4 stability limit for the advective term of the transport model.
-
-    The u df/dx term puts eigenvalues on the imaginary axis up to
-    k_max sup|u|; RK4 is stable to ~2.8 there, so cap dt below that
-    (the sup-based law alone is unstable on fine grids for smooth data).
-    """
-    uc = _degregorio_velocity(grid.hilbert * (c * grid.dealias_mask), grid)
-    sup_u = float(np.max(np.abs(to_values(uc))))
-    k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
-    if sup_u * k_max == 0.0:
-        return math.inf
-    return 2.5 / (k_max * sup_u)
-
-
-def clm_rhs(omega: SpectralField1) -> SpectralField1:
-    """Dealiased pointwise product omega * H(omega)."""
-    c = _clm_rhs_coeffs(omega.coeffs, omega.grid)
-    return SpectralField1(omega.grid, c, bool(abs(c[0]) == 0.0))
-
-
-def degregorio_rhs(omega: SpectralField1) -> SpectralField1:
-    """Transport-and-stretch right-hand side with du/dx = H(omega), mean(u) = 0."""
-    c = _degregorio_rhs_coeffs(omega.coeffs, omega.grid)
+def model_rhs(omega: SpectralField1, a: float) -> SpectralField1:
+    """omega * H(omega) - a u omega_x, dealiased, with u_x = H(omega) and mean(u) = 0."""
+    c = _rhs_coeffs(omega.coeffs, omega.grid, a)
     return SpectralField1(omega.grid, c, bool(abs(c[0]) == 0.0))
 
 
@@ -263,9 +239,11 @@ def model_run(
     store_factor: float | None = None,
 ) -> ModelRunResult:
     """
-    Integrate a 1D model with adaptive dt = cfl / sup|omega|.  For the
-    transport model dt is additionally capped by the advective stability
-    limit ~2.5 / (k_max sup|u|), which the sup-based law does not see.
+    Integrate a 1D model on :func:`~eulerlab.stepping.march` with adaptive
+    dt = cfl / sup|omega|.  With a != 0, dt is additionally capped by the
+    advective stability limit ~2.5 / (k_max |a| sup|u|), which the
+    sup-based law does not see; sup|u| is read from the first stage of the
+    step.
 
     Stops at ``t_end`` or when the refined sup norm reaches ``omega_cap``.
     Blow-up is reported when the cap is hit with accelerating growth, in
@@ -278,81 +256,72 @@ def model_run(
     which keeps memory bounded on fine grids.
     """
     if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+        raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}")
     check_cfl(cfl)
     if dt_max is not None and not dt_max > 0.0:
         raise ValueError("dt_max must be positive")
-    model_rhs = _RHS[model]
+    a = MODELS[model]
     grid = omega0.grid
+    work = Workspace()
+    u = work.array("stage.u", grid.shape)
+    k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (model_rhs(y[0], grid),)
+        return (_rhs_coeffs(y[0], grid, a, u),)
 
-    work = Workspace()
+    def dt_rule(t: float, y: tuple) -> float:
+        dt = cfl / max(sups[-1], 1e-12)
+        speed = abs(a) * sup_abs(u) * k_max if a != 0.0 else 0.0
+        if speed != 0.0:  # RK4 is stable to ~2.8 on the imaginary axis
+            dt = min(dt, 2.5 / speed)
+        return dt if dt_max is None else min(dt, dt_max)
+
+    def stop(t: float, y: tuple) -> bool:
+        nonlocal cap_reached
+        cap_reached = omega_cap is not None and sups[-1] >= omega_cap
+        return cap_reached
+
+    def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
+        nonlocal under_resolved, last_stored_sup
+        (c,) = y_new
+        if not np.all(np.isfinite(c)):
+            raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} (step {step})")
+        sup_new = refined_sup(SpectralField1(grid, c, bool(abs(c[0]) == 0.0)))
+        ts.append(t + dt)
+        bkm.append(bkm[-1] + 0.5 * dt * (sups[-1] + sup_new))
+        sups.append(sup_new)
+        if _spectral_tail(c, grid) > tail_threshold:
+            under_resolved = True
+        if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
+            states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt, model))
+            last_stored_sup = sup_new
 
     c = dealias(omega0).coeffs.copy()
-
-    t = 0.0
     ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c, omega0.mean_free))], [0.0]
     states: list[ModelState] = []
     under_resolved = _spectral_tail(c, grid) > tail_threshold
     cap_reached = False
-
     if store_states:
         states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0, model))
     last_stored_sup = sups[0]
 
-    while t < t_end:
-        sup_now = sups[-1]
-        if omega_cap is not None and sup_now >= omega_cap:
-            cap_reached = True
-            break
-        dt = cfl / max(sup_now, 1e-12)
-        if model == "degregorio":
-            dt = min(dt, _transport_dt_cap(c, grid))
-        if dt_max is not None:
-            dt = min(dt, dt_max)
-        dt = min(dt, t_end - t)
-        (c,) = rk4_step(rhs, t, (c,), dt, work=work)
-        if not np.all(np.isfinite(c)):
-            raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} "
-                                     f"(step {len(ts)})")
-        t += dt
-        f = SpectralField1(grid, c, bool(abs(c[0]) == 0.0))
-        sup_new = refined_sup(f)
-        ts.append(t)
-        sups.append(sup_new)
-        bkm.append(bkm[-1] + 0.5 * dt * (sup_now + sup_new))
-        if _spectral_tail(c, grid) > tail_threshold:
-            under_resolved = True
-        if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
-            states.append(ModelState(SpectralField1.from_coeffs(grid, c), t, model))
-            last_stored_sup = sup_new
+    t, (c,) = march(rhs, (c,), t_end, dt_rule, math.inf, lambda t, y, step, k1: None,
+                    after_step=after_step, stop=stop, work=work)
 
     if store_states and states[-1].t < t:
         states.append(ModelState(SpectralField1.from_coeffs(grid, c), t, model))
 
-    ts_a = np.array(ts)
-    sups_a = np.array(sups)
-    bkm_a = np.array(bkm)
-
-    detected = False
-    t_star = None
+    ts_a, sups_a = np.array(ts), np.array(sups)
+    detected, t_star = False, None
     if cap_reached and len(sups_a) >= 6:
         rates = np.diff(np.log(sups_a[-5:])) / np.diff(ts_a[-5:])
         if np.all(np.diff(rates) > 0.0):
             detected = True
             t_star = _fit_t_star(ts_a, sups_a)
 
-    report = BlowupReport(
-        detected=detected,
-        t_star_estimate=t_star,
-        ts=ts_a,
-        omega_max_series=sups_a,
-        bkm_series=bkm_a,
-        under_resolved=under_resolved,
-        cap_reached=cap_reached,
-    )
+    report = BlowupReport(detected=detected, t_star_estimate=t_star, ts=ts_a,
+                          omega_max_series=sups_a, bkm_series=np.array(bkm),
+                          under_resolved=under_resolved, cap_reached=cap_reached)
     final = ModelState(SpectralField1.from_coeffs(grid, c), t, model)
     return ModelRunResult(report=report, final=final, states=states)
 

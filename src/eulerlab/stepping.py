@@ -4,13 +4,13 @@ Each time-stepping system (2D Euler with its scalars and markers, IPM,
 passive scalars, particle advection, the 1D models) supplies a right-hand
 side ``rhs(t, y, out)`` over its state tuple ``y`` (field coefficients,
 scalar coefficients, marker lifts) and steps it with :func:`rk4_step`.
-:func:`march` adds the schedule of the 2D runs: a step-size rule such as
-:func:`cfl_dt`, diagnostics and snapshots at fixed cadences, and a
-per-step hook; its diagnostics callback gets the first stage of the step
-that follows, so a record reuses it.  A run that meets a non-finite state
-raises :class:`BlowupError`.  :func:`casimir_integrals` gives the moment
-integrals of the records, by the binary powering of
-:func:`integer_powers`.
+:func:`march` drives every adaptive run, 2D and 1D: a step-size rule
+such as :func:`cfl_dt`, diagnostics and snapshots at fixed cadences, a
+per-step hook and an optional stop predicate; its diagnostics callback
+gets the first stage of the step that follows, so a record reuses it.  A
+2D run that meets a non-finite state raises :class:`BlowupError`.
+:func:`casimir_integrals` gives the moment integrals of the records, by
+the binary powering of :func:`integer_powers`.
 
 Buffers.  :func:`rk4_step` keeps its arrays in a
 :class:`~eulerlab.fields.Workspace` (its own, unless the caller passes
@@ -143,22 +143,24 @@ def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None,
 
 def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
           snapshot_every: float = 0.0, snapshot=None, after_step=None,
-          work: Workspace | None = None) -> tuple:
+          work: Workspace | None = None, stop=None) -> tuple:
     """Advance ``y`` from t = 0 to ``t_end``; returns the final (t, y).
 
-    Each step evaluates the first stage k1 = ``rhs(t, y, out)``, then takes
+    Each step from t short of ``t_end`` first asks ``stop(t, y)`` (when
+    given): if it is true the run ends there, before any stage.  Then it
+    evaluates the first stage k1 = ``rhs(t, y, out)`` and takes
     ``dt_rule(t, y)`` (which may read what that stage left behind, such as
     its velocity) cut to land on the next diagnostics time, snapshot time
     and ``t_end``; with no finite positive rule (a fluid at rest) it steps
     by the cadence.  After the step from (t, y) to (t + dt, y_new) run
     ``after_step(t, dt, y, y_new, step)`` (steps count from 1), then at
     multiples of ``snapshot_every`` ``snapshot(t, y, index)`` (when both are
-    set).  At t = 0, at multiples of ``diag_every`` and at ``t_end`` run
-    ``emit(t, y, step, k1)``, where ``k1`` is the first stage of the next
-    step, already evaluated at (t, y); at ``t_end`` no step follows and
-    ``k1`` is ``None``.  So within a step the order is k1, then ``emit``,
-    then ``dt_rule``: ``emit`` may read k1 and whatever else the stage
-    left behind, but must write none of it.  A time within 1e-12 of a
+    set).  ``emit(t, y, step, k1)`` runs at t = 0, at multiples of
+    ``diag_every`` and at the end of the run, where ``k1`` is the first
+    stage of the next step, already evaluated at (t, y); at the end no step
+    follows and ``k1`` is ``None``.  So within a step the order is ``stop``,
+    k1, ``emit``, ``dt_rule``: ``emit`` may read k1 and whatever else the
+    stage left behind, but must write none of it.  A time within 1e-12 of a
     target counts as reaching it.  Every step runs in the workspace
     ``work`` (a new one if none is given), so the states the callbacks see
     follow the lifetime rule of :func:`rk4_step`.
@@ -170,9 +172,9 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
     snap_next = snapshot_every if (snapshot is not None and snapshot_every) else math.inf
     snap_idx = 0
     while True:
-        more = t < t_end - _TOL
+        more = t < t_end - _TOL and not (stop is not None and stop(t, y))
         k1 = rhs(t, y, _buffers(work, "rk4.k1", y)) if more else None
-        if due:
+        if due or not more:
             emit(t, y, step, k1)
         if not more:
             return t, y

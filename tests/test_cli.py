@@ -183,7 +183,8 @@ class TestFailureExitCodes:
         assert read_manifest(out)["status"].startswith(status)
 
     def test_a_1d_failure_names_its_step(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(models1d._RHS, "clm", lambda c, grid: np.full_like(c, np.nan))
+        monkeypatch.setattr(models1d, "_rhs_coeffs",
+                            lambda c, grid, a, u=None: np.full_like(c, np.nan))
         out = tmp_path / "a"
         assert main(["run", "--config", write_cfg(tmp_path, TINY_CLM),
                      "--output-dir", str(out)]) == EXIT_NUMERICAL

@@ -13,9 +13,9 @@ from eulerlab.grids import Grid1
 from eulerlab.models1d import (
     clm_blowup_time,
     clm_exact,
-    clm_rhs,
-    degregorio_rhs,
+    MODELS,
     locate_blowup_point,
+    model_rhs,
     model_run,
     refined_sup,
     selfsim_extract,
@@ -39,12 +39,12 @@ def band_limited(n: int, kmax: int, seed: int, scale: float = 0.2) -> SpectralFi
 class TestClmRhs:
     def test_cosine_gives_half_sin_2x(self):
         g = Grid1(128)
-        r = clm_rhs(SpectralField1.from_values(g, np.cos(g.x)))
+        r = model_rhs(SpectralField1.from_values(g, np.cos(g.x)), MODELS["clm"])
         assert np.max(np.abs(r.values - 0.5 * np.sin(2 * g.x))) < 1e-14
 
     def test_constant_is_annihilated(self):
         g = Grid1(64)
-        r = clm_rhs(SpectralField1.from_values(g, np.full(64, 2.3)))
+        r = model_rhs(SpectralField1.from_values(g, np.full(64, 2.3)), MODELS["clm"])
         assert r.norm_inf() < 1e-14
 
     def test_matches_pointwise_product(self):
@@ -53,7 +53,7 @@ class TestClmRhs:
         g = Grid1(32)
         w = np.cos(g.x) + np.sin(2 * g.x)
         h = np.sin(g.x) - np.cos(2 * g.x)
-        r = clm_rhs(SpectralField1.from_values(g, w))
+        r = model_rhs(SpectralField1.from_values(g, w), MODELS["clm"])
         assert np.max(np.abs(r.values - w * h)) < 1e-13
 
     @settings(max_examples=20, deadline=None)
@@ -63,7 +63,7 @@ class TestClmRhs:
         # band-limited below a third of the cutoff the discrete right-hand
         # side satisfies the same algebra exactly.
         w = band_limited(128, kmax=21, seed=seed)
-        r = clm_rhs(w)
+        r = model_rhs(w, MODELS["clm"])
         z = hilbert_transform(w).values + 1j * w.values
         lhs = hilbert_transform(r).values + 1j * r.values
         scale = max(1.0, float(np.max(np.abs(z))) ** 2)
@@ -169,15 +169,16 @@ class TestBlowupTime:
 class TestDeGregorioRhs:
     def test_sine_is_steady(self):
         g = Grid1(256)
-        r = degregorio_rhs(SpectralField1.from_values(g, np.sin(g.x)))
+        r = model_rhs(SpectralField1.from_values(g, np.sin(g.x)), MODELS["degregorio"])
         assert r.norm_inf() < 1e-13
 
     def test_constant_is_annihilated(self):
         g = Grid1(64)
-        r = degregorio_rhs(SpectralField1.from_values(g, np.full(64, -1.7)))
+        r = model_rhs(SpectralField1.from_values(g, np.full(64, -1.7)), MODELS["degregorio"])
         assert r.norm_inf() < 1e-14
 
-    def test_matches_direct_summation(self):
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    def test_matches_direct_summation(self, a):
         w = band_limited(64, kmax=10, seed=11)
         g = w.grid
         wv = np.zeros(64)
@@ -190,8 +191,8 @@ class TestDeGregorioRhs:
             hv += 2 * np.real(-1j * w.coeffs[m] * e)
             uv += 2 * np.real(-1j * w.coeffs[m] / (1j * m) * e)
             wxv += 2 * np.real(1j * m * w.coeffs[m] * e)
-        oracle = -uv * wxv + wv * hv
-        assert np.max(np.abs(degregorio_rhs(w).values - oracle)) < 1e-12
+        oracle = wv * hv - a * uv * wxv
+        assert np.max(np.abs(model_rhs(w, a).values - oracle)) < 1e-12
 
 
 class TestModelRun:
@@ -206,14 +207,21 @@ class TestModelRun:
 
     def test_a_non_finite_state_names_its_step(self, monkeypatch):
         stages = itertools.count()
-        clm = models1d._RHS["clm"]
+        rhs = models1d._rhs_coeffs
 
-        def poisoned(c, grid):  # finite for two RK4 steps of four stages each
-            return clm(c, grid) * (np.nan if next(stages) >= 8 else 1.0)
+        def poisoned(c, grid, a, u=None):  # finite for two RK4 steps of four stages each
+            return rhs(c, grid, a, u) * (np.nan if next(stages) >= 8 else 1.0)
 
-        monkeypatch.setitem(models1d._RHS, "clm", poisoned)
+        monkeypatch.setattr(models1d, "_rhs_coeffs", poisoned)
         with pytest.raises(FloatingPointError, match=r"non-finite state at t = .* \(step 3\)"):
             model_run(cosine(64), "clm", t_end=1.0)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_a_cap_at_or_below_the_initial_sup_takes_no_step(self, model):
+        w = cosine(64)
+        for cap in (refined_sup(w), 0.5):
+            rep = model_run(w, model, t_end=1.0, omega_cap=cap).report
+            assert rep.ts.tolist() == [0.0] and rep.cap_reached and not rep.detected
 
     def test_rejects_bad_cfl(self):
         with pytest.raises(ValueError, match="cfl"):

@@ -203,6 +203,33 @@ class TestMarch:
         assert [same for _, same in records] == [True] * 4 + [None]
         assert len(calls) == 4 * steps
 
+    def test_stop_ends_before_the_next_stage(self):
+        def run(stop):
+            log = {"rhs": [], "emit": [], "steps": [], "asked": []}
+
+            def rhs(t, y, out):
+                log["rhs"].append(t)
+                return zero_rhs(t, y, out)
+
+            def asked(t, y):
+                log["asked"].append(t)
+                return stop(t, y)
+
+            t, (y,) = march(rhs, (np.zeros(2),), 1.0, lambda t, y: 0.1, 0.3,
+                            lambda t, y, step, k1: log["emit"].append((t, step, k1)),
+                            after_step=lambda t, dt, y, y_new, step: log["steps"].append(step),
+                            stop=asked)
+            return t, log
+
+        t, log = run(lambda t, y: True)
+        assert t == 0.0 and log["rhs"] == [] and log["emit"] == [(0.0, 0, None)]
+        t, log = run(lambda t, y: t > 0.45)  # true after step 5, at t = 0.5
+        assert t == pytest.approx(0.5) and log["steps"] == [1, 2, 3, 4, 5]
+        assert len(log["rhs"]) == 4 * 5 and log["emit"][-1][1:] == (5, None)
+        t, log = run(lambda t, y: False)
+        assert t == pytest.approx(1.0) and max(log["asked"]) < 1.0 - 1e-12
+        assert len(log["asked"]) == len(log["steps"])
+
     def test_returns_final_time_and_state(self):
         t, (y,) = march(lambda t, y, out: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
                         lambda t, y: 0.1, 0.5, lambda t, y, step, k1: None)
