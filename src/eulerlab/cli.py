@@ -158,8 +158,7 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         write_snapshot(manifest.output_dir / "markers_final.eulb", fields, snap.t)
     manifest.note_snapshots()
     manifest.extra["sampler_method"] = (
-        lagrangian.VelocitySampler.from_field(res.final.velocity()).method
-        if marker else None)
+        lagrangian.VelocitySampler.method_for(grid) if marker else None)
     manifest.write("completed")
     return EXIT_OK
 

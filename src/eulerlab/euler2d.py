@@ -28,7 +28,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coeffs, to_values
 from .grids import Grid2
@@ -389,6 +388,8 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray, rc: np.ndarray,
     Returns the correction (coefficients) and the relative defect of the
     linear solve.
     """
+    from scipy.sparse.linalg import LinearOperator, minres
+
     n = grid.nx * grid.ny
     mask = grid.dealias_mask
 

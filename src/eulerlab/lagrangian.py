@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from dataclasses import field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import SpectralField2, VectorField2, Workspace, l2_inner
 from .grids import TWO_PI, Grid2
@@ -41,17 +40,22 @@ class VelocitySampler:
     With a workspace ``work`` the spline arrays and the sampling scratch
     live in it, so a sampler is valid only until the next one is built in
     the same workspace.
+
+    Only the bicubic branch imports ``scipy.ndimage``, so a run that samples
+    only on grids up to 64^2 never loads it.
     """
 
     def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray,
                  work: Workspace | None = None):
         self.grid = grid
-        if grid.nx * grid.ny <= _DIRECT_MODE_LIMIT:
-            self.method = "spectral"
+        self.method = self.method_for(grid)
+        if self.method == "spectral":
             self._field = VectorField2(SpectralField2(grid, u1_coeffs, False),
                                        SpectralField2(grid, u2_coeffs, False))
         else:
-            self.method = "bicubic"
+            from scipy.ndimage import map_coordinates
+
+            self._map_coordinates = map_coordinates
             self._work = work = Workspace() if work is None else work
             self._v1, self._v2 = (_spline_coeffs(grid, c, work, ("sampler.v", i))
                                   for i, c in enumerate((u1_coeffs, u2_coeffs)))
@@ -60,6 +64,11 @@ class VelocitySampler:
     @classmethod
     def from_field(cls, u: VectorField2) -> "VelocitySampler":
         return cls(u.grid, u.u1.coeffs, u.u2.coeffs)
+
+    @classmethod
+    def method_for(cls, grid: Grid2) -> str:
+        """The sampling method on ``grid``: spectral up to 64^2 modes, bicubic above."""
+        return "spectral" if grid.nx * grid.ny <= _DIRECT_MODE_LIMIT else "bicubic"
 
     def __call__(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Velocities at (p, 2) points, written into ``out`` when given."""
@@ -72,8 +81,8 @@ class VelocitySampler:
         for i in range(2):
             np.multiply(points[:, i], self._scale[i], out=coords[i])
         for i, v in enumerate((self._v1, self._v2)):
-            ndimage.map_coordinates(v, coords, output=out[:, i], order=3, mode="grid-wrap",
-                                    prefilter=False)
+            self._map_coordinates(v, coords, output=out[:, i], order=3, mode="grid-wrap",
+                                  prefilter=False)
         return out
 
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import optimize
 
 from .fields import SpectralField1, Workspace, to_coeffs, to_values
 from .grids import Grid1
@@ -128,13 +127,15 @@ def clm_blowup_time(omega0: SpectralField1) -> float:
     if scale == 0.0:
         return math.inf
 
+    from scipy.optimize import brentq
+
     h_omega = hilbert_transform(omega0)
     roots = [float(xs[i]) for i in np.flatnonzero(vals == 0.0)]
     sign_change = np.flatnonzero(np.sign(vals) * np.sign(np.roll(vals, -1)) < 0)
     for i in sign_change:
         a = xs[i]
         b = xs[(i + 1) % m_fine] if i + 1 < m_fine else grid.length
-        roots.append(optimize.brentq(
+        roots.append(brentq(
             lambda x: omega0.eval_at(np.array([x]))[0], a, b, xtol=1e-14))
     if not roots:
         return math.inf
@@ -211,20 +212,40 @@ def _spectral_tail(c: np.ndarray, grid: Grid1) -> float:
 
 
 def _fit_t_star(ts: np.ndarray, sup: np.ndarray) -> float:
-    """Fit sup ~ c/(T - t) on the tail window, optimizing T in log variables."""
+    """Fit sup ~ c/(T - t) on the tail window: the T that minimizes the
+    variance of r = log sup + log(T - t) there.
+
+    The T-derivative of var(r) is 2 cov(r, 1/(T - t)); its sign is bisected
+    down to 1e-14 on the bracket from just past the last sample to ten
+    window spans beyond it, and a bracket end is returned when the
+    variance does not turn inside the bracket.
+    """
     n = len(ts)
     start = max(0, int(0.7 * n))
     t_w, s_w = ts[start:], np.log(sup[start:])
     span = max(t_w[-1] - t_w[0], 1e-12)
 
-    def badness(t_cap: float) -> float:
-        r = s_w + np.log(t_cap - t_w)
-        return float(np.var(r))
+    def half_slope(t_cap: float) -> float:  # d var(r) / dT, halved
+        gap = t_cap - t_w
+        r = s_w + np.log(gap)
+        q = 1.0 / gap
+        return float(np.mean((r - r.mean()) * (q - q.mean())))
 
-    res = optimize.minimize_scalar(
-        badness, bounds=(t_w[-1] + 1e-12 * max(1.0, t_w[-1]), t_w[-1] + 10.0 * span),
-        method="bounded", options={"xatol": 1e-14})
-    return float(res.x)
+    lo = float(t_w[-1] + 1e-12 * max(1.0, t_w[-1]))
+    hi = float(t_w[-1] + 10.0 * span)
+    if half_slope(lo) >= 0.0:
+        return lo
+    if half_slope(hi) <= 0.0:
+        return hi
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if half_slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def model_run(

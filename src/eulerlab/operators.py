@@ -4,6 +4,8 @@ Hilbert transform, Biot-Savart velocity recovery, Leray projection, and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import (SpectralField, SpectralField1, SpectralField2, VectorField2, Workspace,
@@ -130,8 +132,21 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
 
 
 def gradient_sup(f_c: np.ndarray, grid: Grid2, work: Workspace) -> float:
-    """Max of |grad f| over the collocation points, with the samples in ``work``."""
+    """Max of |grad f| over the collocation points, with the samples in ``work``.
+
+    The same number as ``max(hypot(fx, fy))``: ``hypot`` runs only at the
+    points whose fx^2 + fy^2 lies within 2^-48 of the largest (rounding in
+    the squares and in ``hypot`` is far below that), and over every point
+    when the squares overflow or underflow.
+    """
     d = work.array("gradient.d", grid.coeff_shape, np.complex128)
     fx = to_values(np.multiply(grid.ikx, f_c, out=d), work.array("gradient.fx", grid.shape))
     fy = to_values(np.multiply(grid.iky, f_c, out=d), work.array("gradient.fy", grid.shape))
-    return float(np.max(np.hypot(fx, fy, out=fx)))
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.multiply(fx, fx, out=work.array("gradient.sq", grid.shape))
+        sq += np.multiply(fy, fy, out=work.array("gradient.sq_y", grid.shape))
+    top = float(np.max(sq))
+    if not 1e-280 < top < math.inf:
+        return float(np.max(np.hypot(fx, fy, out=fx)))
+    near = np.flatnonzero(sq >= top * (1.0 - 2.0 ** -48))
+    return float(np.max(np.hypot(fx.ravel()[near], fy.ravel()[near])))

@@ -394,6 +394,10 @@ class OperatorDecomposition:
     params: WeightedSpaceParams
 
 
+# Gauss-Legendre nodes of the boundary-layer pairings in lemma_decomposition_check
+_LEMMA_NODES = 64
+
+
 def _check_lemma_hypotheses(u, g) -> None:
     eps = 1e-7
     if abs(u(0.0)) > 1e-10 or abs(u(1.0)) > 1e-10:
@@ -419,18 +423,23 @@ def lemma_decomposition_check(u, g, params: WeightedSpaceParams) -> OperatorDeco
     split of the weight-conjugated operator on a geometric grid.  The
     conjugation replaces the singular weight x^{-N} by the bounded
     potential shift (N/2) * u(x)/x, so no overflowing weights appear.
-    """
-    from scipy.integrate import quad
 
+    The pairings use one Gauss-Legendre rule on [0, delta]: their
+    integrands p u(t) t^(2p-N-1) + g(t) t^(2p-N) are smooth, since 2p - N
+    is a nonnegative integer and u(0) = 0.
+    """
     _check_lemma_hypotheses(u, g)
     n_half = params.N / 2.0
 
+    nodes, weights = np.polynomial.legendre.leggauss(_LEMMA_NODES)
+    t = 0.5 * params.delta * (nodes + 1.0)
+    w = 0.5 * params.delta * weights
+    ut = np.array([u(s) for s in t])
+    gt = np.array([g(s) for s in t])
     ratios = []
     for p in (n_half, n_half + 0.5, n_half + 1.0, n_half + 1.5, n_half + 3.0):
-        num = quad(lambda t, p=p: (u(t) * p * t ** (p - 1) + g(t) * t ** p)
-                   * t ** (p - params.N), 0.0, params.delta, limit=200)[0]
-        den = quad(lambda t, p=p: t ** (2 * p - params.N),
-                   0.0, params.delta, limit=200)[0]
+        num = w @ ((ut * p * t ** (p - 1) + gt * t ** p) * t ** (p - params.N))
+        den = w @ t ** (2 * p - params.N)
         ratios.append(num / den)
     c_inner = float(min(ratios))
 

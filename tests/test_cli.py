@@ -37,6 +37,15 @@ omega_cap = 20.0
 """
 
 
+def _fresh_python(*args):
+    """Run a new interpreter that imports the same eulerlab as this test,
+    installed or not."""
+    src = str(pathlib.Path(eulerlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -67,12 +76,7 @@ class TestSubcommands:
         assert "requires system = selfsim" in capsys.readouterr().err
 
     def test_console_entry_point(self):
-        # the child imports the same eulerlab as this test, installed or not
-        src = str(pathlib.Path(eulerlab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "eulerlab.cli", "presets"],
-                              capture_output=True, text=True, env=env)
+        proc = _fresh_python("-m", "eulerlab.cli", "presets")
         assert proc.returncode == 0
         assert "stratified_rest" in proc.stdout
 
@@ -361,3 +365,53 @@ class TestCsvFormatting:
         data = csv_bytes(["i", "flag"], [[3, True], [4, False]]).decode()
         assert data.splitlines()[1] == "3,true"
         assert data.splitlines()[2] == "4,false"
+
+
+# Imports eulerlab, parses every shipped config, dispatches the configs
+# given as JSON and prints the exit codes and the scipy subpackages loaded.
+_FOOTPRINT_CHILD = r"""
+import json, pathlib, sys
+from eulerlab import cli, config
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cfg")):
+    config.parse_config_file(str(path))
+out = pathlib.Path(sys.argv[2])
+codes = [cli.dispatch(config.parse_config(text), out / str(i))
+         for i, text in enumerate(json.loads(sys.argv[3]))]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted({m.split(".")[1] for m in sys.modules
+                                    if m.startswith("scipy.")})}))
+"""
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+# scipy subpackages that cost start-up time; none belongs in a run that does not call it
+HEAVY_SCIPY = {"ndimage", "optimize", "sparse", "integrate", "linalg", "special"}
+
+
+class TestImportFootprint:
+    def _child(self, tmp_path, texts):
+        proc = _fresh_python("-c", _FOOTPRINT_CHILD, str(CONFIG_DIR), str(tmp_path),
+                             json.dumps(texts))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_runs_without_markers_load_no_scipy_subpackage(self, tmp_path):
+        texts = [
+            TINY_EULER,
+            "system = ipm\nnx = 32\nny = 32\npreset = heavy_over_light\neps = 0.01\n"
+            "t_end = 0.5\ndiag_every = 0.25\n",
+            "system = passive_scalar\nnx = 16\nny = 64\nvelocity = shear_sin\n"
+            "test_function = bessel_pair\nt_end = 1.0\ndiag_every = 0.5\n",
+            TINY_CLM,
+            (CONFIG_DIR / "lemma_parabola.cfg").read_text(),
+        ]
+        got = self._child(tmp_path, texts)
+        assert got["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BLOWUP, EXIT_OK]
+        assert HEAVY_SCIPY.isdisjoint(got["loaded"]), got["loaded"]
+
+    def test_the_bicubic_marker_sampler_loads_ndimage(self, tmp_path):
+        text = ("system = euler2d\nnx = 96\nny = 96\npreset = taylor_green_perturbed\n"
+                "t_end = 0.05\ndiag_every = 0.05\nmarker_lattice = 8\n")
+        got = self._child(tmp_path, [text])
+        assert got["codes"] == [EXIT_OK]
+        assert "ndimage" in got["loaded"]

@@ -315,6 +315,23 @@ class TestModelRun:
         assert 1.8 < jumps[0.008] / jumps[0.004] < 2.2
 
 
+class TestFitTStar:
+    def test_recovers_the_blowup_time_of_an_exact_rate(self):
+        t_star = 2.0
+        ts = np.linspace(0.0, 1.99, 400)
+        t_fit = models1d._fit_t_star(ts, 3.0 / (t_star - ts))
+        assert abs(t_fit - t_star) <= 1e-10 * t_star
+
+    def test_returns_the_bracket_end_when_the_minimum_lies_outside(self):
+        # the fit window is the last 30 samples; the bracket runs from just
+        # past the last one to ten window spans beyond it
+        ts = np.linspace(0.0, 1.0, 100)
+        lo = 1.0 + 1e-12
+        hi = 1.0 + 10.0 * (1.0 - ts[70])
+        assert models1d._fit_t_star(ts, 1.0 / (1e6 - ts)) == hi
+        assert models1d._fit_t_star(ts, 1.0 / (1.0 + 1e-13 - ts)) == lo
+
+
 class TestBkmGrowth:
     def test_integral_gains_ln10_per_decade_of_cap(self):
         res = model_run(cosine(65536, 20.0), "clm", t_end=0.2, cfl=0.2,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eulerlab import presets
 from eulerlab import selfsim as ss
 
 
@@ -189,9 +190,26 @@ class TestLemmaDecomposition:
                                            lambda t: 1.0, params)
         assert dec.certified
         assert dec.rank == 1
-        assert dec.c_inner == pytest.approx(4.8, abs=1e-4)
+        assert dec.c_inner == pytest.approx(4.8, rel=1e-14)
         assert dec.c_coercive == pytest.approx(0.848843, abs=1e-3)
         assert np.max(np.abs(dec.coercive + dec.finite_rank - dec.operator)) < 1e-12
+
+    @pytest.mark.parametrize("N", [6, 8, 10])
+    @pytest.mark.parametrize("name", ["parabola", "sine"])
+    def test_c_inner_matches_adaptive_quadrature(self, name, N):
+        from scipy.integrate import quad
+
+        u = presets.REGISTRY[name].make(None)
+        delta = 0.1
+        dec = ss.lemma_decomposition_check(u, lambda t: 1.0,
+                                           ss.WeightedSpaceParams(N=N, delta=delta))
+        ratios = []
+        for p in (N / 2, N / 2 + 0.5, N / 2 + 1.0, N / 2 + 1.5, N / 2 + 3.0):
+            num = quad(lambda t: (u(t) * p * t ** (p - 1) + t ** p) * t ** (p - N),
+                       0.0, delta, limit=200)[0]
+            den = quad(lambda t: t ** (2 * p - N), 0.0, delta, limit=200)[0]
+            ratios.append(num / den)
+        assert dec.c_inner == pytest.approx(min(ratios), rel=1e-13)
 
     def test_sharper_weight_keeps_the_certificate(self):
         params = ss.WeightedSpaceParams(N=16, delta=0.1)

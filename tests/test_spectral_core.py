@@ -8,6 +8,7 @@ from eulerlab.fields import (
     SpectralField1,
     SpectralField2,
     VectorField2,
+    Workspace,
     l2_inner,
     resample,
     to_coeffs,
@@ -21,6 +22,7 @@ from eulerlab.operators import (
     divergence,
     dx,
     dy,
+    gradient_sup,
     hilbert_transform,
     inv_laplacian,
     laplacian,
@@ -200,6 +202,15 @@ class TestSpectralCalculus:
         f = SpectralField2.from_values(g, 1.0 + np.cos(g.meshgrid()[0]))
         with pytest.raises(ValueError, match="nonzero mean"):
             inv_laplacian(f)
+
+    @pytest.mark.parametrize("n,kmax", [(16, 5), (64, 21), (128, 4), (128, 42)])
+    def test_gradient_sup_equals_the_max_of_hypot(self, n, kmax):
+        g, work = Grid2(n, n), Workspace()
+        for seed in range(20):
+            for scale in (1.0, 1e-160, 1e160):  # the squares underflow or overflow
+                c = scale * random_field(g, seed, kmax=kmax).coeffs
+                want = float(np.max(np.hypot(to_values(g.ikx * c), to_values(g.iky * c))))
+                assert gradient_sup(c, g, work) == want
 
     def test_derivative_composition(self):
         g = Grid2(32, 32)

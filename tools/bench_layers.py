@@ -28,6 +28,19 @@ first, and each child measures in-process:
   diagnostics every 1.25, no snapshots): wall time, steps, ms per step and
   minor page faults (``ru_minflt``) per step.
 
+Each round also measures start-up per tree, in fresh interpreters:
+
+- ``import_cli_ms``: the time ``from eulerlab import cli, config`` takes,
+  timed inside the interpreter, median of 15 interpreters;
+- ``scipy_modules_at_import``: how many ``scipy.*`` modules that import
+  leaves in ``sys.modules``;
+- ``importtime_cli_ms``: the cumulative time of ``eulerlab.cli`` that
+  ``python -X importtime -c "from eulerlab import cli"`` reports.
+
+The interpreters inherit the environment, so whether they can reuse
+cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
+results.
+
 With ``--gates`` the tool also times, per tree and round, the acceptance
 gates 03, 06 and 07 with pytest in the checkout that holds the source tree
 (``SRC/../tests``).  The output is one JSON object: per metric, the values
@@ -154,6 +167,34 @@ print(json.dumps(res))
 """
 
 
+# timed start-up of one fresh interpreter
+_STARTUP = r"""
+import json, sys, time
+t0 = time.perf_counter()
+from eulerlab import cli, config
+ms = 1e3 * (time.perf_counter() - t0)
+print(json.dumps([ms, sum(m.startswith("scipy.") for m in sys.modules)]))
+"""
+
+STARTUP_RUNS = 15
+
+
+def _startup(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    times = []
+    for _ in range(STARTUP_RUNS):
+        out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+        ms, count = json.loads(out.strip().splitlines()[-1])
+        times.append(ms)
+    trace = subprocess.run([sys.executable, "-X", "importtime", "-c", "from eulerlab import cli"],
+                           env=env, check=True, stderr=subprocess.PIPE, text=True).stderr
+    line = next(ln for ln in trace.splitlines() if ln.split("|")[-1].strip() == "eulerlab.cli")
+    return {"import_cli_ms": statistics.median(times),
+            "scipy_modules_at_import": count,
+            "importtime_cli_ms": int(line.split("|")[1]) / 1e3}
+
+
 def _child(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", _CHILD], env=env, check=True,
@@ -188,6 +229,7 @@ def main(argv=None) -> int:
     for _ in range(args.rounds):
         for label, src in trees.items():
             res = _child(src)
+            res.update(_startup(src))
             if args.gates:
                 res.update(_gates(src))
             runs[label].append(res)
@@ -203,7 +245,9 @@ def main(argv=None) -> int:
         metrics[key] = entry
     report = {"environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                               "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-                              "machine": platform.machine()},
+                              "machine": platform.machine(),
+                              "PYTHONDONTWRITEBYTECODE":
+                                  os.environ.get("PYTHONDONTWRITEBYTECODE", "")},
               "rounds": args.rounds, "metrics": metrics}
     text = json.dumps(report, indent=1)
     if args.out:
