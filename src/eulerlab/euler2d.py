@@ -2,9 +2,14 @@
 
 The solver advances the dealiased pseudo-spectral vorticity equation with
 RK4 under a CFL-limited adaptive step.  Runs can co-transport passive
-scalars and a marker lattice (advanced with the same RK4 stage velocities,
-so the coupled system stays 4th-order), and emit conservation/BKM
-diagnostics at a fixed cadence.
+scalars (inside the same RK4 stages) and a marker lattice, and emit
+conservation/BKM diagnostics at a fixed cadence.  The markers do not act
+on the flow, so they step apart from it: one RK4 step per two flow steps
+(one where a diagnostics time or the end ends the first), with velocities
+sampled only at the flow's step boundaries and, for the mid-time, a cubic
+Hermite value in time through the velocities and their time derivatives
+at the boundaries (dense output, Hairer, Norsett and Wanner, *Solving
+ODEs I*, section II.6).  The lifts stay 4th-order in time.
 
 Steady-state tooling covers the stream-function formulation: the Poisson
 bracket residual, an inexact-Newton solver for the semilinear balance
@@ -31,13 +36,13 @@ import numpy as np
 
 from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coeffs, to_values
 from .grids import Grid2
-from .lagrangian import (FlowMapSnapshot, ParticleSet, VelocitySampler, _lattice_gradient,
-                         check_lattice)
+from .lagrangian import (FlowMapSnapshot, MarkerTrack, ParticleSet, VelocitySampler,
+                         _lattice_gradient, check_lattice)
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
                         transport_coeffs)
 from .snapshots import write_snapshot
-from .stepping import (MAX_CFL, BlowupError, casimir_integrals, cfl_dt, check_casimir_powers,
-                       check_cfl, check_schedule, march, rk4_step, sup_abs)
+from .stepping import (BlowupError, casimir_integrals, cfl_dt, check_casimir_powers,
+                       check_schedule, march, sup_abs)
 
 
 @dataclass
@@ -81,56 +86,33 @@ class EulerRunResult:
 
 
 class _StageEval:
-    """One RK4 stage of (vorticity, *scalars[, marker lifts]): the velocity of
-    the vorticity transports all of them.
+    """One RK4 stage of (vorticity, *scalars): the velocity of the vorticity
+    transports all of them.
 
     Everything the stage computes lives in its workspace and is rewritten by
     the next stage: the velocity coefficients, the velocity samples (which
-    stay until then for the CFL rule), the transport temporaries and the
-    marker sampler's spline arrays.  The tendencies go into ``out``, whose
-    entries may be ``None`` for freshly allocated ones.
+    stay until then for the CFL rule) and the transport temporaries.  The
+    tendencies go into ``out``, whose entries may be ``None`` for freshly
+    allocated ones; ``k`` is the vorticity tendency of the latest stage.
     """
 
-    def __init__(self, grid: Grid2, markers: bool, work: Workspace | None = None):
+    def __init__(self, grid: Grid2, work: Workspace | None = None):
         self.grid = grid
-        self.markers = markers
         self.work = work = Workspace() if work is None else work
         self.uc = tuple(work.array(("stage.uc", i), grid.coeff_shape, np.complex128)
                         for i in range(2))
         self.u1v, self.u2v = (work.array(("stage.uv", i), grid.shape) for i in range(2))
+        self.k = None
 
     def __call__(self, t: float, y: tuple, out: tuple) -> tuple:
         g, w = self.grid, self.work
-        c, *rest = y
+        c, *scalars = y
         u1c, u2c = stream_velocity(c, g, self.uc)
         u1v = to_values(u1c, self.u1v)
         u2v = to_values(u2c, self.u2v)
-        k = transport_coeffs(c, u1v, u2v, g, out[0], w)
+        self.k = k = transport_coeffs(c, u1v, u2v, g, out[0], w)
         k[0, 0] = 0.0
-        if not self.markers:
-            return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(rest, out[1:])))
-        *scalars, lifts = rest
-        sampler = VelocitySampler(g, u1c, u2c, w)
-        return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(scalars, out[1:])),
-                sampler(lifts, out[-1]))
-
-
-def euler_rhs(state: EulerState) -> SpectralField2:
-    """Vorticity tendency -u.grad(omega), dealiased and mean-free."""
-    (c,) = _StageEval(state.omega.grid, markers=False)(state.t, (state.omega.coeffs,), (None,))
-    return SpectralField2(state.omega.grid, c, True)
-
-
-def step_rk4(state: EulerState, dt: float, cfl: float = MAX_CFL) -> EulerState:
-    """One RK4 step; dt must respect the per-direction CFL bound."""
-    check_cfl(cfl)
-    grid = state.omega.grid
-    u1v, u2v = state.velocity().values
-    limit = cfl_dt(grid, u1v, u2v, cfl)
-    if dt > limit:
-        raise ValueError(f"dt={dt:g} exceeds the CFL bound {limit:g}")
-    (cn,) = rk4_step(_StageEval(grid, markers=False), state.t, (state.omega.coeffs,), dt)
-    return EulerState(SpectralField2.from_coeffs(grid, cn), state.t + dt)
+        return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(scalars, out[1:])))
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, powers,
@@ -161,12 +143,20 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         snapshot_every: float | None = None, observer=None) -> EulerRunResult:
     """Advance 2D Euler to t_end with diagnostics at a fixed cadence.
 
-    Optional extras ride along inside the same RK4 stages: a marker
-    lattice (``marker_lattice`` markers per direction) whose snapshots are
-    stored at the diagnostic cadence, and named passive scalar fields whose
-    sup-gradient history is recorded.  ``observer(state)`` is called at
-    every diagnostic time.  A non-finite vorticity sup after a step, or
-    non-finite diagnostics, raise :class:`BlowupError`; with a
+    Optional extras ride along: named passive scalar fields, transported
+    inside the same RK4 stages, whose sup-gradient history is recorded, and
+    a marker lattice (``marker_lattice`` markers per direction) whose
+    snapshots are stored at the diagnostic cadence.  The markers take one
+    RK4 step per two flow steps, or one where a diagnostics time or t_end
+    ends the first.  A marker step samples the velocity at its ends and at
+    its mid-time, there as the cubic Hermite value in time through the
+    velocities and their time derivatives (the Biot-Savart velocities of
+    the vorticity tendencies) at the ends of the flow step that holds it:
+    dense output, E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary
+    Differential Equations I*, section II.6.  That value is 3rd-order in
+    the flow step, so the lifts are 4th-order in time.  ``observer(state)``
+    is called at every diagnostic time.  A non-finite vorticity sup after a
+    step, or non-finite diagnostics, raise :class:`BlowupError`; with a
     ``snapshot_dir`` the last finite state is checkpointed first.
     """
     check_schedule(cfl, diag_every, snapshot_every or 0.0)
@@ -178,10 +168,9 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
                             scalar_gradients={name: [] for name in scalars})
     y = (dealias(omega0).coeffs.copy(), *(dealias(f).coeffs.copy() for f in scalars.values()))
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
-    if markers is not None:
-        y += (markers.lifts.copy(),)
+    track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
     work = Workspace()
-    stage = _StageEval(grid, markers=markers is not None, work=work)
+    stage = _StageEval(grid, work)
 
     # the samples of the current vorticity: made here for t = 0, then by
     # after_step for each new state; emit and snapshot read them
@@ -204,8 +193,11 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         result.diagnostics.append(rec)
         for name, fc in zip(scalars, y[1:]):
             result.scalar_gradients[name].append(gradient_sup(fc, grid, work))
-        if markers is not None:
-            lifts = y[-1]
+        if track is not None:
+            if k1 is None:  # the end of the run, where march makes no first stage
+                stage(t, y[:1], (None,))
+            track.boundary(t, y[0], stage.k, end=True)
+            lifts = track.lifts
             frozen = ParticleSet(markers.wrapped(lifts), lifts.copy(),
                                  markers.lifts0.copy(), t, grid.lx, grid.ly)
             m = int(round(math.sqrt(frozen.count)))
@@ -223,11 +215,17 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
+    def dt_rule(t: float, y: tuple) -> float:
+        # the stage holds the first stage of the step from t, which emit has
+        # handed to the markers already when t is a diagnostics time
+        if track is not None:
+            track.boundary(t, y[0], stage.k, end=False)
+        return cfl_dt(grid, stage.u1v, stage.u2v, cfl)
+
     def snapshot(t: float, y: tuple, index: int) -> None:
         checkpoint(f"snap_{index:05d}.eulb", omega, t)
 
-    t, y = march(stage, y, t_end, lambda t, y: cfl_dt(grid, stage.u1v, stage.u2v, cfl),
-                 diag_every, emit, snapshot_every or 0.0,
+    t, y = march(stage, y, t_end, dt_rule, diag_every, emit, snapshot_every or 0.0,
                  snapshot if snapshot_dir else None, after_step, work)
     result.final = EulerState(SpectralField2.from_coeffs(grid, y[0]), t)
     result.scalars = {n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(scalars, y[1:])}

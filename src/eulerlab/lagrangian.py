@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import SpectralField2, VectorField2, Workspace, l2_inner
 from .grids import TWO_PI, Grid2
-from .operators import dealias, transport_coeffs
+from .operators import dealias, stream_velocity, transport_coeffs
 from .stepping import cfl_dt, check_schedule, march, rk4_step
 
 # direct trigonometric summation is exact but quadratic in mode count;
@@ -39,7 +39,13 @@ class VelocitySampler:
 
     With a workspace ``work`` the spline arrays and the sampling scratch
     live in it, so a sampler is valid only until the next one is built in
-    the same workspace.
+    the same workspace.  The markers of a 2D Euler run take one RK4 step,
+    4th-order in time, per two flow steps, with a sampler at the step's end
+    and one at its mid-time, a cubic Hermite value in time (dense output,
+    Hairer, Norsett and Wanner, *Solving ODEs I*, section II.6; see
+    :func:`eulerlab.euler2d.run`).  It builds them in turn in one workspace
+    (:class:`MarkerTrack`); the end's serves that step's last stage and the
+    next step's first.
 
     Only the bicubic branch imports ``scipy.ndimage``, so a run that samples
     only on grids up to 64^2 never loads it.
@@ -230,6 +236,85 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
     out = ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
                       t, particles.lx, particles.ly)
     return out
+
+
+class MarkerTrack:
+    """Marker lifts stepped by RK4 on the flow's step boundaries (the scheme
+    is described in :func:`eulerlab.euler2d.run`).
+
+    :meth:`boundary` takes each boundary the flow reaches: its time, its
+    vorticity coefficients and their tendency, the first stage of the step
+    that starts there.  The track keeps copies of the current marker step's
+    boundaries before the latest, at most two, and the sampler at the lifts'
+    time; the copies, the marker RK4 buffers and the samplers live in one
+    workspace.
+    """
+
+    def __init__(self, grid: Grid2, lifts: np.ndarray):
+        self.grid = grid
+        self.lifts = lifts
+        self.work = Workspace()
+        # the boundaries of the current marker step before the latest one:
+        # (t, [coefficients, tendency])
+        self.nodes = []
+        self.free = [self.work.array(("markers.node", i), (2, *grid.coeff_shape),
+                                     np.complex128) for i in range(2)]
+        self.sampler = None  # the velocity at the lifts' time
+
+    def boundary(self, t: float, c: np.ndarray, k: np.ndarray, end: bool) -> None:
+        """Take the flow's boundary at time t, with coefficients ``c`` and
+        tendency ``k``; ``end`` ends the marker step there.  A boundary the
+        track holds already is ignored."""
+        nodes = self.nodes
+        if nodes and t == nodes[-1][0]:
+            return
+        if not nodes:
+            self.sampler = self._sampler(c)
+        elif end or len(nodes) == 2:
+            self._step(nodes + [(t, (c, k))])
+            self.free.extend(block for _, block in nodes)
+            nodes.clear()
+        block = self.free.pop()
+        block[0], block[1] = c, k
+        nodes.append((t, block))
+
+    def _sampler(self, c: np.ndarray) -> VelocitySampler:
+        uc = tuple(self.work.array(("markers.uc", i), self.grid.coeff_shape, np.complex128)
+                   for i in range(2))
+        return VelocitySampler(self.grid, *stream_velocity(c, self.grid, uc), self.work)
+
+    def _hermite(self, nodes: list, offset: float) -> np.ndarray:
+        """Vorticity coefficients at ``offset`` past the first of ``nodes``."""
+        for (ta, a), (tb, b) in zip(nodes, nodes[1:]):
+            h = tb - ta
+            if offset <= h:
+                break
+            offset -= h
+        s = offset / h
+        shape = self.grid.coeff_shape
+        mid = self.work.array("markers.mid", shape, np.complex128)
+        tmp = self.work.array("markers.tmp", shape, np.complex128)
+        np.multiply((1.0 + 2.0 * s) * (1.0 - s) ** 2, a[0], out=mid)
+        for weight, f in ((s * s * (3.0 - 2.0 * s), b[0]), (h * s * (1.0 - s) ** 2, a[1]),
+                          (h * s * s * (s - 1.0), b[1])):
+            mid += np.multiply(weight, f, out=tmp)
+        return mid
+
+    def _step(self, nodes: list) -> None:
+        """One RK4 step of the lifts across ``nodes``, from the first to the last."""
+        dt = sum(tb - ta for (ta, _), (tb, _) in zip(nodes, nodes[1:]))
+        # rk4_step asks for stage 1 at the start, 2 and 3 at the mid-time and
+        # 4 at the end; None keeps the sampler, and the end's stays for the
+        # next step's stage 1
+        coeffs = iter((None, self._hermite(nodes, 0.5 * dt), None, nodes[-1][1][0]))
+
+        def rhs(t: float, y: tuple, out: tuple) -> tuple:
+            c = next(coeffs)
+            if c is not None:
+                self.sampler = self._sampler(c)
+            return (self.sampler(y[0], out[0]),)
+
+        (self.lifts,) = rk4_step(rhs, nodes[0][0], (self.lifts,), dt, work=self.work)
 
 
 # -- lattice differential diagnostics -----------------------------------------

@@ -1,9 +1,10 @@
 """The one time integrator of the lab: classical RK4 over a tuple of arrays.
 
-Each time-stepping system (2D Euler with its scalars and markers, IPM,
-passive scalars, particle advection, the 1D models) supplies a right-hand
-side ``rhs(t, y, out)`` over its state tuple ``y`` (field coefficients,
-scalar coefficients, marker lifts) and steps it with :func:`rk4_step`.
+Each time-stepping system (2D Euler with its scalars, the markers of a 2D
+Euler run, IPM, passive scalars, particle advection, the 1D models)
+supplies a right-hand side ``rhs(t, y, out)`` over its state tuple ``y``
+(field coefficients, scalar coefficients, marker lifts) and steps it with
+:func:`rk4_step`.
 :func:`march` drives every adaptive run, 2D and 1D: a step-size rule
 such as :func:`cfl_dt`, diagnostics and snapshots at fixed cadences, a
 per-step hook and an optional stop predicate; its diagnostics callback

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab import euler2d as e2
+from eulerlab import lagrangian as lag
+from eulerlab import presets, stepping
 from eulerlab.fields import (SpectralField2, VectorField2, Workspace, l2_inner, mode_power,
                              to_coeffs, to_values)
 from eulerlab.grids import Grid2
-from eulerlab.operators import biot_savart
+from eulerlab.operators import biot_savart, stream_velocity
 from eulerlab.snapshots import read_snapshot
 
 TWO_PI = 2.0 * np.pi
@@ -31,6 +33,12 @@ def random_band(g, seed, kmax, rms):
     c[0, 0] = 0.0
     f = SpectralField2.from_coeffs(g, c)
     return f * (rms / math.sqrt(np.sum(mode_power(g, f.coeffs))))
+
+
+def tendency(w):
+    """The vorticity tendency -u.grad(omega) of one Euler stage, dealiased and mean-free."""
+    (k,) = e2._StageEval(w.grid)(0.0, (w.coeffs,), (None,))
+    return SpectralField2(w.grid, k, True)
 
 
 class TestVorticityTendency:
@@ -62,13 +70,13 @@ class TestVorticityTendency:
         for fn in (lambda X, Y: np.cos(X) + np.cos(2 * Y),
                    lambda X, Y: np.cos(X) + 0.5 * np.cos(2 * Y) + 0.3 * np.sin(X + Y)):
             w = field(g, fn)
-            ours = e2.euler_rhs(e2.EulerState(w, 0.0)).coeffs
+            ours = tendency(w).coeffs
             assert np.max(np.abs(ours - brute_rhs(w.values))) < 1e-13
 
     def test_cellular_state_is_steady(self):
         g = Grid2(64, 64)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        rhs = e2.euler_rhs(e2.EulerState(w, 0.0))
+        rhs = tendency(w)
         assert np.max(np.abs(rhs.coeffs)) < 1e-14
 
     @given(seed=st.integers(0, 50), kmax=st.integers(1, 5))
@@ -76,7 +84,7 @@ class TestVorticityTendency:
     def test_tendency_orthogonal_to_energy_and_enstrophy(self, seed, kmax):
         g = Grid2(32, 32)
         w = random_band(g, seed, kmax, 0.5)
-        rhs = e2.euler_rhs(e2.EulerState(w, 0.0))
+        rhs = tendency(w)
         psi = SpectralField2(g, g.inv_minus_k2 * w.coeffs, True)
         assert abs(l2_inner(rhs, w)) < 1e-12
         assert abs(l2_inner(rhs, psi)) < 1e-12
@@ -87,20 +95,30 @@ class TestStepping:
         g = Grid2(32, 32)
         w = field(g, lambda X, Y: np.cos(Y))
         with pytest.raises(ValueError, match="cfl"):
-            e2.step_rk4(e2.EulerState(w, 0.0), 1e-3, cfl=0.9)
+            e2.run(w, 0.1, cfl=0.9)
 
-    def test_rejects_oversized_step(self):
+    def test_no_step_exceeds_the_cfl_bound(self, monkeypatch):
+        # every step is at most the CFL bound of the state it starts from,
+        # and a step that no output time cuts takes the whole bound
         g = Grid2(32, 32)
-        w = field(g, lambda X, Y: np.cos(Y))
-        with pytest.raises(ValueError, match="exceeds the CFL bound"):
-            e2.step_rk4(e2.EulerState(w, 0.0), 10.0)
+        w = random_band(g, 3, 4, 0.5)
+        ratios, real = [], stepping.rk4_step
+
+        def checked(rhs, t, y, dt, k1=None, work=None):
+            u1c, u2c = stream_velocity(y[0], g)
+            ratios.append(dt / stepping.cfl_dt(g, to_values(u1c), to_values(u2c), 0.4))
+            return real(rhs, t, y, dt, k1, work)
+
+        monkeypatch.setattr(stepping, "rk4_step", checked)
+        e2.run(w, 2.0, cfl=0.4, diag_every=0.5, casimirs=())
+        assert len(ratios) > 8
+        assert max(ratios) <= 1.0
+        assert sum(r == 1.0 for r in ratios) >= len(ratios) - 4
 
     def test_preserves_steady_state(self):
         g = Grid2(32, 32)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        s = e2.EulerState(w, 0.0)
-        for _ in range(20):
-            s = e2.step_rk4(s, 0.02)
+        s = e2.run(w, 0.4, cfl=0.1, diag_every=0.4, casimirs=()).final
         assert np.max(np.abs(s.omega.values - w.values)) < 1e-12
         assert s.t == pytest.approx(0.4)
 
@@ -418,6 +436,95 @@ class TestStabilityCertificate:
         assert not cert["certified"]
         assert cert["min_Fprime"] == pytest.approx(-2.0)
         assert cert["h2_max"] / cert["h2_initial"] < 2.0
+
+
+class TestMarkerSteps:
+    """Markers take one RK4 step per two flow steps, sampled on the flow's
+    step boundaries, and one when a diagnostics time ends the first."""
+
+    @staticmethod
+    def lifts(res):
+        return res.marker_snapshots[-1].particles.lifts
+
+    def test_equal_steps_in_a_steady_flow_advect_with_twice_the_step(self, monkeypatch):
+        # the cellular flow is steady, so its CFL steps are equal and each
+        # marker step's mid-time velocity is its shared boundary's
+        g = Grid2(128, 128)
+        w = presets.taylor_green(g)
+        u1c, u2c = stream_velocity(w.coeffs, g)
+        dt = stepping.cfl_dt(g, to_values(u1c), to_values(u2c), 0.4)
+        n, dts, real = 6, [], e2.cfl_dt
+
+        def recording(*args):
+            dts.append(real(*args))
+            return dts[-1]
+
+        monkeypatch.setattr(e2, "cfl_dt", recording)
+        res = e2.run(w, 2 * n * dt, cfl=0.4, diag_every=2 * n * dt, casimirs=(),
+                     marker_lattice=16)
+        assert dts == [dt] * (2 * n)
+        sampler = lag.VelocitySampler(g, u1c, u2c)
+        assert sampler.method == "bicubic"
+        lattice = lag.ParticleSet.lattice(16)
+        want = lag.advect(lattice, sampler, 2 * dt, n_steps=n).lifts
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(self.lifts(res) - want)) <= 1e-12 * scale
+        # one marker step per flow step would be another map
+        single = lag.advect(lattice, sampler, dt, n_steps=2 * n).lifts
+        assert np.max(np.abs(self.lifts(res) - single)) > 1e-10 * scale
+
+    def test_lifts_are_fourth_order_in_time(self):
+        # the perturbed cellular flow of gate 06 at 128^2, with diagnostics
+        # every few steps so that many marker steps span a single flow step:
+        # the markers move by less than 2e-8 from a cfl/8 reference, far
+        # below the 4.4e-5 Weber residual of the 128^2 lattice in gate 06
+        g = Grid2(128, 128)
+        w = presets.taylor_green_perturbed(g, eps=0.3)
+        lifts = {cfl: self.lifts(e2.run(w, 0.5, cfl=cfl, diag_every=0.05, casimirs=(),
+                                        marker_lattice=32))
+                 for cfl in (0.4, 0.2, 0.05)}
+        err = {cfl: np.max(np.abs(lifts[cfl] - lifts[0.05])) for cfl in (0.4, 0.2)}
+        assert err[0.4] < 2e-8
+        assert 10.0 < err[0.4] / err[0.2] < 24.0
+
+    def test_mid_time_value_is_exact_for_cubics_in_time(self):
+        # the Hermite value through coefficients and tendencies reproduces
+        # any cubic in time, in either flow step of a pair
+        g = Grid2(16, 16)
+        rng = np.random.default_rng(4)
+        a, b, c, d = (rng.normal(size=g.coeff_shape) + 1j * rng.normal(size=g.coeff_shape)
+                      for _ in range(4))
+        nodes = [(t, (a + t * (b + t * (c + t * d)), b + t * (2 * c + 3 * t * d)))
+                 for t in (0.3, 0.37, 0.52)]
+        track = lag.MarkerTrack(g, lag.ParticleSet.lattice(8).lifts)
+        for offset in (0.0, 0.02, 0.07, 0.11, 0.22):
+            t = 0.3 + offset
+            want = a + t * (b + t * (c + t * d))
+            assert np.max(np.abs(track._hermite(nodes, offset) - want)) < 1e-13
+
+    def test_snapshots_sit_on_diagnostics_times_after_odd_intervals(self, monkeypatch):
+        # three flow steps per diagnostics interval: the third is a marker
+        # step of its own, so the lifts reach each diagnostics time exactly;
+        # in the shear u1 = -sin y they move by exactly -t sin y0
+        g = Grid2(32, 32)
+        w = field(g, lambda X, Y: np.cos(Y))
+        dt = 0.4 * g.dx
+        counts, real = [0], e2.cfl_dt
+
+        def counting(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(e2, "cfl_dt", counting)
+        res = e2.run(w, 4 * 2.9 * dt, cfl=0.4, diag_every=2.9 * dt, casimirs=(),
+                     marker_lattice=8, observer=lambda state: counts.append(0))
+        assert counts[1:-1] == [3, 3, 3, 3]
+        assert [s.t for s in res.marker_snapshots] == list(res.times)
+        for snap in res.marker_snapshots:
+            p = snap.particles
+            drift = p.lifts - p.lifts0
+            assert np.max(np.abs(drift[:, 0] + snap.t * np.sin(p.lifts0[:, 1]))) < 1e-13
+            assert np.max(np.abs(drift[:, 1])) < 1e-13
 
 
 class TestWeberResidual:

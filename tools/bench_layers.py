@@ -1,5 +1,5 @@
-"""Time the spectral stage, the marker sampler, the diagnostics records and a
-256^2 run in two source trees.
+"""Time the spectral stage, the marker sampler, the diagnostics records, a
+256^2 run and a 96^2 run with markers in two source trees.
 
 Usage::
 
@@ -26,7 +26,13 @@ first, and each child measures in-process:
 - ``run_256``: ``euler2d.run`` on seeded band noise at 256^2 with the
   shape of the ``euler-256`` benchmark workload (t_end 5, cfl 0.4,
   diagnostics every 1.25, no snapshots): wall time, steps, ms per step and
-  minor page faults (``ru_minflt``) per step.
+  minor page faults (``ru_minflt``) per step;
+- ``run_markers_96``: ``euler2d.run`` at 96^2 with a 64^2 marker lattice,
+  with the shape of the ``markers-96`` benchmark workload
+  (``shear_plus_band`` seed 1, kmax 3, rms 0.02, t_end 2 pi, cfl 0.4,
+  diagnostics every pi/2): wall time, steps, ms per step, and marker
+  sampler builds and sampled points per flow step.  A short run with
+  markers first loads ``scipy.ndimage``, so the timed run does not.
 
 Each round also measures start-up per tree, in fresh interpreters:
 
@@ -92,7 +98,8 @@ def median_ms(call, reps=200, warm=10):
 
 
 def stage_call(grid, omega):
-    stage = euler2d._StageEval(grid, markers=False)
+    takes_markers = "markers" in inspect.signature(euler2d._StageEval).parameters
+    stage = euler2d._StageEval(grid, **({"markers": False} if takes_markers else {}))
     y = (omega.coeffs.copy(),)
     if "out" in inspect.signature(stage.__call__).parameters:
         out = (np.empty(grid.coeff_shape, np.complex128),)
@@ -163,6 +170,34 @@ wall = time.perf_counter() - t0
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
 res.update(run_256_s=wall, run_256_steps=steps[0], run_256_ms_per_step=1e3 * wall / steps[0],
            run_256_minflt=faults, run_256_minflt_per_step=faults / steps[0])
+
+sampled = {"builds": 0, "points": 0}
+Sampler = lagrangian.VelocitySampler
+real_init, real_call = Sampler.__init__, Sampler.__call__
+
+
+def counting_init(self, *args, **kwargs):
+    sampled["builds"] += 1
+    real_init(self, *args, **kwargs)
+
+
+def counting_call(self, points, *args, **kwargs):
+    sampled["points"] += points.shape[0]
+    return real_call(self, points, *args, **kwargs)
+
+
+grid = Grid2(96, 96)
+omega = presets.shear_plus_band(grid, seed=1, kmax=3, rms=0.02)
+euler2d.run(omega, 0.1, cfl=0.4, diag_every=0.1, casimirs=(), marker_lattice=64)  # warm-up
+Sampler.__init__, Sampler.__call__ = counting_init, counting_call
+steps[0] = 0
+t0 = time.perf_counter()
+euler2d.run(omega, 2.0 * np.pi, cfl=0.4, diag_every=0.5 * np.pi, casimirs=(), marker_lattice=64)
+wall = time.perf_counter() - t0
+res.update(run_markers_96_s=wall, run_markers_96_steps=steps[0],
+           run_markers_96_ms_per_step=1e3 * wall / steps[0],
+           run_markers_96_builds_per_step=sampled["builds"] / steps[0],
+           run_markers_96_points_per_step=sampled["points"] / steps[0])
 print(json.dumps(res))
 """
 
