@@ -131,6 +131,15 @@ def _records_csv(records: list, fields: list[str]) -> bytes:
                                       + [r.casimirs[n] for n in names] for r in records))
 
 
+def _lattice_folded(snap: lagrangian.FlowMapSnapshot) -> bool:
+    """Whether :func:`lagrangian.jacobian_det` finds the lattice folded."""
+    try:
+        lagrangian.jacobian_det(snap)
+    except ValueError:
+        return True
+    return False
+
+
 def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     grid = Grid2(cfg["nx"], cfg["ny"])
     omega0 = presets.build(cfg, "preset", grid)
@@ -147,10 +156,11 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         ts, spreads = lagrangian.twisting_series(res)
         manifest.add_file("winding.csv",
                           csv_bytes(["t", "winding_spread"], zip(ts, spreads)))
-        u0 = euler2d.EulerState(omega0, 0.0).velocity()
-        manifest.extra["weber_residual"] = euler2d.weber_residual(
-            res.final, res.marker_snapshots[-1], u0)
         snap = res.marker_snapshots[-1]
+        u0 = euler2d.EulerState(omega0, 0.0).velocity()
+        manifest.extra["weber_residual"] = euler2d.weber_residual(res.final, snap, u0)
+        # a folded lattice has lost the resolution the residual relies on
+        manifest.extra["lattice_folded"] = _lattice_folded(snap)
         m = snap.lattice_shape[0]
         p = snap.particles
         fields = [p.positions[:, 0].reshape(m, m), p.positions[:, 1].reshape(m, m),

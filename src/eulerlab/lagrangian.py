@@ -34,8 +34,19 @@ class VelocitySampler:
     (4 + 2 cos theta) / 6 on each axis of the fine grid (the periodic
     prefilter is diagonal in Fourier space; M. Unser, "Splines: a perfect
     fit for signal and image processing", IEEE Signal Processing Magazine,
-    1999) and transformed once, so ``map_coordinates`` runs with its
-    prefilter off.  The chosen method is exposed for metadata.
+    1999) and transformed once.  The chosen method is exposed for metadata.
+
+    The bicubic branch evaluates the spline by a numpy stencil gather.  The
+    coefficients of both components sit in one periodically padded array,
+    one row and column before and two after, so every 4x4 stencil is in
+    bounds.  Per axis a point is scaled to fine-grid units and wrapped into
+    [0, n), its cell and fraction y give the four B-spline weights, and the
+    sixteen taps ``(c * wx[a]) * wy[b]`` are summed in tap order from +0.0.
+    Every one of those operations is the one scipy's order-3 spline
+    interpolation performs in ``grid-wrap`` mode with its prefilter off, so
+    the samples have the same bits as that interpolator's (the tests check
+    it); no scipy subpackage is loaded.  A non-finite point raises
+    ``ValueError`` on either branch.
 
     With a workspace ``work`` the spline arrays and the sampling scratch
     live in it, so a sampler is valid only until the next one is built in
@@ -46,9 +57,6 @@ class VelocitySampler:
     :func:`eulerlab.euler2d.run`).  It builds them in turn in one workspace
     (:class:`MarkerTrack`); the end's serves that step's last stage and the
     next step's first.
-
-    Only the bicubic branch imports ``scipy.ndimage``, so a run that samples
-    only on grids up to 64^2 never loads it.
     """
 
     def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray,
@@ -59,13 +67,17 @@ class VelocitySampler:
             self._field = VectorField2(SpectralField2(grid, u1_coeffs, False),
                                        SpectralField2(grid, u2_coeffs, False))
         else:
-            from scipy.ndimage import map_coordinates
-
-            self._map_coordinates = map_coordinates
             self._work = work = Workspace() if work is None else work
-            self._v1, self._v2 = (_spline_coeffs(grid, c, work, ("sampler.v", i))
-                                  for i, c in enumerate((u1_coeffs, u2_coeffs)))
-            self._scale = (2 * grid.nx / grid.lx, 2 * grid.ny / grid.ly)
+            n1, n2 = 2 * grid.nx, 2 * grid.ny
+            spline = work.array("sampler.spline", (2, n1 + 3, n2 + 3))
+            for i, c in enumerate((u1_coeffs, u2_coeffs)):
+                _pad_periodic(_spline_coeffs(grid, c, work, ("sampler.v", i)), spline[i])
+            self._spline, self._cols = spline.reshape(-1), spline.shape[2]
+            # flat offsets of a stencil's 16 taps, row-major, per component: (2, 16, 1)
+            self._taps = (np.arange(2)[:, None] * spline[0].size
+                          + (np.arange(4)[:, None] * self._cols + np.arange(4)).ravel())[..., None]
+            self._scale = np.array([[n1 / grid.lx], [n2 / grid.ly]])
+            self._period = np.array([[n1], [n2]])
 
     @classmethod
     def from_field(cls, u: VectorField2) -> "VelocitySampler":
@@ -81,15 +93,73 @@ class VelocitySampler:
         if out is None:
             out = np.empty((points.shape[0], 2))
         if self.method == "spectral":
+            _check_finite(points)
             out[...] = self._field.eval_at(points)
             return out
-        coords = self._work.array("sampler.coords", (2, points.shape[0]))
-        for i in range(2):
-            np.multiply(points[:, i], self._scale[i], out=coords[i])
-        for i, v in enumerate((self._v1, self._v2)):
-            self._map_coordinates(v, coords, output=out[:, i], order=3, mode="grid-wrap",
-                                  prefilter=False)
+        work, p = self._work, points.shape[0]
+        # per axis (rows): the fine-grid coordinate, wrapped into [0, n] by
+        # np.mod's own steps (fmod, then + n where negative) at a quarter of
+        # its cost; only the sign of a zero differs, which nothing below
+        # reads.  A tiny negative coordinate rounds up to n, which the cell
+        # index wraps.
+        x = np.multiply(points.T, self._scale, out=work.array("sampler.coords", (2, p)))
+        _check_finite(x)
+        np.fmod(x, self._period, out=x)
+        np.add(x, self._period, out=x, where=x < 0.0)
+        cell = np.floor(x, out=work.array("sampler.floor", (2, p)))
+        index = work.array("sampler.index", (2, p), np.intp)
+        np.copyto(index, cell, casting="unsafe")
+        np.remainder(index, self._period, out=index)
+        y = np.subtract(x, cell, out=x)
+        w = _bspline_weights(y, np.subtract(1.0, y, out=cell),
+                             work.array("sampler.weights", (2, 4, p)))
+        # flat index of each stencil's first tap in the padded array
+        np.multiply(index[0], self._cols, out=index[0])
+        index[0] += index[1]
+        taps = np.add(self._taps, index[0],
+                      out=work.array("sampler.tap_index", (2, 16, p), np.intp))
+        v = self._spline.take(taps, out=work.array("sampler.taps", (2, 16, p)), mode="clip")
+        v4 = v.reshape(2, 4, 4, p)
+        np.multiply(v4, w[0][None, :, None, :], out=v4)
+        np.multiply(v4, w[1][None, None, :, :], out=v4)
+        # in tap order from +0.0, so sixteen negative zeros give +0.0
+        np.add.reduce(v, axis=1, out=out.T, initial=0.0)
         return out
+
+
+def _check_finite(points: np.ndarray) -> None:
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite sample point")
+
+
+def _bspline_weights(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The four cubic B-spline weights of the fractions ``y`` (z = 1 - y) into
+    ``w[:, 0..3]``, with the operations and their order of scipy's order-3
+    spline interpolation: z^3/6, (y^2 (y - 2) 3 + 4)/6, the same in z, and
+    the rest of 1."""
+    w0, w1, w2, w3 = (w[:, a] for a in range(4))
+    np.multiply(z, z, out=w0)
+    w0 *= z
+    w0 /= 6.0
+    for wa, s in ((w1, y), (w2, z)):
+        np.multiply(s, s, out=w3)
+        w3 *= np.subtract(s, 2.0, out=wa)
+        w3 *= 3.0
+        w3 += 4.0
+        np.divide(w3, 6.0, out=wa)
+    np.subtract(1.0, w0, out=w3)
+    w3 -= w1
+    w3 -= w2
+    return w
+
+
+def _pad_periodic(v: np.ndarray, out: np.ndarray) -> None:
+    """``v`` into ``out`` with one periodic row and column before it and two after."""
+    out[1:-2, 1:-2] = v
+    out[1:-2, 0] = v[:, -1]
+    out[1:-2, -2:] = v[:, :2]
+    out[0] = out[-3]
+    out[-2:] = out[1:3]
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eulerlab
-from eulerlab import cli, models1d, presets
+from eulerlab import cli, lagrangian, models1d, presets
 from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
 from eulerlab.config import SYSTEMS
 from eulerlab.stepping import BlowupError
@@ -186,6 +187,23 @@ class TestFailureExitCodes:
                      "--output-dir", str(out)]) == code
         assert read_manifest(out)["status"].startswith(status)
 
+    @pytest.mark.parametrize("n", [32, 96])  # the spectral and the bicubic sampler
+    def test_a_non_finite_marker_fails_the_run(self, tmp_path, monkeypatch, n):
+        lattice = lagrangian.ParticleSet.lattice.__func__
+
+        def poisoned(cls, m, lx, ly):
+            particles = lattice(cls, m, lx, ly)
+            particles.lifts[5, 1] = np.nan
+            return particles
+
+        monkeypatch.setattr(lagrangian.ParticleSet, "lattice", classmethod(poisoned))
+        text = (f"system = euler2d\nnx = {n}\nny = {n}\npreset = taylor_green_perturbed\n"
+                "t_end = 0.05\ndiag_every = 0.05\nmarker_lattice = 8\n")
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == EXIT_NUMERICAL
+        assert read_manifest(out)["status"] == "failed: non-finite sample point"
+
     def test_a_1d_failure_names_its_step(self, tmp_path, monkeypatch):
         monkeypatch.setattr(models1d, "_rhs_coeffs",
                             lambda c, grid, a, u=None: np.full_like(c, np.nan))
@@ -333,6 +351,18 @@ class TestRunArtifacts:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("0,")
 
+    # a 32^2 perturbed cellular flow folds an 8^2 lattice between t = 2.5 and 3
+    @pytest.mark.parametrize("t_end, folded", [(1.0, False), (4.0, True)])
+    def test_manifest_says_whether_the_marker_lattice_folded(self, tmp_path, t_end, folded):
+        text = ("system = euler2d\nnx = 32\nny = 32\npreset = taylor_green_perturbed\n"
+                f"eps = 0.3\nt_end = {t_end}\ndiag_every = 0.5\nmarker_lattice = 8\n")
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == EXIT_OK
+        extra = read_manifest(out)["extra"]
+        assert extra["lattice_folded"] is folded
+        assert math.isfinite(extra["weber_residual"])
+
     def test_detected_blowup_completes_with_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_CLM)
         out = tmp_path / "a"
@@ -409,9 +439,9 @@ class TestImportFootprint:
         assert got["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BLOWUP, EXIT_OK]
         assert HEAVY_SCIPY.isdisjoint(got["loaded"]), got["loaded"]
 
-    def test_the_bicubic_marker_sampler_loads_ndimage(self, tmp_path):
+    def test_the_bicubic_marker_sampler_loads_no_scipy_subpackage(self, tmp_path):
         text = ("system = euler2d\nnx = 96\nny = 96\npreset = taylor_green_perturbed\n"
                 "t_end = 0.05\ndiag_every = 0.05\nmarker_lattice = 8\n")
         got = self._child(tmp_path, [text])
         assert got["codes"] == [EXIT_OK]
-        assert "ndimage" in got["loaded"]
+        assert HEAVY_SCIPY.isdisjoint(got["loaded"]), got["loaded"]

@@ -93,6 +93,51 @@ class TestVelocitySampler:
                                                prefilter=False)
                 assert got[:, i].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("nx, ny", [(96, 80), (128, 96)])
+    def test_stencil_gather_matches_map_coordinates_bit_for_bit(self, nx, ny):
+        # lifts far off the fundamental cell, and points on and next to its seams
+        g = Grid2(nx, ny)
+        rng = np.random.default_rng(nx + ny)
+        seams = np.array([-0.0, 0.0, -1e-17, 1e-17, -5e-324, 5e-324, TWO_PI,
+                          np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), np.pi,
+                          -np.pi, 2e4 * np.pi, -2e4 * np.pi, np.nextafter(2e4 * np.pi, 0.0)])
+        sx, sy = np.meshgrid(seams, seams, indexing="ij")
+        pts = np.concatenate([rng.uniform(-2e4 * np.pi, 2e4 * np.pi, size=(4000, 2)),
+                              rng.uniform(-1.0, 7.0, size=(1000, 2)),
+                              np.column_stack([sx.ravel(), sy.ravel()])])
+        coords = np.stack([pts[:, 0] * (2 * g.nx / g.lx), pts[:, 1] * (2 * g.ny / g.ly)])
+        inverse = lag._bspline_inverse_symbol(2 * g.nx, 2 * g.ny)
+        work, out = Workspace(), np.empty((pts.shape[0], 2))
+        for _ in range(2):  # the second build and sample reuse the first one's arrays
+            u = VectorField2.from_values(g, rng.standard_normal(g.shape),
+                                         rng.standard_normal(g.shape))
+            got = lag.VelocitySampler(g, u.u1.coeffs, u.u2.coeffs, work)(pts, out)
+            for i, comp in enumerate((u.u1, u.u2)):
+                fine = to_values(resample_coeffs(comp.coeffs, 2 * g.nx, 2 * g.ny) * inverse)
+                want = ndimage.map_coordinates(fine, coords, order=3, mode="grid-wrap",
+                                               prefilter=False)
+                assert got[:, i].tobytes() == want.tobytes()
+
+    def test_a_sum_of_negative_zeros_is_positive_zero(self):
+        # the spline sum starts from +0.0, as map_coordinates' does
+        g = Grid2(96, 96)
+        zero = np.zeros(g.coeff_shape, np.complex128)
+        sampler = lag.VelocitySampler(g, zero, zero)
+        sampler._spline[:] = -0.0
+        got = sampler(np.random.default_rng(5).uniform(0.0, TWO_PI, size=(50, 2)))
+        assert not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("n", [32, 96])  # the spectral and the bicubic branch
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_rejected(self, n, bad):
+        g = Grid2(n, n)
+        w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
+        sampler = lag.VelocitySampler.from_field(e2.EulerState(w, 0.0).velocity())
+        pts = np.random.default_rng(6).uniform(0.0, TWO_PI, size=(20, 2))
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite sample point"):
+            sampler(pts)
+
     def test_points_outside_fundamental_cell_wrap(self):
         g = Grid2(32, 32)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))

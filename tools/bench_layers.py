@@ -32,7 +32,8 @@ first, and each child measures in-process:
   (``shear_plus_band`` seed 1, kmax 3, rms 0.02, t_end 2 pi, cfl 0.4,
   diagnostics every pi/2): wall time, steps, ms per step, and marker
   sampler builds and sampled points per flow step.  A short run with
-  markers first loads ``scipy.ndimage``, so the timed run does not.
+  markers comes first, so the timed run finds the cached spline symbols
+  and its workspace sizes warm.
 
 Each round also measures start-up per tree, in fresh interpreters:
 
@@ -41,7 +42,12 @@ Each round also measures start-up per tree, in fresh interpreters:
 - ``scipy_modules_at_import``: how many ``scipy.*`` modules that import
   leaves in ``sys.modules``;
 - ``importtime_cli_ms``: the cumulative time of ``eulerlab.cli`` that
-  ``python -X importtime -c "from eulerlab import cli"`` reports.
+  ``python -X importtime -c "from eulerlab import cli"`` reports;
+- ``markers_96_maxrss_mb`` and ``scipy_modules_after_markers_96``: the
+  peak resident set (``ru_maxrss``) of one interpreter that imports the
+  CLI and dispatches a short 96^2 run with a 64^2 marker lattice (the
+  ``markers-96`` shape, to t = 0.5), and how many ``scipy.*`` modules it
+  has loaded by then.
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -213,6 +219,19 @@ print(json.dumps([ms, sum(m.startswith("scipy.") for m in sys.modules)]))
 
 STARTUP_RUNS = 15
 
+# a short markers-96 run in a fresh interpreter: its peak RSS and scipy modules
+_MARKERS_FOOTPRINT = r"""
+import json, resource, sys, tempfile
+from eulerlab import cli, config
+text = ("system = euler2d\nnx = 96\nny = 96\npreset = shear_plus_band\nseed = 1\n"
+        "kmax = 3\nrms = 0.02\nt_end = 0.5\ncfl = 0.4\ndiag_every = 0.25\n"
+        "marker_lattice = 64\n")
+with tempfile.TemporaryDirectory() as out:
+    assert cli.dispatch(config.parse_config(text), out) == cli.EXIT_OK
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  sum(m.startswith("scipy.") for m in sys.modules)]))
+"""
+
 
 def _startup(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -225,9 +244,14 @@ def _startup(src: Path) -> dict:
     trace = subprocess.run([sys.executable, "-X", "importtime", "-c", "from eulerlab import cli"],
                            env=env, check=True, stderr=subprocess.PIPE, text=True).stderr
     line = next(ln for ln in trace.splitlines() if ln.split("|")[-1].strip() == "eulerlab.cli")
+    out = subprocess.run([sys.executable, "-c", _MARKERS_FOOTPRINT], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    maxrss_mb, markers_count = json.loads(out.strip().splitlines()[-1])
     return {"import_cli_ms": statistics.median(times),
             "scipy_modules_at_import": count,
-            "importtime_cli_ms": int(line.split("|")[1]) / 1e3}
+            "importtime_cli_ms": int(line.split("|")[1]) / 1e3,
+            "markers_96_maxrss_mb": maxrss_mb,
+            "scipy_modules_after_markers_96": markers_count}
 
 
 def _child(src: Path) -> dict:
