@@ -17,10 +17,6 @@ bracket residual, an inexact-Newton solver for the semilinear balance
 stability certificate with a perturbation experiment, and a dense probe
 for kernels of the linearized operator.
 
-Stream-level H2 distances used by the certificate are computed spectrally:
-``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
-spectrum with the grid's Parseval weight w.
-
 On the torus the boundary condition of the classical stability theorem is
 replaced by a mean-free constraint on psi; the certificate is that torus
 adaptation, not a verbatim transcription.
@@ -484,14 +480,6 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
                        f"(residual {rnorm:.3e})")
 
 
-def stream_h2_distance(omega1: SpectralField2, omega2: SpectralField2) -> float:
-    """Spectral H2 distance between the stream functions of two vorticities."""
-    if omega1.grid != omega2.grid:
-        raise ValueError("fields live on different grids")
-    g = omega1.grid
-    return _h2_norm(g, g.inv_minus_k2 * (omega1.coeffs - omega2.coeffs))
-
-
 def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
     w = (1.0 + g.k2) ** 2
     return float(math.sqrt(g.measure * np.sum(w * mode_power(g, psi_c))))
@@ -506,6 +494,10 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
     experiment evolves the steady vorticity plus a random band-limited
     perturbation of stream-level H2 size epsilon and records the largest
     H2 distance from the steady stream function over [0, t_end].
+
+    The H2 distances are computed spectrally:
+    ``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
+    spectrum with the grid's Parseval weight w.
     """
     if not steady.converged:
         raise ValueError("certificate requires a converged steady state")
@@ -530,7 +522,8 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
     distances = []
 
     def observer(state: EulerState) -> None:
-        distances.append(stream_h2_distance(state.omega, omega_star))
+        distances.append(_h2_norm(grid, grid.inv_minus_k2
+                                  * (state.omega.coeffs - omega_star.coeffs)))
 
     run(omega_pert.project_mean_free(), t_end, cfl=cfl, diag_every=diag_every,
         casimirs=(), observer=observer)

@@ -71,7 +71,8 @@ class VelocitySampler:
             n1, n2 = 2 * grid.nx, 2 * grid.ny
             spline = work.array("sampler.spline", (2, n1 + 3, n2 + 3))
             for i, c in enumerate((u1_coeffs, u2_coeffs)):
-                _pad_periodic(_spline_coeffs(grid, c, work, ("sampler.v", i)), spline[i])
+                _spline_coeffs(grid, c, work, spline[i, 1:-2, 1:-2])
+            _pad_periodic(spline)
             self._spline, self._cols = spline.reshape(-1), spline.shape[2]
             # flat offsets of a stencil's 16 taps, row-major, per component: (2, 16, 1)
             self._taps = (np.arange(2)[:, None] * spline[0].size
@@ -153,13 +154,13 @@ def _bspline_weights(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pad_periodic(v: np.ndarray, out: np.ndarray) -> None:
-    """``v`` into ``out`` with one periodic row and column before it and two after."""
-    out[1:-2, 1:-2] = v
-    out[1:-2, 0] = v[:, -1]
-    out[1:-2, -2:] = v[:, :2]
-    out[0] = out[-3]
-    out[-2:] = out[1:3]
+def _pad_periodic(out: np.ndarray) -> None:
+    """Around the interior ``out[..., 1:-2, 1:-2]`` of each component, its
+    periodic copies: one row and column before it and two after."""
+    out[:, 1:-2, 0] = out[:, 1:-2, -3]
+    out[:, 1:-2, -2:] = out[:, 1:-2, 1:3]
+    out[:, 0] = out[:, -3]
+    out[:, -2:] = out[:, 1:3]
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,8 +176,9 @@ def _bspline_inverse_symbol(nx: int, ny: int) -> np.ndarray:
     return inv
 
 
-def _spline_coeffs(grid: Grid2, coeffs: np.ndarray, work: Workspace, name) -> np.ndarray:
-    """Cubic spline coefficients of a field on the doubled grid, into ``work``.
+def _spline_coeffs(grid: Grid2, coeffs: np.ndarray, work: Workspace, out: np.ndarray) -> None:
+    """Cubic spline coefficients of a field on the doubled grid, into ``out``
+    (a (2 nx, 2 ny) view, which may be strided); the scratch is in ``work``.
 
     The same numbers as ``to_values(resample_coeffs(coeffs, 2 nx, 2 ny) *
     inverse symbol)``, computed over the nonzero part of the padded half
@@ -197,8 +199,7 @@ def _spline_coeffs(grid: Grid2, coeffs: np.ndarray, work: Workspace, name) -> np
     # columns cols .. ny of the x pass stay zero
     xpass = work.array("sampler.xpass", (2 * nx, ny + 1), np.complex128)
     np.fft.ifft(padded, axis=0, norm="forward", out=xpass[:, :cols])
-    return np.fft.irfft(xpass, 2 * ny, axis=1, norm="forward",
-                        out=work.array(name, (2 * nx, 2 * ny)))
+    np.fft.irfft(xpass, 2 * ny, axis=1, norm="forward", out=out)
 
 
 def check_lattice(m: int) -> None:
@@ -274,7 +275,7 @@ class WindingRecord:
         return np.floor(self.numbers).astype(int)
 
 
-def _as_sampler(velocity_source, t: float):
+def _as_sampler(velocity_source):
     if isinstance(velocity_source, VectorField2):
         sampler = VelocitySampler.from_field(velocity_source)
         return lambda _t, pts: sampler(pts)
@@ -285,27 +286,36 @@ def _as_sampler(velocity_source, t: float):
     raise TypeError("velocity_source must be a VectorField2, sampler, or callable")
 
 
+def _check_dt(dt: float) -> None:
+    """Reject a step that never advances (zero, negative, NaN) or is infinite."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+
+
+def _no_emit(t: float, y: tuple, step: int, k1) -> None:
+    """A march record that keeps nothing."""
+
+
 def advect(particles: ParticleSet, velocity_source, dt: float,
            n_steps: int = 1) -> ParticleSet:
     """March particle lifts with RK4; positions are re-wrapped afterwards.
 
     ``velocity_source`` is a steady VectorField2, a VelocitySampler, or a
-    callable (t, points) -> velocities for time-dependent flows.
+    callable (t, points) -> velocities for time-dependent flows.  The lifts
+    take ``n_steps`` steps of ``dt`` on :func:`march`, ended by the stop: the
+    summed steps can miss n_steps * dt by more than 1e-12 at long horizons.
     """
-    vel = _as_sampler(velocity_source, particles.t)
+    _check_dt(dt)
+    vel = _as_sampler(velocity_source)
+    t0 = particles.t
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (vel(t, y[0]),)
+        return (vel(t0 + t, y[0]),)
 
-    lifts = particles.lifts.copy()
-    t = particles.t
-    work = Workspace()
-    for _ in range(n_steps):
-        (lifts,) = rk4_step(rhs, t, (lifts,), dt, work=work)
-        t += dt
-    out = ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
-                      t, particles.lx, particles.ly)
-    return out
+    t, (lifts,) = march(rhs, (particles.lifts.copy(),), math.inf, lambda t, y: dt,
+                        math.inf, _no_emit, stop=lambda t, y: t > (n_steps - 0.5) * dt)
+    return ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
+                       t0 + t, particles.lx, particles.ly)
 
 
 class MarkerTrack:
@@ -546,50 +556,43 @@ def period_function(u, seeds, dt: float = 1e-3,
                     t_max: float = 200.0, tol: float = 1e-3) -> list[float]:
     """First-return times of trajectories seeded on closed orbits.
 
-    ``u`` is a VectorField2, a sampler, or a callable (t, points).  A seed
-    must first leave its neighborhood (10x tol) and then come back within
-    ``tol`` in the torus metric; the return time is sharpened by a
-    parabolic fit of the squared distance.  Seeds that never return within
-    ``t_max`` (e.g. stagnation points) yield ``inf``.
+    ``u`` is a VectorField2, a sampler, or a callable (t, points).  The
+    seeds step as one (s, 2) state on :func:`march`.  A seed must first
+    leave its neighborhood (10x tol), then come back within ``tol`` in the
+    torus metric after at least 3 steps; its first return time is sharpened
+    by the parabola through the last three squared distances.  The seeds
+    step while t < ``t_max`` and some seed has not returned; those that
+    never return (e.g. stagnation points) yield ``inf``.
     """
-    vel = _as_sampler(u, 0.0)
-    if isinstance(u, (VectorField2, VelocitySampler)):
-        lx, ly = u.grid.lx, u.grid.ly
-    else:
-        lx = ly = TWO_PI
+    _check_dt(dt)
+    vel = _as_sampler(u)
+    size = (np.array([u.grid.lx, u.grid.ly]) if isinstance(u, (VectorField2, VelocitySampler))
+            else np.full(2, TWO_PI))
+    seeds = np.asarray(seeds, dtype=np.float64).reshape(-1, 2)
+    period = np.full(len(seeds), math.inf)
+    left = np.zeros(len(seeds), dtype=bool)
+    # the squared distances of the last three steps, oldest first
+    d2 = np.zeros((3, len(seeds)))
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (vel(t, y[0][None, :])[0],)
+        return (vel(t, y[0]),)
 
-    work = Workspace()
-    out = []
-    for seed in seeds:
-        seed = np.asarray(seed, dtype=np.float64)
-        p = seed.copy()
-        t = 0.0
-        left = False
-        d_hist = []
-        period = math.inf
-        while t < t_max:
-            (p,) = rk4_step(rhs, t, (p,), dt, work=work)
-            t += dt
-            dx = (p[0] - seed[0] + lx / 2) % lx - lx / 2
-            dy = (p[1] - seed[1] + ly / 2) % ly - ly / 2
-            d = math.hypot(dx, dy)
-            d_hist.append((t, d))
-            if not left:
-                left = d > 10.0 * tol
-                continue
-            if d < tol and len(d_hist) >= 3:
-                (t0, d0), (t1, d1), (t2, d2) = d_hist[-3:]
-                denom = d0 * d0 - 2 * d1 * d1 + d2 * d2
-                if denom > 0:
-                    period = t1 + 0.5 * dt * (d0 * d0 - d2 * d2) / denom
-                else:
-                    period = t1
-                break
-        out.append(float(period))
-    return out
+    def after_step(t: float, h: float, y: tuple, y_new: tuple, step: int) -> None:
+        gap = np.remainder(y_new[0] - seeds + size / 2, size) - size / 2
+        d = np.hypot(gap[:, 0], gap[:, 1])
+        d2[:2] = d2[1:]
+        d2[2] = d * d
+        back = left & (d < tol) & (period == math.inf) & (step >= 3)
+        s0, s1, s2 = d2[:, back]
+        denom = s0 - 2 * s1 + s2
+        period[back] = t + np.divide(0.5 * dt * (s0 - s2), denom,
+                                     out=np.zeros_like(denom), where=denom > 0)
+        left[d > 10.0 * tol] = True
+
+    # no horizon: a last step cut to t_max would break the parabola's equal spacing
+    march(rhs, (seeds.copy(),), math.inf, lambda t, y: dt, math.inf, _no_emit,
+          after_step=after_step, stop=lambda t, y: not (t < t_max and np.isinf(period).any()))
+    return period.tolist()
 
 
 def gradient_growth(result, fit_window: tuple[float, float] | None = None) -> dict:

@@ -1,15 +1,15 @@
 """The one time integrator of the lab: classical RK4 over a tuple of arrays.
 
 Each time-stepping system (2D Euler with its scalars, the markers of a 2D
-Euler run, IPM, passive scalars, particle advection, the 1D models)
-supplies a right-hand side ``rhs(t, y, out)`` over its state tuple ``y``
-(field coefficients, scalar coefficients, marker lifts) and steps it with
-:func:`rk4_step`.
-:func:`march` drives every adaptive run, 2D and 1D: a step-size rule
-such as :func:`cfl_dt`, diagnostics and snapshots at fixed cadences, a
-per-step hook and an optional stop predicate; its diagnostics callback
-gets the first stage of the step that follows, so a record reuses it.  A
-2D run that meets a non-finite state raises :class:`BlowupError`.
+Euler run, IPM, passive scalars, particles, the 1D models) supplies a
+right-hand side ``rhs(t, y, out)`` over its state tuple ``y`` and steps it
+with :func:`rk4_step`.  :func:`march` is the only time loop, for adaptive
+and fixed steps alike (the markers' single steps run inside the flow's):
+a step-size rule such as :func:`cfl_dt`, diagnostics and snapshots at
+fixed cadences, a per-step hook and an optional stop predicate; its
+diagnostics callback gets the first stage of the step that follows, so a
+record reuses it.  A 2D run that meets a non-finite state raises
+:class:`BlowupError`.
 :func:`casimir_integrals` gives the moment integrals of the records, by
 the binary powering of :func:`integer_powers`.
 

@@ -1,6 +1,7 @@
 """Tests for particle advection, flow-map diagnostics, and scalar transport."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -186,6 +187,45 @@ class TestAdvection:
         p = lag.ParticleSet.lattice(4)
         with pytest.raises(TypeError, match="velocity_source"):
             lag.advect(p, object(), 0.1)
+
+    def test_gate_07_shape_makes_one_velocity_call_per_stage(self):
+        calls = []
+
+        def u(t, pts):
+            calls.append(t)
+            y = pts[..., 1]
+            return np.stack([y, np.zeros_like(y)], axis=-1)
+
+        T = 100.0 * np.pi
+        q = lag.advect(lag.ParticleSet.lattice(32), u, T / 64, n_steps=64)
+        assert len(calls) == 256
+        assert q.t == pytest.approx(T, rel=1e-15)
+
+    def test_a_long_horizon_takes_exactly_n_steps(self):
+        # a thousand steps of 0.1 sum to more than 1e-12 short of 100.0, so a
+        # run to the horizon n_steps * dt would take a 1001st, tiny step
+        calls = []
+
+        def u(t, pts):
+            calls.append(t)
+            return np.ones(pts.shape)
+
+        q = lag.advect(lag.ParticleSet.lattice(2), u, 0.1, n_steps=1000)
+        assert len(calls) == 4000
+        assert 100.0 - q.t > 1e-12
+        assert calls[-1] == q.t
+
+    def test_stage_times_start_at_the_particles_time(self):
+        calls = []
+
+        def u(t, pts):
+            calls.append(t)
+            return np.zeros(pts.shape)
+
+        p = lag.advect(lag.ParticleSet.lattice(2), u, 0.5, n_steps=2)
+        q = lag.advect(p, u, 0.5)
+        assert calls[8:] == [1.0, 1.25, 1.25, 1.5]
+        assert q.t == 1.5
 
 
 class TestTransportIdentity:
@@ -424,6 +464,48 @@ class TestPeriodFunction:
         seeds = np.array([[0.0, 0.0], [np.pi / 2, np.pi / 2]])
         per = lag.period_function(vortex_velocity, seeds, dt=1e-3, t_max=5.0)
         assert all(math.isinf(p) for p in per)
+
+    def test_the_oracle_seeds_step_together(self):
+        # one state for all ten seeds: four velocity calls per step until the
+        # longest orbit is back, where the seeds one after another take ten times that
+        calls = []
+
+        def counting(t, pts):
+            calls.append(t)
+            return vortex_velocity(t, pts)
+
+        svals = np.linspace(0.1, 1.0, 10)
+        seeds = np.stack([np.pi / 2 + svals, np.full(10, np.pi / 2)], axis=1)
+        dt = 1e-3
+        per = lag.period_function(counting, seeds, dt=dt)
+        assert len(calls) <= 4 * (math.ceil(max(per) / dt) + 2)
+
+    def test_a_mixed_batch_keeps_each_seeds_first_return(self):
+        # the center never returns, so the batch runs to t_max past three
+        # returns of the orbit, which keeps its first
+        orbit = [np.pi / 2 + 0.5, np.pi / 2]
+        (alone,) = lag.period_function(vortex_velocity, [orbit], dt=4e-3, tol=1e-2)
+        per = lag.period_function(vortex_velocity, [[np.pi / 2, np.pi / 2], orbit],
+                                  dt=4e-3, t_max=3.2 * alone, tol=1e-2)
+        assert math.isinf(per[0])
+        assert per[1] == alone
+        assert 1.0 < alone / TWO_PI < 1.1
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_a_step_that_cannot_advance_is_rejected(self, dt):
+        def hang(signum, frame):
+            raise TimeoutError(f"dt = {dt} did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="dt"):
+                lag.period_function(vortex_velocity, [[2.0, np.pi / 2]], dt=dt, t_max=1.0)
+            with pytest.raises(ValueError, match="dt"):
+                lag.advect(lag.ParticleSet.lattice(2), vortex_velocity, dt, n_steps=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestGradientGrowth:
