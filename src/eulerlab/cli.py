@@ -2,12 +2,13 @@
 
 Every run writes plot-ready CSV (17 significant digits), optional EULB
 field containers, and exactly one ``manifest.json`` naming the config
-echo, code version, wall time, environment, and sha256 of every emitted
-file.  All
-writes are write-then-rename so readers never observe partial files.
+echo, code version, wall time, environment, and sha256 of every file the
+run wrote.  All writes are write-then-rename, so readers never observe
+partial files and a failed write leaves none.
 
-Exit codes: 0 success; 2 config error; 3 numerical failure; 4 blow-up
-detected (a completed run whose subject blew up is not a failure).
+Exit codes: 0 success; 2 config error; 3 numerical failure or failed
+write; 4 blow-up detected (a completed run whose subject blew up is not a
+failure).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy
 from . import __version__, euler2d, ipm, lagrangian, models1d, presets, selfsim
 from .config import ConfigError, ExperimentConfig, parse_config_file
 from .grids import Grid1, Grid2
-from .snapshots import write_snapshot
+from .snapshots import atomic_write, write_snapshot
 from .stepping import BlowupError
 
 EXIT_OK = 0
@@ -52,12 +53,6 @@ def csv_bytes(header: list[str], rows) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _sha256(path: Path) -> str:
@@ -96,9 +91,9 @@ class RunManifest:
         atomic_write(self.output_dir / name, data)
         self.files.append(name)
 
-    def note_snapshots(self) -> None:
-        """Add every EULB file in the output dir."""
-        self.files.extend(n for n in os.listdir(self.output_dir) if n.endswith(".eulb"))
+    def note(self, paths) -> None:
+        """List files the run wrote into the output dir by other means."""
+        self.files.extend(Path(p).name for p in paths)
 
     def write(self, status: str) -> None:
         if self._written:
@@ -131,7 +126,7 @@ def _records_csv(records: list, fields: list[str]) -> bytes:
                                       + [r.casimirs[n] for n in names] for r in records))
 
 
-def _lattice_folded(snap: lagrangian.FlowMapSnapshot) -> bool:
+def _lattice_folded(snap: lagrangian.ParticleSet) -> bool:
     """Whether :func:`lagrangian.jacobian_det` finds the lattice folded."""
     try:
         lagrangian.jacobian_det(snap)
@@ -161,15 +156,14 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         manifest.extra["weber_residual"] = euler2d.weber_residual(res.final, snap, u0)
         # a folded lattice has lost the resolution the residual relies on
         manifest.extra["lattice_folded"] = _lattice_folded(snap)
-        m = snap.lattice_shape[0]
-        p = snap.particles
-        fields = [p.positions[:, 0].reshape(m, m), p.positions[:, 1].reshape(m, m),
-                  p.lifts[:, 0].reshape(m, m), p.lifts[:, 1].reshape(m, m)]
-        write_snapshot(manifest.output_dir / "markers_final.eulb", fields, snap.t)
-    manifest.note_snapshots()
+        shape = snap.lattice_shape
+        fields = [a[:, i].reshape(shape) for a in (snap.positions, snap.lifts) for i in (0, 1)]
+        markers_final = manifest.output_dir / "markers_final.eulb"
+        write_snapshot(markers_final, fields, snap.t)
+        manifest.note([markers_final])
+    manifest.note(res.snapshot_paths)
     manifest.extra["sampler_method"] = (
         lagrangian.VelocitySampler.method_for(grid) if marker else None)
-    manifest.write("completed")
     return EXIT_OK
 
 
@@ -180,7 +174,6 @@ def _run_couette(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     rows = zip(out["t"], out["u1_l2"], out["u2_l2"], out["omega_h1"],
                [out["shear_u1_l2"]] * len(ts))
     manifest.add_file("series.csv", csv_bytes(header, rows))
-    manifest.write("completed")
     return EXIT_OK
 
 
@@ -197,7 +190,6 @@ def _run_passive_scalar(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     rows = [[t] + [res.pairings[i][j] for i in range(len(phis))]
             for j, t in enumerate(res.times)]
     manifest.add_file("pairings.csv", csv_bytes(header, rows))
-    manifest.write("completed")
     return EXIT_OK
 
 
@@ -218,11 +210,7 @@ def _run_model1d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         "under_resolved": bool(rep.under_resolved),
         "cap_reached": bool(rep.cap_reached),
     })
-    if rep.detected:
-        manifest.write("completed: blow-up detected")
-        return EXIT_BLOWUP
-    manifest.write("completed")
-    return EXIT_OK
+    return EXIT_BLOWUP if rep.detected else EXIT_OK
 
 
 def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
@@ -241,9 +229,7 @@ def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         "outgoing_c": outgoing["c_estimate"],
     })
     if not sol.converged:
-        manifest.write("failed: iteration did not converge")
-        return EXIT_NUMERICAL
-    manifest.write("completed")
+        raise RuntimeError("iteration did not converge")
     return EXIT_OK
 
 
@@ -260,9 +246,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     manifest.extra.update({"certified": bool(dec.certified), "rank": int(dec.rank),
                            "c_inner": dec.c_inner, "c_coercive": dec.c_coercive})
     if not dec.certified:
-        manifest.write("failed: decomposition not coercive")
-        return EXIT_NUMERICAL
-    manifest.write("completed")
+        raise RuntimeError("decomposition not coercive")
     return EXIT_OK
 
 
@@ -274,7 +258,6 @@ def _run_ipm(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     manifest.add_file("diagnostics.csv", _records_csv(
         res.diagnostics, ["t", "mass", "grad_sup", "e_pot", "tail_fraction"]))
     manifest.extra["under_resolved"] = bool(res.under_resolved)
-    manifest.write("completed")
     return EXIT_OK
 
 
@@ -290,23 +273,26 @@ _RUNNERS = {
 
 
 def dispatch(config: ExperimentConfig, output_dir=None) -> int:
-    """Run one experiment; returns the process exit code.
+    """Run one experiment, write its manifest and return the exit code.
 
-    A typed blow-up (:class:`BlowupError`) exits 4 with the snapshots
-    written so far; any other error of the numerics exits 3.
+    A runner returns 0, or 4 for a run whose subject blew up.  A typed
+    blow-up (:class:`BlowupError`) exits 4 with the snapshots written so
+    far; any other error of the numerics, or a failed write, exits 3.
     """
     outdir = Path(output_dir if output_dir is not None else config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config, outdir)
     try:
-        return _RUNNERS[config.system](config, manifest)
+        code = _RUNNERS[config.system](config, manifest)
     except BlowupError as exc:
-        manifest.note_snapshots()
+        manifest.note(exc.paths)
         manifest.write(f"blow-up detected: {exc}")
         return EXIT_BLOWUP
-    except (ValueError, FloatingPointError, RuntimeError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         manifest.write(f"failed: {exc}")
         return EXIT_NUMERICAL
+    manifest.write("completed: blow-up detected" if code == EXIT_BLOWUP else "completed")
+    return code
 
 
 # -- entry point ---------------------------------------------------------------

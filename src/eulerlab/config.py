@@ -12,6 +12,7 @@ the run would reject fails here, before any output is written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from . import euler2d, models1d, presets, selfsim
@@ -144,8 +145,18 @@ _SCHEMAS: dict[str, dict] = {
 }
 
 
+def _finite(value) -> bool:
+    """False for a NaN or infinite float, also inside a list or tuple (a mode triple)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, (list, tuple)) or all(map(_finite, value))
+
+
 def _check_values(system: str, params: dict) -> None:
-    """Construct or check what the run would, without doing any of its work."""
+    """Construct or check what the run would, without doing any of its work.
+
+    A NaN or infinite float the checks below let through is rejected last,
+    so a value they catch keeps their message."""
     if system != "couette_linear" and "t_end" in params:
         check_t_end(params["t_end"])  # a falling couette time axis is legal
     if system in ("euler2d", "passive_scalar", "ipm"):
@@ -177,6 +188,9 @@ def _check_values(system: str, params: dict) -> None:
             entry = presets.lookup(system, key, params[key])
             if "kmax" in entry.params:
                 presets.check_kmax(grid, params["kmax"])
+    for key, value in params.items():
+        if not _finite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
 
 
 @dataclass

@@ -32,8 +32,8 @@ import numpy as np
 
 from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coeffs, to_values
 from .grids import Grid2
-from .lagrangian import (FlowMapSnapshot, MarkerTrack, ParticleSet, VelocitySampler,
-                         _lattice_gradient, check_lattice)
+from .lagrangian import (MarkerTrack, ParticleSet, VelocitySampler, _lattice_gradient,
+                         check_lattice)
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
                         transport_coeffs)
 from .snapshots import write_snapshot
@@ -185,7 +185,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         if not _check_finite(rec):
             if math.isfinite(rec.omega_max):
                 checkpoint("checkpoint_abort.eulb", omega, t)
-            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
+            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None,
+                              result.snapshot_paths)
         result.diagnostics.append(rec)
         for name, fc in zip(scalars, y[1:]):
             result.scalar_gradients[name].append(gradient_sup(fc, grid, work))
@@ -193,12 +194,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
             if k1 is None:  # the end of the run, where march makes no first stage
                 stage(t, y[:1], (None,))
             track.boundary(t, y[0], stage.k, end=True)
-            lifts = track.lifts
-            frozen = ParticleSet(markers.wrapped(lifts), lifts.copy(),
-                                 markers.lifts0.copy(), t, grid.lx, grid.ly)
-            m = int(round(math.sqrt(frozen.count)))
-            result.marker_snapshots.append(
-                FlowMapSnapshot(frozen, grid.lx / m, (m, m)))
+            result.marker_snapshots.append(ParticleSet(
+                track.lifts.copy(), markers.lifts0.copy(), t, grid.lx, grid.ly))
         if observer is not None:
             observer(EulerState(SpectralField2.from_coeffs(grid, y[0]), t))
 
@@ -207,7 +204,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         sup_new = sup_abs(to_values(y_new[0], omega))
         if not math.isfinite(sup_new):
             checkpoint("checkpoint_abort.eulb", to_values(y[0]), t)
-            raise BlowupError(t + dt, step, result.diagnostics[-1])
+            raise BlowupError(t + dt, step, result.diagnostics[-1], result.snapshot_paths)
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
@@ -239,20 +236,19 @@ def check_weber_lattice(m: int) -> None:
         raise ValueError(f"marker_lattice must be an even integer >= 8, got {m}")
 
 
-def weber_residual(state: EulerState, flowmap: FlowMapSnapshot,
-                   u0: VectorField2) -> float:
-    """L2 defect of the projected pull-back of u(t) against u(0).
+def weber_residual(state: EulerState, p: ParticleSet, u0: VectorField2) -> float:
+    """L2 defect of the projected pull-back of u(t) against u(0), from the
+    marker lattice ``p`` at the state's time.
 
     The flow map gradient comes from 6th-order wrap-aware central
     differences of the marker lifts; the pulled-back covelocity is
     assembled on the marker lattice, Leray-projected there, and compared
     with the initial velocity restricted to the same lattice.
     """
-    if abs(flowmap.t - state.t) > 1e-9:
-        raise ValueError(f"flowmap time {flowmap.t:g} does not match state time {state.t:g}")
-    p = flowmap.particles
-    mx, my = flowmap.lattice_shape
-    grad = _lattice_gradient(flowmap, order=6)
+    if abs(p.t - state.t) > 1e-9:
+        raise ValueError(f"flowmap time {p.t:g} does not match state time {state.t:g}")
+    mx, my = p.lattice_shape
+    grad = _lattice_gradient(p, order=6)
 
     sampler = VelocitySampler.from_field(state.velocity())
     u_phi = sampler(p.positions)
@@ -347,9 +343,9 @@ def _equation_residual_coeffs(psi_c: np.ndarray, F, grid: Grid2) -> np.ndarray:
     return rc
 
 
-def _near_null_basis(grid: Grid2, fp_mean: float, width: float = 0.3) -> np.ndarray | None:
+def _near_null_basis(grid: Grid2, fp_mean: float) -> np.ndarray | None:
     """Value-space basis of Fourier modes where the linearization symbol
-    -|k|^2 - mean(F') nearly vanishes (candidate kernel directions).
+    -|k|^2 - mean(F') is within 0.3 of zero (candidate kernel directions).
 
     Each pair of modes +-k is visited once, from its half-spectrum entry
     (my > 0, or my = 0 and mx > 0); Nyquist modes are left out."""
@@ -361,7 +357,7 @@ def _near_null_basis(grid: Grid2, fp_mean: float, width: float = 0.3) -> np.ndar
                 continue
             if abs(mx) * 2 == grid.nx or my * 2 == grid.ny:
                 continue
-            if abs(grid.k2[i, j] + fp_mean) > width:
+            if abs(grid.k2[i, j] + fp_mean) > 0.3:
                 continue
             phase = grid.kx[i] * X + grid.ky[j] * Y
             for v in (np.cos(phase), np.sin(phase)):
@@ -372,13 +368,14 @@ def _near_null_basis(grid: Grid2, fp_mean: float, width: float = 0.3) -> np.ndar
     return np.column_stack(cols)
 
 
-def _linearized_step(grid: Grid2, fp_vals: np.ndarray, rc: np.ndarray,
-                     rtol: float) -> tuple[np.ndarray, float]:
+def _linearized_step(grid: Grid2, fp_vals: np.ndarray,
+                     rc: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the Newton correction (laplacian - F' mult) delta = -residual.
 
-    MINRES with inverse-Laplacian preconditioning; near-null Fourier modes
-    of the diagonal symbol are shifted out and restored with the Woodbury
-    identity so steps stay accurate next to a singular linearization.
+    MINRES with inverse-Laplacian preconditioning, to a relative tolerance of
+    1e-3; near-null Fourier modes of the diagonal symbol are shifted out
+    (those solves go to 1e-10) and restored with the Woodbury identity so
+    steps stay accurate next to a singular linearization.
     Returns the correction (coefficients) and the relative defect of the
     linear solve.
     """
@@ -410,7 +407,7 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray, rc: np.ndarray,
 
     if V is None:
         op = LinearOperator((n, n), matvec=mv)
-        delta, _ = minres(op, b, M=pre, rtol=rtol, maxiter=1500)
+        delta, _ = minres(op, b, M=pre, rtol=1e-3, maxiter=1500)
     else:
         sigma = max(1.0, abs(float(np.mean(fp_vals))))
 
@@ -418,7 +415,7 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray, rc: np.ndarray,
             return mv(vec) + sigma * (V @ (V.T @ vec))
 
         op_s = LinearOperator((n, n), matvec=mv_shifted)
-        tight = min(rtol, 1e-10)
+        tight = 1e-10
         z_b, _ = minres(op_s, b, M=pre, rtol=tight, maxiter=4000)
         Z = np.column_stack([minres(op_s, V[:, j], M=pre, rtol=tight,
                                     maxiter=4000)[0] for j in range(V.shape[1])])
@@ -433,16 +430,16 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray, rc: np.ndarray,
     return dc, lin_def
 
 
-def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
-                     max_iter: int = 60, linear_rtol: float = 1e-3) -> SteadyState:
+def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10) -> SteadyState:
     """Damped inexact Newton for laplacian(psi) = F(psi) on mean-free fields.
 
     Newton corrections come from MINRES with an inverse-Laplacian
     preconditioner (plus low-rank deflation of near-singular symbol modes);
-    steps are damped until the residual decreases.  An unsolvable
-    linearization raises ``degenerate linearization``; running out of
-    iterations or stalling raises a convergence error.
+    steps are damped until the residual decreases.  An unsolvable linearization raises ``degenerate
+    linearization``; running out of 60 iterations or stalling raises a
+    convergence error.
     """
+    max_iter = 60
     grid = guess.grid
     mask = grid.dealias_mask
     psi_c = dealias(guess).coeffs.copy()
@@ -461,7 +458,7 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10,
         if iterations == max_iter:
             break
         fp_vals = F_prime(to_values(psi_c))
-        dc, lin_def = _linearized_step(grid, fp_vals, rc, linear_rtol)
+        dc, lin_def = _linearized_step(grid, fp_vals, rc)
         if lin_def > 0.1:
             raise ValueError("degenerate linearization: the linearized operator "
                              "is singular or nearly so at the current iterate")
@@ -486,14 +483,14 @@ def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
 
 
 def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
-                       t_end: float = 20.0, seed: int = 0,
-                       cfl: float = 0.4, diag_every: float = 0.5) -> dict:
+                       t_end: float = 20.0) -> dict:
     """Convexity certificate for a steady state, plus a perturbation run.
 
     Certified when F' stays positive over the attained range of psi.  The
     experiment evolves the steady vorticity plus a random band-limited
-    perturbation of stream-level H2 size epsilon and records the largest
-    H2 distance from the steady stream function over [0, t_end].
+    perturbation (seed 0) of stream-level H2 size epsilon at CFL number 0.4
+    and records the largest H2 distance from the steady stream function,
+    sampled every 0.5 over [0, t_end].
 
     The H2 distances are computed spectrally:
     ``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
@@ -510,7 +507,7 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
 
     omega_star = SpectralField2.from_coeffs(grid, -grid.k2 * steady.psi.coeffs)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pc = to_coeffs(rng.normal(size=grid.shape))
     band = (np.abs(grid.mx)[:, None] <= 3) & (np.abs(grid.my)[None, :] <= 3)
     pc *= band
@@ -525,21 +522,20 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
         distances.append(_h2_norm(grid, grid.inv_minus_k2
                                   * (state.omega.coeffs - omega_star.coeffs)))
 
-    run(omega_pert.project_mean_free(), t_end, cfl=cfl, diag_every=diag_every,
-        casimirs=(), observer=observer)
+    run(omega_pert.project_mean_free(), t_end, cfl=0.4, diag_every=0.5, casimirs=(),
+        observer=observer)
     return {"certified": certified, "min_Fprime": min_fprime,
             "h2_initial": distances[0], "h2_max": float(np.max(distances)),
             "h2_series": np.array(distances)}
 
 
-def kernel_probe(steady: SteadyState, n_values: int = 6,
-                 kernel_rtol: float = 1e-8) -> dict:
+def kernel_probe(steady: SteadyState) -> dict:
     """Smallest singular values of the linearized steady operator.
 
     Assembles laplacian minus multiplication by F'(psi) densely on
     mean-free collocation fields (the constant mode is shifted out of the
-    way) and reports the ``n_values`` smallest singular values, flagging a
-    kernel when sigma_min < kernel_rtol * sigma_max.  Dense assembly is
+    way) and reports the 6 smallest singular values, flagging a kernel when
+    sigma_min < 1e-8 * sigma_max.  Dense assembly is
     O(N^2) memory, so probe on modest grids.
     """
     if not steady.converged:
@@ -567,7 +563,7 @@ def kernel_probe(steady: SteadyState, n_values: int = 6,
     eigs = np.linalg.eigvalsh(mat)
     sigma = np.sort(np.abs(eigs))
     sigma_max = float(sigma[-1])
-    smallest = [float(s) for s in sigma[:n_values]]
+    smallest = [float(s) for s in sigma[:6]]
     return {"smallest_singular_values": smallest,
             "sigma_max": sigma_max,
-            "kernel": smallest[0] < kernel_rtol * sigma_max}
+            "kernel": smallest[0] < 1e-8 * sigma_max}

@@ -20,8 +20,7 @@ import numpy as np
 from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_values
 from .grids import Grid2
 from .operators import dealias, gradient_sup, transport_coeffs
-from .stepping import (BlowupError, casimir_integrals, cfl_dt, check_casimir_powers,
-                       check_schedule, march)
+from .stepping import BlowupError, casimir_integrals, cfl_dt, check_schedule, march
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
 
@@ -91,12 +90,11 @@ def _tail_fraction(rho_c: np.ndarray, grid: Grid2, outer: np.ndarray) -> float:
 
 
 def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
-            diag_every: float = 0.5, casimirs=(2,),
-            tail_threshold: float = 1e-6) -> IpmRunResult:
+            diag_every: float = 0.5, tail_threshold: float = 1e-6) -> IpmRunResult:
     """Advance the density to t_end, recording mixing diagnostics.
 
-    Diagnostics per cadence point: mass, collocation casimirs, the sup
-    of |grad rho|, potential energy integral rho * y over the
+    Diagnostics per cadence point: mass, the collocation casimir of rho^2,
+    the sup of |grad rho|, potential energy integral rho * y over the
     fundamental cell (continuous y, not wrapped), and the spectral tail
     fraction.  The run is flagged ``under_resolved`` once the tail
     fraction of the density spectrum exceeds ``tail_threshold``.
@@ -105,7 +103,6 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     :class:`~eulerlab.stepping.BlowupError`.
     """
     check_schedule(cfl, diag_every)
-    check_casimir_powers(casimirs)
     grid = rho0.grid
     yrow = grid.y[None, :]
     outer = _outer_band(grid)
@@ -128,7 +125,7 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
         rec = IpmDiagnostics(
             t=t,
             mass=float(np.sum(vals) * grid.cell_area),
-            casimirs=casimir_integrals(vals, casimirs, "rho", grid.cell_area, work),
+            casimirs=casimir_integrals(vals, (2,), "rho", grid.cell_area, work),
             grad_sup=gradient_sup(c, grid, work),
             e_pot=float(np.sum(np.multiply(vals, yrow, out=rho_y)) * grid.cell_area),
             tail_fraction=_tail_fraction(c, grid, outer),

@@ -210,9 +210,9 @@ def check_lattice(m: int) -> None:
 
 @dataclass
 class ParticleSet:
-    """Marker positions with their unwrapped lifts (and the t=0 lifts)."""
+    """Marker lifts to the universal cover (and the t=0 lifts); the positions
+    are the lifts wrapped into the fundamental domain."""
 
-    positions: np.ndarray
     lifts: np.ndarray
     lifts0: np.ndarray
     t: float
@@ -220,7 +220,7 @@ class ParticleSet:
     ly: float = TWO_PI
 
     def __post_init__(self) -> None:
-        if self.positions.shape[0] < 4:
+        if self.count < 4:
             raise ValueError("at least 4 particles are required")
 
     @classmethod
@@ -231,30 +231,29 @@ class ParticleSet:
         y = np.arange(m) * (ly / m)
         xx, yy = np.meshgrid(x, y, indexing="ij")
         pos = np.column_stack([xx.ravel(), yy.ravel()])
-        return cls(pos, pos.copy(), pos.copy(), 0.0, lx, ly)
+        return cls(pos, pos.copy(), 0.0, lx, ly)
 
     @property
     def count(self) -> int:
-        return self.positions.shape[0]
+        return self.lifts.shape[0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.wrapped(self.lifts)
+
+    @property
+    def lattice_shape(self) -> tuple[int, int]:
+        """(m, m) for a set of m^2 markers, as :meth:`lattice` makes."""
+        m = math.isqrt(self.count)
+        if m * m != self.count:
+            raise ValueError(f"{self.count} markers do not form a square lattice")
+        return m, m
 
     def wrapped(self, lifts: np.ndarray) -> np.ndarray:
         out = lifts.copy()
         out[:, 0] %= self.lx
         out[:, 1] %= self.ly
         return out
-
-
-@dataclass
-class FlowMapSnapshot:
-    """A lattice ParticleSet frozen at one time, with its initial spacing."""
-
-    particles: ParticleSet
-    h: float
-    lattice_shape: tuple[int, int]
-
-    @property
-    def t(self) -> float:
-        return self.particles.t
 
 
 @dataclass
@@ -314,8 +313,7 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
 
     t, (lifts,) = march(rhs, (particles.lifts.copy(),), math.inf, lambda t, y: dt,
                         math.inf, _no_emit, stop=lambda t, y: t > (n_steps - 0.5) * dt)
-    return ParticleSet(particles.wrapped(lifts), lifts, particles.lifts0.copy(),
-                       t0 + t, particles.lx, particles.ly)
+    return ParticleSet(lifts, particles.lifts0.copy(), t0 + t, particles.lx, particles.ly)
 
 
 class MarkerTrack:
@@ -403,17 +401,14 @@ class MarkerTrack:
 def _central_diff(d: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     if order == 2:
         return (np.roll(d, -1, axis=axis) - np.roll(d, 1, axis=axis)) / (2 * h)
-    if order == 4:
-        return (-np.roll(d, -2, axis=axis) + 8 * np.roll(d, -1, axis=axis)
-                - 8 * np.roll(d, 1, axis=axis) + np.roll(d, 2, axis=axis)) / (12 * h)
     if order == 6:
         return (45.0 * (np.roll(d, -1, axis=axis) - np.roll(d, 1, axis=axis))
                 - 9.0 * (np.roll(d, -2, axis=axis) - np.roll(d, 2, axis=axis))
                 + (np.roll(d, -3, axis=axis) - np.roll(d, 3, axis=axis))) / (60 * h)
-    raise ValueError("central differences of order 2, 4, or 6 only")
+    raise ValueError("central differences of order 2 or 6 only")
 
 
-def _lattice_gradient(flowmap: FlowMapSnapshot, order: int = 2) -> np.ndarray:
+def _lattice_gradient(p: ParticleSet, order: int = 2) -> np.ndarray:
     """Gradient of the flow map by wrap-aware central differences.
 
     Differencing the lift displacement d = lift - lift0 (periodic over the
@@ -421,8 +416,7 @@ def _lattice_gradient(flowmap: FlowMapSnapshot, order: int = 2) -> np.ndarray:
     Returns an array of shape (mx, my, 2, 2) whose [..., i, j] entry is
     dPhi_i/dx_j.
     """
-    p = flowmap.particles
-    mx, my = flowmap.lattice_shape
+    mx, my = p.lattice_shape
     disp = (p.lifts - p.lifts0).reshape(mx, my, 2)
     hx = p.lx / mx
     hy = p.ly / my
@@ -436,14 +430,14 @@ def _lattice_gradient(flowmap: FlowMapSnapshot, order: int = 2) -> np.ndarray:
     return grad
 
 
-def jacobian_det(flowmap: FlowMapSnapshot) -> dict:
+def jacobian_det(particles: ParticleSet) -> dict:
     """Check incompressibility of the lattice flow map.
 
     Returns max |det grad Phi - 1| and the sup of the gradient magnitude.
     A non-positive determinant anywhere means the lattice has folded over
     (spacing too coarse for the flow) and is reported as an error.
     """
-    grad = _lattice_gradient(flowmap)
+    grad = _lattice_gradient(particles)
     det = grad[:, :, 0, 0] * grad[:, :, 1, 1] - grad[:, :, 0, 1] * grad[:, :, 1, 0]
     if np.any(det <= 0.0):
         raise ValueError("lattice folding: refine the marker lattice")
@@ -463,12 +457,11 @@ def winding(particles: ParticleSet) -> WindingRecord:
 
 
 def twisting_series(source) -> tuple[np.ndarray, np.ndarray]:
-    """Winding spread over time, from a run result or a snapshot list."""
+    """Winding spread over time, from a run result or a ParticleSet list."""
     snapshots = getattr(source, "marker_snapshots", source)
     if not snapshots:
         raise ValueError("no marker snapshots available for winding")
-    recs = [winding(s.particles if isinstance(s, FlowMapSnapshot) else s)
-            for s in snapshots]
+    recs = [winding(p) for p in snapshots]
     return (np.array([r.t for r in recs]),
             np.array([r.spread for r in recs]))
 
@@ -482,10 +475,8 @@ def lagrangian_stability_metrics(source, u_star) -> dict:
     against the straight-line drift t*u_star evaluated at the y-lift.
     Marker norms are lattice-averaged L2.
     """
-    snapshots = getattr(source, "marker_snapshots", source)
     ts, m1, m2 = [], [], []
-    for snap in snapshots:
-        p = snap.particles if isinstance(snap, FlowMapSnapshot) else snap
+    for p in getattr(source, "marker_snapshots", source):
         w = math.sqrt(1.0 / p.count)
         ustar_now = u_star(p.positions[:, 1])
         ustar_init = u_star(p.lifts0[:, 1] % p.ly)

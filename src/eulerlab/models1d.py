@@ -161,19 +161,19 @@ def _half_spectrum(omega: SpectralField1) -> tuple[float, np.ndarray, np.ndarray
     return float(c[0].real), a[nz], g.k[1:][nz]
 
 
-def refined_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> float:
+def refined_sup(omega: SpectralField1) -> float:
     """Sup of |omega| via grid argmax plus local trig-interpolation zooming.
 
-    The collocation max alone under-reads sharply peaked fields; a few
+    The collocation max alone under-reads sharply peaked fields; three
     rounds of windowed re-evaluation recover the true sup to near round-off.
 
-    Each window of ``points`` equispaced samples x0 + j*delta is evaluated
+    Each window of 17 equispaced samples x0 + j*delta is evaluated
     over the half spectrum with the recurrence
     e^{ik(x0 + j delta)} = e^{ik x0} (e^{ik delta})^j: two exponentials and
     one complex multiply per point instead of an exponential per point
     and mode.  The j-th product carries at most about j rounding
-    errors, so a window value is off the direct sum by about
-    (points - 1) ulp times sum |a_m| (16 ulp at the default).
+    errors, so a window value is off the direct sum by about 16 ulp times
+    sum |a_m|.
     """
     mean, a, k = _half_spectrum(omega)
     vals = np.abs(omega.values)
@@ -181,8 +181,9 @@ def refined_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> flo
     best_x = i0 * omega.grid.dx
     best = float(vals[i0])
     half = omega.grid.dx
+    points = 17
     cand = np.empty(points)
-    for _ in range(rounds):
+    for _ in range(3):
         xs = best_x + np.linspace(-half, half, points)
         phase = np.exp(1j * k * xs[0])
         step = np.exp(1j * k * (2.0 * half / (points - 1)))

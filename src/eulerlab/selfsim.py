@@ -79,14 +79,13 @@ class ProfileProblem:
     """Grid and discrete operators for the profile equation.
 
     ``n`` grid points cover ``[-L, L)`` uniformly with ``X = 0`` on the
-    grid (``n`` even).  ``tail_bound`` rejects states whose edge samples
+    grid (``n`` even).  :meth:`check_tail` rejects states whose edge samples
     are incompatible with an integrable 1/X tail.
     """
 
     n: int = 1024
     L: float = 20.0
     model: str = "clm"
-    tail_bound: float = 4.0
 
     def __post_init__(self) -> None:
         if self.model != "clm":
@@ -234,10 +233,10 @@ class ProfileProblem:
 
     def check_tail(self, omega: np.ndarray) -> None:
         edge = max(abs(omega[0] * self.x[0]), abs(omega[-1] * self.x[-1]))
-        if not np.isfinite(edge) or edge > self.tail_bound:
+        if not np.isfinite(edge) or edge > 4.0:
             raise ValueError(
                 f"tail too large: |X*Omega| = {edge:.3g} at the grid edge "
-                f"(bound {self.tail_bound:g}); the profile must decay like 1/X")
+                "(bound 4); the profile must decay like 1/X")
 
 
 @dataclass

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -31,8 +30,31 @@ _HEADER = struct.Struct("<4sIIII4xd")
 assert _HEADER.size == 32
 
 
-def write_snapshot(path: str | os.PathLike, fields: Sequence[np.ndarray], time: float,
-                   version: int = VERSION) -> None:
+def _replace(path: str | os.PathLike, chunks: Iterable) -> None:
+    """Write ``chunks`` (bytes-like) in turn to a temp file beside ``path``,
+    then rename it over ``path``; on any failure the temp file is removed.
+    A snapshot passes its field blocks as chunks, so they are never joined
+    into one bytes object."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` by temp file and rename, so readers never
+    see a partial file and a failed write leaves none behind."""
+    _replace(path, (data,))
+
+
+def write_snapshot(path: str | os.PathLike, fields: Sequence[np.ndarray], time: float) -> None:
     """Write field blocks atomically (temp file + rename)."""
     fields = [np.ascontiguousarray(f, dtype="<f8") for f in fields]
     if not fields:
@@ -41,20 +63,7 @@ def write_snapshot(path: str | os.PathLike, fields: Sequence[np.ndarray], time: 
     for f in fields:
         if f.shape != (nx, ny):
             raise ValueError("all field blocks must share one shape")
-    header = _HEADER.pack(MAGIC, version, nx, ny, len(fields), float(time))
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snapshot-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            for f in fields:
-                fh.write(f.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _replace(path, (_HEADER.pack(MAGIC, VERSION, nx, ny, len(fields), float(time)), *fields))
 
 
 def read_snapshot(path: str | os.PathLike) -> tuple[list[np.ndarray], float]:

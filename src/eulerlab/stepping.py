@@ -46,11 +46,12 @@ _TOL = 1e-12
 
 class BlowupError(RuntimeError):
     """A non-finite state at time ``t`` in step ``step``; ``last_record`` is
-    the last finite diagnostics record (``None`` if there is none)."""
+    the last finite diagnostics record (``None`` if there is none) and
+    ``paths`` the files the run wrote before it stopped."""
 
-    def __init__(self, t: float, step: int, last_record=None):
+    def __init__(self, t: float, step: int, last_record=None, paths=()):
         super().__init__(f"numerical blow-up detected at t={t:.6g} (step {step})")
-        self.t, self.step, self.last_record = t, step, last_record
+        self.t, self.step, self.last_record, self.paths = t, step, last_record, list(paths)
 
 
 def check_cfl(cfl: float) -> None:

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eulerlab
-from eulerlab import cli, lagrangian, models1d, presets
+from eulerlab import cli, euler2d, lagrangian, models1d, presets, selfsim
 from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
 from eulerlab.config import SYSTEMS
 from eulerlab.stepping import BlowupError
@@ -35,6 +37,15 @@ system = clm
 n = 256
 t_end = 2.5
 omega_cap = 20.0
+"""
+
+SNAPSHOT_16 = """\
+system = euler2d
+nx = 16
+ny = 16
+preset = taylor_green
+diag_every = 0.25
+snapshot_every = 0.25
 """
 
 
@@ -56,6 +67,25 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def read_manifest(outdir):
     with open(outdir / "manifest.json") as fh:
         return json.load(fh)
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; no handler of the program catches it."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds, what):
+    """Raise :class:`_Hang` naming ``what`` if the block runs longer than ``seconds``."""
+    def hang(signum, frame):
+        raise _Hang(f"no exit within {seconds} s:\n{what}")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSubcommands:
@@ -158,6 +188,28 @@ class TestConfigErrors:
         assert match in capsys.readouterr().err
         assert not out.exists()
 
+    # float() takes nan and inf: an infinite horizon stepped until killed, and
+    # a NaN amplitude read as a blow-up at t = 0
+    @pytest.mark.parametrize("text, key", [
+        ("system = euler2d\nnx = 16\nny = 16\npreset = taylor_green\nt_end = inf\n", "t_end"),
+        (TINY_EULER + "eps = nan\n", "eps"),
+        ("system = ipm\nnx = 16\nny = 16\nt_end = 1\npreset = heavy_over_light\n"
+         "eps = -inf\n", "eps"),
+        (TINY_CLM + "amplitude = nan\n", "amplitude"),
+        ("system = degregorio\nn = 64\nt_end = inf\n", "t_end"),
+        ("system = lemma_check\ng_const = nan\n", "g_const"),
+        ("system = couette_linear\nmodes = 1:0:1; 2:nan:0.5\nt_end = 1\n", "modes"),
+        ("system = couette_linear\nmodes = 1:0:1\nt_end = inf\n", "t_end"),
+        ("system = selfsim\nn = 64\nlam0 = inf\n", "lam0"),
+    ])
+    def test_non_finite_floats_exit_2_before_any_output(self, tmp_path, capsys, text, key):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        with _alarm(10, text):
+            code = main(["run", "--config", cfg, "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kmax_is_checked_only_where_a_preset_reads_it(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_EULER + "kmax = 99\n")
@@ -186,6 +238,26 @@ class TestFailureExitCodes:
         assert main(["run", "--config", write_cfg(tmp_path, text),
                      "--output-dir", str(out)]) == code
         assert read_manifest(out)["status"].startswith(status)
+
+    def test_an_unconverged_profile_fails_with_its_record(self, tmp_path):
+        text = "system = selfsim\nn = 64\nmax_iter = 0\nguess = perturbed\n"
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == EXIT_NUMERICAL
+        man = read_manifest(out)
+        assert man["status"] == "failed: iteration did not converge"
+        assert man["extra"]["converged"] is False and list(man["files"]) == ["profile.csv"]
+
+    def test_an_uncertified_decomposition_fails_with_its_record(self, tmp_path, monkeypatch):
+        check = selfsim.lemma_decomposition_check
+        monkeypatch.setattr(selfsim, "lemma_decomposition_check",
+                            lambda *args: dataclasses.replace(check(*args), certified=False))
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, "system = lemma_check\n"),
+                     "--output-dir", str(out)]) == EXIT_NUMERICAL
+        man = read_manifest(out)
+        assert man["status"] == "failed: decomposition not coercive"
+        assert man["extra"]["certified"] is False and list(man["files"]) == ["decomposition.csv"]
 
     @pytest.mark.parametrize("n", [32, 96])  # the spectral and the bicubic sampler
     def test_a_non_finite_marker_fails_the_run(self, tmp_path, monkeypatch, n):
@@ -223,24 +295,27 @@ def _names(system, key):
 # (valid, invalid) values of every key, as config text: grids of 16^2 or
 # smaller, 1D grids of at most 256 points, short horizons.  The cosine
 # datum of the 1D models blows up at t = 2 / |amplitude|, past every
-# horizon drawn here.
+# horizon drawn here.  NaN and infinity parse as floats and are invalid.
 _GRID = (["8", "16"], ["6", "15"])
+_NON_FINITE = ["nan", "inf", "-inf"]
 _STEPPED_2D = {"nx": _GRID, "ny": _GRID, "cfl": (["0.3", "0.5"], ["0", "0.6"]),
-               "t_end": (["0", "0.1", "0.3"], ["-1"]),
+               "t_end": (["0", "0.1", "0.3"], ["-1", *_NON_FINITE]),
                "diag_every": (["0.1", "0.25"], ["-0.1", "0"])}
-_MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]), "amplitude": (["-1", "0", "1"], []),
-             "cfl": (["0.1", "0.5"], ["0", "0.6"]), "t_end": (["0", "0.3"], ["-1"]),
+_MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]),
+             "amplitude": (["-1", "0", "1"], _NON_FINITE),
+             "cfl": (["0.1", "0.5"], ["0", "0.6"]), "t_end": (["0", "0.3"], ["-1", *_NON_FINITE]),
              "omega_cap": (["0", "1.5", "5"], []), "dt_max": (["0", "0.05"], ["-0.1"]),
              "tail_threshold": (["0", "1e-6"], [])}
 _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
-                "eps": (["0", "0.3"], []), "kmax": (["1", "2"], ["0", "6"]),
+                "eps": (["0", "0.3"], _NON_FINITE), "kmax": (["1", "2"], ["0", "6"]),
                 "rms": (["0.2"], []), "casimir_powers": (["", "2 4"], ["0", "-1"]),
                 "marker_lattice": (["0", "8"], ["-1", "1", "2", "9"]),
                 "snapshot_every": (["0", "0.1"], ["-1"])},
     "couette_linear": {"modes": (["1:0:1", "1:0.5:1; 0:1:0.5", "2:-1:0.3"],
-                                 ["0:0:1", "1:0:1; 0:0:2"]),
-                       "t_start": (["0", "2"], []), "t_end": (["-1", "1", "3"], []),
+                                 ["0:0:1", "1:0:1; 0:0:2", "1:nan:1", "1:0:1; 2:-inf:1"]),
+                       "t_start": (["0", "2"], []),
+                       "t_end": (["-1", "1", "3"], _NON_FINITE),
                        "t_count": (["0", "1", "9"], ["-1"])},
     "passive_scalar": {**_STEPPED_2D, "velocity": _names("passive_scalar", "velocity"),
                        "test_function": _names("passive_scalar", "test_function")},
@@ -254,8 +329,10 @@ _KEYS = {
                     "delta": (["0.1", "0.3"], ["0", "0.5"]),
                     "grid_points": (["16", "64"], ["15", "401"]),
                     "grid_ratio": (["1.1"], ["1"]),
-                    "u_preset": _names("lemma_check", "u_preset"), "g_const": (["-1", "1"], [])},
-    "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"), "eps": (["0", "0.01"], []),
+                    "u_preset": _names("lemma_check", "u_preset"),
+                    "g_const": (["-1", "1"], _NON_FINITE)},
+    "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"),
+            "eps": (["0", "0.01"], _NON_FINITE),
             "tail_threshold": (["1e-6"], [])},
 }
 
@@ -272,10 +349,6 @@ def _configs(draw):
     return f"system = {system}\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
 
 
-class _Hang(BaseException):
-    """Raised by the alarm; no handler of the program catches it."""
-
-
 class TestConfigProperty:
     """Any config, valid or not, ends in a known exit code with the artifacts it promises."""
 
@@ -284,19 +357,11 @@ class TestConfigProperty:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=_configs())
     def test_exit_code_and_manifest(self, text):
-        def hang(signum, frame):
-            raise _Hang(f"no exit within {self.LIMIT_S} s:\n{text}")
-
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = pathlib.Path(tmp) / "run.cfg", pathlib.Path(tmp) / "out"
             cfg.write_text(text)
-            previous = signal.signal(signal.SIGALRM, hang)
-            signal.alarm(self.LIMIT_S)
-            try:
+            with _alarm(self.LIMIT_S, text):
                 code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, previous)
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_BLOWUP), text
             if code == EXIT_CONFIG:
                 assert not out.exists(), text
@@ -372,6 +437,42 @@ class TestRunArtifacts:
         assert man["extra"]["blowup_detected"] is True
         assert 1.5 < man["extra"]["t_star_estimate"] < 2.5
         assert (out / "series.csv").exists()
+
+    def test_a_rerun_lists_only_the_files_it_wrote(self, tmp_path):
+        # the first run leaves snapshots at t = 0.25 .. 1.0, the second writes two
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        for t_end, out in ((1.0, used), (0.5, used), (0.5, fresh)):
+            cfg = write_cfg(tmp_path, SNAPSHOT_16 + f"t_end = {t_end}\n")
+            assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_OK
+        assert (used / "snap_00003.eulb").exists()
+        files = read_manifest(used)["files"]
+        assert files == read_manifest(fresh)["files"]
+        assert sorted(files) == ["diagnostics.csv", "snap_00000.eulb", "snap_00001.eulb"]
+
+    def test_a_blowup_lists_the_snapshots_it_wrote(self, tmp_path, monkeypatch):
+        out = tmp_path / "a"
+        out.mkdir()
+        (out / "snap_00009.eulb").write_bytes(b"left by another run")
+        # diagnostics that turn non-finite at t = 0.5 stop the run there
+        monkeypatch.setattr(euler2d, "_check_finite", lambda rec: rec.t < 0.5)
+        cfg = write_cfg(tmp_path, SNAPSHOT_16 + "t_end = 1\n")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_BLOWUP
+        man = read_manifest(out)
+        assert man["status"].startswith("blow-up detected: ")
+        assert sorted(man["files"]) == ["checkpoint_abort.eulb", "snap_00000.eulb",
+                                        "snap_00001.eulb"]
+        for name, digest in man["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_a_failed_write_exits_3_and_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "a"
+        (out / "diagnostics.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, TINY_EULER)
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+        man = read_manifest(out)
+        assert man["status"].startswith("failed: ")
+        assert "diagnostics.csv" not in man["files"]
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "manifest.json"]
 
     def test_ipm_rest_state_run(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = ipm\nnx = 32\nny = 32\n"

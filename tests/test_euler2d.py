@@ -227,7 +227,7 @@ class TestWorkspace:
         for name in scalars:
             assert first.scalars[name].coeffs.tobytes() == second.scalars[name].coeffs.tobytes()
         for a, b in zip(first.marker_snapshots, second.marker_snapshots):
-            assert a.particles.lifts.tobytes() == b.particles.lifts.tobytes()
+            assert a.lifts.tobytes() == b.lifts.tobytes()
         assert len(first.marker_snapshots) == 3
 
     def test_steps_allocate_no_grid_sized_arrays(self, monkeypatch):
@@ -444,7 +444,7 @@ class TestMarkerSteps:
 
     @staticmethod
     def lifts(res):
-        return res.marker_snapshots[-1].particles.lifts
+        return res.marker_snapshots[-1].lifts
 
     def test_equal_steps_in_a_steady_flow_advect_with_twice_the_step(self, monkeypatch):
         # the cellular flow is steady, so its CFL steps are equal and each
@@ -520,10 +520,9 @@ class TestMarkerSteps:
                      marker_lattice=8, observer=lambda state: counts.append(0))
         assert counts[1:-1] == [3, 3, 3, 3]
         assert [s.t for s in res.marker_snapshots] == list(res.times)
-        for snap in res.marker_snapshots:
-            p = snap.particles
+        for p in res.marker_snapshots:
             drift = p.lifts - p.lifts0
-            assert np.max(np.abs(drift[:, 0] + snap.t * np.sin(p.lifts0[:, 1]))) < 1e-13
+            assert np.max(np.abs(drift[:, 0] + p.t * np.sin(p.lifts0[:, 1]))) < 1e-13
             assert np.max(np.abs(drift[:, 1])) < 1e-13
 
 

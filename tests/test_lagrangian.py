@@ -234,8 +234,8 @@ class TestTransportIdentity:
         w0 = random_band(g, 7, 4, 0.2)
         res = e2.run(w0, 3.0, cfl=0.4, diag_every=1.0, casimirs=(), marker_lattice=64)
         snap = res.marker_snapshots[-1]
-        err = np.max(np.abs(res.final.omega.eval_at(snap.particles.positions)
-                            - w0.eval_at(snap.particles.lifts0)))
+        err = np.max(np.abs(res.final.omega.eval_at(snap.positions)
+                            - w0.eval_at(snap.lifts0)))
         assert err < 2e-6
 
 
@@ -245,8 +245,7 @@ class TestFlowMapJacobian:
         for m in (128, 256):
             p = lag.ParticleSet.lattice(m)
             q = lag.advect(p, cell_velocity, 0.01, n_steps=100)
-            snap = lag.FlowMapSnapshot(q, TWO_PI / m, (m, m))
-            jd = lag.jacobian_det(snap)
+            jd = lag.jacobian_det(q)
             devs[m] = jd["max_abs_dev_from_1"]
         assert devs[128] < 5e-3
         assert devs[128] / devs[256] > 3.0  # second-order lattice differences
@@ -254,7 +253,7 @@ class TestFlowMapJacobian:
     def test_deformation_magnitude_is_reported(self):
         p = lag.ParticleSet.lattice(128)
         q = lag.advect(p, cell_velocity, 0.01, n_steps=100)
-        jd = lag.jacobian_det(lag.FlowMapSnapshot(q, TWO_PI / 128, (128, 128)))
+        jd = lag.jacobian_det(q)
         assert jd["grad_norm_inf"] == pytest.approx(2.715, abs=0.05)
 
     def test_folded_lattice_is_rejected(self):
@@ -267,10 +266,9 @@ class TestFlowMapJacobian:
         # (adjacent swaps cancel out of central differences entirely)
         lifts[grid_idx[:, 3]], lifts[grid_idx[:, 5]] = (
             p.lifts0[grid_idx[:, 5]], p.lifts0[grid_idx[:, 3]])
-        folded = lag.ParticleSet(p.wrapped(lifts), lifts, p.lifts0.copy(),
-                                 1.0, TWO_PI, TWO_PI)
+        folded = lag.ParticleSet(lifts, p.lifts0.copy(), 1.0, TWO_PI, TWO_PI)
         with pytest.raises(ValueError, match="folding"):
-            lag.jacobian_det(lag.FlowMapSnapshot(folded, TWO_PI / m, (m, m)))
+            lag.jacobian_det(folded)
 
 
 class TestWinding:
