@@ -140,10 +140,15 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     omega0 = presets.build(cfg, "preset", grid)
     snap_dir = str(manifest.output_dir) if cfg["snapshot_every"] > 0 else None
     marker = cfg["marker_lattice"] or None
-    res = euler2d.run(
-        omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-        casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
-        snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None)
+    written = []  # listed even when the run raises
+    try:
+        res = euler2d.run(
+            omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
+            casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
+            snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None,
+            snapshot_paths=written)
+    finally:
+        manifest.note(written)
     manifest.add_file("diagnostics.csv", _records_csv(res.diagnostics, [
         "t", "energy", "enstrophy", "palinstrophy", "omega_max", "bkm_integral"]))
 
@@ -161,7 +166,6 @@ def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
         markers_final = manifest.output_dir / "markers_final.eulb"
         write_snapshot(markers_final, fields, snap.t)
         manifest.note([markers_final])
-    manifest.note(res.snapshot_paths)
     manifest.extra["sampler_method"] = (
         lagrangian.VelocitySampler.method_for(grid) if marker else None)
     return EXIT_OK
@@ -278,21 +282,30 @@ def dispatch(config: ExperimentConfig, output_dir=None) -> int:
     A runner returns 0, or 4 for a run whose subject blew up.  A typed
     blow-up (:class:`BlowupError`) exits 4 with the snapshots written so
     far; any other error of the numerics, or a failed write, exits 3.
+    When the output directory or the manifest itself cannot be written
+    there is no manifest to hold the status: it goes to stderr, exit 3.
     """
     outdir = Path(output_dir if output_dir is not None else config["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config, outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = RunManifest(config, outdir)
+        code, status = _run(config, manifest)
+        manifest.write(status)
+    except OSError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return code
+
+
+def _run(config: ExperimentConfig, manifest: RunManifest) -> tuple[int, str]:
+    """Run the config's runner: its exit code and manifest status."""
     try:
         code = _RUNNERS[config.system](config, manifest)
     except BlowupError as exc:
-        manifest.note(exc.paths)
-        manifest.write(f"blow-up detected: {exc}")
-        return EXIT_BLOWUP
+        return EXIT_BLOWUP, f"blow-up detected: {exc}"
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
-        manifest.write(f"failed: {exc}")
-        return EXIT_NUMERICAL
-    manifest.write("completed: blow-up detected" if code == EXIT_BLOWUP else "completed")
-    return code
+        return EXIT_NUMERICAL, f"failed: {exc}"
+    return code, "completed: blow-up detected" if code == EXIT_BLOWUP else "completed"
 
 
 # -- entry point ---------------------------------------------------------------

@@ -136,7 +136,8 @@ def _check_finite(rec: DiagnosticsRecord) -> bool:
 def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         diag_every: float = 0.5, casimirs=(4,), marker_lattice: int | None = None,
         scalars: dict | None = None, snapshot_dir: str | None = None,
-        snapshot_every: float | None = None, observer=None) -> EulerRunResult:
+        snapshot_every: float | None = None, observer=None,
+        snapshot_paths: list | None = None) -> EulerRunResult:
     """Advance 2D Euler to t_end with diagnostics at a fixed cadence.
 
     Optional extras ride along: named passive scalar fields, transported
@@ -153,7 +154,10 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     the flow step, so the lifts are 4th-order in time.  ``observer(state)``
     is called at every diagnostic time.  A non-finite vorticity sup after a
     step, or non-finite diagnostics, raise :class:`BlowupError`; with a
-    ``snapshot_dir`` the last finite state is checkpointed first.
+    ``snapshot_dir`` the last finite state is checkpointed first.  The path
+    of every snapshot is appended as it is written to ``snapshot_paths``
+    (the result's list), so a caller that passes its own list still has
+    them when the run raises.
     """
     check_schedule(cfl, diag_every, snapshot_every or 0.0)
     check_casimir_powers(casimirs)
@@ -161,7 +165,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     scalars = dict(scalars or {})
     # EulerState rejects a vorticity with a nonzero mean
     result = EulerRunResult(final=EulerState(omega0, 0.0), diagnostics=[],
-                            scalar_gradients={name: [] for name in scalars})
+                            scalar_gradients={name: [] for name in scalars},
+                            snapshot_paths=[] if snapshot_paths is None else snapshot_paths)
     y = (dealias(omega0).coeffs.copy(), *(dealias(f).coeffs.copy() for f in scalars.values()))
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
@@ -185,8 +190,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         if not _check_finite(rec):
             if math.isfinite(rec.omega_max):
                 checkpoint("checkpoint_abort.eulb", omega, t)
-            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None,
-                              result.snapshot_paths)
+            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
         result.diagnostics.append(rec)
         for name, fc in zip(scalars, y[1:]):
             result.scalar_gradients[name].append(gradient_sup(fc, grid, work))
@@ -204,7 +208,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         sup_new = sup_abs(to_values(y_new[0], omega))
         if not math.isfinite(sup_new):
             checkpoint("checkpoint_abort.eulb", to_values(y[0]), t)
-            raise BlowupError(t + dt, step, result.diagnostics[-1], result.snapshot_paths)
+            raise BlowupError(t + dt, step, result.diagnostics[-1])
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 

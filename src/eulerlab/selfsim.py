@@ -23,6 +23,13 @@ difference, so the sums of every grid row for one side and one decay
 power are a single direct-summation correlation (``np.correlate``) of
 the kernel with the node weights ``node**-p``, not an n-by-tail matrix.
 
+Working set of a solve: the two cached n-by-n operators, one
+(n+1)-by-(n+1) bordered matrix that :func:`newton_solve` allocates once
+and :func:`linearized_operator` rewrites in place at every iteration, and
+the copy of it that ``np.linalg.solve`` hands to LAPACK.  The operators
+are filled in blocks of ``_BLOCK_ROWS`` rows, so no other n-by-n array
+is made.
+
 The module also carries the outgoing-trajectory check for the rescaled
 characteristic field and a coercivity certifier for weighted transport
 operators u f' + g f near a one-sided boundary (the lemma checker used
@@ -54,6 +61,7 @@ __all__ = [
 _TAIL_POWERS = (1, 3, 5)
 _FAR_CUT_FACTOR = 50.0  # discrete tail sums run out to this multiple of L
 _FAR_SERIES_TERMS = 10
+_BLOCK_ROWS = 64  # rows per block of the n-by-n fills: no n-by-n temporaries
 
 
 def closed_form_profile(x: np.ndarray) -> np.ndarray:
@@ -64,6 +72,22 @@ def closed_form_profile(x: np.ndarray) -> np.ndarray:
 def closed_form_hilbert(x: np.ndarray) -> np.ndarray:
     """Hilbert transform of the exact profile, 2/(1+4x^2)."""
     return 2.0 / (1.0 + 4.0 * x * x)
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
+    return [slice(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
+
+
+def _add_closure(mat: np.ndarray, vecs: list, rows: np.ndarray) -> None:
+    """Add the rank-1 tail terms ``vecs[p] (x) rows[p]`` to ``mat`` in place.
+
+    The fit rows vanish outside the fit columns, where adding ``vec * 0.0``
+    would leave every entry as it is, so only the fit columns are touched.
+    """
+    cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+    for vec, row in zip(vecs, rows):
+        mat[:, cols] += vec[:, None] * row[cols]
 
 
 def _averaged_tail(partials: np.ndarray) -> np.ndarray:
@@ -187,19 +211,17 @@ class ProfileProblem:
         """Dense Hilbert transform: parity-skip quadrature plus tail closure."""
         n, h, x = self.n, self.h, self.x
         i = np.arange(n)
-        diff = x[:, None] - x[None, :]
-        odd = (i[:, None] - i[None, :]) % 2 == 1
         mat = np.zeros((n, n))
-        mat[odd] = (2.0 * h / math.pi) / diff[odd]
+        for b in _row_blocks(n):
+            odd = (i[b, None] - i[None, :]) % 2 == 1
+            np.divide(2.0 * h / math.pi, x[b, None] - x[None, :], out=mat[b], where=odd)
 
-        left_rows, right_rows = self._edge_fits
-        for side, rows in (("left", left_rows), ("right", right_rows)):
+        for side, rows in zip(("left", "right"), self._edge_fits):
             nodes = self._tail_nodes(side)
             cut = abs(nodes[-1]) + self.h
-            for p_i, p in enumerate(_TAIL_POWERS):
-                vec = (self._tail_sums(self._hilbert_kernel, side, nodes ** (-p))
-                       + self._far_series(p, side, cut))
-                mat += vec[:, None] * rows[p_i][None, :]
+            vecs = [self._tail_sums(self._hilbert_kernel, side, nodes ** (-p))
+                    + self._far_series(p, side, cut) for p in _TAIL_POWERS]
+            _add_closure(mat, vecs, rows)
         return mat
 
     @cached_property
@@ -211,24 +233,24 @@ class ProfileProblem:
         """
         n, h = self.n, self.h
         i = np.arange(n)
-        kk = i[:, None] - i[None, :]
         mat = np.zeros((n, n))
-        off = kk != 0
-        signs = np.where(kk[off] % 2 == 0, 1.0, -1.0)
-        mat[off] = signs / (h * kk[off])
+        for b in _row_blocks(n):
+            kk = i[b, None] - i[None, :]
+            signs = np.where(kk % 2 == 0, 1.0, -1.0)
+            np.divide(signs, h * kk, out=mat[b], where=kk != 0)
 
-        left_rows, right_rows = self._edge_fits
         keep = 32
-        for side, rows in (("left", left_rows), ("right", right_rows)):
+        for side, rows in zip(("left", "right"), self._edge_fits):
             nodes = self._tail_nodes(side)
             head = nodes.size - keep
             t_last = np.arange(head + 1, nodes.size + 1)
-            for p_i, p in enumerate(_TAIL_POWERS):
+            vecs = []
+            for p in _TAIL_POWERS:
                 w = nodes ** (-p)
                 run = self._tail_sums(self._deriv_kernel, side, w[:head])
                 term = self._tail_terms(self._deriv_kernel, side, t_last, w[head:])
-                vec = _averaged_tail(run[:, None] + np.cumsum(term, axis=1))
-                mat += vec[:, None] * rows[p_i][None, :]
+                vecs.append(_averaged_tail(run[:, None] + np.cumsum(term, axis=1)))
+            _add_closure(mat, vecs, rows)
         return mat
 
     def check_tail(self, omega: np.ndarray) -> None:
@@ -261,19 +283,26 @@ def profile_residual(omega: np.ndarray, lam: float,
     return omega + lam * problem.x * dw - omega * hw
 
 
-def linearized_operator(omega: np.ndarray, lam: float,
-                        problem: ProfileProblem) -> tuple[np.ndarray, np.ndarray]:
+def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Frechet derivative of the residual.
 
     Returns ``(A, col)`` where ``A`` acts on profile perturbations and
     ``col`` is the derivative with respect to the scaling rate, i.e.
-    ``X * Omega'``.
+    ``X * Omega'``.  ``A = I + lam X D - diag(H Omega) - Omega H`` is
+    written into ``out`` (any n-by-n float64 view) when given, else into a
+    new array; no other n-by-n array is made.  Adding ``0.0`` to every
+    entry gives the signed zeros that adding the identity would.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d, hm = problem.deriv_matrix, problem.hilbert_matrix
     hw = hm @ omega
-    a = (np.eye(problem.n) + lam * problem.x[:, None] * d
-         - np.diag(hw) - omega[:, None] * hm)
+    a = np.multiply(lam * problem.x[:, None], d, out=out)
+    a += 0.0
+    diag = np.arange(problem.n)
+    a[diag, diag] = (a[diag, diag] + 1.0) - hw
+    for b in _row_blocks(problem.n):
+        a[b] -= omega[b, None] * hm[b]
     col = problem.x * (d @ omega)
     return a, col
 
@@ -303,14 +332,15 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     res = profile_residual(omega, lam, problem)
     defect = norm_row @ omega + 4.0
     rnorm = max(float(np.max(np.abs(res))), abs(defect))
+    bordered = None
     for k in range(1, max_iter + 1):
         if rnorm < tol:
             return ProfileSolution(omega, lam, rnorm, k - 1, True, problem)
-        a, col = linearized_operator(omega, lam, problem)
-        bordered = np.zeros((problem.n + 1, problem.n + 1))
-        bordered[:-1, :-1] = a
+        if bordered is None:
+            bordered = np.zeros((problem.n + 1, problem.n + 1))
+            bordered[-1, :-1] = norm_row
+        _, col = linearized_operator(omega, lam, problem, out=bordered[:-1, :-1])
         bordered[:-1, -1] = col
-        bordered[-1, :-1] = norm_row
         rhs = np.concatenate([-res, [-defect]])
         try:
             step = np.linalg.solve(bordered, rhs)

@@ -46,12 +46,11 @@ _TOL = 1e-12
 
 class BlowupError(RuntimeError):
     """A non-finite state at time ``t`` in step ``step``; ``last_record`` is
-    the last finite diagnostics record (``None`` if there is none) and
-    ``paths`` the files the run wrote before it stopped."""
+    the last finite diagnostics record (``None`` if there is none)."""
 
-    def __init__(self, t: float, step: int, last_record=None, paths=()):
+    def __init__(self, t: float, step: int, last_record=None):
         super().__init__(f"numerical blow-up detected at t={t:.6g} (step {step})")
-        self.t, self.step, self.last_record, self.paths = t, step, last_record, list(paths)
+        self.t, self.step, self.last_record = t, step, last_record
 
 
 def check_cfl(cfl: float) -> None:

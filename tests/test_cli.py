@@ -474,6 +474,44 @@ class TestRunArtifacts:
         assert "diagnostics.csv" not in man["files"]
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "manifest.json"]
 
+    def test_an_unwritable_manifest_exits_3_without_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        (out / "manifest.json").mkdir(parents=True)
+        cfg = str(CONFIG_DIR / "couette_single_mode.cfg")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("failed: ") and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "series.csv"]
+
+    def test_an_output_dir_that_is_a_file_exits_3_without_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        out.write_bytes(b"not a directory")
+        cfg = str(CONFIG_DIR / "couette_single_mode.cfg")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("failed: ") and "Traceback" not in err
+        assert out.read_bytes() == b"not a directory"
+
+    def test_a_failed_run_lists_the_snapshots_it_wrote(self, tmp_path, monkeypatch):
+        out = tmp_path / "a"
+        out.mkdir()
+        (out / "snap_00009.eulb").write_bytes(b"left by another run")
+        real = euler2d._diagnostics
+
+        def failing(grid, c, t, *args):
+            if t >= 0.5:
+                raise ValueError("diagnostics failed")
+            return real(grid, c, t, *args)
+
+        monkeypatch.setattr(euler2d, "_diagnostics", failing)
+        cfg = write_cfg(tmp_path, SNAPSHOT_16 + "t_end = 1\n")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+        man = read_manifest(out)
+        assert man["status"] == "failed: diagnostics failed"
+        assert sorted(man["files"]) == ["snap_00000.eulb", "snap_00001.eulb"]
+        for name, digest in man["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     def test_ipm_rest_state_run(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = ipm\nnx = 32\nny = 32\n"
                                    "preset = stratified_rest\nt_end = 2.0\n"

@@ -1,6 +1,7 @@
 """Tests for the line-profile solver and the coercivity decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,86 @@ class TestTailSums:
             left = pb._tail_sums(kernel, "left", w)
             right = pb._tail_sums(kernel, "right", w)
             assert np.array_equal(right, -left[::-1])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _one_shot_matrices(pb):
+    """The operators as they were assembled before the row-block fill: n-by-n
+    index and difference arrays, and every rank-1 closure term added to
+    all columns."""
+    n, h, x = pb.n, pb.h, pb.x
+    i = np.arange(n)
+    diff = x[:, None] - x[None, :]
+    odd = (i[:, None] - i[None, :]) % 2 == 1
+    hm = np.zeros((n, n))
+    hm[odd] = (2.0 * h / math.pi) / diff[odd]
+    kk = i[:, None] - i[None, :]
+    dm = np.zeros((n, n))
+    off = kk != 0
+    dm[off] = np.where(kk[off] % 2 == 0, 1.0, -1.0) / (h * kk[off])
+    keep = 32
+    for side, rows in zip(("left", "right"), pb._edge_fits):
+        nodes = pb._tail_nodes(side)
+        cut = abs(nodes[-1]) + h
+        for p_i, p in enumerate(ss._TAIL_POWERS):
+            vec = (pb._tail_sums(pb._hilbert_kernel, side, nodes ** (-p))
+                   + pb._far_series(p, side, cut))
+            hm += vec[:, None] * rows[p_i][None, :]
+        head = nodes.size - keep
+        t_last = np.arange(head + 1, nodes.size + 1)
+        for p_i, p in enumerate(ss._TAIL_POWERS):
+            w = nodes ** (-p)
+            run = pb._tail_sums(pb._deriv_kernel, side, w[:head])
+            term = pb._tail_terms(pb._deriv_kernel, side, t_last, w[head:])
+            vec = ss._averaged_tail(run[:, None] + np.cumsum(term, axis=1))
+            dm += vec[:, None] * rows[p_i][None, :]
+    return hm, dm
+
+
+class TestWorkingSet:
+    def test_row_block_assembly_is_bit_identical_to_the_one_shot_one(self):
+        # h = 34.6 / 128 is not dyadic, so x_i - x_j rounds
+        pb = ss.ProfileProblem(n=128, L=17.3)
+        hm, dm = _one_shot_matrices(pb)
+        assert _same_bits(pb.hilbert_matrix, hm)
+        assert _same_bits(pb.deriv_matrix, dm)
+
+    def test_linearization_is_bit_identical_with_and_without_out(self):
+        pb = ss.ProfileProblem(n=128, L=17.3)
+        w = presets.perturbed_profile(pb, 0.05)
+        lam, d, hm = 1.1, pb.deriv_matrix, pb.hilbert_matrix
+        ref = (np.eye(pb.n) + lam * pb.x[:, None] * d
+               - np.diag(hm @ w) - w[:, None] * hm)
+        fresh, col = ss.linearized_operator(w, lam, pb)
+        assert _same_bits(fresh, ref)
+        assert np.array_equal(col, pb.x * (d @ w))
+        for buf in (np.full((pb.n, pb.n), np.nan), np.full((pb.n + 1, pb.n + 1), np.nan)):
+            out = buf[:pb.n, :pb.n]  # the second is strided, as in newton_solve
+            a, _ = ss.linearized_operator(w, lam, pb, out=out)
+            assert a is out
+            assert _same_bits(out, ref)
+
+    def test_traced_peak_of_assembly_and_newton_stays_below_four_matrices(self):
+        """At n = 1024 the operators (two n-by-n), the bordered matrix and
+        the temporaries of one assembly or one Newton step stay below
+        4 n^2 float64 values (32 MiB); they took 49 MiB with n-by-n
+        temporaries.  The copy np.linalg.solve hands to LAPACK is not
+        allocated through Python's allocator, so tracemalloc does not see it.
+        """
+        n = 1024
+        tracemalloc.start()
+        try:
+            pb = ss.ProfileProblem(n=n, L=20.0)
+            pb.hilbert_matrix, pb.deriv_matrix
+            sol = ss.newton_solve(pb, presets.perturbed_profile(pb, 0.05), lam0=1.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 4 * n * n * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestProfileResidual:

@@ -1,5 +1,6 @@
 """Time the spectral stage, the marker sampler, the diagnostics records, a
-256^2 run and a 96^2 run with markers in two source trees.
+256^2 run, a 96^2 run with markers and the n = 1024 self-similar solve in
+two source trees.
 
 Usage::
 
@@ -33,7 +34,11 @@ first, and each child measures in-process:
   diagnostics every pi/2): wall time, steps, ms per step, and marker
   sampler builds and sampled points per flow step.  A short run with
   markers comes first, so the timed run finds the cached spline symbols
-  and its workspace sizes warm.
+  and its workspace sizes warm;
+- ``selfsim_1024_build_ms`` and ``selfsim_1024_newton_ms``: building both
+  dense operators of a fresh n = 1024, L = 20 ``selfsim.ProfileProblem``,
+  and ``selfsim.newton_solve`` on it from the ``selfsim_recovery`` guess
+  (5% bump, lam0 1.1, tol 1e-10); median of 5 problems.
 
 Each round also measures start-up per tree, in fresh interpreters:
 
@@ -47,7 +52,9 @@ Each round also measures start-up per tree, in fresh interpreters:
   peak resident set (``ru_maxrss``) of one interpreter that imports the
   CLI and dispatches a short 96^2 run with a 64^2 marker lattice (the
   ``markers-96`` shape, to t = 0.5), and how many ``scipy.*`` modules it
-  has loaded by then.
+  has loaded by then;
+- ``selfsim_1024_maxrss_mb``: the same for one interpreter that dispatches
+  the ``selfsim_recovery`` shape (n = 1024, L = 20, 5% bump, lam0 1.1).
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -82,7 +89,7 @@ GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant
 _CHILD = r"""
 import inspect, json, resource, statistics, time
 import numpy as np
-from eulerlab import euler2d, fields, ipm, lagrangian, operators, presets, stepping
+from eulerlab import euler2d, fields, ipm, lagrangian, operators, presets, selfsim, stepping
 from eulerlab.grids import Grid2
 
 
@@ -204,6 +211,19 @@ res.update(run_markers_96_s=wall, run_markers_96_steps=steps[0],
            run_markers_96_ms_per_step=1e3 * wall / steps[0],
            run_markers_96_builds_per_step=sampled["builds"] / steps[0],
            run_markers_96_points_per_step=sampled["points"] / steps[0])
+
+builds, solves = [], []
+for _ in range(5):
+    t0 = time.perf_counter()
+    problem = selfsim.ProfileProblem(n=1024, L=20.0)
+    problem.hilbert_matrix, problem.deriv_matrix
+    t1 = time.perf_counter()
+    sol = selfsim.newton_solve(problem, presets.perturbed_profile(problem, 0.05), lam0=1.1)
+    assert sol.converged
+    builds.append(t1 - t0)
+    solves.append(time.perf_counter() - t1)
+res.update(selfsim_1024_build_ms=1e3 * statistics.median(builds),
+           selfsim_1024_newton_ms=1e3 * statistics.median(solves))
 print(json.dumps(res))
 """
 
@@ -233,6 +253,24 @@ print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
 """
 
 
+# the selfsim_recovery shape in a fresh interpreter: its peak RSS
+_SELFSIM_FOOTPRINT = r"""
+import json, resource, tempfile
+from eulerlab import cli, config
+text = ("system = selfsim\nn = 1024\ndomain_half_width = 20.0\nguess = perturbed\n"
+        "perturb = 0.05\nlam0 = 1.1\ntol = 1e-10\n")
+with tempfile.TemporaryDirectory() as out:
+    assert cli.dispatch(config.parse_config(text), out) == cli.EXIT_OK
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
+"""
+
+
+def _maxrss(script: str, env: dict):
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def _startup(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     times = []
@@ -244,14 +282,13 @@ def _startup(src: Path) -> dict:
     trace = subprocess.run([sys.executable, "-X", "importtime", "-c", "from eulerlab import cli"],
                            env=env, check=True, stderr=subprocess.PIPE, text=True).stderr
     line = next(ln for ln in trace.splitlines() if ln.split("|")[-1].strip() == "eulerlab.cli")
-    out = subprocess.run([sys.executable, "-c", _MARKERS_FOOTPRINT], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    maxrss_mb, markers_count = json.loads(out.strip().splitlines()[-1])
+    maxrss_mb, markers_count = _maxrss(_MARKERS_FOOTPRINT, env)
     return {"import_cli_ms": statistics.median(times),
             "scipy_modules_at_import": count,
             "importtime_cli_ms": int(line.split("|")[1]) / 1e3,
             "markers_96_maxrss_mb": maxrss_mb,
-            "scipy_modules_after_markers_96": markers_count}
+            "scipy_modules_after_markers_96": markers_count,
+            "selfsim_1024_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT, env)}
 
 
 def _child(src: Path) -> dict:
