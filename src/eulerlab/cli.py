@@ -225,10 +225,11 @@ def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
                                tol=cfg["tol"], max_iter=cfg["max_iter"])
     manifest.add_file("profile.csv", csv_bytes(["X", "omega"],
                                                zip(problem.x, sol.omega)))
-    outgoing = selfsim.outgoing_check(None, sol.lam)
+    outgoing = selfsim.outgoing_check(None, sol.lam, x=problem.x)
     manifest.extra.update({
         "lambda": sol.lam, "residual": sol.residual,
         "iterations": sol.iterations, "converged": bool(sol.converged),
+        "step_norm": sol.step_norm,
         "outgoing_certified": bool(outgoing["certified"]),
         "outgoing_c": outgoing["c_estimate"],
     })

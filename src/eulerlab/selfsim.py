@@ -8,27 +8,32 @@ where ``H`` is the Hilbert transform on the line.  The known closed form
 is ``Omega(X) = -4X / (1 + 4X^2)`` with ``lam = 1``; its transform is
 ``H(Omega) = 2 / (1 + 4X^2)``.
 
-Discretization: a uniform symmetric grid, band-limited (sinc-basis)
-differentiation, and the parity-skip quadrature for the Hilbert
-transform.  Both are exact for band-limited samples on the full line;
-the part of the line beyond the grid is closed by fitting an odd
-algebraic decay model a/X + b/X^3 + c/X^5 to the outermost samples and
-summing/integrating that model analytically.  The closure is linear in
-the samples, so the assembled matrices are the exact Frechet
+Discretization: every profile solved for is odd, so the unknowns are the
+samples at the nodes X = h, 2h, ..., L (h = 2L/n) of the odd extension
+to the symmetric grid, whose sample at X = 0 vanishes.  Band-limited
+(sinc-basis) differentiation and the parity-skip quadrature for the
+Hilbert transform are folded onto these nodes: entry (i, j) is
+K(i - j) - K(i + j) for the kernel K at index difference i - j, and the
+row i = 0 of the derivative is the normalization Omega'(0).  Both rules
+are exact for band-limited samples on the full line; the part of the
+line beyond +-L is closed by fitting an odd algebraic decay model
+a/X + b/X^3 + c/X^5 to the outermost samples and summing/integrating that
+model on (L, inf) and its mirror image on (-inf, -L).  The closure is
+linear in the samples, so the assembled matrices are the exact Frechet
 derivatives of the discrete residual.
 
 The discrete tail sums run over the tail nodes out to 50 L on each side.
-Since x_i - node = h (i - j), each kernel depends only on the index
-difference, so the sums of every grid row for one side and one decay
-power are a single direct-summation correlation (``np.correlate``) of
-the kernel with the node weights ``node**-p``, not an n-by-tail matrix.
+Each kernel depends only on the index difference, so the sums of every
+row for one decay power are a single direct-summation correlation
+(``np.correlate``) of the kernel with the node weights ``node**-p``,
+not a size-by-tail matrix.
 
-Working set of a solve: the two cached n-by-n operators, one
-(n+1)-by-(n+1) bordered matrix that :func:`newton_solve` allocates once
-and :func:`linearized_operator` rewrites in place at every iteration, and
-the copy of it that ``np.linalg.solve`` hands to LAPACK.  The operators
-are filled in blocks of ``_BLOCK_ROWS`` rows, so no other n-by-n array
-is made.
+Working set of a solve: the two cached size-by-size operators
+(size = n/2), one (size+1)-by-(size+1) bordered matrix that
+:func:`newton_solve` allocates once and :func:`linearized_operator`
+rewrites in place at every iteration, and the copy of it that
+``np.linalg.solve`` hands to LAPACK.  The operators are filled in blocks
+of ``_BLOCK_ROWS`` rows, so no other size-by-size array is made.
 
 The module also carries the outgoing-trajectory check for the rescaled
 characteristic field and a coercivity certifier for weighted transport
@@ -102,9 +107,11 @@ def _averaged_tail(partials: np.ndarray) -> np.ndarray:
 class ProfileProblem:
     """Grid and discrete operators for the profile equation.
 
-    ``n`` grid points cover ``[-L, L)`` uniformly with ``X = 0`` on the
-    grid (``n`` even).  :meth:`check_tail` rejects states whose edge samples
-    are incompatible with an integrable 1/X tail.
+    An odd profile is carried by its samples at the ``size = n // 2``
+    nodes ``X = h, 2h, ..., L`` with ``h = 2L / n`` (``n`` even), so ``n``
+    counts the nodes of the symmetric grid of ``[-L, L)`` that the odd
+    extension lives on.  :meth:`check_tail` rejects states whose edge
+    sample is incompatible with an integrable 1/X tail.
     """
 
     n: int = 1024
@@ -123,138 +130,123 @@ class ProfileProblem:
     def h(self) -> float:
         return 2.0 * self.L / self.n
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.h
-
     @property
-    def i_zero(self) -> int:
+    def size(self) -> int:
+        """The number of unknowns, one per node X = h, 2h, ..., L."""
         return self.n // 2
 
     @cached_property
-    def _edge_fits(self) -> tuple[np.ndarray, np.ndarray]:
+    def x(self) -> np.ndarray:
+        return np.arange(1, self.size + 1) * self.h
+
+    @cached_property
+    def _edge_fit(self) -> np.ndarray:
         """Least-squares extraction rows mapping samples -> decay coefficients.
 
-        Returns (left, right), each (3, n): applied to a sample vector they
-        produce the coefficients (a, b, c) of a/X + b/X^3 + c/X^5 fitted
-        over the outer tenth of the corresponding side.
+        A (3, size) array: applied to a sample vector it gives the
+        coefficients (a, b, c) of a/X + b/X^3 + c/X^5 fitted over the outer
+        tenth of (0, L] (at least 8 nodes).  The model is odd, so the same
+        coefficients close the mirrored tail on (-inf, -L).
         """
-        m = max(8, self.n // 10)
-        out = []
-        for side in ("left", "right"):
-            idx = np.arange(m) if side == "left" else np.arange(self.n - m, self.n)
-            xs = self.x[idx]
-            v = np.stack([xs ** (-p) for p in _TAIL_POWERS], axis=1)
-            rows = np.zeros((3, self.n))
-            rows[:, idx] = np.linalg.pinv(v)
-            out.append(rows)
-        return out[0], out[1]
+        m = max(8, self.size // 10)
+        idx = np.arange(self.size - m, self.size)
+        v = np.stack([self.x[idx] ** (-p) for p in _TAIL_POWERS], axis=1)
+        rows = np.zeros((3, self.size))
+        rows[:, idx] = np.linalg.pinv(v)
+        return rows
 
-    def _tail_nodes(self, side: str) -> np.ndarray:
-        far = _FAR_CUT_FACTOR * self.L
-        count = int(math.ceil((far - self.L) / self.h))
-        d = np.arange(1, count + 1)
-        if side == "right":
-            return self.x[-1] + d * self.h
-        return self.x[0] - d * self.h
+    @cached_property
+    def _tail_nodes(self) -> np.ndarray:
+        """The nodes (size + t) h, t = 1, 2, ..., out to 50 L."""
+        count = int(math.ceil((_FAR_CUT_FACTOR - 1.0) * self.L / self.h))
+        return (self.size + np.arange(1, count + 1)) * self.h
 
-    def _far_series(self, power: int, side: str, cut: float) -> np.ndarray:
-        """(1/pi) * integral of y^-power/(x-y) over the line beyond |cut|."""
-        x = self.x
-        m = np.arange(_FAR_SERIES_TERMS)
-        if side == "right":
-            coeff = -(cut ** -(power + m)) / (power + m)
-            val = (x[:, None] ** m) @ coeff
-        else:
-            coeff = (cut ** -(power + m)) / (power + m)
-            val = ((-x[:, None]) ** m) @ coeff * (-1.0) ** power
-        return val / math.pi
+    def _far_series(self, power: int, cut: np.ndarray) -> np.ndarray:
+        """(1/pi) * integral of y^-power/(x-y) over |y| > cut at every node:
+        for odd ``power`` twice the even terms of one side's series in x/cut."""
+        m = np.arange(0, _FAR_SERIES_TERMS, 2)
+        terms = (self.x[:, None] / cut[:, None]) ** m / (power + m)
+        return -2.0 * cut ** -power * terms.sum(axis=1) / math.pi
 
-    def _tail_distances(self, side: str) -> tuple[np.ndarray, float]:
-        """Row offsets r_i and the sign of the index difference on one side.
+    def _tail_sums(self, kernel, weights: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """sum_t [kernel(i - size - t) - kernel(i + size + t)] * weights[t - 1].
 
-        Row i and tail node t (t = 1, 2, ...) sit r_i + t grid steps apart,
-        with r_i = i on the left and r_i = n - 1 - i on the right, where
-        the index difference row - node is negative.
+        Row ``i`` meets tail node ``size + t`` and its mirror ``-(size + t)``,
+        which carries the negated sample.  ``kernel`` is odd, so this is
+        -(S(size - i) + S(size + i)) with S(r) = sum_t kernel(r + t) weights[t - 1],
+        for all rows one correlation of the kernel with the weights.
         """
-        r = np.arange(self.n)
-        return (r, 1.0) if side == "left" else (r[::-1], -1.0)
+        lo, hi = self.size - i.max(), self.size + i.max()
+        s = np.correlate(kernel(np.arange(lo + 1, hi + weights.size + 1)), weights, "valid")
+        return -(s[self.size - i - lo] + s[self.size + i - lo])
 
-    def _tail_sums(self, kernel, side: str, weights: np.ndarray) -> np.ndarray:
-        """sum_t kernel(i - j_t) * weights[t - 1] for every row i.
-
-        ``kernel`` is odd in the index difference, so each sum is the
-        side's sign times a sum over distances r_i + t; for all rows at once
-        that is one correlation of the kernel at distances
-        1 .. n - 1 + len(weights) with the weights.
-        """
-        r, sign = self._tail_distances(side)
-        sums = np.correlate(kernel(np.arange(1, self.n + weights.size)), weights, "valid")
-        return sign * sums[r]
-
-    def _tail_terms(self, kernel, side: str, t: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-        """The individual terms kernel(i - j_t) * weights, shape (n, len(t))."""
-        r, sign = self._tail_distances(side)
-        return sign * kernel(r[:, None] + t[None, :]) * weights
+    def _tail_terms(self, kernel, t: np.ndarray, weights: np.ndarray,
+                    i: np.ndarray) -> np.ndarray:
+        """The individual terms of :meth:`_tail_sums`, shape (len(i), len(t))."""
+        r = self.size + t[None, :]
+        return -(kernel(r - i[:, None]) + kernel(r + i[:, None])) * weights
 
     def _hilbert_kernel(self, d: np.ndarray) -> np.ndarray:
         """Parity-skip quadrature weight 2h / (pi (x_i - x_j)) at index difference d."""
-        return np.where(d % 2 == 1, (2.0 / math.pi) / d, 0.0)
+        return np.divide(2.0 / math.pi, d, out=np.zeros(d.shape), where=d % 2 == 1)
 
     def _deriv_kernel(self, d: np.ndarray) -> np.ndarray:
         """Sinc-differentiation weight (-1)^d / (h d) at index difference d != 0."""
-        return np.where(d % 2 == 0, 1.0, -1.0) / (self.h * d)
+        signs = np.where(d % 2 == 0, 1.0, -1.0)
+        return np.divide(signs, self.h * d, out=np.zeros(d.shape), where=d != 0)
+
+    def _operator(self, kernel, i: np.ndarray, vecs: list) -> np.ndarray:
+        """Rows ``i`` of an odd-fold operator: kernel(i - j) - kernel(i + j)
+        for the nodes j = 1 .. size, filled in row blocks, plus the closure."""
+        j = np.arange(1, self.size + 1)
+        mat = np.empty((i.size, self.size))
+        for b in _row_blocks(i.size):
+            mat[b] = kernel(i[b, None] - j[None, :]) - kernel(i[b, None] + j[None, :])
+        _add_closure(mat, vecs, self._edge_fit)
+        return mat
 
     @cached_property
     def hilbert_matrix(self) -> np.ndarray:
         """Dense Hilbert transform: parity-skip quadrature plus tail closure."""
-        n, h, x = self.n, self.h, self.x
-        i = np.arange(n)
-        mat = np.zeros((n, n))
-        for b in _row_blocks(n):
-            odd = (i[b, None] - i[None, :]) % 2 == 1
-            np.divide(2.0 * h / math.pi, x[b, None] - x[None, :], out=mat[b], where=odd)
+        i = np.arange(1, self.size + 1)
+        nodes = self._tail_nodes
+        # a row at odd distance from the last node sums up to nodes[-1] + h;
+        # the other rows skip it, so their far integral starts at nodes[-1]
+        reach = np.where((self.size + nodes.size - i) % 2 == 1, self.h, 0.0)
+        vecs = [self._tail_sums(self._hilbert_kernel, nodes ** (-p), i)
+                + self._far_series(p, nodes[-1] + reach) for p in _TAIL_POWERS]
+        return self._operator(self._hilbert_kernel, i, vecs)
 
-        for side, rows in zip(("left", "right"), self._edge_fits):
-            nodes = self._tail_nodes(side)
-            cut = abs(nodes[-1]) + self.h
-            vecs = [self._tail_sums(self._hilbert_kernel, side, nodes ** (-p))
-                    + self._far_series(p, side, cut) for p in _TAIL_POWERS]
-            _add_closure(mat, vecs, rows)
-        return mat
-
-    @cached_property
-    def deriv_matrix(self) -> np.ndarray:
-        """Dense band-limited differentiation with the same tail closure.
+    def _deriv_rows(self, i: np.ndarray) -> np.ndarray:
+        """Rows ``i`` of the band-limited differentiation with the tail closure.
 
         The alternating tail series is summed directly up to its last
         ``keep`` terms, whose partial sums are then averaged to the limit.
         """
-        n, h = self.n, self.h
-        i = np.arange(n)
-        mat = np.zeros((n, n))
-        for b in _row_blocks(n):
-            kk = i[b, None] - i[None, :]
-            signs = np.where(kk % 2 == 0, 1.0, -1.0)
-            np.divide(signs, h * kk, out=mat[b], where=kk != 0)
-
         keep = 32
-        for side, rows in zip(("left", "right"), self._edge_fits):
-            nodes = self._tail_nodes(side)
-            head = nodes.size - keep
-            t_last = np.arange(head + 1, nodes.size + 1)
-            vecs = []
-            for p in _TAIL_POWERS:
-                w = nodes ** (-p)
-                run = self._tail_sums(self._deriv_kernel, side, w[:head])
-                term = self._tail_terms(self._deriv_kernel, side, t_last, w[head:])
-                vecs.append(_averaged_tail(run[:, None] + np.cumsum(term, axis=1)))
-            _add_closure(mat, vecs, rows)
-        return mat
+        nodes = self._tail_nodes
+        head = nodes.size - keep
+        t_last = np.arange(head + 1, nodes.size + 1)
+        vecs = []
+        for p in _TAIL_POWERS:
+            w = nodes ** (-p)
+            run = self._tail_sums(self._deriv_kernel, w[:head], i)
+            term = self._tail_terms(self._deriv_kernel, t_last, w[head:], i)
+            vecs.append(_averaged_tail(run[:, None] + np.cumsum(term, axis=1)))
+        return self._operator(self._deriv_kernel, i, vecs)
+
+    @cached_property
+    def deriv_matrix(self) -> np.ndarray:
+        """Dense band-limited differentiation at the nodes."""
+        return self._deriv_rows(np.arange(1, self.size + 1))
+
+    @cached_property
+    def slope_row(self) -> np.ndarray:
+        """The derivative at X = 0 as a row: the same formula at i = 0."""
+        return self._deriv_rows(np.zeros(1, dtype=int))[0]
 
     def check_tail(self, omega: np.ndarray) -> None:
-        edge = max(abs(omega[0] * self.x[0]), abs(omega[-1] * self.x[-1]))
+        edge = abs(omega[-1] * self.x[-1])
         if not np.isfinite(edge) or edge > 4.0:
             raise ValueError(
                 f"tail too large: |X*Omega| = {edge:.3g} at the grid edge "
@@ -263,11 +255,15 @@ class ProfileProblem:
 
 @dataclass
 class ProfileSolution:
+    """A Newton result; ``step_norm`` is the max-norm of the last correction
+    over its Omega and lam parts (0 when no step was taken)."""
+
     omega: np.ndarray
     lam: float
     residual: float
     iterations: int
     converged: bool
+    step_norm: float
     problem: ProfileProblem
 
 
@@ -275,7 +271,7 @@ def profile_residual(omega: np.ndarray, lam: float,
                      problem: ProfileProblem) -> np.ndarray:
     """Pointwise residual Omega + lam*X*Omega' - Omega*H(Omega)."""
     omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (problem.n,):
+    if omega.shape != (problem.size,):
         raise ValueError("omega must be sampled on the problem grid")
     problem.check_tail(omega)
     dw = problem.deriv_matrix @ omega
@@ -290,18 +286,18 @@ def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
     Returns ``(A, col)`` where ``A`` acts on profile perturbations and
     ``col`` is the derivative with respect to the scaling rate, i.e.
     ``X * Omega'``.  ``A = I + lam X D - diag(H Omega) - Omega H`` is
-    written into ``out`` (any n-by-n float64 view) when given, else into a
-    new array; no other n-by-n array is made.  Adding ``0.0`` to every
-    entry gives the signed zeros that adding the identity would.
+    written into ``out`` (any size-by-size float64 view) when given, else
+    into a new array; no other size-by-size array is made.  Adding ``0.0``
+    to every entry gives the signed zeros that adding the identity would.
     """
     omega = np.asarray(omega, dtype=np.float64)
     d, hm = problem.deriv_matrix, problem.hilbert_matrix
     hw = hm @ omega
     a = np.multiply(lam * problem.x[:, None], d, out=out)
     a += 0.0
-    diag = np.arange(problem.n)
+    diag = np.arange(problem.size)
     a[diag, diag] = (a[diag, diag] + 1.0) - hw
-    for b in _row_blocks(problem.n):
+    for b in _row_blocks(problem.size):
         a[b] -= omega[b, None] * hm[b]
     col = problem.x * (d @ omega)
     return a, col
@@ -328,16 +324,16 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     check_max_iter(max_iter)
     omega = np.asarray(omega0, dtype=np.float64).copy()
     lam = float(lam0)
-    norm_row = problem.deriv_matrix[problem.i_zero]
+    norm_row = problem.slope_row
     res = profile_residual(omega, lam, problem)
     defect = norm_row @ omega + 4.0
     rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    bordered = None
+    bordered, step_norm = None, 0.0
     for k in range(1, max_iter + 1):
         if rnorm < tol:
-            return ProfileSolution(omega, lam, rnorm, k - 1, True, problem)
+            return ProfileSolution(omega, lam, rnorm, k - 1, True, step_norm, problem)
         if bordered is None:
-            bordered = np.zeros((problem.n + 1, problem.n + 1))
+            bordered = np.zeros((problem.size + 1, problem.size + 1))
             bordered[-1, :-1] = norm_row
         _, col = linearized_operator(omega, lam, problem, out=bordered[:-1, :-1])
         bordered[:-1, -1] = col
@@ -353,12 +349,14 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
             raise RuntimeError(
                 f"Hypothesis 1 fails at iterate {k}: bordered linearization "
                 f"is numerically singular (solve defect {err:.3g})")
+        step_norm = float(np.max(np.abs(step)))
         omega = omega + step[:-1]
         lam = lam + step[-1]
         res = profile_residual(omega, lam, problem)
         defect = norm_row @ omega + 4.0
         rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), problem)
+    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), step_norm,
+                           problem)
 
 
 def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,

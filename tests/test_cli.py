@@ -383,6 +383,17 @@ class TestRunArtifacts:
         assert lines[0].startswith("t,energy,enstrophy")
         assert len(lines) == 1 + 3  # t = 0, 0.25, 0.5
 
+    def test_a_profile_lists_its_half_line_rows_and_last_step(self, tmp_path):
+        text = "system = selfsim\nn = 64\ndomain_half_width = 10\nguess = perturbed\n"
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == EXIT_OK
+        rows = (out / "profile.csv").read_text().splitlines()
+        xs = [float(row.split(",")[0]) for row in rows[1:]]
+        assert rows[0] == "X,omega" and len(xs) == 32
+        assert xs[0] == 10.0 / 32 and xs[-1] == 10.0
+        assert 0.0 < read_manifest(out)["extra"]["step_norm"] < 1e-3
+
     def test_manifest_names_the_environment(self, tmp_path):
         out = tmp_path / "a"
         main(["run", "--config", write_cfg(tmp_path, TINY_EULER), "--output-dir", str(out)])

@@ -35,9 +35,12 @@ class TestLineOperators:
             assert np.max(np.abs(pb.deriv_matrix @ w - dw)) < bound
 
     def test_grid_is_uniform_and_centered(self, problem_512):
+        # the unknowns are the nodes h, 2h, ..., L of the odd extension,
+        # whose grid is centered on its zero sample at X = 0
         x = problem_512.x
+        assert x.shape == (problem_512.n // 2,) == (problem_512.size,)
         assert np.allclose(np.diff(x), problem_512.h)
-        assert x[problem_512.i_zero] == 0.0
+        assert x[0] == problem_512.h and x[-1] == problem_512.L
 
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -53,35 +56,50 @@ def _row_fsums(terms):
 
 
 def _reference_matrices(pb, keep=32):
-    """The operators entry by entry: every tail term x_i - node spelled out
-    and each row of terms summed with math.fsum (correctly rounded)."""
-    n, h, x = pb.n, pb.h, pb.x
-    i = np.arange(n)
-    kk = i[:, None] - i[None, :]
-    diff = np.where(kk == 0, 1.0, x[:, None] - x[None, :])
-    hm = np.where(kk % 2 == 1, (2.0 * h / math.pi) / diff, 0.0)
-    dm = np.where(kk != 0, np.where(kk % 2 == 0, 1.0, -1.0) / (h * np.where(kk == 0, 1, kk)),
-                  0.0)
-    for side, rows in zip(("left", "right"), pb._edge_fits):
-        nodes = pb._tail_nodes(side)
-        t = np.arange(1, nodes.size + 1)
-        jg = n - 1 + t if side == "right" else -t
+    """The odd-fold operators entry by entry.
+
+    Row i (X_i = i h > 0) of the full-line rule meets node j and its mirror
+    -j, which carries the negated sample; the tail nodes (size + t) h carry
+    the decay model and their mirrors its odd image.  Every tail term is
+    spelled out from x_i and the node and each row of terms is summed with
+    math.fsum (correctly rounded).  The far integral of each side starts one
+    step past the last node that the row's parity-skip sum reaches.
+    """
+    size, h, x = pb.size, pb.h, pb.x
+    i = np.arange(1, size + 1)
+    minus = i[:, None] - i[None, :]
+    diff = np.where(minus == 0, 1.0, x[:, None] - x[None, :])
+    hm = (np.where(minus % 2 == 1, (2.0 * h / math.pi) / diff, 0.0)
+          - (2.0 * h / math.pi) / (x[:, None] + x[None, :]) * (minus % 2 == 1))
+    sign = np.where(minus % 2 == 0, 1.0, -1.0)
+    dm = (np.where(minus != 0, sign / (h * np.where(minus == 0, 1, minus)), 0.0)
+          - sign / (h * (i[:, None] + i[None, :])))
+    nodes = pb._tail_nodes
+    t = np.arange(1, nodes.size + 1)
+    sides = []
+    for node, jg in ((nodes, size + t), (-nodes, -(size + t))):
         kd = i[:, None] - jg[None, :]
-        hk = np.where(kd % 2 == 1, (2.0 * h / math.pi) / (x[:, None] - nodes[None, :]), 0.0)
+        hk = np.where(kd % 2 == 1, (2.0 * h / math.pi) / (x[:, None] - node[None, :]), 0.0)
         dk = np.where(kd % 2 == 0, 1.0, -1.0) / (h * kd)
-        for p, row in zip(ss._TAIL_POWERS, rows):
-            w = nodes ** (-p)
-            hvec = _row_fsums(hk * w) + pb._far_series(p, side, abs(nodes[-1]) + h)
-            head = nodes.size - keep
-            partials = np.stack(
-                [_row_fsums(np.concatenate([dk[:, :head] * w[:head],
-                                            dk[:, head:head + j + 1] * w[head:head + j + 1]],
-                                           axis=1))
-                 for j in range(keep)], axis=1)
-            while partials.shape[1] > 1:
-                partials = 0.5 * (partials[:, 1:] + partials[:, :-1])
-            hm = hm + hvec[:, None] * row[None, :]
-            dm = dm + partials[:, 0][:, None] * row[None, :]
+        sides.append((node, hk, dk))
+    reached = np.where((size + t[None, :] - i[:, None]) % 2 == 1, nodes[None, :], 0.0)
+    cut = reached.max(axis=1) + h
+    mm = np.arange(10)
+    head = nodes.size - keep
+    for p, row in zip(ss._TAIL_POWERS, pb._edge_fit):
+        far = np.array([math.fsum(-xi ** m * c ** -(p + m) / (p + m)
+                                  + (-1.0) ** p * (-xi) ** m * c ** -(p + m) / (p + m)
+                                  for m in mm) for xi, c in zip(x, cut)]) / math.pi
+        hterms = np.concatenate([hk * node ** (-p) for node, hk, _ in sides], axis=1)
+        hvec = _row_fsums(hterms) + far
+        dterms = [dk * node ** (-p) for node, _, dk in sides]
+        partials = np.stack(
+            [_row_fsums(np.concatenate([d[:, :head + j + 1] for d in dterms], axis=1))
+             for j in range(keep)], axis=1)
+        while partials.shape[1] > 1:
+            partials = 0.5 * (partials[:, 1:] + partials[:, :-1])
+        hm = hm + hvec[:, None] * row[None, :]
+        dm = dm + partials[:, 0][:, None] * row[None, :]
     return hm, dm
 
 
@@ -94,14 +112,27 @@ class TestTailSums:
         assert np.max(np.abs(pb.deriv_matrix - dm)) < 1e-13 * np.max(np.abs(dm))
 
     def test_tail_sums_of_both_sides_are_mirror_images(self):
-        # both kernels are odd in the index difference, so with the same
-        # weights the right side's sums are the left side's, reversed and negated
+        # the left tail carries the odd image of the right tail's model: the
+        # sums of a row are its right-side sum plus the left-side sum over the
+        # mirrored nodes with negated weights
         pb = ss.ProfileProblem(n=64, L=10.0)
         w = np.linspace(1.0, 2.0, 40)
+        i = np.arange(pb.size + 1)
+        t = np.arange(1, w.size + 1)
         for kernel in (pb._hilbert_kernel, pb._deriv_kernel):
-            left = pb._tail_sums(kernel, "left", w)
-            right = pb._tail_sums(kernel, "right", w)
-            assert np.array_equal(right, -left[::-1])
+            right = kernel(i[:, None] - (pb.size + t)[None, :]) @ w
+            left = kernel(i[:, None] + (pb.size + t)[None, :]) @ -w
+            sums = pb._tail_sums(kernel, w, i)
+            assert np.max(np.abs(sums - (right + left))) < 1e-14 * np.max(np.abs(sums))
+            assert np.array_equal(pb._tail_sums(kernel, w, i[:1]), sums[:1])
+
+    def test_slope_row_is_the_derivative_rule_at_zero(self, problem_1024):
+        pb = problem_1024
+        j = np.arange(1, pb.size + 1)
+        ref = -2.0 * pb._deriv_kernel(j)
+        fit = pb._edge_fit != 0.0
+        assert np.array_equal(pb.slope_row[~fit.any(axis=0)], ref[~fit.any(axis=0)])
+        assert abs(pb.slope_row @ ss.closed_form_profile(pb.x) + 4.0) < 1e-12
 
 
 def _same_bits(a, b):
@@ -109,67 +140,58 @@ def _same_bits(a, b):
 
 
 def _one_shot_matrices(pb):
-    """The operators as they were assembled before the row-block fill: n-by-n
-    index and difference arrays, and every rank-1 closure term added to
-    all columns."""
-    n, h, x = pb.n, pb.h, pb.x
-    i = np.arange(n)
-    diff = x[:, None] - x[None, :]
-    odd = (i[:, None] - i[None, :]) % 2 == 1
-    hm = np.zeros((n, n))
-    hm[odd] = (2.0 * h / math.pi) / diff[odd]
-    kk = i[:, None] - i[None, :]
-    dm = np.zeros((n, n))
-    off = kk != 0
-    dm[off] = np.where(kk[off] % 2 == 0, 1.0, -1.0) / (h * kk[off])
-    keep = 32
-    for side, rows in zip(("left", "right"), pb._edge_fits):
-        nodes = pb._tail_nodes(side)
-        cut = abs(nodes[-1]) + h
-        for p_i, p in enumerate(ss._TAIL_POWERS):
-            vec = (pb._tail_sums(pb._hilbert_kernel, side, nodes ** (-p))
-                   + pb._far_series(p, side, cut))
-            hm += vec[:, None] * rows[p_i][None, :]
-        head = nodes.size - keep
-        t_last = np.arange(head + 1, nodes.size + 1)
-        for p_i, p in enumerate(ss._TAIL_POWERS):
-            w = nodes ** (-p)
-            run = pb._tail_sums(pb._deriv_kernel, side, w[:head])
-            term = pb._tail_terms(pb._deriv_kernel, side, t_last, w[head:])
-            vec = ss._averaged_tail(run[:, None] + np.cumsum(term, axis=1))
-            dm += vec[:, None] * rows[p_i][None, :]
+    """The odd-fold operators assembled in one shot: size-by-size index
+    arrays, and every rank-1 closure term added to all columns."""
+    i = np.arange(1, pb.size + 1)
+    mats = []
+    for kernel in (pb._hilbert_kernel, pb._deriv_kernel):
+        mats.append(kernel(i[:, None] - i[None, :]) - kernel(i[:, None] + i[None, :]))
+    hm, dm = mats
+    nodes, h, keep = pb._tail_nodes, pb.h, 32
+    reach = np.where((pb.size + nodes.size - i) % 2 == 1, h, 0.0)
+    head = nodes.size - keep
+    t_last = np.arange(head + 1, nodes.size + 1)
+    for p_i, p in enumerate(ss._TAIL_POWERS):
+        w = nodes ** (-p)
+        vec = (pb._tail_sums(pb._hilbert_kernel, w, i)
+               + pb._far_series(p, nodes[-1] + reach))
+        hm += vec[:, None] * pb._edge_fit[p_i][None, :]
+        run = pb._tail_sums(pb._deriv_kernel, w[:head], i)
+        term = pb._tail_terms(pb._deriv_kernel, t_last, w[head:], i)
+        vec = ss._averaged_tail(run[:, None] + np.cumsum(term, axis=1))
+        dm += vec[:, None] * pb._edge_fit[p_i][None, :]
     return hm, dm
 
 
 class TestWorkingSet:
     def test_row_block_assembly_is_bit_identical_to_the_one_shot_one(self):
-        # h = 34.6 / 128 is not dyadic, so x_i - x_j rounds
-        pb = ss.ProfileProblem(n=128, L=17.3)
+        # two row blocks; h = 34.6 / 256 is not dyadic, so the nodes round
+        pb = ss.ProfileProblem(n=256, L=17.3)
         hm, dm = _one_shot_matrices(pb)
         assert _same_bits(pb.hilbert_matrix, hm)
         assert _same_bits(pb.deriv_matrix, dm)
 
     def test_linearization_is_bit_identical_with_and_without_out(self):
-        pb = ss.ProfileProblem(n=128, L=17.3)
+        pb = ss.ProfileProblem(n=256, L=17.3)
         w = presets.perturbed_profile(pb, 0.05)
-        lam, d, hm = 1.1, pb.deriv_matrix, pb.hilbert_matrix
-        ref = (np.eye(pb.n) + lam * pb.x[:, None] * d
+        lam, d, hm, m = 1.1, pb.deriv_matrix, pb.hilbert_matrix, pb.size
+        ref = (np.eye(m) + lam * pb.x[:, None] * d
                - np.diag(hm @ w) - w[:, None] * hm)
         fresh, col = ss.linearized_operator(w, lam, pb)
         assert _same_bits(fresh, ref)
         assert np.array_equal(col, pb.x * (d @ w))
-        for buf in (np.full((pb.n, pb.n), np.nan), np.full((pb.n + 1, pb.n + 1), np.nan)):
-            out = buf[:pb.n, :pb.n]  # the second is strided, as in newton_solve
+        for buf in (np.full((m, m), np.nan), np.full((m + 1, m + 1), np.nan)):
+            out = buf[:m, :m]  # the second is strided, as in newton_solve
             a, _ = ss.linearized_operator(w, lam, pb, out=out)
             assert a is out
             assert _same_bits(out, ref)
 
     def test_traced_peak_of_assembly_and_newton_stays_below_four_matrices(self):
-        """At n = 1024 the operators (two n-by-n), the bordered matrix and
-        the temporaries of one assembly or one Newton step stay below
-        4 n^2 float64 values (32 MiB); they took 49 MiB with n-by-n
-        temporaries.  The copy np.linalg.solve hands to LAPACK is not
-        allocated through Python's allocator, so tracemalloc does not see it.
+        """At n = 1024 the operators (two (n/2)-by-(n/2)), the bordered
+        matrix and the temporaries of one assembly or one Newton step stay
+        below four (n/2)^2 float64 values (8 MiB).  The copy np.linalg.solve
+        hands to LAPACK is not allocated through Python's allocator, so
+        tracemalloc does not see it.
         """
         n = 1024
         tracemalloc.start()
@@ -181,7 +203,7 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert sol.converged
-        assert peak < 4 * n * n * 8, f"traced peak {peak / 2**20:.1f} MiB"
+        assert peak < 4 * (n // 2) ** 2 * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestProfileResidual:
@@ -204,7 +226,7 @@ class TestProfileResidual:
         with pytest.raises(ValueError, match="problem grid"):
             ss.profile_residual(np.zeros(100), 1.0, problem_512)
         with pytest.raises(ValueError, match="tail too large"):
-            ss.profile_residual(np.ones(problem_512.n), 1.0, problem_512)
+            ss.profile_residual(np.ones(problem_512.size), 1.0, problem_512)
 
 
 class TestLinearization:
@@ -242,10 +264,28 @@ class TestNewton:
         assert abs(sol.lam - 1.0) < 5e-6
         assert np.max(np.abs(sol.omega - w)) < 1e-4
 
+    def test_recovers_the_closed_form_to_1e_7(self, problem_1024):
+        # the full-line grid, with its unpaired node at -L, stopped at
+        # max|Omega - Omega_exact| = 5.2e-6 from this guess
+        pb = problem_1024
+        sol = ss.newton_solve(pb, presets.perturbed_profile(pb, 0.05), lam0=1.1)
+        assert sol.converged
+        assert np.max(np.abs(sol.omega - ss.closed_form_profile(pb.x))) < 1e-7
+        assert abs(sol.lam - 1.0) < 1e-7
+
+    def test_step_norm_is_the_last_correction(self, problem_512):
+        pb = problem_512
+        w0 = presets.perturbed_profile(pb, 0.05)
+        sol = ss.newton_solve(pb, w0, lam0=1.1)
+        before = ss.newton_solve(pb, w0, lam0=1.1, max_iter=sol.iterations - 1)
+        jump = max(np.max(np.abs(sol.omega - before.omega)), abs(sol.lam - before.lam))
+        assert sol.step_norm == pytest.approx(jump, rel=1e-6)
+        assert ss.newton_solve(pb, w0, lam0=1.1, max_iter=0).step_norm == 0.0
+
     def test_zero_datum_has_singular_bordered_system(self):
         pb = ss.ProfileProblem(n=128, L=10.0)
         with pytest.raises(RuntimeError, match="Hypothesis 1 fails at iterate 1"):
-            ss.newton_solve(pb, np.zeros(pb.n))
+            ss.newton_solve(pb, np.zeros(pb.size))
 
 
 class TestOutgoingCheck:

@@ -1,6 +1,6 @@
 """Time the spectral stage, the marker sampler, the diagnostics records, a
-256^2 run, a 96^2 run with markers and the n = 1024 self-similar solve in
-two source trees.
+256^2 run, a 96^2 run with markers, the n = 1024 self-similar solve and the
+1D sup refinement in two source trees.
 
 Usage::
 
@@ -38,7 +38,10 @@ first, and each child measures in-process:
 - ``selfsim_1024_build_ms`` and ``selfsim_1024_newton_ms``: building both
   dense operators of a fresh n = 1024, L = 20 ``selfsim.ProfileProblem``,
   and ``selfsim.newton_solve`` on it from the ``selfsim_recovery`` guess
-  (5% bump, lam0 1.1, tol 1e-10); median of 5 problems.
+  (5% bump, lam0 1.1, tol 1e-10); median of 5 problems;
+- ``refined_sup_65536_ms``: one ``models1d.refined_sup`` call on the
+  n = 65536 CLM datum of the ``solvers-1d`` benchmark workload (cosine,
+  amplitude 20), median of 30.
 
 Each round also measures start-up per tree, in fresh interpreters:
 
@@ -53,8 +56,9 @@ Each round also measures start-up per tree, in fresh interpreters:
   CLI and dispatches a short 96^2 run with a 64^2 marker lattice (the
   ``markers-96`` shape, to t = 0.5), and how many ``scipy.*`` modules it
   has loaded by then;
-- ``selfsim_1024_maxrss_mb``: the same for one interpreter that dispatches
-  the ``selfsim_recovery`` shape (n = 1024, L = 20, 5% bump, lam0 1.1).
+- ``selfsim_1024_maxrss_mb`` and ``selfsim_2048_maxrss_mb``: the same for
+  one interpreter that dispatches the ``selfsim_recovery`` shape (L = 20,
+  5% bump, lam0 1.1) at n = 1024 and at n = 2048.
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -89,8 +93,9 @@ GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant
 _CHILD = r"""
 import inspect, json, resource, statistics, time
 import numpy as np
-from eulerlab import euler2d, fields, ipm, lagrangian, operators, presets, selfsim, stepping
-from eulerlab.grids import Grid2
+from eulerlab import (euler2d, fields, ipm, lagrangian, models1d, operators, presets, selfsim,
+                      stepping)
+from eulerlab.grids import Grid1, Grid2
 
 
 def band(n, seed=1, sup_u=0.18):
@@ -224,6 +229,9 @@ for _ in range(5):
     solves.append(time.perf_counter() - t1)
 res.update(selfsim_1024_build_ms=1e3 * statistics.median(builds),
            selfsim_1024_newton_ms=1e3 * statistics.median(solves))
+
+datum = presets.clm_cosine(Grid1(65536), 20.0)
+res["refined_sup_65536_ms"] = median_ms(lambda: models1d.refined_sup(datum), reps=30, warm=3)
 print(json.dumps(res))
 """
 
@@ -253,11 +261,11 @@ print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
 """
 
 
-# the selfsim_recovery shape in a fresh interpreter: its peak RSS
+# the selfsim_recovery shape at n = %d in a fresh interpreter: its peak RSS
 _SELFSIM_FOOTPRINT = r"""
 import json, resource, tempfile
 from eulerlab import cli, config
-text = ("system = selfsim\nn = 1024\ndomain_half_width = 20.0\nguess = perturbed\n"
+text = ("system = selfsim\nn = %d\ndomain_half_width = 20.0\nguess = perturbed\n"
         "perturb = 0.05\nlam0 = 1.1\ntol = 1e-10\n")
 with tempfile.TemporaryDirectory() as out:
     assert cli.dispatch(config.parse_config(text), out) == cli.EXIT_OK
@@ -288,7 +296,8 @@ def _startup(src: Path) -> dict:
             "importtime_cli_ms": int(line.split("|")[1]) / 1e3,
             "markers_96_maxrss_mb": maxrss_mb,
             "scipy_modules_after_markers_96": markers_count,
-            "selfsim_1024_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT, env)}
+            "selfsim_1024_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 1024, env),
+            "selfsim_2048_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 2048, env)}
 
 
 def _child(src: Path) -> dict:
