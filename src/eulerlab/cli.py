@@ -4,7 +4,9 @@ Every run writes plot-ready CSV (17 significant digits), optional EULB
 field containers, and exactly one ``manifest.json`` naming the config
 echo, code version, wall time, environment, and sha256 of every file the
 run wrote.  All writes are write-then-rename, so readers never observe
-partial files and a failed write leaves none.
+partial files and a failed write leaves none.  This module owns those
+artifacts, :func:`dispatch` and the command line; what a system is lives in
+:data:`eulerlab.config.REGISTRY`, whose runners write through :class:`RunManifest`.
 
 Exit codes: 0 success; 2 config error; 3 numerical failure or failed
 write; 4 blow-up detected (a completed run whose subject blew up is not a
@@ -26,9 +28,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, euler2d, ipm, lagrangian, models1d, presets, selfsim
-from .config import ConfigError, ExperimentConfig, parse_config_file
-from .grids import Grid1, Grid2
+from . import __version__, presets
+from .config import REGISTRY, ConfigError, ExperimentConfig, parse_config_file
 from .snapshots import atomic_write, write_snapshot
 from .stepping import BlowupError
 
@@ -87,8 +88,12 @@ class RunManifest:
         self.extra: dict = {}
         self._written = False
 
-    def add_file(self, name: str, data: bytes) -> None:
-        atomic_write(self.output_dir / name, data)
+    def add_csv(self, name: str, header: list[str], rows) -> None:
+        atomic_write(self.output_dir / name, csv_bytes(header, rows))
+        self.files.append(name)
+
+    def add_snapshot(self, name: str, fields, t: float) -> None:
+        write_snapshot(self.output_dir / name, fields, t)
         self.files.append(name)
 
     def note(self, paths) -> None:
@@ -116,171 +121,10 @@ class RunManifest:
                      (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-# -- runners -------------------------------------------------------------------
-
-
-def _records_csv(records: list, fields: list[str]) -> bytes:
-    """One row per diagnostics record: ``fields``, then the casimirs by name."""
-    names = sorted(records[0].casimirs) if records else []
-    return csv_bytes(fields + names, ([getattr(r, f) for f in fields]
-                                      + [r.casimirs[n] for n in names] for r in records))
-
-
-def _lattice_folded(snap: lagrangian.ParticleSet) -> bool:
-    """Whether :func:`lagrangian.jacobian_det` finds the lattice folded."""
-    try:
-        lagrangian.jacobian_det(snap)
-    except ValueError:
-        return True
-    return False
-
-
-def _run_euler2d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    grid = Grid2(cfg["nx"], cfg["ny"])
-    omega0 = presets.build(cfg, "preset", grid)
-    snap_dir = str(manifest.output_dir) if cfg["snapshot_every"] > 0 else None
-    marker = cfg["marker_lattice"] or None
-    written = []  # listed even when the run raises
-    try:
-        res = euler2d.run(
-            omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-            casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
-            snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None,
-            snapshot_paths=written)
-    finally:
-        manifest.note(written)
-    manifest.add_file("diagnostics.csv", _records_csv(res.diagnostics, [
-        "t", "energy", "enstrophy", "palinstrophy", "omega_max", "bkm_integral"]))
-
-    if marker:
-        ts, spreads = lagrangian.twisting_series(res)
-        manifest.add_file("winding.csv",
-                          csv_bytes(["t", "winding_spread"], zip(ts, spreads)))
-        snap = res.marker_snapshots[-1]
-        u0 = euler2d.EulerState(omega0, 0.0).velocity()
-        manifest.extra["weber_residual"] = euler2d.weber_residual(res.final, snap, u0)
-        # a folded lattice has lost the resolution the residual relies on
-        manifest.extra["lattice_folded"] = _lattice_folded(snap)
-        shape = snap.lattice_shape
-        fields = [a[:, i].reshape(shape) for a in (snap.positions, snap.lifts) for i in (0, 1)]
-        markers_final = manifest.output_dir / "markers_final.eulb"
-        write_snapshot(markers_final, fields, snap.t)
-        manifest.note([markers_final])
-    manifest.extra["sampler_method"] = (
-        lagrangian.VelocitySampler.method_for(grid) if marker else None)
-    return EXIT_OK
-
-
-def _run_couette(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    ts = np.linspace(cfg["t_start"], cfg["t_end"], cfg["t_count"])
-    out = euler2d.couette_linear_evolve(cfg["modes"], ts)
-    header = ["t", "u1_l2", "u2_l2", "omega_h1", "shear_u1_l2"]
-    rows = zip(out["t"], out["u1_l2"], out["u2_l2"], out["omega_h1"],
-               [out["shear_u1_l2"]] * len(ts))
-    manifest.add_file("series.csv", csv_bytes(header, rows))
-    return EXIT_OK
-
-
-def _run_passive_scalar(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    grid = Grid2(cfg["nx"], cfg["ny"])
-    u = presets.build(cfg, "velocity", grid)
-    f0 = presets.cos_x_scalar(grid)
-    phis = presets.build(cfg, "test_function", grid)
-    res = lagrangian.passive_scalar_evolve(u, f0, cfg["t_end"],
-                                           test_functions=phis,
-                                           cfl=cfg["cfl"],
-                                           diag_every=cfg["diag_every"])
-    header = ["t"] + [f"pairing_{i}" for i in range(len(phis))]
-    rows = [[t] + [res.pairings[i][j] for i in range(len(phis))]
-            for j, t in enumerate(res.times)]
-    manifest.add_file("pairings.csv", csv_bytes(header, rows))
-    return EXIT_OK
-
-
-def _run_model1d(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    grid = Grid1(cfg["n"])
-    omega0 = presets.clm_cosine(grid, cfg["amplitude"])
-    res = models1d.model_run(
-        omega0, cfg.system, cfg["t_end"], cfl=cfg["cfl"],
-        omega_cap=cfg["omega_cap"] or None, dt_max=cfg["dt_max"] or None,
-        tail_threshold=cfg["tail_threshold"])
-    rep = res.report
-    manifest.add_file("series.csv", csv_bytes(
-        ["t", "omega_max", "bkm_integral"],
-        zip(rep.ts, rep.omega_max_series, rep.bkm_series)))
-    manifest.extra.update({
-        "blowup_detected": bool(rep.detected),
-        "t_star_estimate": rep.t_star_estimate,
-        "under_resolved": bool(rep.under_resolved),
-        "cap_reached": bool(rep.cap_reached),
-    })
-    return EXIT_BLOWUP if rep.detected else EXIT_OK
-
-
-def _run_selfsim(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    problem = selfsim.ProfileProblem(n=cfg["n"], L=cfg["domain_half_width"],
-                                     model=cfg["model"])
-    w = presets.build(cfg, "guess", problem)
-    sol = selfsim.newton_solve(problem, w, lam0=cfg["lam0"],
-                               tol=cfg["tol"], max_iter=cfg["max_iter"])
-    manifest.add_file("profile.csv", csv_bytes(["X", "omega"],
-                                               zip(problem.x, sol.omega)))
-    outgoing = selfsim.outgoing_check(None, sol.lam, x=problem.x)
-    manifest.extra.update({
-        "lambda": sol.lam, "residual": sol.residual,
-        "iterations": sol.iterations, "converged": bool(sol.converged),
-        "step_norm": sol.step_norm,
-        "outgoing_certified": bool(outgoing["certified"]),
-        "outgoing_c": outgoing["c_estimate"],
-    })
-    if not sol.converged:
-        raise RuntimeError("iteration did not converge")
-    return EXIT_OK
-
-
-def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    u = presets.build(cfg, "u_preset", None)
-    g_const = cfg["g_const"]
-    params = selfsim.WeightedSpaceParams(
-        N=cfg["weight_order"], delta=cfg["delta"],
-        grid_points=cfg["grid_points"], grid_ratio=cfg["grid_ratio"])
-    dec = selfsim.lemma_decomposition_check(u, lambda t: g_const, params)
-    manifest.add_file("decomposition.csv", csv_bytes(
-        ["c_inner", "c_coercive", "rank", "certified"],
-        [[dec.c_inner, dec.c_coercive, dec.rank, dec.certified]]))
-    manifest.extra.update({"certified": bool(dec.certified), "rank": int(dec.rank),
-                           "c_inner": dec.c_inner, "c_coercive": dec.c_coercive})
-    if not dec.certified:
-        raise RuntimeError("decomposition not coercive")
-    return EXIT_OK
-
-
-def _run_ipm(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    grid = Grid2(cfg["nx"], cfg["ny"])
-    rho0 = presets.build(cfg, "preset", grid)
-    res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-                      tail_threshold=cfg["tail_threshold"])
-    manifest.add_file("diagnostics.csv", _records_csv(
-        res.diagnostics, ["t", "mass", "grad_sup", "e_pot", "tail_fraction"]))
-    manifest.extra["under_resolved"] = bool(res.under_resolved)
-    return EXIT_OK
-
-
-_RUNNERS = {
-    "euler2d": _run_euler2d,
-    "couette_linear": _run_couette,
-    "passive_scalar": _run_passive_scalar,
-    **dict.fromkeys(models1d.MODELS, _run_model1d),
-    "selfsim": _run_selfsim,
-    "lemma_check": _run_lemma_check,
-    "ipm": _run_ipm,
-}
-
-
 def dispatch(config: ExperimentConfig, output_dir=None) -> int:
     """Run one experiment, write its manifest and return the exit code.
 
-    A runner returns 0, or 4 for a run whose subject blew up.  A typed
+    A runner returns True for a run whose subject blew up (exit 4).  A typed
     blow-up (:class:`BlowupError`) exits 4 with the snapshots written so
     far; any other error of the numerics, or a failed write, exits 3.
     When the output directory or the manifest itself cannot be written
@@ -301,22 +145,15 @@ def dispatch(config: ExperimentConfig, output_dir=None) -> int:
 def _run(config: ExperimentConfig, manifest: RunManifest) -> tuple[int, str]:
     """Run the config's runner: its exit code and manifest status."""
     try:
-        code = _RUNNERS[config.system](config, manifest)
+        blew_up = REGISTRY[config.system].run(config, manifest)
     except BlowupError as exc:
         return EXIT_BLOWUP, f"blow-up detected: {exc}"
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         return EXIT_NUMERICAL, f"failed: {exc}"
-    return code, "completed: blow-up detected" if code == EXIT_BLOWUP else "completed"
+    return (EXIT_BLOWUP, "completed: blow-up detected") if blew_up else (EXIT_OK, "completed")
 
 
 # -- entry point ---------------------------------------------------------------
-
-
-def _load(path: str) -> ExperimentConfig:
-    try:
-        return parse_config_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -325,12 +162,14 @@ def main(argv=None) -> int:
         description="Config-driven runs of the flow laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_ in (("run", "run any configured system"),
-                        ("selfsim", "solve a self-similar profile (system = selfsim)"),
-                        ("lemma-check", "run the coercivity decomposition "
-                                        "(system = lemma_check)"),
-                        ("validate", "parse and echo a config without running")):
+    # a subcommand named by a registry entry runs only that entry's system
+    commands = [("run", "run any configured system", None)]
+    commands += [(e.command, f"{e.help} (system = {system})", system)
+                 for system, e in REGISTRY.items() if e.command]
+    commands.append(("validate", "parse and echo a config without running", None))
+    for name, help_, system in commands:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(requires=system)
         p.add_argument("--config", required=True, help="path to a key=value config")
         if name != "validate":
             p.add_argument("--output-dir", default=None,
@@ -346,10 +185,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        cfg = _load(args.config)
-        required = {"selfsim": "selfsim", "lemma-check": "lemma_check"}.get(args.command)
-        if required and cfg.system != required:
-            raise ConfigError(f"{args.command!r} subcommand requires system = {required}, "
+        cfg = parse_config_file(args.config)
+        if args.requires and cfg.system != args.requires:
+            raise ConfigError(f"{args.command!r} subcommand requires system = {args.requires}, "
                               f"got {cfg.system!r}")
         if args.command == "validate":
             for key, value in cfg.echo().items():

@@ -234,7 +234,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
 def check_weber_lattice(m: int) -> None:
     """Reject a marker lattice that :func:`weber_residual` cannot put on a
-    :class:`Grid2`: the CLI checks every euler2d run with markers."""
+    :class:`Grid2`: the config check runs it on every euler2d run with markers."""
     check_lattice(m)
     if m < 8 or m % 2 != 0:
         raise ValueError(f"marker_lattice must be an even integer >= 8, got {m}")

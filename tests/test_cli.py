@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -18,9 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eulerlab
-from eulerlab import cli, euler2d, lagrangian, models1d, presets, selfsim
+from eulerlab import config, euler2d, lagrangian, models1d, presets, selfsim
 from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
-from eulerlab.config import SYSTEMS
 from eulerlab.stepping import BlowupError
 
 TINY_EULER = """\
@@ -233,7 +233,7 @@ class TestFailureExitCodes:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(getattr(cli, module), func, fail)
+        monkeypatch.setattr(importlib.import_module(f"eulerlab.{module}"), func, fail)
         out = tmp_path / "a"
         assert main(["run", "--config", write_cfg(tmp_path, text),
                      "--output-dir", str(out)]) == code
@@ -304,8 +304,8 @@ _STEPPED_2D = {"nx": _GRID, "ny": _GRID, "cfl": (["0.3", "0.5"], ["0", "0.6"]),
 _MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]),
              "amplitude": (["-1", "0", "1"], _NON_FINITE),
              "cfl": (["0.1", "0.5"], ["0", "0.6"]), "t_end": (["0", "0.3"], ["-1", *_NON_FINITE]),
-             "omega_cap": (["0", "1.5", "5"], []), "dt_max": (["0", "0.05"], ["-0.1"]),
-             "tail_threshold": (["0", "1e-6"], [])}
+             "omega_cap": (["0", "1.5", "5"], ["-1"]), "dt_max": (["0", "0.05"], ["-0.1"]),
+             "tail_threshold": (["0", "1e-6"], ["-1e-6"])}
 _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
                 "eps": (["0", "0.3"], _NON_FINITE), "kmax": (["1", "2"], ["0", "6"]),
@@ -333,14 +333,14 @@ _KEYS = {
                     "g_const": (["-1", "1"], _NON_FINITE)},
     "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"),
             "eps": (["0", "0.01"], _NON_FINITE),
-            "tail_threshold": (["1e-6"], [])},
+            "tail_threshold": (["1e-6"], ["-1e-6"])},
 }
 
 
 @st.composite
 def _configs(draw):
     """A valid config of some system, or one with a single key set out of range."""
-    system = draw(st.sampled_from(SYSTEMS))
+    system = draw(st.sampled_from(tuple(config.REGISTRY)))
     keys = {"seed": (["0", "7"], ["-1"]), **_KEYS[system]}
     params = {k: draw(st.sampled_from(valid)) for k, (valid, _) in keys.items()}
     broken = draw(st.none() | st.sampled_from([k for k, (_, bad) in keys.items() if bad]))
@@ -367,6 +367,59 @@ class TestConfigProperty:
                 assert not out.exists(), text
             else:
                 assert list(out.rglob("manifest.json")) == [out / "manifest.json"], text
+
+    def test_the_draws_name_every_key_of_every_system(self):
+        assert list(_KEYS) == list(config.REGISTRY)
+        for system, entry in config.REGISTRY.items():
+            assert set(_KEYS[system]) == set(entry.keys), system
+
+
+class TestNewSystem:
+    """A system is one registry entry: the parser, the checks and the CLI follow it."""
+
+    @pytest.fixture(autouse=True)
+    def toy(self, monkeypatch):
+        def check(params):
+            if params["size"] < 1:
+                raise ValueError("size must be positive")
+
+        def run(cfg, manifest):
+            manifest.add_csv("squares.csv", ["i", "square"],
+                             ([i, i * i] for i in range(cfg["size"])))
+
+        monkeypatch.setitem(config.REGISTRY, "toy", config.System(
+            {"size": ("int", config.REQUIRED), "label": ("str", "plain")}, check, run))
+
+    def call(self, tmp_path, text, *command):
+        out = tmp_path / "out"
+        args = command or ("run", "--output-dir", str(out))
+        return main([args[0], "--config", write_cfg(tmp_path, text), *args[1:]]), out
+
+    def test_run_writes_its_csv_and_a_manifest(self, tmp_path):
+        code, out = self.call(tmp_path, "system = toy\nsize = 3\n")
+        assert code == EXIT_OK
+        assert (out / "squares.csv").read_text() == "i,square\n0,0\n1,1\n2,4\n"
+        man = read_manifest(out)
+        assert man["status"] == "completed" and list(man["files"]) == ["squares.csv"]
+        assert man["config"] == {"system": "toy", "size": 3, "label": "plain",
+                                 "output_dir": "out", "seed": 0}
+
+    def test_validate_echoes_the_defaults(self, tmp_path, capsys):
+        code, out = self.call(tmp_path, "system = toy\nsize = 3\n", "validate")
+        assert code == EXIT_OK and not out.exists()
+        assert capsys.readouterr().out.splitlines() == [
+            "system = toy", "label = plain", "output_dir = out", "seed = 0", "size = 3"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("system = toy\nsize = 3\ncolour = red\n",
+         "line 3: unknown key 'colour' for system 'toy'"),
+        ("system = toy\nsize = 0\n", "bad value for system 'toy': size must be positive"),
+    ])
+    def test_a_rejected_config_exits_2_before_any_output(self, tmp_path, capsys, text, message):
+        code, out = self.call(tmp_path, text)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunArtifacts:

@@ -11,9 +11,9 @@ CONFIGS = [str(ROOT / "configs" / f"{name}.cfg")
            for name in ("couette_single_mode", "lemma_parabola")]
 
 
-def compare(parent, change):
+def compare(parent, change, configs=CONFIGS):
     return subprocess.run([sys.executable, str(ROOT / "tools" / "compare_runs.py"),
-                           str(parent), str(change), *CONFIGS],
+                           str(parent), str(change), *configs],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -39,3 +39,27 @@ def test_a_changed_digit_count_is_named(tmp_path):
     row = next(line for line in proc.stdout.splitlines()
                if line.startswith("couette_single_mode"))
     assert "DIFFER: series.csv" in row
+
+
+def test_a_moved_config_default_is_named(tmp_path):
+    # a config that leaves output_dir to its default; dispatch is given the
+    # output directory, so the files stay the same
+    cfg = tmp_path / "default_dir.cfg"
+    text = (ROOT / "configs" / "couette_single_mode.cfg").read_text()
+    cfg.write_text("".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("output_dir")))
+    change = tmp_path / "src"
+    shutil.copytree(SRC / "eulerlab", change / "eulerlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config = change / "eulerlab" / "config.py"
+    text = config.read_text()
+    assert text.count('"output_dir": ("str", "out")') == 1
+    config.write_text(text.replace('"output_dir": ("str", "out")',
+                                   '"output_dir": ("str", "elsewhere")'))
+    proc = compare(SRC, change, [str(cfg)])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("default_dir"))
+    assert lines[row].split()[1:5] == ["0/0", "same", "same", "DIFFERS"], lines[row]
+    assert lines[row].endswith("1 identical"), lines[row]
+    assert lines[row + 1] == "    config output_dir: 'out' vs 'elsewhere'"

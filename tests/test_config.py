@@ -117,6 +117,13 @@ class TestValueChecks:
         ("system = lemma_check\ndelta = 0.7\n", "delta must lie in"),
         ("system = lemma_check\ngrid_points = 500\n", "grid_points must lie in"),
         (EULER_16.replace("nx = 16", "nx = 15"), "nx must be an even integer >= 8"),
+        # a negative cap used to complete at once with cap_reached and no step taken
+        ("system = clm\nn = 64\nt_end = 0.3\nomega_cap = -1\n",
+         r"omega_cap must be nonnegative \(0 means no cap\)"),
+        ("system = degregorio\nn = 64\nt_end = 0.3\ntail_threshold = -1e-6\n",
+         "tail_threshold must be nonnegative"),
+        ("system = ipm\nnx = 16\nny = 16\npreset = stratified_rest\nt_end = 1\n"
+         "tail_threshold = -1\n", "tail_threshold must be nonnegative"),
     ])
     def test_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):

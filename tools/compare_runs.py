@@ -9,16 +9,17 @@ Usage::
 config (default: every ``configs/*.cfg``) is parsed and run through
 ``eulerlab.cli.dispatch`` once per tree, in one child process per tree
 (the two children run side by side).  The script then compares, per
-config, the exit codes, the manifest statuses, the manifest extras and the
-sha256 of every file the manifests list.  For a CSV file that differs it
-prints, per column, the largest entry-by-entry relative difference and
-the largest absolute difference scaled by the column's largest magnitude
-(``max|x - y| / max|column|``); the second keeps round-off on entries that
-are themselves round-off (a conserved mass of 1e-16) from looking like a
-defect.  For a field snapshot (``.eulb``) that differs it prints, per
-block, the largest difference scaled by the field's largest magnitude,
-and the two times if they differ.  Exit status 0 means every config
-matched byte for byte.
+config, the exit codes, the manifest statuses, the manifest extras, the
+manifest config echoes (a default moved by a parser change shows here even
+when no output changes) and the sha256 of every file the manifests list.
+For a CSV file that differs it prints, per column, the largest
+entry-by-entry relative difference and the largest absolute difference
+scaled by the column's largest magnitude (``max|x - y| / max|column|``);
+the second keeps round-off on entries that are themselves round-off (a
+conserved mass of 1e-16) from looking like a defect.  For a field
+snapshot (``.eulb``) that differs it prints, per block, the largest
+difference scaled by the field's largest magnitude, and the two times if
+they differ.  Exit status 0 means every config matched byte for byte.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def compare(parent: Path, change: Path, configs: list[Path], work: Path) -> bool
         codes[tag] = json.loads(out.strip().splitlines()[-1])
 
     same_all = True
-    print(f"{'config':28s} {'exit':>7s}  {'status':8s} {'extra':8s} files")
+    print(f"{'config':28s} {'exit':>7s}  {'status':8s} {'extra':8s} {'config':8s} files")
     for cfg in configs:
         pa, ch = work / "parent" / cfg.stem, work / "change" / cfg.stem
         ma, mb = _manifest(pa), _manifest(ch)
@@ -151,15 +152,21 @@ def compare(parent: Path, change: Path, configs: list[Path], work: Path) -> bool
         code_a, code_b = codes["parent"][str(cfg)], codes["change"][str(cfg)]
         status = "same" if ma.get("status") == mb.get("status") else "DIFFERS"
         extra = "same" if ma.get("extra") == mb.get("extra") else "DIFFERS"
+        ea, eb = ma.get("config", {}), mb.get("config", {})
+        echo_keys = sorted(k for k in set(ea) | set(eb) if ea.get(k) != eb.get(k))
+        echo = "DIFFERS" if echo_keys else "same"
         files = (f"{len(fa)} identical" if not differing
                  else f"DIFFER: {', '.join(differing)}")
-        same = code_a == code_b and status == extra == "same" and not differing
+        same = code_a == code_b and status == extra == echo == "same" and not differing
         same_all &= same
-        print(f"{cfg.stem:28s} {code_a:>3d}/{code_b:<3d}  {status:8s} {extra:8s} {files}")
+        print(f"{cfg.stem:28s} {code_a:>3d}/{code_b:<3d}  {status:8s} {extra:8s} {echo:8s} "
+              f"{files}")
         if status != "same":
             print(f"    status: {ma.get('status')!r} vs {mb.get('status')!r}")
         if extra != "same":
             print(f"    extra: {ma.get('extra')} vs {mb.get('extra')}")
+        for key in echo_keys:
+            print(f"    config {key}: {ea.get(key)!r} vs {eb.get(key)!r}")
         for name in differing:
             report = {".csv": csv_report, ".eulb": eulb_report}.get(Path(name).suffix)
             if report and (pa / name).exists() and (ch / name).exists():
