@@ -86,6 +86,7 @@ class RunManifest:
         self._t0 = time.monotonic()
         self.files: list[str] = []
         self.extra: dict = {}
+        self.running = True  # until dispatch has the runner's outcome
         self._written = False
 
     def add_csv(self, name: str, header: list[str], rows) -> None:
@@ -101,6 +102,11 @@ class RunManifest:
         self.files.extend(Path(p).name for p in paths)
 
     def write(self, status: str) -> None:
+        """Write manifest.json once, after the run: a runner's own call is
+        refused before anything is written."""
+        if self.running:
+            raise RuntimeError("a runner may not write manifest.json; dispatch writes it "
+                               "after the run")
         if self._written:
             raise RuntimeError("manifest already written for this run")
         self._written = True
@@ -126,7 +132,8 @@ def dispatch(config: ExperimentConfig, output_dir=None) -> int:
 
     A runner returns True for a run whose subject blew up (exit 4).  A typed
     blow-up (:class:`BlowupError`) exits 4 with the snapshots written so
-    far; any other error of the numerics, or a failed write, exits 3.
+    far; any other error of the numerics, or a failed write, exits 3, as
+    does a runner that calls ``manifest.write`` itself.
     When the output directory or the manifest itself cannot be written
     there is no manifest to hold the status: it goes to stderr, exit 3.
     """
@@ -150,6 +157,8 @@ def _run(config: ExperimentConfig, manifest: RunManifest) -> tuple[int, str]:
         return EXIT_BLOWUP, f"blow-up detected: {exc}"
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         return EXIT_NUMERICAL, f"failed: {exc}"
+    finally:
+        manifest.running = False
     return (EXIT_BLOWUP, "completed: blow-up detected") if blew_up else (EXIT_OK, "completed")
 
 

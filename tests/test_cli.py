@@ -421,6 +421,22 @@ class TestNewSystem:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_runner_that_writes_the_manifest_exits_3(self, tmp_path, monkeypatch, capsys):
+        def run(cfg, manifest):
+            manifest.add_csv("squares.csv", ["i", "square"], [[0, 0]])
+            manifest.write("completed")
+
+        monkeypatch.setitem(config.REGISTRY, "toy",
+                            dataclasses.replace(config.REGISTRY["toy"], run=run))
+        code, out = self.call(tmp_path, "system = toy\nsize = 3\n")
+        assert code == EXIT_NUMERICAL
+        assert "Traceback" not in capsys.readouterr().err
+        man = read_manifest(out)
+        assert man["status"] == ("failed: a runner may not write manifest.json; "
+                                 "dispatch writes it after the run")
+        assert list(man["files"]) == ["squares.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "squares.csv"]
+
 
 class TestRunArtifacts:
     def test_run_writes_csv_and_manifest(self, tmp_path):

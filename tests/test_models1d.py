@@ -130,6 +130,39 @@ class TestRefinedSup:
         direct = scan_sup(w)
         assert abs(refined_sup(w) - direct) < 1e-13 * direct
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_scan_on_full_band_noise(self, seed):
+        # Nyquist content puts the largest carried wavenumber at k dx = pi,
+        # where the Taylor order and its round-off bound are largest
+        g = Grid1(4096)
+        w = SpectralField1.from_values(g, np.random.default_rng(seed).normal(size=4096))
+        assert abs(w.coeffs[2048]) > 1e-3
+        direct = scan_sup(w)
+        assert abs(refined_sup(w) - direct) < 1e-13 * direct
+
+    def test_matches_direct_scan_on_a_circle_of_other_length(self):
+        # the phase at the grid argmax comes from integer mode numbers
+        g = Grid1(2048, length=3.7)
+        w = clm_exact(SpectralField1.from_values(g, np.cos(2 * np.pi * g.x / g.length)), 1.97)
+        direct = scan_sup(w)
+        assert direct > (1.0 + 1e-5) * w.norm_inf()
+        assert abs(refined_sup(w) - direct) < 1e-13 * direct
+
+    def test_matches_direct_scan_on_the_dealiased_clm_state_at_its_cap(self):
+        # the CLM run of the solvers-1d benchmark workload, where the sup is monitored
+        res = model_run(cosine(65536, 20.0), "clm", t_end=0.2, cfl=0.2, omega_cap=10500.0)
+        assert res.report.cap_reached
+        w = res.final.omega
+        assert np.all(w.coeffs[65536 // 3 + 1:] == 0.0)
+        direct = scan_sup(w)
+        assert direct > 1e4
+        assert abs(refined_sup(w) - direct) < 1e-13 * direct
+
+    @pytest.mark.parametrize("mean", [2.3, -2.3, 0.0])
+    def test_a_field_with_no_nonzero_mode_returns_its_mean(self, mean):
+        w = SpectralField1.from_values(Grid1(64), np.full(64, mean))
+        assert refined_sup(w) == abs(mean)
+
     def test_finds_an_off_grid_extremum(self):
         g = Grid1(64)
         w = SpectralField1.from_values(g, 0.5 - 2.0 * np.cos(3.0 * (g.x - 0.01)))

@@ -1,6 +1,6 @@
 """Time the spectral stage, the marker sampler, the diagnostics records, a
-256^2 run, a 96^2 run with markers, the n = 1024 self-similar solve and the
-1D sup refinement in two source trees.
+256^2 run, a 96^2 run with markers, the n = 1024 self-similar solve, the
+1D sup refinement and the n = 65536 CLM run in two source trees.
 
 Usage::
 
@@ -41,7 +41,10 @@ first, and each child measures in-process:
   (5% bump, lam0 1.1, tol 1e-10); median of 5 problems;
 - ``refined_sup_65536_ms``: one ``models1d.refined_sup`` call on the
   n = 65536 CLM datum of the ``solvers-1d`` benchmark workload (cosine,
-  amplitude 20), median of 30.
+  amplitude 20), median of 30;
+- ``clm_65536_run_ms``: ``models1d.model_run`` of that datum with the
+  shape of the CLM run of ``solvers-1d`` (t_end 0.2, cfl 0.2, sup cap
+  10500), after one warm run, median of 3.
 
 Each round also measures start-up per tree, in fresh interpreters:
 
@@ -232,6 +235,8 @@ res.update(selfsim_1024_build_ms=1e3 * statistics.median(builds),
 
 datum = presets.clm_cosine(Grid1(65536), 20.0)
 res["refined_sup_65536_ms"] = median_ms(lambda: models1d.refined_sup(datum), reps=30, warm=3)
+res["clm_65536_run_ms"] = median_ms(
+    lambda: models1d.model_run(datum, "clm", t_end=0.2, cfl=0.2, omega_cap=10500.0), reps=3, warm=1)
 print(json.dumps(res))
 """
 
