@@ -97,10 +97,6 @@ class RunManifest:
         write_snapshot(self.output_dir / name, fields, t)
         self.files.append(name)
 
-    def note(self, paths) -> None:
-        """List files the run wrote into the output dir by other means."""
-        self.files.extend(Path(p).name for p in paths)
-
     def write(self, status: str) -> None:
         """Write manifest.json once, after the run: a runner's own call is
         refused before anything is written."""

@@ -112,8 +112,7 @@ def _check_model1d(params: dict) -> None:
 
 
 def _check_selfsim(params: dict) -> None:
-    selfsim.ProfileProblem(n=params["n"], L=params["domain_half_width"],
-                           model=params["model"])
+    selfsim.ProfileProblem(n=params["n"], L=params["domain_half_width"])
     selfsim.check_max_iter(params["max_iter"])
 
 
@@ -151,17 +150,12 @@ def _lattice_folded(snap: lagrangian.ParticleSet) -> bool:
 def _run_euler2d(cfg: ExperimentConfig, manifest) -> None:
     grid = Grid2(cfg["nx"], cfg["ny"])
     omega0 = presets.build(cfg, "preset", grid)
-    snap_dir = str(manifest.output_dir) if cfg["snapshot_every"] > 0 else None
     marker = cfg["marker_lattice"] or None
-    written = []  # listed even when the run raises
-    try:
-        res = euler2d.run(
-            omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-            casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
-            snapshot_dir=snap_dir, snapshot_every=cfg["snapshot_every"] or None,
-            snapshot_paths=written)
-    finally:
-        manifest.note(written)
+    res = euler2d.run(
+        omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
+        casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
+        snapshot_every=cfg["snapshot_every"],
+        snapshot=manifest.add_snapshot if cfg["snapshot_every"] > 0 else None)
     _add_records(manifest, res.diagnostics, [
         "t", "energy", "enstrophy", "palinstrophy", "omega_max", "bkm_integral"])
 
@@ -225,8 +219,7 @@ def _run_model1d(cfg: ExperimentConfig, manifest) -> bool:
 
 
 def _run_selfsim(cfg: ExperimentConfig, manifest) -> None:
-    problem = selfsim.ProfileProblem(n=cfg["n"], L=cfg["domain_half_width"],
-                                     model=cfg["model"])
+    problem = selfsim.ProfileProblem(n=cfg["n"], L=cfg["domain_half_width"])
     w = presets.build(cfg, "guess", problem)
     sol = selfsim.newton_solve(problem, w, lam0=cfg["lam0"],
                                tol=cfg["tol"], max_iter=cfg["max_iter"])
@@ -270,7 +263,7 @@ class System:
     ``seed`` to (type name, default or :data:`REQUIRED`); ``check(params)``
     builds what the run would, without its work, and raises ``ValueError``
     before any output; ``run(cfg, manifest)`` writes only through the
-    manifest (``add_csv``, ``add_snapshot``, ``note``, ``extra``) and returns
+    manifest (``add_csv``, ``add_snapshot``, ``extra``) and returns
     True when its subject blew up; ``command`` names a CLI subcommand, told
     by ``help``, that runs only this system."""
 
@@ -317,7 +310,6 @@ REGISTRY: dict[str, System] = {
     "selfsim": System({
         "n": ("int", 1024),
         "domain_half_width": ("float", 20.0),
-        "model": ("str", "clm"),
         "lam0": ("float", 1.0),
         "tol": ("float", 1e-10),
         "max_iter": ("int", 25),

@@ -71,14 +71,12 @@ def to_values(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.irfftn(coeffs, norm="forward", out=out)
 
 
-def _normalize(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
+def _normalize(coeffs: np.ndarray) -> np.ndarray:
     """Cast to complex128 and snap a round-off-level mean to exactly zero."""
     c = np.ascontiguousarray(coeffs, dtype=np.complex128).copy()
-    scale = float(np.max(np.abs(c)))
-    mean_free = bool(abs(c.flat[0]) <= MEAN_TOL * scale)
-    if mean_free:
+    if abs(c.flat[0]) <= MEAN_TOL * float(np.max(np.abs(c))):
         c.flat[0] = 0.0
-    return c, mean_free
+    return c
 
 
 def mode_power(grid: Grid1 | Grid2, coeffs: np.ndarray) -> np.ndarray:
@@ -95,7 +93,6 @@ class SpectralField:
 
     grid: Grid1 | Grid2
     coeffs: np.ndarray
-    mean_free: bool
 
     def __post_init__(self) -> None:
         if self.coeffs.shape != self.grid.coeff_shape:
@@ -109,17 +106,15 @@ class SpectralField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape:
             raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
-        coeffs, mean_free = _normalize(to_coeffs(values))
-        return cls(grid, coeffs, mean_free)
+        return cls(grid, _normalize(to_coeffs(values)))
 
     @classmethod
     def from_coeffs(cls, grid: Grid1 | Grid2, coeffs: np.ndarray) -> "SpectralField":
-        c, mean_free = _normalize(coeffs)
-        return cls(grid, c, mean_free)
+        return cls(grid, _normalize(coeffs))
 
     @classmethod
     def zeros(cls, grid: Grid1 | Grid2) -> "SpectralField":
-        return cls(grid, np.zeros(grid.coeff_shape, dtype=np.complex128), True)
+        return cls(grid, np.zeros(grid.coeff_shape, dtype=np.complex128))
 
     # -- views and reductions -------------------------------------------
 
@@ -131,6 +126,12 @@ class SpectralField:
     @property
     def mean(self) -> float:
         return float(self.coeffs.flat[0].real)
+
+    @property
+    def mean_free(self) -> bool:
+        """Whether the mean coefficient is exactly zero (the constructors
+        from values and coefficients snap a round-off-level mean to zero)."""
+        return bool(self.coeffs.flat[0] == 0)
 
     def norm_l2(self) -> float:
         """Domain-integral L2 norm, sqrt(integral f^2)."""
@@ -144,15 +145,14 @@ class SpectralField:
     def project_mean_free(self) -> "SpectralField":
         c = self.coeffs.copy()
         c.flat[0] = 0.0
-        return type(self)(self.grid, c, True)
+        return type(self)(self.grid, c)
 
     # -- arithmetic ------------------------------------------------------
 
     def _binary(self, other: "SpectralField", sign: float) -> "SpectralField":
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
-        c = self.coeffs + sign * other.coeffs
-        return type(self)(self.grid, c, bool(abs(c.flat[0]) == 0.0))
+        return type(self)(self.grid, self.coeffs + sign * other.coeffs)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._binary(other, 1.0)
@@ -161,7 +161,7 @@ class SpectralField:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return type(self)(self.grid, self.coeffs * float(scalar), self.mean_free)
+        return type(self)(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 

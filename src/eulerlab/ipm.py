@@ -46,8 +46,7 @@ def _velocity_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
 def ipm_velocity(rho: SpectralField2) -> VectorField2:
     """Divergence-free part of the buoyancy force (0, -rho), mean removed."""
     u1, u2 = (m * rho.coeffs for m in _velocity_symbols(rho.grid))
-    return VectorField2(SpectralField2(rho.grid, u1, True),
-                        SpectralField2(rho.grid, u2, True))
+    return VectorField2(SpectralField2(rho.grid, u1), SpectralField2(rho.grid, u2))
 
 
 @dataclass(frozen=True)

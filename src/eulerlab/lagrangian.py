@@ -64,8 +64,8 @@ class VelocitySampler:
         self.grid = grid
         self.method = self.method_for(grid)
         if self.method == "spectral":
-            self._field = VectorField2(SpectralField2(grid, u1_coeffs, False),
-                                       SpectralField2(grid, u2_coeffs, False))
+            self._field = VectorField2(SpectralField2(grid, u1_coeffs),
+                                       SpectralField2(grid, u2_coeffs))
         else:
             self._work = work = Workspace() if work is None else work
             n1, n2 = 2 * grid.nx, 2 * grid.ny
@@ -530,7 +530,7 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
             # u . grad f is -k1, the first stage of the next step; at t_end no
             # step follows, and the last record evaluates it
             k1 = rhs(t, y, (None,)) if k1 is None else k1
-            adv = SpectralField2(grid, np.negative(k1[0]), True)
+            adv = SpectralField2(grid, np.negative(k1[0]))
             rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
             fields.append(SpectralField2.from_coeffs(grid, y[0]))

@@ -43,11 +43,6 @@ class ModelState:
 
     omega: SpectralField1
     t: float
-    model: str
-
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {tuple(MODELS)}")
 
 
 @dataclass
@@ -96,7 +91,7 @@ def _rhs_coeffs(c: np.ndarray, grid: Grid1, a: float, u: np.ndarray | None = Non
 def model_rhs(omega: SpectralField1, a: float) -> SpectralField1:
     """omega * H(omega) - a u omega_x, dealiased, with u_x = H(omega) and mean(u) = 0."""
     c = _rhs_coeffs(omega.coeffs, omega.grid, a)
-    return SpectralField1(omega.grid, c, bool(abs(c[0]) == 0.0))
+    return SpectralField1(omega.grid, c)
 
 
 # -- the closed-form oracle --------------------------------------------------
@@ -360,30 +355,30 @@ def model_run(
         (c,) = y_new
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} (step {step})")
-        sup_new = refined_sup(SpectralField1(grid, c, bool(abs(c[0]) == 0.0)))
+        sup_new = refined_sup(SpectralField1(grid, c))
         ts.append(t + dt)
         bkm.append(bkm[-1] + 0.5 * dt * (sups[-1] + sup_new))
         sups.append(sup_new)
         if _spectral_tail(c, grid) > tail_threshold:
             under_resolved = True
         if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
-            states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt, model))
+            states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
             last_stored_sup = sup_new
 
     c = dealias(omega0).coeffs.copy()
-    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c, omega0.mean_free))], [0.0]
+    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c))], [0.0]
     states: list[ModelState] = []
     under_resolved = _spectral_tail(c, grid) > tail_threshold
     cap_reached = False
     if store_states:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0, model))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0))
     last_stored_sup = sups[0]
 
     t, (c,) = march(rhs, (c,), t_end, dt_rule, math.inf, lambda t, y, step, k1: None,
                     after_step=after_step, stop=stop, work=work)
 
     if store_states and states[-1].t < t:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c), t, model))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, c), t))
 
     ts_a, sups_a = np.array(ts), np.array(sups)
     detected, t_star = False, None
@@ -396,7 +391,7 @@ def model_run(
     report = BlowupReport(detected=detected, t_star_estimate=t_star, ts=ts_a,
                           omega_max_series=sups_a, bkm_series=np.array(bkm),
                           under_resolved=under_resolved, cap_reached=cap_reached)
-    final = ModelState(SpectralField1.from_coeffs(grid, c), t, model)
+    final = ModelState(SpectralField1.from_coeffs(grid, c), t)
     return ModelRunResult(report=report, final=final, states=states)
 
 

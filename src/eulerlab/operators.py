@@ -14,22 +14,22 @@ from .grids import Grid2
 
 
 def dx(f: SpectralField2) -> SpectralField2:
-    return SpectralField2(f.grid, f.grid.ikx * f.coeffs, True)
+    return SpectralField2(f.grid, f.grid.ikx * f.coeffs)
 
 
 def dy(f: SpectralField2) -> SpectralField2:
-    return SpectralField2(f.grid, f.grid.iky * f.coeffs, True)
+    return SpectralField2(f.grid, f.grid.iky * f.coeffs)
 
 
 def laplacian(f: SpectralField2) -> SpectralField2:
-    return SpectralField2(f.grid, -f.grid.k2 * f.coeffs, True)
+    return SpectralField2(f.grid, -f.grid.k2 * f.coeffs)
 
 
 def inv_laplacian(f: SpectralField2) -> SpectralField2:
     """Solve Laplace(g) = f for the mean-free g; requires mean-free input."""
     if not f.mean_free:
         raise ValueError("inv_laplacian: nonzero mean")
-    return SpectralField2(f.grid, f.grid.inv_minus_k2 * f.coeffs, True)
+    return SpectralField2(f.grid, f.grid.inv_minus_k2 * f.coeffs)
 
 
 def perp_gradient(f: SpectralField2) -> VectorField2:
@@ -54,7 +54,7 @@ def curl(v: VectorField2) -> SpectralField2:
 
 def hilbert_transform(f: SpectralField1) -> SpectralField1:
     """Periodic Hilbert transform, multiplier -i*sgn(k) (so H(cos) = sin)."""
-    return SpectralField1(f.grid, f.grid.hilbert * f.coeffs, True)
+    return SpectralField1(f.grid, f.grid.hilbert * f.coeffs)
 
 
 def leray_project(v: VectorField2) -> VectorField2:
@@ -75,10 +75,7 @@ def leray_project(v: VectorField2) -> VectorField2:
     kdotu = kx * v.u1.coeffs + ky * v.u2.coeffs
     c1 = v.u1.coeffs + kx * kdotu * g.inv_minus_k2
     c2 = v.u2.coeffs + ky * kdotu * g.inv_minus_k2
-    return VectorField2(
-        SpectralField2(g, c1, bool(abs(c1[0, 0]) == 0.0)),
-        SpectralField2(g, c2, bool(abs(c2[0, 0]) == 0.0)),
-    )
+    return VectorField2(SpectralField2(g, c1), SpectralField2(g, c2))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -88,7 +85,7 @@ def dealias(f: SpectralField) -> SpectralField:
     """
     if not isinstance(f, SpectralField):
         raise TypeError(f"dealias expects a spectral field, got {type(f).__name__}")
-    return type(f)(f.grid, f.coeffs * f.grid.dealias_mask, f.mean_free)
+    return type(f)(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 # -- pseudo-spectral building blocks on raw coefficient arrays ------------

@@ -116,11 +116,8 @@ class ProfileProblem:
 
     n: int = 1024
     L: float = 20.0
-    model: str = "clm"
 
     def __post_init__(self) -> None:
-        if self.model != "clm":
-            raise ValueError("only the CLM profile problem is implemented")
         if self.n % 2 != 0 or self.n < 64:
             raise ValueError("n must be an even integer >= 64")
         if self.L < 10.0:

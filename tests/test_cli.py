@@ -322,7 +322,7 @@ _KEYS = {
     "clm": _MODEL_1D,
     "degregorio": _MODEL_1D,
     "selfsim": {"n": (["64", "128"], ["63", "30"]), "domain_half_width": (["10", "20"], ["9"]),
-                "model": (["clm"], ["degregorio"]), "lam0": (["1", "1.1"], []),
+                "lam0": (["1", "1.1"], []),
                 "tol": (["1e-10", "1e-6"], []), "max_iter": (["0", "3"], ["-1"]),
                 "guess": _names("selfsim", "guess"), "perturb": (["0", "0.05"], [])},
     "lemma_check": {"weight_order": (["4", "8"], ["3"]),

@@ -109,7 +109,7 @@ class TestValueChecks:
     @pytest.mark.parametrize("text, match", [
         ("system = selfsim\nn = 63\n", r"'selfsim': n must be an even integer >= 64"),
         ("system = selfsim\ndomain_half_width = 5\n", "L must be at least 10"),
-        ("system = selfsim\nmodel = degregorio\n", "only the CLM profile"),
+        ("system = selfsim\nmodel = clm\n", "line 2: unknown key 'model'"),
         ("system = clm\nn = 1024\nt_end = 1\ncfl = 0\n", r"'clm': cfl must lie in"),
         ("system = degregorio\nn = 1024\nt_end = 1\ncfl = 0.6\n", "cfl must lie in"),
         ("system = clm\nn = 1023\nt_end = 1\n", "n must be an even integer >= 8, got 1023"),

@@ -15,7 +15,7 @@ from eulerlab.fields import (SpectralField2, VectorField2, Workspace, l2_inner, 
                              to_coeffs, to_values)
 from eulerlab.grids import Grid2
 from eulerlab.operators import biot_savart, stream_velocity
-from eulerlab.snapshots import read_snapshot
+from eulerlab.snapshots import read_snapshot, write_snapshot
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,6 +23,18 @@ TWO_PI = 2.0 * np.pi
 def field(g, fn):
     X, Y = g.meshgrid()
     return SpectralField2.from_values(g, fn(X, Y)).project_mean_free()
+
+
+class Writer:
+    """A run's ``snapshot`` callable: writes each field into ``directory``
+    and keeps the names in the order it got them."""
+
+    def __init__(self, directory):
+        self.directory, self.names = directory, []
+
+    def __call__(self, name, fields, t):
+        write_snapshot(self.directory / name, fields, t)
+        self.names.append(name)
 
 
 def random_band(g, seed, kmax, rms):
@@ -38,7 +50,7 @@ def random_band(g, seed, kmax, rms):
 def tendency(w):
     """The vorticity tendency -u.grad(omega) of one Euler stage, dealiased and mean-free."""
     (k,) = e2._StageEval(w.grid)(0.0, (w.coeffs,), (None,))
-    return SpectralField2(w.grid, k, True)
+    return SpectralField2(w.grid, k)
 
 
 class TestVorticityTendency:
@@ -85,7 +97,7 @@ class TestVorticityTendency:
         g = Grid2(32, 32)
         w = random_band(g, seed, kmax, 0.5)
         rhs = tendency(w)
-        psi = SpectralField2(g, g.inv_minus_k2 * w.coeffs, True)
+        psi = SpectralField2(g, g.inv_minus_k2 * w.coeffs)
         assert abs(l2_inner(rhs, w)) < 1e-12
         assert abs(l2_inner(rhs, psi)) < 1e-12
 
@@ -157,7 +169,7 @@ class TestRunDiagnostics:
         w = random_band(g, 4, 4, 0.5)
         states = []
         res = e2.run(w, 1.0, diag_every=0.25, casimirs=(2, 3, 4),
-                     snapshot_dir=str(tmp_path), snapshot_every=0.25,
+                     snapshot=Writer(tmp_path), snapshot_every=0.25,
                      observer=lambda s: states.append((s.t, s.omega.coeffs.copy())))
         assert len(res.diagnostics) == len(states) == 5
         for rec, (t, c) in zip(res.diagnostics, states):
@@ -180,11 +192,11 @@ class TestRunDiagnostics:
     def test_snapshot_files_roundtrip(self, tmp_path):
         g = Grid2(64, 64)
         w = random_band(g, 2, 3, 0.3)
-        res = e2.run(w, 1.0, diag_every=0.5, casimirs=(),
-                     snapshot_dir=str(tmp_path), snapshot_every=0.25)
+        writer = Writer(tmp_path)
+        res = e2.run(w, 1.0, diag_every=0.5, casimirs=(), snapshot=writer, snapshot_every=0.25)
         names = sorted(os.listdir(tmp_path))
         assert len(names) == 4
-        assert res.snapshot_paths == [str(tmp_path / n) for n in names]
+        assert writer.names == names
         fields_read, t_read = read_snapshot(tmp_path / names[-1])
         assert t_read == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(fields_read[0], res.final.omega.values)
@@ -273,7 +285,7 @@ class TestBlowup:
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
         poison_after(monkeypatch, e2, 4 * 3)  # four stages a step: step 4 goes bad
         with pytest.raises(e2.BlowupError) as info:
-            e2.run(w, 2.0, diag_every=0.25, casimirs=(), snapshot_dir=str(tmp_path))
+            e2.run(w, 2.0, diag_every=0.25, casimirs=(), snapshot=Writer(tmp_path))
         exc = info.value
         assert exc.step == 4
         assert exc.last_record is not None and exc.last_record.t < exc.t < 0.75
@@ -288,10 +300,31 @@ class TestBlowup:
         g = Grid2(16, 16)
         c = np.zeros(g.coeff_shape, dtype=complex)
         c[1, 0] = c[-1, 0] = np.nan
+        writer = Writer(tmp_path)
         with pytest.raises(e2.BlowupError) as info:
-            e2.run(SpectralField2(g, c, True), 1.0, snapshot_dir=str(tmp_path))
+            e2.run(SpectralField2(g, c), 1.0, snapshot=writer)
         assert info.value.step == 0 and info.value.last_record is None
         assert os.listdir(tmp_path) == []
+        assert writer.names == []
+
+    def test_snapshot_callable_gets_each_field_in_order_then_the_checkpoint(
+            self, monkeypatch):
+        g = Grid2(16, 16)
+        w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
+        got = []
+        poison_after(monkeypatch, e2, 4 * 7)  # four stages a step: step 8 goes bad
+        with pytest.raises(e2.BlowupError) as info:
+            e2.run(w, 2.0, diag_every=0.5, casimirs=(), snapshot_every=0.25,
+                   snapshot=lambda name, fields, t: got.append((name, fields[0].copy(), t)))
+        assert info.value.step == 8
+        names = [name for name, _, _ in got]
+        assert len(names) >= 3
+        assert names == [f"snap_{i:05d}.eulb" for i in range(len(names) - 1)] \
+            + ["checkpoint_abort.eulb"]
+        times = [t for _, _, t in got]
+        assert times[:-1] == pytest.approx(0.25 * np.arange(1, len(names)), abs=1e-12)
+        assert times[-2] <= times[-1] < info.value.t
+        assert all(np.all(np.isfinite(vals)) for _, vals, _ in got)
 
 
 class TestShearBandEvolution:

@@ -405,8 +405,8 @@ class TestMixing:
         res = lag.passive_scalar_evolve(u, f0, 3.0, test_functions=phis, cfl=0.4,
                                         diag_every=0.5, store_fields=True)
         u1v, u2v = u.u1.values, u.u2.values
-        want = [[lag.l2_inner(SpectralField2(g, -lag.transport_coeffs(f.coeffs, u1v, u2v, g),
-                                             True), phi) for f in res.fields] for phi in phis]
+        want = [[lag.l2_inner(SpectralField2(g, -lag.transport_coeffs(f.coeffs, u1v, u2v, g)),
+                              phi) for f in res.fields] for phi in phis]
         assert res.pairings.shape == (2, 7)
         assert res.pairings.tobytes() == np.array(want).tobytes()
 

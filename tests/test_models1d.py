@@ -101,16 +101,25 @@ class TestClmExact:
 
 
 def scan_sup(omega: SpectralField1, rounds: int = 3, points: int = 17) -> float:
-    """refined_sup's zoom with every window point evaluated by eval_at."""
+    """refined_sup's zoom with every window point x = x0 + s summed mode by mode.
+
+    x0 = i0 dx is the grid argmax.  Each term's phase is
+    e^{2 pi i (m i0 mod n) / n} e^{i k_m s}: the first factor's argument is
+    reduced exactly, and |k_m s| stays below about 1.07 pi, so no phase
+    is taken of an argument k_m x of thousands of radians.
+    """
+    g = omega.grid
     vals = np.abs(omega.values)
     i0 = int(np.argmax(vals))
-    best_x, best, half = i0 * omega.grid.dx, float(vals[i0]), omega.grid.dx
+    m = np.arange(g.coeff_shape[0])
+    wc = g.weight * omega.coeffs * np.exp(2j * np.pi * ((m * i0) % g.n) / g.n)
+    best_s, best, half = 0.0, float(vals[i0]), g.dx
     for _ in range(rounds):
-        xs = best_x + np.linspace(-half, half, points)
-        cand = np.abs(omega.eval_at(xs))
+        ss = best_s + np.linspace(-half, half, points)
+        cand = np.abs((np.exp(1j * np.outer(ss, g.k)) @ wc).real)
         j = int(np.argmax(cand))
         if cand[j] > best:
-            best, best_x = float(cand[j]), float(xs[j])
+            best, best_s = float(cand[j]), float(ss[j])
         half /= points - 1
     return best
 
@@ -130,13 +139,13 @@ class TestRefinedSup:
         direct = scan_sup(w)
         assert abs(refined_sup(w) - direct) < 1e-13 * direct
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(10))
     def test_matches_direct_scan_on_full_band_noise(self, seed):
         # Nyquist content puts the largest carried wavenumber at k dx = pi,
         # where the Taylor order and its round-off bound are largest
         g = Grid1(4096)
         w = SpectralField1.from_values(g, np.random.default_rng(seed).normal(size=4096))
-        assert abs(w.coeffs[2048]) > 1e-3
+        assert abs(w.coeffs[2048]) > 1e-4  # its spread is 1/sqrt(n); seed 6 draws 2.4e-4
         direct = scan_sup(w)
         assert abs(refined_sup(w) - direct) < 1e-13 * direct
 

@@ -47,8 +47,6 @@ class TestLineOperators:
             ss.ProfileProblem(n=63, L=20.0)
         with pytest.raises(ValueError, match="at least 10"):
             ss.ProfileProblem(n=128, L=5.0)
-        with pytest.raises(ValueError, match="CLM"):
-            ss.ProfileProblem(n=128, L=20.0, model="other")
 
 
 def _row_fsums(terms):

@@ -102,6 +102,15 @@ class TestSpectralField2:
         p = f.project_mean_free()
         assert p.mean_free and p.mean == 0.0
 
+    @pytest.mark.parametrize("cls, grid", [(SpectralField1, Grid1(16)),
+                                           (SpectralField2, Grid2(16, 16))])
+    def test_a_field_times_zero_is_mean_free(self, cls, grid):
+        c = np.zeros(grid.coeff_shape, dtype=complex)
+        c.flat[0], c.flat[1] = 0.5, 1.0
+        f = cls.from_coeffs(grid, c)
+        assert not f.mean_free
+        assert (f * 0.0).mean_free and (0.0 * f).mean_free
+
     def test_parseval(self):
         g = Grid2(32, 16, lx=2.0, ly=5.0)
         f = random_field(g, seed=3)
@@ -405,10 +414,10 @@ class TestHalfSpectrumLayout:
         row[4, 1] = 1.0  # u2 at (mx, my) = (-4, 1)
         col = c.copy()
         col[1, 4] = 1.0  # u1 at (1, 4)
-        p = leray_project(VectorField2(SpectralField2(g, c, True), SpectralField2(g, row, True)))
+        p = leray_project(VectorField2(SpectralField2(g, c), SpectralField2(g, row)))
         assert p.u1.coeffs[4, 1] == pytest.approx(4.0 / 17.0)
         assert p.u2.coeffs[4, 1] == pytest.approx(1.0 - 1.0 / 17.0)
-        p = leray_project(VectorField2(SpectralField2(g, col, True), SpectralField2(g, c, True)))
+        p = leray_project(VectorField2(SpectralField2(g, col), SpectralField2(g, c)))
         assert p.u1.coeffs[1, 4] == pytest.approx(1.0 - 1.0 / 17.0)
         assert p.u2.coeffs[1, 4] == pytest.approx(-4.0 / 17.0)
 

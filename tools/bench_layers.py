@@ -18,9 +18,8 @@ first, and each child measures in-process:
   points at 96^2, median of 200;
 - ``diagnostics_128_ms``: one Euler diagnostics record
   (``euler2d._diagnostics``) at 128^2 with the Casimir powers 2, 3 and 4,
-  called as the run calls it at a step: with the vorticity samples the
-  step made when the tree's signature takes them, else from the
-  coefficients alone; median of 200;
+  called as the run calls it at a step, with the vorticity samples the
+  step made; median of 200;
 - ``ipm_emit_128_ms``: one IPM diagnostics record at 128^2 (the ``emit``
   callback that ``ipm.ipm_run`` hands to ``march``, taken from a run of
   zero length), median of 200;
@@ -94,10 +93,9 @@ GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant
 
 # run by each child with PYTHONPATH set to one source tree
 _CHILD = r"""
-import inspect, json, resource, statistics, time
+import json, resource, statistics, time
 import numpy as np
-from eulerlab import (euler2d, fields, ipm, lagrangian, models1d, operators, presets, selfsim,
-                      stepping)
+from eulerlab import euler2d, fields, ipm, lagrangian, models1d, operators, presets, selfsim
 from eulerlab.grids import Grid1, Grid2
 
 
@@ -119,30 +117,20 @@ def median_ms(call, reps=200, warm=10):
 
 
 def stage_call(grid, omega):
-    takes_markers = "markers" in inspect.signature(euler2d._StageEval).parameters
-    stage = euler2d._StageEval(grid, **({"markers": False} if takes_markers else {}))
-    y = (omega.coeffs.copy(),)
-    if "out" in inspect.signature(stage.__call__).parameters:
-        out = (np.empty(grid.coeff_shape, np.complex128),)
-        return lambda: stage(0.0, y, out)
-    return lambda: stage(0.0, y)
+    stage = euler2d._StageEval(grid)
+    y, out = (omega.coeffs.copy(),), (np.empty(grid.coeff_shape, np.complex128),)
+    return lambda: stage(0.0, y, out)
 
 
 def sampler_call(grid, omega, points):
     u1c, u2c = operators.stream_velocity(omega.coeffs, grid)
-    if "work" in inspect.signature(lagrangian.VelocitySampler.__init__).parameters:
-        work, out = fields.Workspace(), np.empty((points.shape[0], 2))
-        return lambda: lagrangian.VelocitySampler(grid, u1c, u2c, work)(points, out)
-    return lambda: lagrangian.VelocitySampler(grid, u1c, u2c)(points)
+    work, out = fields.Workspace(), np.empty((points.shape[0], 2))
+    return lambda: lagrangian.VelocitySampler(grid, u1c, u2c, work)(points, out)
 
 
 def diagnostics_call(grid, omega):
-    c, powers = omega.coeffs, (2, 3, 4)
-    if "vals" in inspect.signature(euler2d._diagnostics).parameters:
-        vals, work = fields.to_values(c), fields.Workspace()
-        return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, powers, vals, work)
-    entries = stepping.casimir_entries(powers, "omega")
-    return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, entries)
+    c, vals, work = omega.coeffs, fields.to_values(omega.coeffs), fields.Workspace()
+    return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, (2, 3, 4), vals, work)
 
 
 def ipm_emit_call(grid, rho):
@@ -158,9 +146,7 @@ def ipm_emit_call(grid, rho):
     finally:
         ipm.march = real_march
     emit, y = grabbed["emit"], grabbed["y"]
-    if len(inspect.signature(emit).parameters) == 4:
-        return lambda: emit(0.0, y, 0, None)
-    return lambda: emit(0.0, y, 0)
+    return lambda: emit(0.0, y, 0, None)
 
 
 res = {}
