@@ -103,8 +103,6 @@ def _check_model1d(params: dict) -> None:
     check_t_end(params["t_end"])
     Grid1(params["n"])
     check_cfl(params["cfl"])
-    if not params["dt_max"] >= 0.0:  # 0: no cap
-        raise ValueError("dt_max must be nonnegative (0 means no cap)")
     if params["omega_cap"] < 0.0:  # 0: no cap
         raise ValueError("omega_cap must be nonnegative (0 means no cap)")
     if params["tail_threshold"] < 0.0:
@@ -171,8 +169,6 @@ def _run_euler2d(cfg: ExperimentConfig, manifest) -> None:
         manifest.add_snapshot("markers_final.eulb", [
             a[:, i].reshape(shape) for a in (snap.positions, snap.lifts) for i in (0, 1)],
             snap.t)
-    manifest.extra["sampler_method"] = (
-        lagrangian.VelocitySampler.method_for(grid) if marker else None)
 
 
 def _run_couette(cfg: ExperimentConfig, manifest) -> None:
@@ -204,8 +200,7 @@ def _run_model1d(cfg: ExperimentConfig, manifest) -> bool:
     omega0 = presets.clm_cosine(grid, cfg["amplitude"])
     res = models1d.model_run(
         omega0, cfg.system, cfg["t_end"], cfl=cfg["cfl"],
-        omega_cap=cfg["omega_cap"] or None, dt_max=cfg["dt_max"] or None,
-        tail_threshold=cfg["tail_threshold"])
+        omega_cap=cfg["omega_cap"] or None, tail_threshold=cfg["tail_threshold"])
     rep = res.report
     manifest.add_csv("series.csv", ["t", "omega_max", "bkm_integral"],
                      zip(rep.ts, rep.omega_max_series, rep.bkm_series))
@@ -304,7 +299,6 @@ REGISTRY: dict[str, System] = {
         "cfl": ("float", 0.1),
         "t_end": ("float", REQUIRED),
         "omega_cap": ("float", 0.0),
-        "dt_max": ("float", 0.0),
         "tail_threshold": ("float", 1e-6),
     }, _check_model1d, _run_model1d)),
     "selfsim": System({

@@ -333,7 +333,6 @@ class SteadyState:
     F_prime: object
     residual: float            # Poisson-bracket residual of psi
     equation_residual: float   # L2 norm of laplacian(psi) - F(psi)
-    converged: bool
     iterations: int
 
 
@@ -455,7 +454,7 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10) -> S
             return SteadyState(psi=psi, F=F, F_prime=F_prime,
                                residual=steady_residual(psi),
                                equation_residual=rnorm,
-                               converged=True, iterations=iterations)
+                               iterations=iterations)
         if iterations == max_iter:
             break
         fp_vals = F_prime(to_values(psi_c))
@@ -496,8 +495,6 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
     ``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
     spectrum with the grid's Parseval weight w.
     """
-    if not steady.converged:
-        raise ValueError("certificate requires a converged steady state")
     grid = steady.psi.grid
     pv = steady.psi.values
     lo, hi = float(np.min(pv)), float(np.max(pv))
@@ -538,8 +535,6 @@ def kernel_probe(steady: SteadyState) -> dict:
     sigma_min < 1e-8 * sigma_max.  Dense assembly is
     O(N^2) memory, so probe on modest grids.
     """
-    if not steady.converged:
-        raise ValueError("kernel probe requires a converged steady state")
     grid = steady.psi.grid
     n = grid.nx * grid.ny
     if n > 64 * 64:

@@ -220,10 +220,6 @@ class VectorField2:
     def from_values(cls, grid: Grid2, v1: np.ndarray, v2: np.ndarray) -> "VectorField2":
         return cls(SpectralField2.from_values(grid, v1), SpectralField2.from_values(grid, v2))
 
-    @classmethod
-    def zeros(cls, grid: Grid2) -> "VectorField2":
-        return cls(SpectralField2.zeros(grid), SpectralField2.zeros(grid))
-
     @property
     def grid(self) -> Grid2:
         return self.u1.grid

@@ -19,34 +19,30 @@ from .grids import TWO_PI, Grid2
 from .operators import dealias, stream_velocity, transport_coeffs
 from .stepping import cfl_dt, check_schedule, march, rk4_step
 
-# direct trigonometric summation is exact but quadratic in mode count;
-# above this many modes velocities are sampled from a refined grid instead
-_DIRECT_MODE_LIMIT = 64 * 64
-
 
 class VelocitySampler:
     """Evaluate a velocity field at arbitrary points.
 
-    Small grids use direct mode summation (exact); larger ones are
-    oversampled onto a doubled grid and interpolated with periodic cubic
-    splines.  The spline coefficients come straight from the velocity's
-    half spectrum: zero-padded, divided by the cubic B-spline symbol
-    (4 + 2 cos theta) / 6 on each axis of the fine grid (the periodic
-    prefilter is diagonal in Fourier space; M. Unser, "Splines: a perfect
-    fit for signal and image processing", IEEE Signal Processing Magazine,
-    1999) and transformed once.  The chosen method is exposed for metadata.
+    The field is oversampled onto a doubled grid and interpolated with
+    periodic cubic splines, on every grid size; exact point values are
+    :meth:`eulerlab.fields.VectorField2.eval_at`'s.  The spline coefficients
+    come straight from the velocity's half spectrum: zero-padded, divided by
+    the cubic B-spline symbol (4 + 2 cos theta) / 6 on each axis of the fine
+    grid (the periodic prefilter is diagonal in Fourier space; M. Unser,
+    "Splines: a perfect fit for signal and image processing", IEEE Signal
+    Processing Magazine, 1999) and transformed once.
 
-    The bicubic branch evaluates the spline by a numpy stencil gather.  The
-    coefficients of both components sit in one periodically padded array,
-    one row and column before and two after, so every 4x4 stencil is in
-    bounds.  Per axis a point is scaled to fine-grid units and wrapped into
-    [0, n), its cell and fraction y give the four B-spline weights, and the
-    sixteen taps ``(c * wx[a]) * wy[b]`` are summed in tap order from +0.0.
+    The spline is evaluated by a numpy stencil gather.  The coefficients of
+    both components sit in one periodically padded array, one row and
+    column before and two after, so every 4x4 stencil is in bounds.  Per
+    axis a point is scaled to fine-grid units and wrapped into [0, n), its
+    cell and fraction y give the four B-spline weights, and the sixteen
+    taps ``(c * wx[a]) * wy[b]`` are summed in tap order from +0.0.
     Every one of those operations is the one scipy's order-3 spline
     interpolation performs in ``grid-wrap`` mode with its prefilter off, so
     the samples have the same bits as that interpolator's (the tests check
     it); no scipy subpackage is loaded.  A non-finite point raises
-    ``ValueError`` on either branch.
+    ``ValueError``.
 
     With a workspace ``work`` the spline arrays and the sampling scratch
     live in it, so a sampler is valid only until the next one is built in
@@ -62,41 +58,27 @@ class VelocitySampler:
     def __init__(self, grid: Grid2, u1_coeffs: np.ndarray, u2_coeffs: np.ndarray,
                  work: Workspace | None = None):
         self.grid = grid
-        self.method = self.method_for(grid)
-        if self.method == "spectral":
-            self._field = VectorField2(SpectralField2(grid, u1_coeffs),
-                                       SpectralField2(grid, u2_coeffs))
-        else:
-            self._work = work = Workspace() if work is None else work
-            n1, n2 = 2 * grid.nx, 2 * grid.ny
-            spline = work.array("sampler.spline", (2, n1 + 3, n2 + 3))
-            for i, c in enumerate((u1_coeffs, u2_coeffs)):
-                _spline_coeffs(grid, c, work, spline[i, 1:-2, 1:-2])
-            _pad_periodic(spline)
-            self._spline, self._cols = spline.reshape(-1), spline.shape[2]
-            # flat offsets of a stencil's 16 taps, row-major, per component: (2, 16, 1)
-            self._taps = (np.arange(2)[:, None] * spline[0].size
-                          + (np.arange(4)[:, None] * self._cols + np.arange(4)).ravel())[..., None]
-            self._scale = np.array([[n1 / grid.lx], [n2 / grid.ly]])
-            self._period = np.array([[n1], [n2]])
+        self._work = work = Workspace() if work is None else work
+        n1, n2 = 2 * grid.nx, 2 * grid.ny
+        spline = work.array("sampler.spline", (2, n1 + 3, n2 + 3))
+        for i, c in enumerate((u1_coeffs, u2_coeffs)):
+            _spline_coeffs(grid, c, work, spline[i, 1:-2, 1:-2])
+        _pad_periodic(spline)
+        self._spline, self._cols = spline.reshape(-1), spline.shape[2]
+        # flat offsets of a stencil's 16 taps, row-major, per component: (2, 16, 1)
+        self._taps = (np.arange(2)[:, None] * spline[0].size
+                      + (np.arange(4)[:, None] * self._cols + np.arange(4)).ravel())[..., None]
+        self._scale = np.array([[n1 / grid.lx], [n2 / grid.ly]])
+        self._period = np.array([[n1], [n2]])
 
     @classmethod
     def from_field(cls, u: VectorField2) -> "VelocitySampler":
         return cls(u.grid, u.u1.coeffs, u.u2.coeffs)
 
-    @classmethod
-    def method_for(cls, grid: Grid2) -> str:
-        """The sampling method on ``grid``: spectral up to 64^2 modes, bicubic above."""
-        return "spectral" if grid.nx * grid.ny <= _DIRECT_MODE_LIMIT else "bicubic"
-
     def __call__(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Velocities at (p, 2) points, written into ``out`` when given."""
         if out is None:
             out = np.empty((points.shape[0], 2))
-        if self.method == "spectral":
-            _check_finite(points)
-            out[...] = self._field.eval_at(points)
-            return out
         work, p = self._work, points.shape[0]
         # per axis (rows): the fine-grid coordinate, wrapped into [0, n] by
         # np.mod's own steps (fmod, then + n where negative) at a quarter of
@@ -104,7 +86,8 @@ class VelocitySampler:
         # reads.  A tiny negative coordinate rounds up to n, which the cell
         # index wraps.
         x = np.multiply(points.T, self._scale, out=work.array("sampler.coords", (2, p)))
-        _check_finite(x)
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite sample point")
         np.fmod(x, self._period, out=x)
         np.add(x, self._period, out=x, where=x < 0.0)
         cell = np.floor(x, out=work.array("sampler.floor", (2, p)))
@@ -126,11 +109,6 @@ class VelocitySampler:
         # in tap order from +0.0, so sixteen negative zeros give +0.0
         np.add.reduce(v, axis=1, out=out.T, initial=0.0)
         return out
-
-
-def _check_finite(points: np.ndarray) -> None:
-    if not np.isfinite(points).all():
-        raise ValueError("non-finite sample point")
 
 
 def _bspline_weights(y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -245,11 +245,14 @@ def refined_sup(omega: SpectralField1) -> float:
     return best
 
 
-def _spectral_tail(c: np.ndarray, grid: Grid1) -> float:
-    """Relative magnitude of the top decade of retained modes."""
+def _tail_band(grid: Grid1) -> np.ndarray:
+    """The top decade of retained modes, int(0.9 n/3) .. n/3 but from mode 1 up."""
     cut = grid.n // 3
-    lo = max(1, int(0.9 * cut))
-    band = (grid.m >= lo) & (grid.m <= cut)
+    return (grid.m >= max(1, int(0.9 * cut))) & (grid.m <= cut)
+
+
+def _spectral_tail(c: np.ndarray, band: np.ndarray) -> float:
+    """Relative magnitude of the modes in ``band`` (see :func:`_tail_band`)."""
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
@@ -257,6 +260,23 @@ def _spectral_tail(c: np.ndarray, grid: Grid1) -> float:
 
 
 # -- time integration --------------------------------------------------------
+
+
+#: a run stops once the spectral tail reads at least _LOST_TAIL on
+#: _LOST_STEPS consecutive steps
+_LOST_TAIL, _LOST_STEPS = 0.5, 1000
+
+
+class ResolutionLost(RuntimeError):
+    """A 1D run stopped because its grid no longer resolves the state; past
+    the blow-up time with no sup cap, dt = cfl / sup shrinks with a state
+    that keeps growing and the run would not end.  Carries the time ``t``
+    and the ``step`` where it stopped."""
+
+    def __init__(self, t: float, step: int):
+        super().__init__(f"resolution lost at t = {t:.6g} (step {step}): spectral tail "
+                         f">= {_LOST_TAIL} on {_LOST_STEPS} consecutive steps")
+        self.t, self.step = t, step
 
 
 def _fit_t_star(ts: np.ndarray, sup: np.ndarray) -> float:
@@ -302,7 +322,6 @@ def model_run(
     t_end: float,
     cfl: float = 0.1,
     omega_cap: float | None = None,
-    dt_max: float | None = None,
     tail_threshold: float = 1e-6,
     store_states: bool = False,
     store_factor: float | None = None,
@@ -317,8 +336,10 @@ def model_run(
     Stops at ``t_end`` or when the refined sup norm reaches ``omega_cap``.
     Blow-up is reported when the cap is hit with accelerating growth, in
     which case the critical time is fitted from the tail of the series.
-    A persistent spectral tail above ``tail_threshold`` sets the
-    ``under_resolved`` flag rather than aborting.
+    A spectral tail above ``tail_threshold`` sets the ``under_resolved``
+    flag rather than aborting.  A tail of at least 0.5 on 1000 consecutive
+    steps raises :class:`ResolutionLost` (not at n = 8, where the tail band
+    starts at mode 1 and reads 1 on any field).
 
     With ``store_factor`` set, states are kept only when the sup norm has
     grown by that factor since the last stored state (plus the final one),
@@ -327,10 +348,10 @@ def model_run(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}")
     check_cfl(cfl)
-    if dt_max is not None and not dt_max > 0.0:
-        raise ValueError("dt_max must be positive")
     a = MODELS[model]
     grid = omega0.grid
+    band = _tail_band(grid)
+    lost_limit = math.inf if band[1] else _LOST_STEPS
     work = Workspace()
     u = work.array("stage.u", grid.shape)
     k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
@@ -343,7 +364,7 @@ def model_run(
         speed = abs(a) * sup_abs(u) * k_max if a != 0.0 else 0.0
         if speed != 0.0:  # RK4 is stable to ~2.8 on the imaginary axis
             dt = min(dt, 2.5 / speed)
-        return dt if dt_max is None else min(dt, dt_max)
+        return dt
 
     def stop(t: float, y: tuple) -> bool:
         nonlocal cap_reached
@@ -351,7 +372,7 @@ def model_run(
         return cap_reached
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
-        nonlocal under_resolved, last_stored_sup
+        nonlocal under_resolved, last_stored_sup, lost
         (c,) = y_new
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} (step {step})")
@@ -359,8 +380,12 @@ def model_run(
         ts.append(t + dt)
         bkm.append(bkm[-1] + 0.5 * dt * (sups[-1] + sup_new))
         sups.append(sup_new)
-        if _spectral_tail(c, grid) > tail_threshold:
+        tail = _spectral_tail(c, band)
+        if tail > tail_threshold:
             under_resolved = True
+        lost = lost + 1 if tail >= _LOST_TAIL else 0
+        if lost >= lost_limit:
+            raise ResolutionLost(t + dt, step)
         if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
             states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
             last_stored_sup = sup_new
@@ -368,8 +393,8 @@ def model_run(
     c = dealias(omega0).coeffs.copy()
     ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c))], [0.0]
     states: list[ModelState] = []
-    under_resolved = _spectral_tail(c, grid) > tail_threshold
-    cap_reached = False
+    under_resolved = _spectral_tail(c, band) > tail_threshold
+    cap_reached, lost = False, 0
     if store_states:
         states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0))
     last_stored_sup = sups[0]

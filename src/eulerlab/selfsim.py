@@ -261,7 +261,6 @@ class ProfileSolution:
     iterations: int
     converged: bool
     step_norm: float
-    problem: ProfileProblem
 
 
 def profile_residual(omega: np.ndarray, lam: float,
@@ -328,7 +327,7 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     bordered, step_norm = None, 0.0
     for k in range(1, max_iter + 1):
         if rnorm < tol:
-            return ProfileSolution(omega, lam, rnorm, k - 1, True, step_norm, problem)
+            return ProfileSolution(omega, lam, rnorm, k - 1, True, step_norm)
         if bordered is None:
             bordered = np.zeros((problem.size + 1, problem.size + 1))
             bordered[-1, :-1] = norm_row
@@ -352,8 +351,7 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
         res = profile_residual(omega, lam, problem)
         defect = norm_row @ omega + 4.0
         rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), step_norm,
-                           problem)
+    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), step_norm)
 
 
 def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,
@@ -362,20 +360,13 @@ def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,
 
     The rescaled trajectory field is ``lam*X + U(X)``; outward transport
     at rate ``c`` means ``(lam*X + U(X)) * X / X^2 >= c`` away from the
-    origin.  ``u_star`` may be None (no corrector drift), a callable, or
-    an array of samples matching ``x``.
+    origin.  ``u_star`` is None (no corrector drift) or a callable of X.
     """
     if x is None:
         x = ProfileProblem().x
     x = np.asarray(x, dtype=np.float64)
-    mask = x != 0.0
-    xs = x[mask]
-    if u_star is None:
-        uv = np.zeros_like(xs)
-    elif callable(u_star):
-        uv = np.asarray(u_star(xs), dtype=np.float64)
-    else:
-        uv = np.asarray(u_star, dtype=np.float64)[mask]
+    xs = x[x != 0.0]
+    uv = np.zeros_like(xs) if u_star is None else np.asarray(u_star(xs), dtype=np.float64)
     c = float(np.min(lam_star + uv / xs))
     return {"certified": bool(c > c_floor), "c_estimate": c}
 
@@ -415,7 +406,6 @@ class OperatorDecomposition:
     c_coercive: float
     c_inner: float
     certified: bool
-    params: WeightedSpaceParams
 
 
 # Gauss-Legendre nodes of the boundary-layer pairings in lemma_decomposition_check
@@ -510,4 +500,4 @@ def lemma_decomposition_check(u, g, params: WeightedSpaceParams) -> OperatorDeco
     return OperatorDecomposition(x=x, operator=t_hat, coercive=coercive,
                                  finite_rank=fin, rank=rank,
                                  c_coercive=c_coercive, c_inner=c_inner,
-                                 certified=certified, params=params)
+                                 certified=certified)

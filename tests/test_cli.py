@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -157,10 +158,10 @@ class TestConfigErrors:
          "t_end must be nonnegative"),
         (TINY_CLM.replace("t_end = 2.5", "t_end = -1"), "t_end must be nonnegative"),
         ("system = degregorio\nn = 64\nt_end = -0.5\n", "t_end must be nonnegative"),
-        # a backwards step cap for the 1D models (0 means no cap)
-        (TINY_CLM + "dt_max = -0.1\n", "dt_max must be nonnegative"),
-        ("system = degregorio\nn = 64\nt_end = 1\ndt_max = -1e-3\n",
-         "dt_max must be nonnegative"),
+        # cfl alone sizes the 1D step: a step cap is no longer a key
+        (TINY_CLM + "dt_max = 0.05\n", "unknown key 'dt_max' for system 'clm'"),
+        ("system = degregorio\nn = 64\nt_end = 1\ndt_max = 1e-3\n",
+         "unknown key 'dt_max' for system 'degregorio'"),
         # a marker lattice needs 2 markers per direction (0 means none)
         (TINY_EULER + "marker_lattice = 1\n", "lattice needs m >= 2"),
         (TINY_EULER + "marker_lattice = -4\n", "lattice needs m >= 2"),
@@ -259,7 +260,7 @@ class TestFailureExitCodes:
         assert man["status"] == "failed: decomposition not coercive"
         assert man["extra"]["certified"] is False and list(man["files"]) == ["decomposition.csv"]
 
-    @pytest.mark.parametrize("n", [32, 96])  # the spectral and the bicubic sampler
+    @pytest.mark.parametrize("n", [32, 96])
     def test_a_non_finite_marker_fails_the_run(self, tmp_path, monkeypatch, n):
         lattice = lagrangian.ParticleSet.lattice.__func__
 
@@ -285,6 +286,17 @@ class TestFailureExitCodes:
         status = read_manifest(out)["status"]
         assert status.startswith("failed: non-finite state") and status.endswith("(step 1)")
 
+    def test_a_1d_run_past_blow_up_stops_with_its_step(self, tmp_path):
+        # amplitude 2 blows up at t = 1, and no omega_cap ends the run there
+        text = "system = clm\nn = 256\namplitude = 2\nt_end = 3\ncfl = 0.1\n"
+        out = tmp_path / "a"
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--output-dir", str(out)]) == EXIT_NUMERICAL
+        man = read_manifest(out)
+        assert re.fullmatch(r"failed: resolution lost at t = 1\.0\d+ \(step 10\d\d\): .*",
+                            man["status"]), man["status"]
+        assert man["files"] == {}
+
 
 def _names(system, key):
     """The preset names a config key accepts, and one that names nothing."""
@@ -293,9 +305,10 @@ def _names(system, key):
 
 
 # (valid, invalid) values of every key, as config text: grids of 16^2 or
-# smaller, 1D grids of at most 256 points, short horizons.  The cosine
-# datum of the 1D models blows up at t = 2 / |amplitude|, past every
-# horizon drawn here.  NaN and infinity parse as floats and are invalid.
+# smaller, 1D grids of at most 256 points, short 2D horizons.  The cosine
+# datum of the 1D models blows up at t = 2 / |amplitude|, so a 1D horizon
+# of 3 with no cap runs past it, until the grid loses the state and the
+# run stops with exit 3.  NaN and infinity parse as floats and are invalid.
 _GRID = (["8", "16"], ["6", "15"])
 _NON_FINITE = ["nan", "inf", "-inf"]
 _STEPPED_2D = {"nx": _GRID, "ny": _GRID, "cfl": (["0.3", "0.5"], ["0", "0.6"]),
@@ -303,8 +316,9 @@ _STEPPED_2D = {"nx": _GRID, "ny": _GRID, "cfl": (["0.3", "0.5"], ["0", "0.6"]),
                "diag_every": (["0.1", "0.25"], ["-0.1", "0"])}
 _MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]),
              "amplitude": (["-1", "0", "1"], _NON_FINITE),
-             "cfl": (["0.1", "0.5"], ["0", "0.6"]), "t_end": (["0", "0.3"], ["-1", *_NON_FINITE]),
-             "omega_cap": (["0", "1.5", "5"], ["-1"]), "dt_max": (["0", "0.05"], ["-0.1"]),
+             "cfl": (["0.1", "0.5"], ["0", "0.6"]),
+             "t_end": (["0", "0.3", "3"], ["-1", *_NON_FINITE]),
+             "omega_cap": (["0", "1.5", "5"], ["-1"]),
              "tail_threshold": (["0", "1e-6"], ["-1e-6"])}
 _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),

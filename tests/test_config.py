@@ -171,4 +171,3 @@ class TestValueChecks:
         assert parse_config(band + "kmax = 5\n")["kmax"] == 5
         assert parse_config(EULER_16 + "marker_lattice = 0\n")["marker_lattice"] == 0
         assert parse_config(EULER_16 + "marker_lattice = 8\n")["marker_lattice"] == 8
-        assert parse_config("system = clm\nn = 8\nt_end = 1\ndt_max = 0\n")["dt_max"] == 0.0

@@ -383,7 +383,7 @@ class TestSteadyStates:
         g = Grid2(32, 32)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
         st_ = e2.semilinear_solve(lambda s: -2 * s, lambda s: -2 * np.ones_like(s), guess)
-        assert st_.converged and st_.iterations == 0
+        assert st_.iterations == 0
         # the solver normalizes the guess (mean-free projection), so the
         # comparison survives one transform roundtrip, not bitwise
         assert np.max(np.abs(st_.psi.values - guess.values)) < 1e-14
@@ -393,7 +393,6 @@ class TestSteadyStates:
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
         st_ = e2.semilinear_solve(lambda s: -2 * s + 0.1 * s ** 3,
                                   lambda s: -2 + 0.3 * s ** 2, guess, tol=1e-11)
-        assert st_.converged
         assert st_.equation_residual < 1e-10
         assert st_.psi.norm_inf() < 1e-2
 
@@ -401,7 +400,6 @@ class TestSteadyStates:
         g = Grid2(32, 32)
         guess = field(g, lambda X, Y: 0.4 * np.cos(X) + 0.2 * np.sin(Y))
         st_ = e2.semilinear_solve(lambda s: s, lambda s: np.ones_like(s), guess)
-        assert st_.converged
         assert st_.psi.norm_l2() < 1e-11
 
     def test_degenerate_linearization_is_reported(self):
@@ -416,7 +414,7 @@ class TestKernelProbe:
     def test_shifted_laplacian_gap(self):
         g = Grid2(16, 16)
         st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, True, 0)
+                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
         probe = e2.kernel_probe(st_)
         assert not probe["kernel"]
         assert np.allclose(probe["smallest_singular_values"], [2, 2, 2, 2, 3, 3], atol=1e-9)
@@ -425,7 +423,7 @@ class TestKernelProbe:
         g = Grid2(16, 16)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
         st_ = e2.SteadyState(guess, lambda s: -2 * s,
-                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, True, 0)
+                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
         probe = e2.kernel_probe(st_)
         assert probe["kernel"]
         assert probe["smallest_singular_values"][0] < 1e-12
@@ -441,20 +439,16 @@ class TestKernelProbe:
     def test_guards(self):
         g = Grid2(128, 128)
         st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, True, 0)
+                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
         with pytest.raises(ValueError, match="too large"):
             e2.kernel_probe(st_)
-        bad = e2.SteadyState(SpectralField2.zeros(Grid2(16, 16)), lambda s: s,
-                             lambda s: np.ones_like(s), 1.0, 1.0, False, 3)
-        with pytest.raises(ValueError, match="converged"):
-            e2.kernel_probe(bad)
 
 
 class TestStabilityCertificate:
     def test_monotone_profile_is_certified(self):
         g = Grid2(64, 64)
         st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, True, 0)
+                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
         cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=20.0)
         assert cert["certified"]
         assert cert["min_Fprime"] == pytest.approx(1.0)
@@ -464,7 +458,7 @@ class TestStabilityCertificate:
         g = Grid2(64, 64)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
         st_ = e2.SteadyState(guess, lambda s: -2 * s,
-                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, True, 0)
+                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
         cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=5.0)
         assert not cert["certified"]
         assert cert["min_Fprime"] == pytest.approx(-2.0)
@@ -497,7 +491,6 @@ class TestMarkerSteps:
                      marker_lattice=16)
         assert dts == [dt] * (2 * n)
         sampler = lag.VelocitySampler(g, u1c, u2c)
-        assert sampler.method == "bicubic"
         lattice = lag.ParticleSet.lattice(16)
         want = lag.advect(lattice, sampler, 2 * dt, n_steps=n).lifts
         scale = np.max(np.abs(want))

@@ -1,6 +1,7 @@
 """Tests for the 1D blow-up models: CLM and its transport variant."""
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eulerlab.models1d import (
     clm_blowup_time,
     clm_exact,
     MODELS,
+    ResolutionLost,
     locate_blowup_point,
     model_rhs,
     model_run,
@@ -242,11 +244,6 @@ class TestModelRun:
         with pytest.raises(ValueError, match="unknown model"):
             model_run(cosine(64), "surface-quasi-geostrophic", t_end=1.0)
 
-    @pytest.mark.parametrize("dt_max", [0.0, -0.1])
-    def test_rejects_a_nonpositive_step_cap(self, dt_max):
-        with pytest.raises(ValueError, match="dt_max must be positive"):
-            model_run(cosine(64), "clm", t_end=1.0, dt_max=dt_max)
-
     def test_a_non_finite_state_names_its_step(self, monkeypatch):
         stages = itertools.count()
         rhs = models1d._rhs_coeffs
@@ -311,6 +308,23 @@ class TestModelRun:
         assert rep.detected
         assert abs(rep.t_star_estimate - 2.0) < 1e-3
 
+    def test_a_run_past_blow_up_stops_when_the_grid_loses_the_state(self):
+        # amplitude 2 blows up at t = 1; with no cap, dt = cfl / sup shrinks
+        # with the growing under-resolved state, and the tail reads over 0.5
+        # from about step 50 on
+        start = time.perf_counter()
+        with pytest.raises(ResolutionLost) as info:
+            model_run(cosine(256, 2.0), "clm", t_end=3.0, cfl=0.1)
+        assert time.perf_counter() - start < 2.0
+        stop = info.value
+        assert 1000 < stop.step < 1100 and 1.0 < stop.t < 1.1
+        assert f"t = {stop.t:.6g} (step {stop.step})" in str(stop)
+
+    def test_the_stop_skips_a_tail_band_from_mode_1(self):
+        # at n = 8 the tail band is modes 1-2, so the tail reads 1 on any field
+        res = model_run(cosine(8), "clm", t_end=1.5, cfl=1e-3)
+        assert len(res.report.ts) > 1001 and res.final.t == 1.5
+
     def test_stepping_tracks_exact_solution(self):
         # n = 1024 resolves the amplitude-20 datum up to sup 100; the
         # collocation-grid gap to the closed form stays below 1e-6.
@@ -348,13 +362,13 @@ class TestModelRun:
         g = Grid1(512)
         w = SpectralField1.from_values(g, np.sin(g.x) + 0.5 * np.cos(2 * g.x))
         jumps = {}
-        for dtm in (0.008, 0.004):
-            res = model_run(w, "degregorio", t_end=2.0, cfl=0.1,
-                            omega_cap=1e3, dt_max=dtm, store_states=True)
+        for cfl in (0.01, 0.005):
+            res = model_run(w, "degregorio", t_end=2.0, cfl=cfl,
+                            omega_cap=1e3, store_states=True)
             e = np.array([s.omega.norm_l2() ** 2 for s in res.states])
-            jumps[dtm] = np.max(np.abs(np.diff(e)))
-        assert jumps[0.008] < 2e-2
-        assert 1.8 < jumps[0.008] / jumps[0.004] < 2.2
+            jumps[cfl] = np.max(np.abs(np.diff(e)))
+        assert jumps[0.01] < 2e-2
+        assert 1.8 < jumps[0.01] / jumps[0.005] < 2.2
 
 
 class TestFitTStar:
