@@ -105,8 +105,6 @@ def _check_model1d(params: dict) -> None:
     check_cfl(params["cfl"])
     if params["omega_cap"] < 0.0:  # 0: no cap
         raise ValueError("omega_cap must be nonnegative (0 means no cap)")
-    if params["tail_threshold"] < 0.0:
-        raise ValueError("tail_threshold must be nonnegative")
 
 
 def _check_selfsim(params: dict) -> None:
@@ -116,8 +114,7 @@ def _check_selfsim(params: dict) -> None:
 
 def _weighted_space(p) -> selfsim.WeightedSpaceParams:
     """The lemma's space, from a config or its params: building it checks them."""
-    return selfsim.WeightedSpaceParams(N=p["weight_order"], delta=p["delta"],
-                                       grid_points=p["grid_points"], grid_ratio=p["grid_ratio"])
+    return selfsim.WeightedSpaceParams(N=p["weight_order"], delta=p["delta"])
 
 
 def _check_ipm(params: dict) -> None:
@@ -200,7 +197,7 @@ def _run_model1d(cfg: ExperimentConfig, manifest) -> bool:
     omega0 = presets.clm_cosine(grid, cfg["amplitude"])
     res = models1d.model_run(
         omega0, cfg.system, cfg["t_end"], cfl=cfg["cfl"],
-        omega_cap=cfg["omega_cap"] or None, tail_threshold=cfg["tail_threshold"])
+        omega_cap=cfg["omega_cap"] or None)
     rep = res.report
     manifest.add_csv("series.csv", ["t", "omega_max", "bkm_integral"],
                      zip(rep.ts, rep.omega_max_series, rep.bkm_series))
@@ -299,7 +296,6 @@ REGISTRY: dict[str, System] = {
         "cfl": ("float", 0.1),
         "t_end": ("float", REQUIRED),
         "omega_cap": ("float", 0.0),
-        "tail_threshold": ("float", 1e-6),
     }, _check_model1d, _run_model1d)),
     "selfsim": System({
         "n": ("int", 1024),
@@ -313,8 +309,6 @@ REGISTRY: dict[str, System] = {
     "lemma_check": System({
         "weight_order": ("int", 8),
         "delta": ("float", 0.1),
-        "grid_points": ("int", 400),
-        "grid_ratio": ("float", 1.1),
         "u_preset": ("str", "parabola"),
         "g_const": ("float", 1.0),
     }, _weighted_space, _run_lemma_check, "lemma-check", "run the coercivity decomposition"),

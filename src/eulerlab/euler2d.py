@@ -11,8 +11,8 @@ Hermite value in time through the velocities and their time derivatives
 at the boundaries (dense output, Hairer, Norsett and Wanner, *Solving
 ODEs I*, section II.6).  The lifts stay 4th-order in time.
 
-Steady-state tooling covers the stream-function formulation: the Poisson
-bracket residual, an inexact-Newton solver for the semilinear balance
+Steady-state tooling covers the stream-function formulation: the residual
+under the Euler stage, an inexact-Newton solver for the semilinear balance
 ``laplacian(psi) = F(psi)`` on mean-free fields, a convexity-based
 stability certificate with a perturbation experiment, and a dense probe
 for kernels of the linearized operator.
@@ -35,6 +35,7 @@ from .lagrangian import (MarkerTrack, ParticleSet, VelocitySampler, _lattice_gra
                          check_lattice)
 from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
                         transport_coeffs)
+from .presets import random_bandlimited
 # not called here (a run hands its fields to its ``snapshot`` callable); the
 # name stays bound for bench/test_bench.py, which checks that the tracer
 # rebinds ``write_snapshot`` in this module
@@ -314,14 +315,11 @@ def couette_linear_evolve(modes, ts) -> dict:
 
 
 def steady_residual(psi: SpectralField2) -> float:
-    """L2 norm of the stream-function/vorticity Poisson bracket, dealiased."""
+    """L2 norm of the vorticity tendency that the runs' Euler stage gives the
+    stream function psi: the dealiased Poisson bracket of psi and its Laplacian."""
     g = psi.grid
-    mask = g.dealias_mask
-    pc = psi.coeffs * mask
-    lap = -g.k2 * pc
-    bracket = to_values(g.ikx * pc) * to_values(g.iky * lap) \
-        - to_values(g.iky * pc) * to_values(g.ikx * lap)
-    return SpectralField2(g, to_coeffs(bracket) * mask).norm_l2()
+    (k,) = _StageEval(g)(0.0, (-g.k2 * psi.coeffs,), (None,))
+    return SpectralField2(g, k).norm_l2()
 
 
 @dataclass
@@ -329,9 +327,8 @@ class SteadyState:
     """Converged solution of the semilinear balance laplacian(psi) = F(psi)."""
 
     psi: SpectralField2
-    F: object
     F_prime: object
-    residual: float            # Poisson-bracket residual of psi
+    residual: float            # steady_residual(psi)
     equation_residual: float   # L2 norm of laplacian(psi) - F(psi)
     iterations: int
 
@@ -451,7 +448,7 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10) -> S
         rnorm = SpectralField2(grid, rc).norm_l2()
         if rnorm < tol:
             psi = SpectralField2.from_coeffs(grid, psi_c)
-            return SteadyState(psi=psi, F=F, F_prime=F_prime,
+            return SteadyState(psi=psi, F_prime=F_prime,
                                residual=steady_residual(psi),
                                equation_residual=rnorm,
                                iterations=iterations)
@@ -504,11 +501,7 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
 
     omega_star = SpectralField2.from_coeffs(grid, -grid.k2 * steady.psi.coeffs)
 
-    rng = np.random.default_rng(0)
-    pc = to_coeffs(rng.normal(size=grid.shape))
-    band = (np.abs(grid.mx)[:, None] <= 3) & (np.abs(grid.my)[None, :] <= 3)
-    pc *= band
-    eta_psi = SpectralField2.from_coeffs(grid, pc).project_mean_free()
+    eta_psi = random_bandlimited(grid, 0, kmax=3, rms=1.0)
     eta_psi = eta_psi * (1.0 / _h2_norm(grid, eta_psi.coeffs))
     eta_omega = SpectralField2.from_coeffs(grid, -grid.k2 * eta_psi.coeffs)
 

@@ -70,7 +70,7 @@ class Grid2:
     def __post_init__(self) -> None:
         _check_size(self.nx, "nx")
         _check_size(self.ny, "ny")
-        if self.lx <= 0 or self.ly <= 0:
+        if not (self.lx > 0 and self.ly > 0):  # a NaN length fails too
             raise ValueError("domain lengths must be positive")
 
         mx, kx, ikx, keep_x = _axis(self.nx, self.lx, half=False)
@@ -136,7 +136,7 @@ class Grid1:
 
     def __post_init__(self) -> None:
         _check_size(self.n, "n")
-        if self.length <= 0:
+        if not self.length > 0:  # a NaN length fails too
             raise ValueError("length must be positive")
         m, k, ik, keep = _axis(self.n, self.length, half=True)
         object.__setattr__(self, "shape", (self.n,))

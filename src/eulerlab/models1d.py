@@ -262,8 +262,9 @@ def _spectral_tail(c: np.ndarray, band: np.ndarray) -> float:
 # -- time integration --------------------------------------------------------
 
 
-#: a run stops once the spectral tail reads at least _LOST_TAIL on
-#: _LOST_STEPS consecutive steps
+#: a spectral tail above _UNDER_RESOLVED_TAIL flags a run under-resolved; one
+#: of at least _LOST_TAIL on _LOST_STEPS consecutive steps stops it
+_UNDER_RESOLVED_TAIL = 1e-6
 _LOST_TAIL, _LOST_STEPS = 0.5, 1000
 
 
@@ -322,7 +323,6 @@ def model_run(
     t_end: float,
     cfl: float = 0.1,
     omega_cap: float | None = None,
-    tail_threshold: float = 1e-6,
     store_states: bool = False,
     store_factor: float | None = None,
 ) -> ModelRunResult:
@@ -336,8 +336,8 @@ def model_run(
     Stops at ``t_end`` or when the refined sup norm reaches ``omega_cap``.
     Blow-up is reported when the cap is hit with accelerating growth, in
     which case the critical time is fitted from the tail of the series.
-    A spectral tail above ``tail_threshold`` sets the ``under_resolved``
-    flag rather than aborting.  A tail of at least 0.5 on 1000 consecutive
+    A spectral tail above 1e-6 sets the ``under_resolved`` flag rather
+    than aborting.  A tail of at least 0.5 on 1000 consecutive
     steps raises :class:`ResolutionLost` (not at n = 8, where the tail band
     starts at mode 1 and reads 1 on any field).
 
@@ -381,7 +381,7 @@ def model_run(
         bkm.append(bkm[-1] + 0.5 * dt * (sups[-1] + sup_new))
         sups.append(sup_new)
         tail = _spectral_tail(c, band)
-        if tail > tail_threshold:
+        if tail > _UNDER_RESOLVED_TAIL:
             under_resolved = True
         lost = lost + 1 if tail >= _LOST_TAIL else 0
         if lost >= lost_limit:
@@ -393,7 +393,7 @@ def model_run(
     c = dealias(omega0).coeffs.copy()
     ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c))], [0.0]
     states: list[ModelState] = []
-    under_resolved = _spectral_tail(c, band) > tail_threshold
+    under_resolved = _spectral_tail(c, band) > _UNDER_RESOLVED_TAIL
     cap_reached, lost = False, 0
     if store_states:
         states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0))
@@ -425,9 +425,8 @@ def model_run(
 
 @dataclass
 class RescalingSeries:
-    """Profiles (T - t) * omega(x_star + (T - t) X) on a fixed X grid."""
+    """Profiles (T - t) * omega(x_star + (T - t) X) on the caller's fixed X grid."""
 
-    X: np.ndarray
     times: np.ndarray
     profiles: np.ndarray  # shape (len(times), len(X))
     cauchy_sups: np.ndarray  # sup |P_{j+1} - P_j|
@@ -453,29 +452,25 @@ def locate_blowup_point(omega: SpectralField1) -> float:
 
 def selfsim_extract(
     result: ModelRunResult,
-    x_star: float | None = None,
     X: np.ndarray | None = None,
     n_times: int = 6,
-    t_star: float | None = None,
 ) -> RescalingSeries:
     """
     Rescale stored states near a detected blow-up onto a fixed similarity
     grid and report sup-norm Cauchy differences between consecutive
     rescalings (their decrease is the self-similarity diagnostic).
 
-    ``t_star`` overrides the fitted blow-up time; pass it when a sharper
-    value is known, since the rescaling is sensitive to errors in T - t
-    at the latest times.
+    The rescaling centres on :func:`locate_blowup_point` of the last stored
+    state and uses the fitted blow-up time T, so it is sensitive to errors
+    in T - t at the latest times.
     """
     report = result.report
     if not report.detected or report.t_star_estimate is None:
         raise ValueError("no detected blow-up: selfsim_extract requires a detected run")
     if not result.states:
         raise ValueError("run was not stored with store_states=True")
-    if t_star is None:
-        t_star = report.t_star_estimate
-    if x_star is None:
-        x_star = locate_blowup_point(result.states[-1].omega)
+    t_star = report.t_star_estimate
+    x_star = locate_blowup_point(result.states[-1].omega)
     if X is None:
         X = np.linspace(-10.0, 10.0, 401)
     X = np.asarray(X, dtype=np.float64)
@@ -500,5 +495,5 @@ def selfsim_extract(
         s = t_star - st.t
         profiles[j] = s * st.omega.eval_at(x_star + s * X)
     cauchy = np.max(np.abs(np.diff(profiles, axis=0)), axis=1)
-    return RescalingSeries(X=X, times=times, profiles=profiles,
-                           cauchy_sups=cauchy, x_star=float(x_star), t_star=float(t_star))
+    return RescalingSeries(times=times, profiles=profiles, cauchy_sups=cauchy,
+                           x_star=x_star, t_star=t_star)

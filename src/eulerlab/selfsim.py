@@ -44,7 +44,7 @@ by the profile machinery to rule out slowly decaying kernel elements).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -120,7 +120,7 @@ class ProfileProblem:
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 64:
             raise ValueError("n must be an even integer >= 64")
-        if self.L < 10.0:
+        if not self.L >= 10.0:  # a NaN L fails too
             raise ValueError("L must be at least 10 for the decay closure")
 
     @property
@@ -354,13 +354,13 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), step_norm)
 
 
-def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,
-                   x: np.ndarray | None = None) -> dict:
+def outgoing_check(u_star, lam_star: float, x: np.ndarray | None = None) -> dict:
     """Check that rescaled characteristics leave every annulus outward.
 
     The rescaled trajectory field is ``lam*X + U(X)``; outward transport
     at rate ``c`` means ``(lam*X + U(X)) * X / X^2 >= c`` away from the
-    origin.  ``u_star`` is None (no corrector drift) or a callable of X.
+    origin, and the check certifies c > 0.  ``u_star`` is None (no
+    corrector drift) or a callable of X.
     """
     if x is None:
         x = ProfileProblem().x
@@ -368,7 +368,7 @@ def outgoing_check(u_star, lam_star: float, c_floor: float = 0.0,
     xs = x[x != 0.0]
     uv = np.zeros_like(xs) if u_star is None else np.asarray(u_star(xs), dtype=np.float64)
     c = float(np.min(lam_star + uv / xs))
-    return {"certified": bool(c > c_floor), "c_estimate": c}
+    return {"certified": bool(c > 0.0), "c_estimate": c}
 
 
 # -- weighted coercivity certificate near a degenerate boundary ---------------
@@ -380,18 +380,12 @@ class WeightedSpaceParams:
 
     N: int = 8
     delta: float = 0.1
-    grid_points: int = 400
-    grid_ratio: float = 1.1
 
     def __post_init__(self) -> None:
         if self.N < 4:
             raise ValueError("weight exponent N must be at least 4")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.grid_points < 16 or self.grid_points > 400:
-            raise ValueError("grid_points must lie in [16, 400]")
-        if self.grid_ratio <= 1.0:
-            raise ValueError("grid_ratio must exceed 1")
 
 
 @dataclass
@@ -408,8 +402,10 @@ class OperatorDecomposition:
     certified: bool
 
 
-# Gauss-Legendre nodes of the boundary-layer pairings in lemma_decomposition_check
+# Gauss-Legendre nodes of the boundary-layer pairings in lemma_decomposition_check,
+# and its geometric grid: _LEMMA_GRID_POINTS nodes x = _LEMMA_GRID_RATIO**-j up to 1
 _LEMMA_NODES = 64
+_LEMMA_GRID_POINTS, _LEMMA_GRID_RATIO = 400, 1.1
 
 
 def _check_lemma_hypotheses(u, g) -> None:
@@ -457,8 +453,8 @@ def lemma_decomposition_check(u, g, params: WeightedSpaceParams) -> OperatorDeco
         ratios.append(num / den)
     c_inner = float(min(ratios))
 
-    m = params.grid_points
-    x = params.grid_ratio ** -(np.arange(m)[::-1].astype(np.float64))
+    m = _LEMMA_GRID_POINTS
+    x = _LEMMA_GRID_RATIO ** -(np.arange(m)[::-1].astype(np.float64))
     uv = np.array([u(t) for t in x])
     gv = np.array([g(t) for t in x])
     pot = gv + n_half * uv / x

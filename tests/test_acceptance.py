@@ -18,7 +18,7 @@ from eulerlab import ipm, models1d, operators as ops, presets
 from eulerlab import lagrangian as lag
 from eulerlab import selfsim as ss
 from eulerlab.cli import EXIT_BLOWUP, main as cli_main
-from eulerlab.fields import SpectralField1, SpectralField2
+from eulerlab.fields import SpectralField1
 from eulerlab.grids import Grid1, Grid2
 
 TWO_PI = 2.0 * np.pi

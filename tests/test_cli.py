@@ -318,8 +318,7 @@ _MODEL_1D = {"n": (["16", "64", "256"], ["6", "15"]),
              "amplitude": (["-1", "0", "1"], _NON_FINITE),
              "cfl": (["0.1", "0.5"], ["0", "0.6"]),
              "t_end": (["0", "0.3", "3"], ["-1", *_NON_FINITE]),
-             "omega_cap": (["0", "1.5", "5"], ["-1"]),
-             "tail_threshold": (["0", "1e-6"], ["-1e-6"])}
+             "omega_cap": (["0", "1.5", "5"], ["-1"])}
 _KEYS = {
     "euler2d": {**_STEPPED_2D, "preset": _names("euler2d", "preset"),
                 "eps": (["0", "0.3"], _NON_FINITE), "kmax": (["1", "2"], ["0", "6"]),
@@ -341,8 +340,6 @@ _KEYS = {
                 "guess": _names("selfsim", "guess"), "perturb": (["0", "0.05"], [])},
     "lemma_check": {"weight_order": (["4", "8"], ["3"]),
                     "delta": (["0.1", "0.3"], ["0", "0.5"]),
-                    "grid_points": (["16", "64"], ["15", "401"]),
-                    "grid_ratio": (["1.1"], ["1"]),
                     "u_preset": _names("lemma_check", "u_preset"),
                     "g_const": (["-1", "1"], _NON_FINITE)},
     "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"),

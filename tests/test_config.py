@@ -109,19 +109,21 @@ class TestValueChecks:
     @pytest.mark.parametrize("text, match", [
         ("system = selfsim\nn = 63\n", r"'selfsim': n must be an even integer >= 64"),
         ("system = selfsim\ndomain_half_width = 5\n", "L must be at least 10"),
+        # the system's check comes before the finite-float check
+        ("system = selfsim\ndomain_half_width = nan\n", "L must be at least 10"),
         ("system = selfsim\nmodel = clm\n", "line 2: unknown key 'model'"),
         ("system = clm\nn = 1024\nt_end = 1\ncfl = 0\n", r"'clm': cfl must lie in"),
         ("system = degregorio\nn = 1024\nt_end = 1\ncfl = 0.6\n", "cfl must lie in"),
         ("system = clm\nn = 1023\nt_end = 1\n", "n must be an even integer >= 8, got 1023"),
         ("system = lemma_check\nweight_order = 2\n", "weight exponent N must be at least 4"),
         ("system = lemma_check\ndelta = 0.7\n", "delta must lie in"),
-        ("system = lemma_check\ngrid_points = 500\n", "grid_points must lie in"),
+        ("system = lemma_check\ngrid_points = 500\n", "line 2: unknown key 'grid_points'"),
         (EULER_16.replace("nx = 16", "nx = 15"), "nx must be an even integer >= 8"),
         # a negative cap used to complete at once with cap_reached and no step taken
         ("system = clm\nn = 64\nt_end = 0.3\nomega_cap = -1\n",
          r"omega_cap must be nonnegative \(0 means no cap\)"),
         ("system = degregorio\nn = 64\nt_end = 0.3\ntail_threshold = -1e-6\n",
-         "tail_threshold must be nonnegative"),
+         "line 4: unknown key 'tail_threshold'"),
         ("system = ipm\nnx = 16\nny = 16\npreset = stratified_rest\nt_end = 1\n"
          "tail_threshold = -1\n", "tail_threshold must be nonnegative"),
     ])

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from eulerlab import euler2d as e2
 from eulerlab import lagrangian as lag
 from eulerlab import presets, stepping
-from eulerlab.fields import (SpectralField2, VectorField2, Workspace, l2_inner, mode_power,
-                             to_coeffs, to_values)
+from eulerlab.fields import (SpectralField2, Workspace, l2_inner, mode_power, to_coeffs,
+                             to_values)
 from eulerlab.grids import Grid2
-from eulerlab.operators import biot_savart, stream_velocity
+from eulerlab.operators import stream_velocity
 from eulerlab.snapshots import read_snapshot, write_snapshot
 
 TWO_PI = 2.0 * np.pi
@@ -413,8 +413,7 @@ class TestSteadyStates:
 class TestKernelProbe:
     def test_shifted_laplacian_gap(self):
         g = Grid2(16, 16)
-        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
+        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.ones_like(s), 0.0, 0.0, 0)
         probe = e2.kernel_probe(st_)
         assert not probe["kernel"]
         assert np.allclose(probe["smallest_singular_values"], [2, 2, 2, 2, 3, 3], atol=1e-9)
@@ -422,8 +421,7 @@ class TestKernelProbe:
     def test_resonant_shift_is_flagged(self):
         g = Grid2(16, 16)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
-        st_ = e2.SteadyState(guess, lambda s: -2 * s,
-                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
+        st_ = e2.SteadyState(guess, lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
         probe = e2.kernel_probe(st_)
         assert probe["kernel"]
         assert probe["smallest_singular_values"][0] < 1e-12
@@ -438,8 +436,7 @@ class TestKernelProbe:
 
     def test_guards(self):
         g = Grid2(128, 128)
-        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
+        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.ones_like(s), 0.0, 0.0, 0)
         with pytest.raises(ValueError, match="too large"):
             e2.kernel_probe(st_)
 
@@ -447,8 +444,7 @@ class TestKernelProbe:
 class TestStabilityCertificate:
     def test_monotone_profile_is_certified(self):
         g = Grid2(64, 64)
-        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: s,
-                             lambda s: np.ones_like(s), 0.0, 0.0, 0)
+        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.ones_like(s), 0.0, 0.0, 0)
         cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=20.0)
         assert cert["certified"]
         assert cert["min_Fprime"] == pytest.approx(1.0)
@@ -457,8 +453,7 @@ class TestStabilityCertificate:
     def test_resonant_profile_is_not_certified(self):
         g = Grid2(64, 64)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
-        st_ = e2.SteadyState(guess, lambda s: -2 * s,
-                             lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
+        st_ = e2.SteadyState(guess, lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
         cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=5.0)
         assert not cert["certified"]
         assert cert["min_Fprime"] == pytest.approx(-2.0)

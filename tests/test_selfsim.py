@@ -357,5 +357,3 @@ class TestLemmaDecomposition:
             ss.WeightedSpaceParams(N=2, delta=0.1)
         with pytest.raises(ValueError, match="delta"):
             ss.WeightedSpaceParams(N=8, delta=0.7)
-        with pytest.raises(ValueError, match="grid_ratio"):
-            ss.WeightedSpaceParams(N=8, delta=0.1, grid_ratio=0.9)

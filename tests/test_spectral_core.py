@@ -15,6 +15,7 @@ from eulerlab.fields import (
     to_values,
 )
 from eulerlab.grids import Grid1, Grid2
+from eulerlab.selfsim import ProfileProblem
 from eulerlab.operators import (
     biot_savart,
     curl,
@@ -50,6 +51,17 @@ class TestGrids:
             Grid2(bad, 16)
         with pytest.raises(ValueError, match="even integer"):
             Grid1(bad)
+
+    # the checks read "not x > 0", so a NaN length fails them too
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Grid2(8, 8, lx=np.nan), "domain lengths must be positive"),
+        (lambda: Grid2(8, 8, ly=np.nan), "domain lengths must be positive"),
+        (lambda: Grid1(8, length=np.nan), "length must be positive"),
+        (lambda: ProfileProblem(64, L=np.nan), "L must be at least 10"),
+    ])
+    def test_rejects_nan_lengths(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_wavenumber_layout(self):
         g = Grid2(16, 12, lx=2 * np.pi, ly=4.0)
