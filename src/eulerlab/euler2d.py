@@ -167,7 +167,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     # EulerState rejects a vorticity with a nonzero mean
     result = EulerRunResult(final=EulerState(omega0, 0.0), diagnostics=[],
                             scalar_gradients={name: [] for name in scalars})
-    y = (dealias(omega0).coeffs.copy(), *(dealias(f).coeffs.copy() for f in scalars.values()))
+    # popped into march, so that the first step frees the initial state
+    start = [tuple(dealias(f).coeffs.copy() for f in (omega0, *scalars.values()))]
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
     work = Workspace()
@@ -175,7 +176,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     # the samples of the current vorticity: made here for t = 0, then by
     # after_step for each new state; emit and the snapshots read them
-    omega = to_values(y[0], work.array("run.omega", grid.shape))
+    omega = to_values(start[0][0], work.array("run.omega", grid.shape))
     bkm = 0.0
     sup_prev = sup_abs(omega)
 
@@ -220,7 +221,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     def periodic(t: float, y: tuple, index: int) -> None:
         checkpoint(f"snap_{index:05d}.eulb", omega, t)
 
-    t, y = march(stage, y, t_end, dt_rule, diag_every, emit, snapshot_every,
+    t, y = march(stage, start.pop(), t_end, dt_rule, diag_every, emit, snapshot_every,
                  periodic if snapshot is not None else None, after_step, work)
     result.final = EulerState(SpectralField2.from_coeffs(grid, y[0]), t)
     result.scalars = {n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(scalars, y[1:])}
@@ -252,8 +253,10 @@ def weber_residual(state: EulerState, p: ParticleSet, u0: VectorField2) -> float
     mx, my = p.lattice_shape
     grad = _lattice_gradient(p, order=6)
 
-    sampler = VelocitySampler.from_field(state.velocity())
-    u_phi = sampler(p.positions)
+    # the two samplers are built in turn in one workspace
+    work = Workspace()
+    u = state.velocity()
+    u_phi = VelocitySampler(u.grid, u.u1.coeffs, u.u2.coeffs, work)(p.positions)
     u_phi = u_phi.reshape(mx, my, 2)
     # (grad Phi)^T (u o Phi)
     v1 = grad[:, :, 0, 0] * u_phi[:, :, 0] + grad[:, :, 1, 0] * u_phi[:, :, 1]
@@ -263,8 +266,8 @@ def weber_residual(state: EulerState, p: ParticleSet, u0: VectorField2) -> float
     v = VectorField2.from_values(lattice_grid, v1, v2)
     pv = leray_project(VectorField2(v.u1.project_mean_free(), v.u2.project_mean_free()))
 
-    u0s = VelocitySampler.from_field(u0)
-    u0_lattice = u0s(p.lifts0).reshape(mx, my, 2)
+    u0_lattice = VelocitySampler(u0.grid, u0.u1.coeffs, u0.u2.coeffs, work)(p.lifts0)
+    u0_lattice = u0_lattice.reshape(mx, my, 2)
     w = VectorField2.from_values(lattice_grid, u0_lattice[:, :, 0], u0_lattice[:, :, 1])
     w = VectorField2(w.u1.project_mean_free(), w.u2.project_mean_free())
     return (pv - w).norm_l2()
@@ -318,7 +321,7 @@ def steady_residual(psi: SpectralField2) -> float:
     """L2 norm of the vorticity tendency that the runs' Euler stage gives the
     stream function psi: the dealiased Poisson bracket of psi and its Laplacian."""
     g = psi.grid
-    (k,) = _StageEval(g)(0.0, (-g.k2 * psi.coeffs,), (None,))
+    (k,) = _StageEval(g)(0.0, (-g.k2 * psi.coeffs * g.dealias_mask,), (None,))
     return SpectralField2(g, k).norm_l2()
 
 

@@ -70,8 +70,8 @@ class Grid2:
     def __post_init__(self) -> None:
         _check_size(self.nx, "nx")
         _check_size(self.ny, "ny")
-        if not (self.lx > 0 and self.ly > 0):  # a NaN length fails too
-            raise ValueError("domain lengths must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):  # a NaN length fails too
+            raise ValueError("domain lengths must be positive and finite")
 
         mx, kx, ikx, keep_x = _axis(self.nx, self.lx, half=False)
         my, ky, iky, keep_y = _axis(self.ny, self.ly, half=True)
@@ -136,8 +136,8 @@ class Grid1:
 
     def __post_init__(self) -> None:
         _check_size(self.n, "n")
-        if not self.length > 0:  # a NaN length fails too
-            raise ValueError("length must be positive")
+        if not 0 < self.length < np.inf:  # a NaN length fails too
+            raise ValueError("length must be positive and finite")
         m, k, ik, keep = _axis(self.n, self.length, half=True)
         object.__setattr__(self, "shape", (self.n,))
         object.__setattr__(self, "coeff_shape", (self.n // 2 + 1,))

@@ -37,7 +37,9 @@ class VelocitySampler:
     column before and two after, so every 4x4 stencil is in bounds.  Per
     axis a point is scaled to fine-grid units and wrapped into [0, n), its
     cell and fraction y give the four B-spline weights, and the sixteen
-    taps ``(c * wx[a]) * wy[b]`` are summed in tap order from +0.0.
+    taps ``(c * wx[a]) * wy[b]`` are summed in tap order from +0.0; the two
+    components go in turn through one (16, p) scratch of tap indices and one
+    of tap values.
     Every one of those operations is the one scipy's order-3 spline
     interpolation performs in ``grid-wrap`` mode with its prefilter off, so
     the samples have the same bits as that interpolator's (the tests check
@@ -64,10 +66,10 @@ class VelocitySampler:
         for i, c in enumerate((u1_coeffs, u2_coeffs)):
             _spline_coeffs(grid, c, work, spline[i, 1:-2, 1:-2])
         _pad_periodic(spline)
-        self._spline, self._cols = spline.reshape(-1), spline.shape[2]
-        # flat offsets of a stencil's 16 taps, row-major, per component: (2, 16, 1)
-        self._taps = (np.arange(2)[:, None] * spline[0].size
-                      + (np.arange(4)[:, None] * self._cols + np.arange(4)).ravel())[..., None]
+        # one flat row per component
+        self._spline, self._cols = spline.reshape(2, -1), spline.shape[2]
+        # flat offsets of a stencil's 16 taps, row-major: (16, 1)
+        self._taps = (np.arange(4)[:, None] * self._cols + np.arange(4)).reshape(16, 1)
         self._scale = np.array([[n1 / grid.lx], [n2 / grid.ly]])
         self._period = np.array([[n1], [n2]])
 
@@ -100,14 +102,16 @@ class VelocitySampler:
         # flat index of each stencil's first tap in the padded array
         np.multiply(index[0], self._cols, out=index[0])
         index[0] += index[1]
-        taps = np.add(self._taps, index[0],
-                      out=work.array("sampler.tap_index", (2, 16, p), np.intp))
-        v = self._spline.take(taps, out=work.array("sampler.taps", (2, 16, p)), mode="clip")
-        v4 = v.reshape(2, 4, 4, p)
-        np.multiply(v4, w[0][None, :, None, :], out=v4)
-        np.multiply(v4, w[1][None, None, :, :], out=v4)
-        # in tap order from +0.0, so sixteen negative zeros give +0.0
-        np.add.reduce(v, axis=1, out=out.T, initial=0.0)
+        taps = np.add(self._taps, index[0], out=work.array("sampler.tap_index", (16, p), np.intp))
+        # one component at a time through the same tap values
+        v = work.array("sampler.taps", (16, p))
+        v4 = v.reshape(4, 4, p)
+        for spline, o in zip(self._spline, out.T):
+            spline.take(taps, out=v, mode="clip")
+            np.multiply(v4, w[0][:, None, :], out=v4)
+            np.multiply(v4, w[1][None, :, :], out=v4)
+            # in tap order from +0.0, so sixteen negative zeros give +0.0
+            np.add.reduce(v, axis=0, out=o, initial=0.0)
         return out
 
 

@@ -114,17 +114,17 @@ def stream_velocity(omega_c: np.ndarray, grid: Grid2,
 def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid2,
                      out: np.ndarray | None = None,
                      work: Workspace | None = None) -> np.ndarray:
-    """Coefficients of -u.grad(f) for prescribed physical velocity samples."""
+    """Dealiased coefficients of -u.grad(f) for prescribed physical velocity
+    samples.  ``f_c`` must be dealiased already, as every stepped state is:
+    it starts dealiased, and so is every tendency."""
     work = Workspace() if work is None else work
-    mask = grid.dealias_mask
-    fc = np.multiply(f_c, mask, out=work.array("transport.fc", grid.coeff_shape, np.complex128))
     d = work.array("transport.d", grid.coeff_shape, np.complex128)
-    fx = to_values(np.multiply(grid.ikx, fc, out=d), work.array("transport.fx", grid.shape))
-    fy = to_values(np.multiply(grid.iky, fc, out=d), work.array("transport.fy", grid.shape))
+    fx = to_values(np.multiply(grid.ikx, f_c, out=d), work.array("transport.fx", grid.shape))
+    fy = to_values(np.multiply(grid.iky, f_c, out=d), work.array("transport.fy", grid.shape))
     np.multiply(u1, fx, out=fx)
     np.multiply(u2, fy, out=fy)
     adv = to_coeffs(np.add(fx, fy, out=fx), out)
-    adv *= mask
+    adv *= grid.dealias_mask
     return np.negative(adv, out=adv)
 
 

@@ -15,18 +15,21 @@ the binary powering of :func:`integer_powers`.
 
 Buffers.  :func:`rk4_step` keeps its arrays in a
 :class:`~eulerlab.fields.Workspace` (its own, unless the caller passes
-one): four sets of tendency buffers k1-k4, one set of stage inputs and two
-sets of results.  ``out`` is the tendency set of the stage being
-evaluated, one array per entry of ``y`` with that entry's shape and dtype.
-The rhs returns its tendencies; it may write them into ``out`` and return
-those arrays, or return arrays of its own, but never the arrays of its
-input ``y``.  All four tendencies are live until the final combination,
-so a stage set is never reused within a step; the stage input set is
-rewritten before each of stages 2-4 and then holds the sum of the final
-combination.  The result of a step goes into whichever result set does
-not hold ``y``: it stays valid through the next step, which reads it as
-its ``y``, and is overwritten by the step after.  A caller that keeps a
-state longer copies it.
+one): one set of tendency buffers, one accumulator set, one set of stage
+inputs and two sets of results, five arrays per entry of ``y``.  ``out``
+is the tendency set, one array per entry of ``y`` with that entry's shape
+and dtype, and every stage is handed the same set.  The rhs returns its
+tendencies; it may write them into ``out`` and return those arrays, or
+return arrays of its own, but never the arrays of its input ``y``.  Each
+tendency is added into the accumulator as its stage returns, so the
+accumulator holds k1, then k1 + 2 k2, then + 2 k3, then + k4, and a
+tendency is dead once the next stage input is made from it: a k1 in the
+tendency set is overwritten by stage 2.  The stage input set is rewritten
+before each of stages 2-4 and holds 2 k2 and 2 k3 in between.  The result
+of a step goes into whichever result set does not hold ``y``: it stays
+valid through the next step, which reads it as its ``y``, and is
+overwritten by the step after.  A caller that keeps a state longer copies
+it.
 """
 
 from __future__ import annotations
@@ -124,21 +127,23 @@ def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None,
     (see the module docstring for who owns them and for how long).
     """
     work = Workspace() if work is None else work
+    k = _buffers(work, "rk4.k", y)
     if k1 is None:
-        k1 = rhs(t, y, _buffers(work, "rk4.k1", y))
-    h = 0.5 * dt
-    stage = _buffers(work, "rk4.stage", y)
-    k2 = rhs(t + h, _stage_input(y, h, k1, stage), _buffers(work, "rk4.k2", y))
-    k3 = rhs(t + h, _stage_input(y, h, k2, stage), _buffers(work, "rk4.k3", y))
-    k4 = rhs(t + dt, _stage_input(y, dt, k3, stage), _buffers(work, "rk4.k4", y))
+        k1 = rhs(t, y, k)
+    acc, stage = _buffers(work, "rk4.acc", y), _buffers(work, "rk4.stage", y)
+    for a, p in zip(acc, k1):
+        np.copyto(a, p)
+    # acc = ((k1 + 2 k2) + 2 k3) + k4 in that order of operations; 2 k2 and
+    # 2 k3 go through the stage input set once their stages have read it
+    kk = k1
+    for h, twice in ((0.5 * dt, True), (0.5 * dt, True), (dt, False)):
+        kk = rhs(t + h, _stage_input(y, h, kk, stage), k)
+        for a, q, tmp in zip(acc, kk, stage):
+            a += np.multiply(2.0, q, out=tmp) if twice else q
     w = dt / 6.0
     y_new = _results(work, y)
-    # a + w * (p + 2.0 * q + 2.0 * r + s), in that order of operations
-    for a, p, q, r, s, acc, o in zip(y, k1, k2, k3, k4, stage, y_new):
-        np.add(p, np.multiply(2.0, q, out=acc), out=acc)
-        np.add(acc, np.multiply(2.0, r, out=o), out=acc)
-        np.add(acc, s, out=acc)
-        np.add(a, np.multiply(w, acc, out=acc), out=o)
+    for a, s, o in zip(y, acc, y_new):
+        np.add(a, np.multiply(w, s, out=s), out=o)
     return y_new
 
 
@@ -174,7 +179,7 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
     snap_idx = 0
     while True:
         more = t < t_end - _TOL and not (stop is not None and stop(t, y))
-        k1 = rhs(t, y, _buffers(work, "rk4.k1", y)) if more else None
+        k1 = rhs(t, y, _buffers(work, "rk4.k", y)) if more else None
         if due or not more:
             emit(t, y, step, k1)
         if not more:

@@ -556,6 +556,26 @@ class TestWeberResidual:
         r = e2.weber_residual(res.final, res.marker_snapshots[-1], u0)
         assert r < 1e-10
 
+    def test_two_samplers_share_one_scratch(self):
+        """A 64^2 lattice over a 96^2 flow: the check peaks below one sampler's
+        workspace plus sixteen (p, 2) lattice arrays.  With a workspace per
+        sampler, each gathering both components' taps at once, it peaked
+        about 66 such arrays above one (larger) workspace."""
+        g = Grid2(96, 96)
+        state = e2.EulerState(presets.shear_plus_band(g, seed=1, kmax=3, rms=0.02), 0.0)
+        u0, p = state.velocity(), lag.ParticleSet.lattice(64)
+        e2.weber_residual(state, p, u0)  # the cached spline symbol
+        work = Workspace()
+        lag.VelocitySampler(g, u0.u1.coeffs, u0.u2.coeffs, work)(p.lifts0)
+        scratch = sum(a.nbytes for a in work._arrays.values())
+        tracemalloc.start()
+        try:
+            e2.weber_residual(state, p, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scratch + 16 * p.lifts.nbytes, (peak, scratch)
+
     def test_time_mismatch_is_rejected(self):
         g = Grid2(64, 64)
         w = field(g, lambda X, Y: np.cos(Y))

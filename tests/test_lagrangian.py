@@ -131,6 +131,15 @@ class TestVelocitySampler:
                                                prefilter=False)
                 assert got[:, i].tobytes() == want.tobytes()
 
+    def test_scratch_holds_one_component_of_taps(self):
+        # u1 and u2 are gathered in turn through one (16, p) tap scratch
+        g, work, p = Grid2(96, 96), Workspace(), 4096
+        u = VectorField2.from_values(g, *np.random.default_rng(6).standard_normal((2, *g.shape)))
+        pts = np.random.default_rng(7).uniform(0.0, TWO_PI, size=(p, 2))
+        lag.VelocitySampler(g, u.u1.coeffs, u.u2.coeffs, work)(pts)
+        assert work._arrays["sampler.tap_index"].size <= 16 * p
+        assert work._arrays["sampler.taps"].size <= 16 * p
+
     def test_a_sum_of_negative_zeros_is_positive_zero(self):
         # the spline sum starts from +0.0, as map_coordinates' does
         g = Grid2(96, 96)

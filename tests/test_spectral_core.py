@@ -29,6 +29,7 @@ from eulerlab.operators import (
     laplacian,
     leray_project,
     perp_gradient,
+    transport_coeffs,
 )
 from eulerlab.snapshots import read_snapshot, write_snapshot
 
@@ -52,12 +53,15 @@ class TestGrids:
         with pytest.raises(ValueError, match="even integer"):
             Grid1(bad)
 
-    # the checks read "not x > 0", so a NaN length fails them too
+    # the checks read "not 0 < x < inf", so a NaN length fails them too
     @pytest.mark.parametrize("make, match", [
         (lambda: Grid2(8, 8, lx=np.nan), "domain lengths must be positive"),
         (lambda: Grid2(8, 8, ly=np.nan), "domain lengths must be positive"),
         (lambda: Grid1(8, length=np.nan), "length must be positive"),
         (lambda: ProfileProblem(64, L=np.nan), "L must be at least 10"),
+        (lambda: Grid2(8, 8, lx=np.inf), "domain lengths must be positive and finite"),
+        (lambda: Grid1(8, length=np.inf), "length must be positive and finite"),
+        (lambda: ProfileProblem(64, L=np.inf), "L must be at least 10 .*finite"),
     ])
     def test_rejects_nan_lengths(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -232,6 +236,21 @@ class TestSpectralCalculus:
                 c = scale * random_field(g, seed, kmax=kmax).coeffs
                 want = float(np.max(np.hypot(to_values(g.ikx * c), to_values(g.iky * c))))
                 assert gradient_sup(c, g, work) == want
+
+    @pytest.mark.parametrize("nx, ny", [(48, 32), (96, 96)])
+    def test_transport_of_a_dealiased_field_matches_the_masked_path(self, nx, ny):
+        # transport_coeffs reads its input as dealiased: on a dealiased field it
+        # gives the bits of the path that masks its input first
+        g, work = Grid2(nx, ny), Workspace()
+        rng = np.random.default_rng(nx + ny)
+        u1, u2 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        for seed in range(3):
+            c = random_field(g, seed).coeffs
+            fc = c * g.dealias_mask
+            adv = to_coeffs(u1 * to_values(g.ikx * fc) + u2 * to_values(g.iky * fc))
+            want = -(adv * g.dealias_mask)
+            got = transport_coeffs(c, u1, u2, g, np.empty(g.coeff_shape, complex), work)
+            assert got.tobytes() == want.tobytes()
 
     def test_derivative_composition(self):
         g = Grid2(32, 32)

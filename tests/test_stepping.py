@@ -120,6 +120,13 @@ class TestBuffers:
         assert all(same_bits(a, b) for a, b in zip(y1, kept))
         assert all(a is not b for a, b in zip(y1, y2))
 
+    def test_five_arrays_per_state_entry(self):
+        # one tendency set, the accumulator, the stage inputs and two results
+        work, y = Workspace(), spectral_state()
+        for step in range(3):
+            y = rk4_step(coupled_rhs, 0.05 * step, y, 0.05, work=work)
+        assert len(work._arrays) == 5 * len(y)
+
     def test_march_with_a_workspace_matches_fresh_steps(self):
         steps, emitted = [], []
         t, y = march(coupled_rhs, spectral_state(), 0.12, lambda t, y: 0.05, 1.0,

@@ -1,6 +1,7 @@
-"""Time the spectral stage, the marker sampler, the diagnostics records, a
-256^2 run, a 96^2 run with markers, the n = 1024 self-similar solve, the
-1D sup refinement and the n = 65536 CLM run in two source trees.
+"""Time the spectral stage, the marker sampler, the Weber check, the
+diagnostics records, a 256^2 run, a 96^2 run with markers, the n = 1024
+self-similar solve, the 1D sup refinement and the n = 65536 CLM run in two
+source trees, with the memory peaks of the first three.
 
 Usage::
 
@@ -16,6 +17,12 @@ first, and each child measures in-process:
   transforms, transport) at n^2, n = 96, 128, 256, median of 200 calls;
 - ``sampler_96_ms``: one marker sampler build plus one sample of 4,096
   points at 96^2, median of 200;
+- ``weber_96_ms``: one ``euler2d.weber_residual`` of a 64^2 marker
+  lattice over that 96^2 flow, median of 50;
+- ``stage_<n>_peak_kib``, ``sampler_96_peak_kib`` and
+  ``weber_96_peak_kib``: the ``tracemalloc`` peak of one more such call,
+  counted from before its inputs and workspace are made (so with warm
+  caches, but with the call's whole working set), in KiB;
 - ``diagnostics_128_ms``: one Euler diagnostics record
   (``euler2d._diagnostics``) at 128^2 with the Casimir powers 2, 3 and 4,
   called as the run calls it at a step, with the vorticity samples the
@@ -93,7 +100,7 @@ GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant
 
 # run by each child with PYTHONPATH set to one source tree
 _CHILD = r"""
-import json, resource, statistics, time
+import json, resource, statistics, time, tracemalloc
 import numpy as np
 from eulerlab import euler2d, fields, ipm, lagrangian, models1d, operators, presets, selfsim
 from eulerlab.grids import Grid1, Grid2
@@ -149,12 +156,33 @@ def ipm_emit_call(grid, rho):
     return lambda: emit(0.0, y, 0, None)
 
 
+# the tracemalloc peak of make() and one call of what it returns, in KiB
+def peak_kib(make):
+    tracemalloc.start()
+    try:
+        make()()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
+def weber_call(grid, omega, m):
+    state = euler2d.EulerState(omega, 0.0)
+    u0, lattice = state.velocity(), lagrangian.ParticleSet.lattice(m, grid.lx, grid.ly)
+    return lambda: euler2d.weber_residual(state, lattice, u0)
+
+
 res = {}
 for n in (96, 128, 256):
-    res[f"stage_{n}_ms"] = median_ms(stage_call(*band(n)))
+    grid, omega = band(n)
+    res[f"stage_{n}_ms"] = median_ms(stage_call(grid, omega))
+    res[f"stage_{n}_peak_kib"] = peak_kib(lambda: stage_call(grid, omega))
 grid, omega = band(96)
 points = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(4096, 2))
 res["sampler_96_ms"] = median_ms(sampler_call(grid, omega, points))
+res["sampler_96_peak_kib"] = peak_kib(lambda: sampler_call(grid, omega, points))
+res["weber_96_ms"] = median_ms(weber_call(grid, omega, 64), reps=50, warm=3)
+res["weber_96_peak_kib"] = peak_kib(lambda: weber_call(grid, omega, 64))
 res["diagnostics_128_ms"] = median_ms(diagnostics_call(*band(128)))
 res["ipm_emit_128_ms"] = median_ms(ipm_emit_call(*band(128)))
 
