@@ -166,19 +166,11 @@ def main(argv=None) -> int:
         prog="euler-lab",
         description="Config-driven runs of the flow laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # a subcommand named by a registry entry runs only that entry's system
-    commands = [("run", "run any configured system", None)]
-    commands += [(e.command, f"{e.help} (system = {system})", system)
-                 for system, e in REGISTRY.items() if e.command]
-    commands.append(("validate", "parse and echo a config without running", None))
-    for name, help_, system in commands:
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(requires=system)
+    run = sub.add_parser("run", help="run any configured system")
+    validate = sub.add_parser("validate", help="parse and echo a config without running")
+    for p in (run, validate):
         p.add_argument("--config", required=True, help="path to a key=value config")
-        if name != "validate":
-            p.add_argument("--output-dir", default=None,
-                           help="override the config's output_dir")
+    run.add_argument("--output-dir", default=None, help="override the config's output_dir")
     sub.add_parser("presets", help="list the named inputs a config can select")
 
     args = parser.parse_args(argv)
@@ -191,9 +183,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config_file(args.config)
-        if args.requires and cfg.system != args.requires:
-            raise ConfigError(f"{args.command!r} subcommand requires system = {args.requires}, "
-                              f"got {cfg.system!r}")
         if args.command == "validate":
             for key, value in cfg.echo().items():
                 print(f"{key} = {value}")

@@ -10,7 +10,7 @@ name is looked up in :data:`eulerlab.presets.REGISTRY`, so a config that
 the run would reject fails here, before any output is written.
 
 This module owns what a system is: its :data:`REGISTRY` entry holds the
-key table, check, runner and CLI subcommand.  Runners write only through
+key table, check and runner.  Runners write only through
 the manifest they are given; :mod:`eulerlab.cli` owns the artifacts.
 """
 
@@ -115,12 +115,6 @@ def _check_selfsim(params: dict) -> None:
 def _weighted_space(p) -> selfsim.WeightedSpaceParams:
     """The lemma's space, from a config or its params: building it checks them."""
     return selfsim.WeightedSpaceParams(N=p["weight_order"], delta=p["delta"])
-
-
-def _check_ipm(params: dict) -> None:
-    _check_stepped_2d(params)
-    if params["tail_threshold"] < 0.0:
-        raise ValueError("tail_threshold must be nonnegative")
 
 
 # -- runners: each does its run and writes only through the manifest ----------
@@ -243,8 +237,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest) -> None:
 def _run_ipm(cfg: ExperimentConfig, manifest) -> None:
     grid = Grid2(cfg["nx"], cfg["ny"])
     rho0 = presets.build(cfg, "preset", grid)
-    res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
-                      tail_threshold=cfg["tail_threshold"])
+    res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"])
     _add_records(manifest, res.diagnostics, ["t", "mass", "grad_sup", "e_pot", "tail_fraction"])
     manifest.extra["under_resolved"] = bool(res.under_resolved)
 
@@ -256,14 +249,11 @@ class System:
     builds what the run would, without its work, and raises ``ValueError``
     before any output; ``run(cfg, manifest)`` writes only through the
     manifest (``add_csv``, ``add_snapshot``, ``extra``) and returns
-    True when its subject blew up; ``command`` names a CLI subcommand, told
-    by ``help``, that runs only this system."""
+    True when its subject blew up."""
 
     keys: dict
     check: Callable[[dict], object]
     run: Callable[[ExperimentConfig, object], bool | None]
-    command: str | None = None
-    help: str = ""
 
 
 REGISTRY: dict[str, System] = {
@@ -305,20 +295,19 @@ REGISTRY: dict[str, System] = {
         "max_iter": ("int", 25),
         "guess": ("str", "exact"),
         "perturb": ("float", 0.05),
-    }, _check_selfsim, _run_selfsim, "selfsim", "solve a self-similar profile"),
+    }, _check_selfsim, _run_selfsim),
     "lemma_check": System({
         "weight_order": ("int", 8),
         "delta": ("float", 0.1),
         "u_preset": ("str", "parabola"),
         "g_const": ("float", 1.0),
-    }, _weighted_space, _run_lemma_check, "lemma-check", "run the coercivity decomposition"),
+    }, _weighted_space, _run_lemma_check),
     "ipm": System({
         **_STEPPED_2D,
         "diag_every": ("float", 0.5),
         "preset": ("str", REQUIRED),
         "eps": ("float", 1e-2),
-        "tail_threshold": ("float", 1e-6),
-    }, _check_ipm, _run_ipm),
+    }, _check_stepped_2d, _run_ipm),
 }
 
 

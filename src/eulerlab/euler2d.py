@@ -368,6 +368,17 @@ def _near_null_basis(grid: Grid2, fp_mean: float) -> np.ndarray | None:
     return np.column_stack(cols)
 
 
+def _linearized_apply(grid: Grid2, fp_vals: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(laplacian - F' mult) of the flat collocation field ``vec`` on
+    mean-free fields, with the F' product dealiased; flat values out."""
+    vc = to_coeffs(vec.reshape(grid.shape))
+    vc[0, 0] = 0.0
+    out = to_coeffs(fp_vals * to_values(vc)) * grid.dealias_mask
+    out = -grid.k2 * vc - out
+    out[0, 0] = 0.0
+    return to_values(out).ravel()
+
+
 def _linearized_step(grid: Grid2, fp_vals: np.ndarray,
                      rc: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the Newton correction (laplacian - F' mult) delta = -residual.
@@ -382,16 +393,9 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray,
     from scipy.sparse.linalg import LinearOperator, minres
 
     n = grid.nx * grid.ny
-    mask = grid.dealias_mask
 
     def mv(vec: np.ndarray) -> np.ndarray:
-        vc = to_coeffs(vec.reshape(grid.shape))
-        vc[0, 0] = 0.0
-        w = to_values(vc)
-        out = to_coeffs(fp_vals * w) * mask
-        out = -grid.k2 * vc - out
-        out[0, 0] = 0.0
-        return to_values(out).ravel()
+        return _linearized_apply(grid, fp_vals, vec)
 
     def precond(vec: np.ndarray) -> np.ndarray:
         # inverse Laplacian on mean-free content; identity on the mean so
@@ -425,7 +429,7 @@ def _linearized_step(grid: Grid2, fp_vals: np.ndarray,
         delta = z_b + Z @ y
 
     lin_def = float(np.linalg.norm(mv(delta) - b) / bnorm) if bnorm > 0 else 0.0
-    dc = to_coeffs(delta.reshape(grid.shape)) * mask
+    dc = to_coeffs(delta.reshape(grid.shape)) * grid.dealias_mask
     dc[0, 0] = 0.0
     return dc, lin_def
 
@@ -441,7 +445,6 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10) -> S
     """
     max_iter = 60
     grid = guess.grid
-    mask = grid.dealias_mask
     psi_c = dealias(guess).coeffs.copy()
     psi_c[0, 0] = 0.0
 
@@ -525,32 +528,28 @@ def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
 def kernel_probe(steady: SteadyState) -> dict:
     """Smallest singular values of the linearized steady operator.
 
-    Assembles laplacian minus multiplication by F'(psi) densely on
-    mean-free collocation fields (the constant mode is shifted out of the
-    way) and reports the 6 smallest singular values, flagging a kernel when
-    sigma_min < 1e-8 * sigma_max.  Dense assembly is
-    O(N^2) memory, so probe on modest grids.
+    The operator is the one :func:`semilinear_solve` inverts, laplacian
+    minus the dealiased multiplication by F'(psi) on mean-free collocation
+    fields.  It is assembled densely, column by column, symmetrized, and
+    the constant mode is shifted out of the way; the probe reports the 6
+    smallest singular values, flagging a kernel when sigma_min < 1e-8 *
+    sigma_max.  Dense assembly is O(N^2) memory, so probe on modest grids.
     """
     grid = steady.psi.grid
     n = grid.nx * grid.ny
     if n > 64 * 64:
         raise ValueError("kernel probe grid too large for dense assembly")
-    fp = steady.F_prime(steady.psi.values).ravel()
+    fp = steady.F_prime(steady.psi.values)
 
-    eye = np.eye(n)
-    mat = np.empty((n, n))
     shift = float(np.max(grid.k2) + np.max(np.abs(fp)) + 1.0)
+    mat = np.empty((n, n))
+    unit = np.zeros(n)
     for j in range(n):
-        v = eye[j].reshape(grid.shape)
-        vc = to_coeffs(v)
-        vc[0, 0] = 0.0
-        w = to_values(vc)
-        col = to_values(-grid.k2 * vc) - fp.reshape(grid.shape) * w
-        colc = to_coeffs(col)
-        colc[0, 0] = 0.0
-        mat[:, j] = to_values(colc).ravel()
+        unit[j] = 1.0
+        mat[:, j] = _linearized_apply(grid, fp, unit)
+        unit[j] = 0.0
     mat = 0.5 * (mat + mat.T)
-    mat += (shift / n) * np.ones((n, n))  # move the constant mode off zero
+    mat += shift / n  # move the constant mode off zero
     eigs = np.linalg.eigvalsh(mat)
     sigma = np.sort(np.abs(eigs))
     sigma_max = float(sigma[-1])

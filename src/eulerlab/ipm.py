@@ -24,6 +24,9 @@ from .stepping import BlowupError, casimir_integrals, cfl_dt, check_schedule, ma
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
 
+#: a tail fraction above this flags a run under-resolved
+_UNDER_RESOLVED_TAIL = 1e-6
+
 
 @dataclass
 class IpmState:
@@ -31,9 +34,6 @@ class IpmState:
 
     rho: SpectralField2
     t: float = 0.0
-
-    def velocity(self) -> VectorField2:
-        return ipm_velocity(self.rho)
 
 
 def _velocity_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
@@ -63,11 +63,15 @@ class IpmDiagnostics:
 class IpmRunResult:
     final: IpmState
     diagnostics: list
-    under_resolved: bool = False
 
     @property
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.diagnostics])
+
+    @property
+    def under_resolved(self) -> bool:
+        """Whether some record's tail fraction exceeds :data:`_UNDER_RESOLVED_TAIL`."""
+        return any(rec.tail_fraction > _UNDER_RESOLVED_TAIL for rec in self.diagnostics)
 
 
 def _outer_band(grid: Grid2) -> np.ndarray:
@@ -89,14 +93,14 @@ def _tail_fraction(rho_c: np.ndarray, grid: Grid2, outer: np.ndarray) -> float:
 
 
 def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
-            diag_every: float = 0.5, tail_threshold: float = 1e-6) -> IpmRunResult:
+            diag_every: float = 0.5) -> IpmRunResult:
     """Advance the density to t_end, recording mixing diagnostics.
 
     Diagnostics per cadence point: mass, the collocation casimir of rho^2,
     the sup of |grad rho|, potential energy integral rho * y over the
     fundamental cell (continuous y, not wrapped), and the spectral tail
     fraction.  The run is flagged ``under_resolved`` once the tail
-    fraction of the density spectrum exceeds ``tail_threshold``.
+    fraction of the density spectrum exceeds 1e-6.
     The density is dealiased on entry, as the vorticity is in
     :func:`eulerlab.euler2d.run`.  Non-finite diagnostics raise
     :class:`~eulerlab.stepping.BlowupError`.
@@ -133,8 +137,6 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
                 and math.isfinite(rec.mass)):
             raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
         result.diagnostics.append(rec)
-        if rec.tail_fraction > tail_threshold:
-            result.under_resolved = True
 
     t, (c,) = march(rhs, (dealias(rho0).coeffs.copy(),), t_end,
                     lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit, work=work)

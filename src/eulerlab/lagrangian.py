@@ -73,10 +73,6 @@ class VelocitySampler:
         self._scale = np.array([[n1 / grid.lx], [n2 / grid.ly]])
         self._period = np.array([[n1], [n2]])
 
-    @classmethod
-    def from_field(cls, u: VectorField2) -> "VelocitySampler":
-        return cls(u.grid, u.u1.coeffs, u.u2.coeffs)
-
     def __call__(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Velocities at (p, 2) points, written into ``out`` when given."""
         if out is None:
@@ -258,9 +254,10 @@ class WindingRecord:
 
 def _as_sampler(velocity_source):
     if isinstance(velocity_source, VectorField2):
-        sampler = VelocitySampler.from_field(velocity_source)
-        return lambda _t, pts: sampler(pts)
+        u = velocity_source
+        velocity_source = VelocitySampler(u.grid, u.u1.coeffs, u.u2.coeffs)
     if isinstance(velocity_source, VelocitySampler):
+        # callable too, but on points alone: not a (t, points) callable
         return lambda _t, pts: velocity_source(pts)
     if callable(velocity_source):
         return velocity_source
@@ -271,10 +268,6 @@ def _check_dt(dt: float) -> None:
     """Reject a step that never advances (zero, negative, NaN) or is infinite."""
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-
-
-def _no_emit(t: float, y: tuple, step: int, k1) -> None:
-    """A march record that keeps nothing."""
 
 
 def advect(particles: ParticleSet, velocity_source, dt: float,
@@ -294,7 +287,7 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
         return (vel(t0 + t, y[0]),)
 
     t, (lifts,) = march(rhs, (particles.lifts.copy(),), math.inf, lambda t, y: dt,
-                        math.inf, _no_emit, stop=lambda t, y: t > (n_steps - 0.5) * dt)
+                        stop=lambda t, y: t > (n_steps - 0.5) * dt)
     return ParticleSet(lifts, particles.lifts0.copy(), t0 + t, particles.lx, particles.ly)
 
 
@@ -563,8 +556,8 @@ def period_function(u, seeds, dt: float = 1e-3,
         left[d > 10.0 * tol] = True
 
     # no horizon: a last step cut to t_max would break the parabola's equal spacing
-    march(rhs, (seeds.copy(),), math.inf, lambda t, y: dt, math.inf, _no_emit,
-          after_step=after_step, stop=lambda t, y: not (t < t_max and np.isinf(period).any()))
+    march(rhs, (seeds.copy(),), math.inf, lambda t, y: dt, after_step=after_step,
+          stop=lambda t, y: not (t < t_max and np.isinf(period).any()))
     return period.tolist()
 
 

@@ -390,17 +390,18 @@ def model_run(
             states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
             last_stored_sup = sup_new
 
-    c = dealias(omega0).coeffs.copy()
-    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, c))], [0.0]
+    # popped into march, so that the first step frees the initial state
+    start = [(dealias(omega0).coeffs.copy(),)]
+    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, start[0][0]))], [0.0]
     states: list[ModelState] = []
-    under_resolved = _spectral_tail(c, band) > _UNDER_RESOLVED_TAIL
+    under_resolved = _spectral_tail(start[0][0], band) > _UNDER_RESOLVED_TAIL
     cap_reached, lost = False, 0
     if store_states:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c), 0.0))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, start[0][0]), 0.0))
     last_stored_sup = sups[0]
 
-    t, (c,) = march(rhs, (c,), t_end, dt_rule, math.inf, lambda t, y, step, k1: None,
-                    after_step=after_step, stop=stop, work=work)
+    t, (c,) = march(rhs, start.pop(), t_end, dt_rule, after_step=after_step, stop=stop,
+                    work=work)
 
     if store_states and states[-1].t < t:
         states.append(ModelState(SpectralField1.from_coeffs(grid, c), t))

@@ -37,8 +37,7 @@ def check_kmax(grid: Grid2, kmax: int) -> None:
         raise ValueError("kmax must lie inside the dealiased band")
 
 
-def random_bandlimited(grid: Grid2, seed: int, kmax: int = 4,
-                       rms: float = 0.2) -> SpectralField2:
+def random_bandlimited(grid: Grid2, seed: int, kmax: int, rms: float) -> SpectralField2:
     """Mean-free band-limited noise whose root-mean-square value is ``rms``."""
     check_kmax(grid, kmax)
     rng = np.random.default_rng(seed)
@@ -53,7 +52,7 @@ def random_bandlimited(grid: Grid2, seed: int, kmax: int = 4,
     return f * (rms / scale)
 
 
-def taylor_green_perturbed(grid: Grid2, eps: float = 0.3) -> SpectralField2:
+def taylor_green_perturbed(grid: Grid2, eps: float) -> SpectralField2:
     """Cellular steady state plus an eps cos 2x cos y defect.
 
     The defect breaks stationarity, so markers transported by the run
@@ -65,8 +64,7 @@ def taylor_green_perturbed(grid: Grid2, eps: float = 0.3) -> SpectralField2:
     return SpectralField2.from_values(grid, w).project_mean_free()
 
 
-def shear_plus_band(grid: Grid2, seed: int, kmax: int = 3,
-                    rms: float = 0.02) -> SpectralField2:
+def shear_plus_band(grid: Grid2, seed: int, kmax: int, rms: float) -> SpectralField2:
     """Sinusoidal shear vorticity cos y plus seeded band noise.
 
     The periodic stand-in for an eps-perturbed linear shear: the shear
@@ -85,14 +83,14 @@ def _interface_bump(Y: np.ndarray) -> np.ndarray:
     return np.exp(-4.0 * (np.cos(Y) + 1.0))
 
 
-def heavy_over_light(grid: Grid2, eps: float = 1e-2) -> SpectralField2:
+def heavy_over_light(grid: Grid2, eps: float) -> SpectralField2:
     """Stratified density with the heavy layer above the y = pi interface."""
     X, Y = grid.meshgrid()
     rho = -np.sin(Y) + eps * np.cos(X) * _interface_bump(Y)
     return SpectralField2.from_values(grid, rho)
 
 
-def light_over_heavy(grid: Grid2, eps: float = 1e-2) -> SpectralField2:
+def light_over_heavy(grid: Grid2, eps: float) -> SpectralField2:
     """The stable orientation, seeded at the same interface."""
     X, Y = grid.meshgrid()
     rho = np.sin(Y) + eps * np.cos(X) * _interface_bump(Y)
@@ -146,7 +144,8 @@ class Preset:
 
     ``make(grid, **params)`` takes the run's grid (the selfsim
     ``ProfileProblem`` for a guess, nothing for a transport profile) and
-    the config values of ``params``.
+    the config values of ``params``, whose defaults are those of the
+    system's key table in :data:`eulerlab.config.REGISTRY`.
     """
 
     system: str
@@ -154,9 +153,6 @@ class Preset:
     make: Callable
     description: str
     params: tuple = ()
-
-    def build(self, grid, cfg):
-        return self.make(grid, **{p: cfg[p] for p in self.params})
 
 
 # what the value of each selecting config key names
@@ -212,4 +208,5 @@ def lookup(system: str, key: str, name: str) -> Preset:
 
 def build(cfg, key: str, grid):
     """Build the input that ``cfg[key]`` names for the run on ``grid``."""
-    return lookup(cfg.system, key, cfg[key]).build(grid, cfg)
+    entry = lookup(cfg.system, key, cfg[key])
+    return entry.make(grid, **{p: cfg[p] for p in entry.params})

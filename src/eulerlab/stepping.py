@@ -5,11 +5,11 @@ Euler run, IPM, passive scalars, particles, the 1D models) supplies a
 right-hand side ``rhs(t, y, out)`` over its state tuple ``y`` and steps it
 with :func:`rk4_step`.  :func:`march` is the only time loop, for adaptive
 and fixed steps alike (the markers' single steps run inside the flow's):
-a step-size rule such as :func:`cfl_dt`, diagnostics and snapshots at
-fixed cadences, a per-step hook and an optional stop predicate; its
-diagnostics callback gets the first stage of the step that follows, so a
-record reuses it.  A 2D run that meets a non-finite state raises
-:class:`BlowupError`.
+a step-size rule such as :func:`cfl_dt`, optional diagnostics and
+snapshots at fixed cadences, a per-step hook and an optional stop
+predicate; its diagnostics callback gets the first stage of the step
+that follows, so a record reuses it.  A 2D run that meets a non-finite
+state raises :class:`BlowupError`.
 :func:`casimir_integrals` gives the moment integrals of the records, by
 the binary powering of :func:`integer_powers`.
 
@@ -147,7 +147,7 @@ def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None,
     return y_new
 
 
-def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
+def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float = math.inf, emit=None,
           snapshot_every: float = 0.0, snapshot=None, after_step=None,
           work: Workspace | None = None, stop=None) -> tuple:
     """Advance ``y`` from t = 0 to ``t_end``; returns the final (t, y).
@@ -161,8 +161,8 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
     by the cadence.  After the step from (t, y) to (t + dt, y_new) run
     ``after_step(t, dt, y, y_new, step)`` (steps count from 1), then at
     multiples of ``snapshot_every`` ``snapshot(t, y, index)`` (when both are
-    set).  ``emit(t, y, step, k1)`` runs at t = 0, at multiples of
-    ``diag_every`` and at the end of the run, where ``k1`` is the first
+    set).  ``emit(t, y, step, k1)`` (when given) runs at t = 0, at multiples
+    of ``diag_every`` and at the end of the run, where ``k1`` is the first
     stage of the next step, already evaluated at (t, y); at the end no step
     follows and ``k1`` is ``None``.  So within a step the order is ``stop``,
     k1, ``emit``, ``dt_rule``: ``emit`` may read k1 and whatever else the
@@ -180,7 +180,7 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float, emit,
     while True:
         more = t < t_end - _TOL and not (stop is not None and stop(t, y))
         k1 = rhs(t, y, _buffers(work, "rk4.k", y)) if more else None
-        if due or not more:
+        if emit is not None and (due or not more):
             emit(t, y, step, k1)
         if not more:
             return t, y

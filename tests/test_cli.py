@@ -102,10 +102,15 @@ class TestSubcommands:
         assert "system = euler2d" in out and "cfl = 0.4" in out
         assert not (tmp_path / "out").exists()
 
-    def test_selfsim_subcommand_rejects_other_systems(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, TINY_CLM)
-        assert main(["selfsim", "--config", cfg]) == EXIT_CONFIG
-        assert "requires system = selfsim" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["selfsim", "lemma-check"])
+    def test_run_is_the_only_command_that_runs(self, tmp_path, capsys, command):
+        # a config of the system the removed subcommand was named for
+        cfg = write_cfg(tmp_path, "system = selfsim\nn = 64\n")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--output-dir", str(tmp_path / "out")])
+        assert info.value.code == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self):
         proc = _fresh_python("-m", "eulerlab.cli", "presets")
@@ -343,8 +348,7 @@ _KEYS = {
                     "u_preset": _names("lemma_check", "u_preset"),
                     "g_const": (["-1", "1"], _NON_FINITE)},
     "ipm": {**_STEPPED_2D, "preset": _names("ipm", "preset"),
-            "eps": (["0", "0.01"], _NON_FINITE),
-            "tail_threshold": (["1e-6"], ["-1e-6"])},
+            "eps": (["0", "0.01"], _NON_FINITE)},
 }
 
 

@@ -426,6 +426,30 @@ class TestKernelProbe:
         assert probe["kernel"]
         assert probe["smallest_singular_values"][0] < 1e-12
 
+    def test_no_kernel_outside_the_solver_band(self):
+        # -|k|^2 - F' vanishes on (+-6, 0) and (0, +-6), outside the 2/3 band
+        # where the solver's operator drops the F' product; nearest inside it
+        # is |k|^2 = 34
+        g = Grid2(16, 16)
+        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.full_like(s, -36.0),
+                             0.0, 0.0, 0)
+        probe = e2.kernel_probe(st_)
+        assert not probe["kernel"]
+        assert probe["smallest_singular_values"][0] == pytest.approx(2.0, rel=1e-12)
+
+    def test_probes_the_operator_the_solver_inverts(self):
+        g = Grid2(8, 8)
+        psi = field(g, lambda X, Y: np.cos(X) * np.cos(Y) + 0.3 * np.sin(2 * Y))
+        st_ = e2.SteadyState(psi, lambda s: -2 + s + 0.3 * s ** 2, 0.0, 0.0, 0)
+        fp = st_.F_prime(psi.values)
+        n = g.nx * g.ny
+        mat = np.column_stack([e2._linearized_apply(g, fp, e) for e in np.eye(n)])
+        mat = 0.5 * (mat + mat.T) + float(np.max(g.k2) + np.max(np.abs(fp)) + 1.0) / n
+        sigma = np.sort(np.abs(np.linalg.eigvalsh(mat)))
+        probe = e2.kernel_probe(st_)
+        assert probe["smallest_singular_values"] == sigma[:6].tolist()
+        assert probe["sigma_max"] == sigma[-1]
+
     def test_cubic_limit_keeps_resonant_kernel(self):
         g = Grid2(32, 32)
         guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))

@@ -16,6 +16,11 @@ from eulerlab.grids import Grid2
 TWO_PI = 2.0 * np.pi
 
 
+def sampler_of(u):
+    """The spline sampler of the velocity field ``u``."""
+    return lag.VelocitySampler(u.grid, u.u1.coeffs, u.u2.coeffs)
+
+
 def field(g, fn):
     X, Y = g.meshgrid()
     return SpectralField2.from_values(g, fn(X, Y)).project_mean_free()
@@ -57,14 +62,14 @@ class TestVelocitySampler:
         for n in (16, 32):
             w = field(Grid2(n, n), lambda X, Y: -2 * np.cos(X) * np.cos(Y))
             u = e2.EulerState(w, 0.0).velocity()
-            gaps.append(np.max(np.abs(lag.VelocitySampler.from_field(u)(pts) - u.eval_at(pts))))
+            gaps.append(np.max(np.abs(sampler_of(u)(pts) - u.eval_at(pts))))
         assert gaps[1] < 1e-6
         assert gaps[0] / gaps[1] > 12
 
     def test_interpolation_mode_stays_accurate(self):
         g = Grid2(128, 128)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        sampler = lag.VelocitySampler.from_field(e2.EulerState(w, 0.0).velocity())
+        sampler = sampler_of(e2.EulerState(w, 0.0).velocity())
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.0, TWO_PI, size=(400, 2))
         got = sampler(pts)
@@ -78,7 +83,7 @@ class TestVelocitySampler:
         rng = np.random.default_rng(3)
         u = VectorField2.from_values(g, rng.standard_normal(g.shape),
                                      rng.standard_normal(g.shape))
-        sampler = lag.VelocitySampler.from_field(u)
+        sampler = sampler_of(u)
         pts = rng.uniform(-1.0, 7.0, size=(500, 2))
         coords = np.stack([pts[:, 0] * (2 * g.nx / g.lx), pts[:, 1] * (2 * g.ny / g.ly)])
         got = sampler(pts)
@@ -154,7 +159,7 @@ class TestVelocitySampler:
     def test_non_finite_points_are_rejected(self, n, bad):
         g = Grid2(n, n)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        sampler = lag.VelocitySampler.from_field(e2.EulerState(w, 0.0).velocity())
+        sampler = sampler_of(e2.EulerState(w, 0.0).velocity())
         pts = np.random.default_rng(6).uniform(0.0, TWO_PI, size=(20, 2))
         pts[7, 1] = bad
         with pytest.raises(ValueError, match="non-finite sample point"):
@@ -163,7 +168,7 @@ class TestVelocitySampler:
     def test_points_outside_fundamental_cell_wrap(self):
         g = Grid2(32, 32)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        sampler = lag.VelocitySampler.from_field(e2.EulerState(w, 0.0).velocity())
+        sampler = sampler_of(e2.EulerState(w, 0.0).velocity())
         pts = np.array([[0.3, 0.8]])
         shifted = pts + np.array([[6 * np.pi, -4 * np.pi]])
         assert np.allclose(sampler(pts), sampler(shifted), atol=1e-12)

@@ -2,6 +2,7 @@
 import itertools
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ class TestModelRun:
         monkeypatch.setattr(models1d, "_rhs_coeffs", poisoned)
         with pytest.raises(FloatingPointError, match=r"non-finite state at t = .* \(step 3\)"):
             model_run(cosine(64), "clm", t_end=1.0)
+
+    def test_the_initial_state_is_freed_by_the_first_steps(self, monkeypatch):
+        real, refs, alive = models1d.march, [], []
+
+        # the state goes on from a list and the rest by keyword: a forwarded
+        # *args tuple would keep the state alive itself
+        def march(rhs, y, t_end, dt_rule, diag_every=math.inf, emit=None, *,
+                  after_step, stop, work):
+            refs.append(weakref.ref(y[0]))
+            box = [y]
+            del y
+
+            def after(t, dt, y, y_new, step):
+                after_step(t, dt, y, y_new, step)
+                if step == 2:
+                    alive.append(refs[0]() is not None)
+
+            return real(rhs, box.pop(), t_end=t_end, dt_rule=dt_rule, diag_every=diag_every,
+                        emit=emit, after_step=after, stop=stop, work=work)
+
+        monkeypatch.setattr(models1d, "march", march)
+        model_run(cosine(64), "clm", t_end=0.5)
+        assert alive == [False]
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_a_cap_at_or_below_the_initial_sup_takes_no_step(self, model):

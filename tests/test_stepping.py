@@ -237,6 +237,18 @@ class TestMarch:
         assert t == pytest.approx(1.0) and max(log["asked"]) < 1.0 - 1e-12
         assert len(log["asked"]) == len(log["steps"])
 
+    def test_no_cadence_and_no_emit_step_as_an_infinite_cadence(self):
+        def run(*record):
+            dts = []
+            t, y = march(coupled_rhs, spectral_state(), 0.2, lambda t, y: 0.03, *record,
+                         after_step=lambda t, dt, y, y_new, step: dts.append(dt))
+            return t, y, dts
+
+        t, y, dts = run()
+        t_ref, y_ref, dts_ref = run(math.inf, lambda t, y, step, k1: None)
+        assert t == t_ref and dts == dts_ref
+        assert all(same_bits(a, b) for a, b in zip(y, y_ref))
+
     def test_returns_final_time_and_state(self):
         t, (y,) = march(lambda t, y, out: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
                         lambda t, y: 0.1, 0.5, lambda t, y, step, k1: None)
