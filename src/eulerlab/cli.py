@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, presets
 from .config import REGISTRY, ConfigError, ExperimentConfig, parse_config_file
@@ -70,7 +69,11 @@ def _utc_now() -> str:
 
 def _environment() -> dict:
     """What sets the bits of a run besides its config: the library versions
-    (numpy's transforms and reductions) and the CPU they dispatch on."""
+    (numpy's transforms and reductions) and the CPU they dispatch on.  scipy
+    is imported here, after the run, so that start-up and the runs that
+    need none of it do not load it."""
+    import scipy
+
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
             "machine": platform.machine()}

@@ -138,10 +138,13 @@ def _lattice_folded(snap: lagrangian.ParticleSet) -> bool:
 
 def _run_euler2d(cfg: ExperimentConfig, manifest) -> None:
     grid = Grid2(cfg["nx"], cfg["ny"])
-    omega0 = presets.build(cfg, "preset", grid)
     marker = cfg["marker_lattice"] or None
+    # popped into the run, which frees it at its first step unless the Weber
+    # check of the markers keeps it
+    initial = [presets.build(cfg, "preset", grid)]
+    omega0 = initial[0] if marker else None
     res = euler2d.run(
-        omega0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
+        initial.pop(), cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"],
         casimirs=tuple(cfg["casimir_powers"]), marker_lattice=marker,
         snapshot_every=cfg["snapshot_every"],
         snapshot=manifest.add_snapshot if cfg["snapshot_every"] > 0 else None)
@@ -236,8 +239,10 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest) -> None:
 
 def _run_ipm(cfg: ExperimentConfig, manifest) -> None:
     grid = Grid2(cfg["nx"], cfg["ny"])
-    rho0 = presets.build(cfg, "preset", grid)
-    res = ipm.ipm_run(rho0, cfg["t_end"], cfl=cfg["cfl"], diag_every=cfg["diag_every"])
+    # the run holds the only reference to the initial density, and frees it
+    # at its first step
+    res = ipm.ipm_run(presets.build(cfg, "preset", grid), cfg["t_end"], cfl=cfg["cfl"],
+                      diag_every=cfg["diag_every"])
     _add_records(manifest, res.diagnostics, ["t", "mass", "grad_sup", "e_pot", "tail_fraction"])
     manifest.extra["under_resolved"] = bool(res.under_resolved)
 

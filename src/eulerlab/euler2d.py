@@ -33,8 +33,8 @@ from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coef
 from .grids import Grid2
 from .lagrangian import (MarkerTrack, ParticleSet, VelocitySampler, _lattice_gradient,
                          check_lattice)
-from .operators import (biot_savart, dealias, gradient_sup, leray_project, stream_velocity,
-                        transport_coeffs)
+from .operators import (_scratch, _stream_function, _velocity_component, biot_savart, dealias,
+                        gradient_sup, leray_project, transport_coeffs)
 from .presets import random_bandlimited
 # not called here (a run hands its fields to its ``snapshot`` callable); the
 # name stays bound for bench/test_bench.py, which checks that the tracer
@@ -88,26 +88,27 @@ class _StageEval:
     transports all of them.
 
     Everything the stage computes lives in its workspace and is rewritten by
-    the next stage: the velocity coefficients, the velocity samples (which
-    stay until then for the CFL rule) and the transport temporaries.  The
-    tendencies go into ``out``, whose entries may be ``None`` for freshly
-    allocated ones; ``k`` is the vorticity tendency of the latest stage.
+    the next stage: the stream function, in the scratch that the transport
+    takes over once the velocity samples are made; one velocity coefficient
+    array, which the two components go through in turn; the velocity
+    samples, which stay until then for the CFL rule.  The tendencies go
+    into ``out``, whose entries may be ``None`` for freshly allocated ones;
+    ``k`` is the vorticity tendency of the latest stage.
     """
 
     def __init__(self, grid: Grid2, work: Workspace | None = None):
         self.grid = grid
         self.work = work = Workspace() if work is None else work
-        self.uc = tuple(work.array(("stage.uc", i), grid.coeff_shape, np.complex128)
-                        for i in range(2))
+        self.uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
         self.u1v, self.u2v = (work.array(("stage.uv", i), grid.shape) for i in range(2))
         self.k = None
 
     def __call__(self, t: float, y: tuple, out: tuple) -> tuple:
         g, w = self.grid, self.work
         c, *scalars = y
-        u1c, u2c = stream_velocity(c, g, self.uc)
-        u1v = to_values(u1c, self.u1v)
-        u2v = to_values(u2c, self.u2v)
+        psi = _stream_function(c, g, _scratch(g, w)[0])
+        u1v, u2v = (to_values(_velocity_component(psi, g, i, self.uc), v)
+                    for i, v in enumerate((self.u1v, self.u2v)))
         self.k = k = transport_coeffs(c, u1v, u2v, g, out[0], w)
         k[0, 0] = 0.0
         return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(scalars, out[1:])))
@@ -162,13 +163,15 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     """
     check_schedule(cfl, diag_every, snapshot_every)
     check_casimir_powers(casimirs)
+    EulerState(omega0, 0.0)  # rejects a vorticity with a nonzero mean
     grid = omega0.grid
-    scalars = dict(scalars or {})
-    # EulerState rejects a vorticity with a nonzero mean
-    result = EulerRunResult(final=EulerState(omega0, 0.0), diagnostics=[],
-                            scalar_gradients={name: [] for name in scalars})
-    # popped into march, so that the first step frees the initial state
-    start = [tuple(dealias(f).coeffs.copy() for f in (omega0, *scalars.values()))]
+    scalars = scalars or {}
+    names = list(scalars)
+    # popped into march, so that the first step frees the initial state: the
+    # run keeps no other reference to it
+    start = [tuple(dealias(f).coeffs for f in (omega0, *scalars.values()))]
+    del omega0, scalars
+    records, gradients, marker_snapshots = [], {name: [] for name in names}, []
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
     work = Workspace()
@@ -189,15 +192,15 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         if not _check_finite(rec):
             if math.isfinite(rec.omega_max):
                 checkpoint("checkpoint_abort.eulb", omega, t)
-            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
-        result.diagnostics.append(rec)
-        for name, fc in zip(scalars, y[1:]):
-            result.scalar_gradients[name].append(gradient_sup(fc, grid, work))
+            raise BlowupError(t, step, records[-1] if records else None)
+        records.append(rec)
+        for name, fc in zip(names, y[1:]):
+            gradients[name].append(gradient_sup(fc, grid, work))
         if track is not None:
             if k1 is None:  # the end of the run, where march makes no first stage
                 stage(t, y[:1], (None,))
             track.boundary(t, y[0], stage.k, end=True)
-            result.marker_snapshots.append(ParticleSet(
+            marker_snapshots.append(ParticleSet(
                 track.lifts.copy(), markers.lifts0.copy(), t, grid.lx, grid.ly))
         if observer is not None:
             observer(EulerState(SpectralField2.from_coeffs(grid, y[0]), t))
@@ -207,7 +210,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         sup_new = sup_abs(to_values(y_new[0], omega))
         if not math.isfinite(sup_new):
             checkpoint("checkpoint_abort.eulb", to_values(y[0]), t)
-            raise BlowupError(t + dt, step, result.diagnostics[-1])
+            raise BlowupError(t + dt, step, records[-1])
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
@@ -223,9 +226,14 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     t, y = march(stage, start.pop(), t_end, dt_rule, diag_every, emit, snapshot_every,
                  periodic if snapshot is not None else None, after_step, work)
-    result.final = EulerState(SpectralField2.from_coeffs(grid, y[0]), t)
-    result.scalars = {n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(scalars, y[1:])}
-    return result
+    # the vorticity's mean coefficient is exactly zero (it starts so, and every
+    # stage zeroes it in the tendency), so the state array is the final field
+    # as it stands; a scalar's round-off mean is snapped to zero in a copy
+    return EulerRunResult(
+        final=EulerState(SpectralField2(grid, y[0]), t), diagnostics=records,
+        marker_snapshots=marker_snapshots,
+        scalars={n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(names, y[1:])},
+        scalar_gradients=gradients)
 
 
 # -- Weber formula check -------------------------------------------------------

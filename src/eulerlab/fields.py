@@ -40,11 +40,21 @@ class Workspace:
     ``array(name, shape, dtype)`` returns the same array for a name on every
     call, zero-filled when first made (and made anew if the shape or dtype
     changes).  Names are namespaced by their users: ``"rk4..."`` for the
-    integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for a 2D stage,
-    ``"transport..."`` for :func:`eulerlab.operators.transport_coeffs`,
+    integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for what a 2D
+    stage keeps until the next one (its velocity samples, which the CFL
+    rule reads), ``"scratch..."`` for the 2D stage's scratch,
     ``"sampler..."`` for the marker sampler, ``"casimir..."`` and
-    ``"gradient..."`` for the diagnostics reductions and ``"run..."`` for
-    what a run keeps between its callbacks.
+    ``"gradient..."`` for what the diagnostics reductions need beyond the
+    scratch, and ``"run..."`` for what a run keeps between its callbacks.
+
+    The scratch is one complex coefficient array ``"scratch.c"`` and two
+    real sample arrays ``("scratch.v", 0)`` and ``("scratch.v", 1)``: the
+    stream function and the gradient samples of
+    :func:`eulerlab.operators.transport_coeffs`.  It is dead from the end of
+    one stage to the start of the next, where :func:`eulerlab.stepping.march`
+    runs its callbacks, so whatever runs there may keep its temporaries in
+    it: the Casimir ladder of :func:`eulerlab.stepping.integer_powers` and
+    :func:`eulerlab.operators.gradient_sup` do, in every 2D run.
     """
 
     def __init__(self) -> None:
@@ -71,12 +81,16 @@ def to_values(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.irfftn(coeffs, norm="forward", out=out)
 
 
-def _normalize(coeffs: np.ndarray) -> np.ndarray:
-    """Cast to complex128 and snap a round-off-level mean to exactly zero."""
-    c = np.ascontiguousarray(coeffs, dtype=np.complex128).copy()
+def _snap_mean(c: np.ndarray) -> np.ndarray:
+    """Set a round-off-level mean coefficient of ``c`` to exactly zero, in place."""
     if abs(c.flat[0]) <= MEAN_TOL * float(np.max(np.abs(c))):
         c.flat[0] = 0.0
     return c
+
+
+def _normalize(coeffs: np.ndarray) -> np.ndarray:
+    """Cast to complex128 and snap a round-off-level mean to exactly zero."""
+    return _snap_mean(np.ascontiguousarray(coeffs, dtype=np.complex128).copy())
 
 
 def mode_power(grid: Grid1 | Grid2, coeffs: np.ndarray) -> np.ndarray:

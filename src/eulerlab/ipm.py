@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_values
+from .fields import SpectralField2, VectorField2, Workspace, _snap_mean, mode_power, to_values
 from .grids import Grid2
-from .operators import dealias, gradient_sup, transport_coeffs
+from .operators import _scratch, dealias, gradient_sup, transport_coeffs
 from .stepping import BlowupError, casimir_integrals, cfl_dt, check_schedule, march
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
@@ -107,15 +107,19 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     """
     check_schedule(cfl, diag_every)
     grid = rho0.grid
+    # popped into march, so that the first step frees the initial state: the
+    # run keeps no other reference to it
+    start = [(dealias(rho0).coeffs,)]
+    del rho0
     yrow = grid.y[None, :]
     outer = _outer_band(grid)
-    result = IpmRunResult(final=IpmState(rho0, 0.0), diagnostics=[])
+    records = []
     work = Workspace()
     symbols = _velocity_symbols(grid)
     uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
     # the last stage's velocity samples, kept for the CFL rule
     velocity = tuple(work.array(("stage.uv", i), grid.shape) for i in range(2))
-    rho, rho_y = (work.array(("run.rho", i), grid.shape) for i in range(2))
+    rho = work.array("run.rho", grid.shape)
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:
         for m, v in zip(symbols, velocity):
@@ -123,6 +127,8 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
         return (transport_coeffs(y[0], *velocity, grid, out[0], work),)
 
     def emit(t: float, y: tuple, step: int, k1) -> None:
+        # the Casimir, the gradient and rho * y go through the stage's
+        # scratch in turn, each once the one before is summed
         c = y[0]
         vals = to_values(c, rho)
         rec = IpmDiagnostics(
@@ -130,15 +136,18 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
             mass=float(np.sum(vals) * grid.cell_area),
             casimirs=casimir_integrals(vals, (2,), "rho", grid.cell_area, work),
             grad_sup=gradient_sup(c, grid, work),
-            e_pot=float(np.sum(np.multiply(vals, yrow, out=rho_y)) * grid.cell_area),
+            e_pot=float(np.sum(np.multiply(vals, yrow, out=_scratch(grid, work)[1]))
+                        * grid.cell_area),
             tail_fraction=_tail_fraction(c, grid, outer),
         )
         if not (math.isfinite(rec.grad_sup) and math.isfinite(rec.e_pot)
                 and math.isfinite(rec.mass)):
-            raise BlowupError(t, step, result.diagnostics[-1] if result.diagnostics else None)
-        result.diagnostics.append(rec)
+            raise BlowupError(t, step, records[-1] if records else None)
+        records.append(rec)
 
-    t, (c,) = march(rhs, (dealias(rho0).coeffs.copy(),), t_end,
-                    lambda t, y: cfl_dt(grid, *velocity, cfl), diag_every, emit, work=work)
-    result.final = IpmState(SpectralField2.from_coeffs(grid, c), t)
-    return result
+    t, (c,) = march(rhs, start.pop(), t_end, lambda t, y: cfl_dt(grid, *velocity, cfl),
+                    diag_every, emit, work=work)
+    # the state array is the final density: snapping its round-off mean in
+    # place gives the bits of from_coeffs without a copy
+    return IpmRunResult(final=IpmState(SpectralField2(grid, _snap_mean(c)), t),
+                        diagnostics=records)

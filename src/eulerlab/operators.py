@@ -97,6 +97,19 @@ def dealias(f: SpectralField) -> SpectralField:
 # stage that passes both allocates no grid-sized array of its own.
 
 
+def _stream_function(omega_c: np.ndarray, grid: Grid2, out: np.ndarray) -> np.ndarray:
+    """Coefficients inv_laplacian(omega) of the dealiased vorticity, into ``out``."""
+    psi = np.multiply(omega_c, grid.dealias_mask, out=out)
+    return np.multiply(grid.inv_minus_k2, psi, out=psi)
+
+
+def _velocity_component(psi_c: np.ndarray, grid: Grid2, i: int,
+                        out: np.ndarray) -> np.ndarray:
+    """Component ``i`` of perp_grad(psi), -dpsi/dy or dpsi/dx, into ``out``
+    (which may be ``psi_c`` itself)."""
+    return np.multiply(-grid.iky if i == 0 else grid.ikx, psi_c, out=out)
+
+
 def stream_velocity(omega_c: np.ndarray, grid: Grid2,
                     out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Velocity coefficients perp_grad(inv_laplacian(omega)) of the dealiased vorticity."""
@@ -104,11 +117,15 @@ def stream_velocity(omega_c: np.ndarray, grid: Grid2,
         out = (np.empty(grid.coeff_shape, np.complex128),
                np.empty(grid.coeff_shape, np.complex128))
     u1, u2 = out
-    psi = np.multiply(omega_c, grid.dealias_mask, out=u2)
-    np.multiply(grid.inv_minus_k2, psi, out=psi)
-    np.multiply(-grid.iky, psi, out=u1)
-    np.multiply(grid.ikx, psi, out=u2)
-    return u1, u2
+    psi = _stream_function(omega_c, grid, u2)
+    return _velocity_component(psi, grid, 0, u1), _velocity_component(psi, grid, 1, u2)
+
+
+def _scratch(grid: Grid2, work: Workspace) -> tuple:
+    """The 2D stage's scratch in ``work``: one complex coefficient array and two
+    real sample arrays (see :class:`~eulerlab.fields.Workspace`)."""
+    return (work.array("scratch.c", grid.coeff_shape, np.complex128),
+            *(work.array(("scratch.v", i), grid.shape) for i in range(2)))
 
 
 def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid2,
@@ -118,9 +135,9 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
     samples.  ``f_c`` must be dealiased already, as every stepped state is:
     it starts dealiased, and so is every tendency."""
     work = Workspace() if work is None else work
-    d = work.array("transport.d", grid.coeff_shape, np.complex128)
-    fx = to_values(np.multiply(grid.ikx, f_c, out=d), work.array("transport.fx", grid.shape))
-    fy = to_values(np.multiply(grid.iky, f_c, out=d), work.array("transport.fy", grid.shape))
+    d, fx, fy = _scratch(grid, work)
+    fx = to_values(np.multiply(grid.ikx, f_c, out=d), fx)
+    fy = to_values(np.multiply(grid.iky, f_c, out=d), fy)
     np.multiply(u1, fx, out=fx)
     np.multiply(u2, fy, out=fy)
     adv = to_coeffs(np.add(fx, fy, out=fx), out)
@@ -129,16 +146,17 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
 
 
 def gradient_sup(f_c: np.ndarray, grid: Grid2, work: Workspace) -> float:
-    """Max of |grad f| over the collocation points, with the samples in ``work``.
+    """Max of |grad f| over the collocation points, with the gradient samples
+    in the stage's scratch of ``work`` (see :class:`~eulerlab.fields.Workspace`).
 
     The same number as ``max(hypot(fx, fy))``: ``hypot`` runs only at the
     points whose fx^2 + fy^2 lies within 2^-48 of the largest (rounding in
     the squares and in ``hypot`` is far below that), and over every point
     when the squares overflow or underflow.
     """
-    d = work.array("gradient.d", grid.coeff_shape, np.complex128)
-    fx = to_values(np.multiply(grid.ikx, f_c, out=d), work.array("gradient.fx", grid.shape))
-    fy = to_values(np.multiply(grid.iky, f_c, out=d), work.array("gradient.fy", grid.shape))
+    d, fx, fy = _scratch(grid, work)
+    fx = to_values(np.multiply(grid.ikx, f_c, out=d), fx)
+    fy = to_values(np.multiply(grid.iky, f_c, out=d), fy)
     with np.errstate(over="ignore", under="ignore"):
         sq = np.multiply(fx, fx, out=work.array("gradient.sq", grid.shape))
         sq += np.multiply(fy, fy, out=work.array("gradient.sq_y", grid.shape))

@@ -220,14 +220,19 @@ def integer_powers(vals: np.ndarray, powers, work: Workspace):
     ulp of the exact power, on every machine; numpy's ``power`` takes a
     scalar path for p >= 3 on negative bases that is dozens of times
     slower, and its bits depend on the SIMD dispatch.  vals^2 is
-    ``vals * vals``, the bits of ``vals**2``.  The arrays live in ``work``
-    under ``"casimir..."``; each is valid until the next is yielded.
+    ``vals * vals``, the bits of ``vals**2``.  The arrays live in ``work``:
+    the first two rungs in the real arrays of the 2D stage's scratch
+    (``("scratch.v", i)``, dead between stages; see
+    :class:`~eulerlab.fields.Workspace`), so ``vals`` must not be one of
+    them, and the rest under ``"casimir..."``; each is valid until the next
+    is yielded.
     """
     ladder = [vals]
     for p in powers or ():
         while 1 << len(ladder) <= p:
-            rung = work.array(("casimir.rung", len(ladder)), vals.shape)
-            ladder.append(np.multiply(ladder[-1], ladder[-1], out=rung))
+            i = len(ladder)
+            name = ("scratch.v", i - 1) if i <= 2 else ("casimir.rung", i)
+            ladder.append(np.multiply(ladder[-1], ladder[-1], out=work.array(name, vals.shape)))
         term, *rest = (rung for i, rung in enumerate(ladder) if p >> i & 1)
         for rung in rest:
             term = np.multiply(term, rung, out=work.array("casimir.term", vals.shape))

@@ -632,16 +632,18 @@ class TestCsvFormatting:
 
 
 # Imports eulerlab, parses every shipped config, dispatches the configs
-# given as JSON and prints the exit codes and the scipy subpackages loaded.
+# given as JSON and prints whether scipy was loaded before the first
+# dispatch, the exit codes and the scipy subpackages loaded.
 _FOOTPRINT_CHILD = r"""
 import json, pathlib, sys
 from eulerlab import cli, config
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cfg")):
     config.parse_config_file(str(path))
+scipy_at_start = "scipy" in sys.modules
 out = pathlib.Path(sys.argv[2])
 codes = [cli.dispatch(config.parse_config(text), out / str(i))
          for i, text in enumerate(json.loads(sys.argv[3]))]
-print(json.dumps({"codes": codes,
+print(json.dumps({"scipy_at_start": scipy_at_start, "codes": codes,
                   "loaded": sorted({m.split(".")[1] for m in sys.modules
                                     if m.startswith("scipy.")})}))
 """
@@ -658,6 +660,11 @@ class TestImportFootprint:
                              json.dumps(texts))
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_start_up_loads_no_scipy(self, tmp_path):
+        """The manifest's write imports scipy for its version; nothing before a run does."""
+        got = self._child(tmp_path, [])
+        assert got["scipy_at_start"] is False
 
     def test_runs_without_markers_load_no_scipy_subpackage(self, tmp_path):
         texts = [

@@ -277,6 +277,38 @@ class TestWorkspace:
         assert len(steady) == 2 and all(steps >= 10 for _, steps in steady)
         assert all(peak < bound for peak, _ in steady), (steady, bound)
 
+    def test_whole_run_holds_its_working_set(self):
+        """A whole run at 128^2 (the t = 0 record, the steps, snapshots and the
+        final state, no markers, no scalars) from a vorticity it alone holds
+        peaks below 15.5 coefficient arrays: its workspace (the five RK4
+        sets, the stage's velocity coefficients, samples and scratch, and
+        the vorticity samples) is 12, and the inverse transform's temporary
+        and a record's mode powers add about 1.5.  With a second velocity
+        coefficient array, the Casimir ladder in arrays of its own, the
+        initial vorticity kept to the end and a copy of the final one it
+        peaked at 17.5."""
+        g = Grid2(128, 128)
+        snapshots = []
+
+        def snapshot(name, fields, t):
+            snapshots.append(name)
+
+        def run():
+            return e2.run(random_band(g, 2, 6, 0.5), 1.0, diag_every=0.5, casimirs=(4,),
+                          snapshot_every=0.5, snapshot=snapshot)
+
+        run()  # warm caches
+        snapshots.clear()
+        tracemalloc.start()
+        try:
+            res = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.diagnostics) == 3 and len(snapshots) == 2
+        bound = 15.5 * 16 * g.coeff_shape[0] * g.coeff_shape[1]
+        assert peak < bound, (peak, bound)
+
 
 class TestBlowup:
     def test_nonfinite_step_raises_typed_error_and_checkpoints_last_finite_state(

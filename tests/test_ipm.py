@@ -1,5 +1,7 @@
 """Tests for the porous-medium density transport system."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,23 @@ class TestRun:
         exc = info.value
         assert exc.t > 0.0 and exc.step >= 1
         assert exc.last_record is not None and exc.last_record.t == 0.0
+
+    def test_whole_run_holds_its_working_set(self):
+        """A run at 128^2 from a density it alone holds peaks below 20
+        coefficient arrays: its workspace (the five RK4 sets, the stage's
+        velocity and scratch, the density samples and two squared-gradient
+        arrays) is 14, and the inverse transform's temporary, the velocity
+        symbols and a record's mode powers add about 3.5.  With the
+        diagnostics in arrays of their own and the initial density kept to
+        the end it peaked at about 23.5."""
+        g = Grid2(128, 128)
+        ipm.ipm_run(heavy_over_light(g, eps=0.01), 0.5, diag_every=0.25)  # warm caches
+        tracemalloc.start()
+        try:
+            res = ipm.ipm_run(heavy_over_light(g, eps=0.01), 1.0, diag_every=0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.diagnostics) == 5
+        bound = 20 * 16 * g.coeff_shape[0] * g.coeff_shape[1]
+        assert peak < bound, (peak, bound)

@@ -67,7 +67,13 @@ Each round also measures start-up per tree, in fresh interpreters:
   has loaded by then;
 - ``selfsim_1024_maxrss_mb`` and ``selfsim_2048_maxrss_mb``: the same for
   one interpreter that dispatches the ``selfsim_recovery`` shape (L = 20,
-  5% bump, lam0 1.1) at n = 1024 and at n = 2048.
+  5% bump, lam0 1.1) at n = 1024 and at n = 2048;
+- ``euler_256_peak_rss_mb``: the peak resident set of one interpreter that
+  dispatches the run of the ``euler-256`` benchmark workload (its config
+  for seed 1, from ``bench/workloads.py``), read as ``VmHWM`` from
+  ``/proc/self/status``: unlike ``ru_maxrss``, which the benchmark reports
+  and which starts at the resident set of the process that started the
+  child, it counts the interpreter's own pages only (Linux).
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -292,8 +298,29 @@ print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
 """
 
 
-def _maxrss(script: str, env: dict):
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+# one config in a fresh interpreter: its own peak RSS (VmHWM), in MiB
+_HWM_FOOTPRINT = r"""
+import json, sys, tempfile
+from eulerlab import cli, config
+with tempfile.TemporaryDirectory() as out:
+    assert cli.dispatch(config.parse_config(sys.argv[1]), out) == cli.EXIT_OK
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(json.dumps(int(hwm.split()[1]) / 1024.0))
+"""
+
+
+def _euler_256_config() -> str:
+    """The config of the ``euler-256`` benchmark workload for seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    (run,) = workloads.WORKLOADS["euler-256"].make_runs(1)
+    return run.config
+
+
+def _maxrss(script: str, env: dict, *args: str):
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -316,7 +343,8 @@ def _startup(src: Path) -> dict:
             "markers_96_maxrss_mb": maxrss_mb,
             "scipy_modules_after_markers_96": markers_count,
             "selfsim_1024_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 1024, env),
-            "selfsim_2048_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 2048, env)}
+            "selfsim_2048_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 2048, env),
+            "euler_256_peak_rss_mb": _maxrss(_HWM_FOOTPRINT, env, _euler_256_config())}
 
 
 def _child(src: Path) -> dict:
