@@ -89,6 +89,7 @@ inputs are seeded, so both trees do the same arithmetic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -100,6 +101,8 @@ from pathlib import Path
 
 import numpy
 import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GATES = ("test_gate_03_steady_state_preservation", "test_gate_06_weber_invariant",
          "test_gate_07_twisting")
@@ -310,13 +313,17 @@ print(json.dumps(int(hwm.split()[1]) / 1024.0))
 """
 
 
+@functools.cache
 def _euler_256_config() -> str:
-    """The config of the ``euler-256`` benchmark workload for seed 1."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    import workloads
+    """The config of the ``euler-256`` benchmark workload for seed 1.
 
-    (run,) = workloads.WORKLOADS["euler-256"].make_runs(1)
-    return run.config
+    It is made in a child: the transforms of its ``rms`` would raise this
+    process's resident set, which the ``ru_maxrss`` rows of the children
+    it starts afterwards would read as their floor."""
+    script = ('import workloads; (run,) = workloads.WORKLOADS["euler-256"].make_runs(1); '
+              'print(run.config, end="")')
+    return subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT / "bench", check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def _maxrss(script: str, env: dict, *args: str):
