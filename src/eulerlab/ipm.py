@@ -38,9 +38,11 @@ class IpmState:
 
 def _velocity_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
     """The multipliers (kx ky, -kx^2) / |k|^2 that take rho to u = perp grad psi,
-    laplacian(psi) = -d(rho)/dx."""
-    return (grid.ikx * grid.iky * grid.inv_minus_k2,
-            -(grid.ikx * grid.ikx) * grid.inv_minus_k2)
+    laplacian(psi) = -d(rho)/dx, as real arrays: the products of the
+    imaginary symbols ``ikx`` and ``iky`` are real, and vanish wherever a
+    factor does (the Nyquist modes)."""
+    return ((grid.ikx * grid.iky).real * grid.inv_minus_k2,
+            -(grid.ikx * grid.ikx).real * grid.inv_minus_k2)
 
 
 def ipm_velocity(rho: SpectralField2) -> VectorField2:

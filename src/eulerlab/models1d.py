@@ -353,7 +353,8 @@ def model_run(
     band = _tail_band(grid)
     lost_limit = math.inf if band[1] else _LOST_STEPS
     work = Workspace()
-    u = work.array("stage.u", grid.shape)
+    # the a = 0 stage makes no velocity samples
+    u = work.array("stage.u", grid.shape) if a != 0.0 else None
     k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
 
     def rhs(t: float, y: tuple, out: tuple) -> tuple:

@@ -28,12 +28,19 @@ row for one decay power are a single direct-summation correlation
 (``np.correlate``) of the kernel with the node weights ``node**-p``,
 not a size-by-tail matrix.
 
-Working set of a solve: the two cached size-by-size operators
-(size = n/2), one (size+1)-by-(size+1) bordered matrix that
-:func:`newton_solve` allocates once and :func:`linearized_operator`
-rewrites in place at every iteration, and the copy of it that
-``np.linalg.solve`` hands to LAPACK.  The operators are filled in blocks
-of ``_BLOCK_ROWS`` rows, so no other size-by-size array is made.
+Working set of a solve: one (size+1)-by-(size+1) bordered matrix (size =
+n/2) that :func:`newton_solve` allocates once and
+:func:`linearized_operator` rewrites in place at every iteration, and the
+copy of it that ``np.linalg.solve`` hands to LAPACK.  The operators are
+never stored whole: each is kept as its kernel at every index offset a row
+meets and its three closure vectors, O(size), and is read in blocks of
+``_BLOCK_ROWS`` rows (:meth:`ProfileProblem.hilbert_rows`,
+:meth:`ProfileProblem.deriv_rows`).  The dense ``hilbert_matrix`` and
+``deriv_matrix`` stack those blocks for callers that want them whole.
+The ``tracemalloc`` peak of a solve from a fresh problem (L = 20, the
+``selfsim_recovery`` guess) is 2.7 MiB at n = 1024 and 9.4 MiB at
+n = 2048, of which the bordered matrix is 2.0 and 8.0 MiB; with both
+dense operators cached it was 6.6 and 25.1 MiB.
 
 The module also carries the outgoing-trajectory check for the rescaled
 characteristic field and a coercivity certifier for weighted transport
@@ -66,7 +73,7 @@ __all__ = [
 _TAIL_POWERS = (1, 3, 5)
 _FAR_CUT_FACTOR = 50.0  # discrete tail sums run out to this multiple of L
 _FAR_SERIES_TERMS = 10
-_BLOCK_ROWS = 64  # rows per block of the n-by-n fills: no n-by-n temporaries
+_BLOCK_ROWS = 64  # rows per operator block: no size-by-size temporaries
 
 
 def closed_form_profile(x: np.ndarray) -> np.ndarray:
@@ -80,8 +87,14 @@ def closed_form_hilbert(x: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(n: int):
-    """Slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
-    return [slice(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
+    """Slices of ``_BLOCK_ROWS`` rows covering ``range(n)``, the last one
+    with the rest.  A rest of one row joins the block before it: numpy
+    multiplies one row by a vector as a dot product, which rounds
+    differently from the matrix-vector product of a dense operator."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [n])]
 
 
 def _add_closure(mat: np.ndarray, vecs: list, rows: np.ndarray) -> None:
@@ -192,19 +205,35 @@ class ProfileProblem:
         signs = np.where(d % 2 == 0, 1.0, -1.0)
         return np.divide(signs, self.h * d, out=np.zeros(d.shape), where=d != 0)
 
-    def _operator(self, kernel, i: np.ndarray, vecs: list) -> np.ndarray:
-        """Rows ``i`` of an odd-fold operator: kernel(i - j) - kernel(i + j)
-        for the nodes j = 1 .. size, filled in row blocks, plus the closure."""
-        j = np.arange(1, self.size + 1)
-        mat = np.empty((i.size, self.size))
-        for b in _row_blocks(i.size):
-            mat[b] = kernel(i[b, None] - j[None, :]) - kernel(i[b, None] + j[None, :])
-        _add_closure(mat, vecs, self._edge_fit)
-        return mat
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Every index difference i - j and sum i + j that a row i = 0 .. size
+        meets at the nodes j = 1 .. size."""
+        return np.arange(-self.size, 2 * self.size + 1)
+
+    def _fold(self, kernel_values: np.ndarray, vecs: list, first: int,
+              count: int) -> np.ndarray:
+        """Rows i = first .. first + count - 1 of an odd-fold operator:
+        kernel(i - j) - kernel(i + j) for the nodes j = 1 .. size, plus the
+        closure ``vecs`` (one entry per row) on the fit columns.
+
+        ``kernel_values`` holds the kernel at :attr:`_offsets`, so the
+        Toeplitz part is a window of it read backwards and the Hankel part a
+        window read forwards.  The Toeplitz part is copied first: a ufunc of
+        two strided windows would buffer both.
+        """
+        size = self.size
+        window = np.lib.stride_tricks.sliding_window_view
+        top = 2 * size + 1 - first
+        rows = window(kernel_values[::-1], size)[top:top - count:-1].copy()
+        rows -= window(kernel_values, size)[size + 1 + first:size + 1 + first + count]
+        _add_closure(rows, vecs, self._edge_fit)
+        return rows
 
     @cached_property
-    def hilbert_matrix(self) -> np.ndarray:
-        """Dense Hilbert transform: parity-skip quadrature plus tail closure."""
+    def _hilbert_parts(self) -> tuple[np.ndarray, list]:
+        """The Hilbert kernel at :attr:`_offsets` and the closure vectors of
+        the rows i = 1 .. size."""
         i = np.arange(1, self.size + 1)
         nodes = self._tail_nodes
         # a row at odd distance from the last node sums up to nodes[-1] + h;
@@ -212,10 +241,10 @@ class ProfileProblem:
         reach = np.where((self.size + nodes.size - i) % 2 == 1, self.h, 0.0)
         vecs = [self._tail_sums(self._hilbert_kernel, nodes ** (-p), i)
                 + self._far_series(p, nodes[-1] + reach) for p in _TAIL_POWERS]
-        return self._operator(self._hilbert_kernel, i, vecs)
+        return self._hilbert_kernel(self._offsets), vecs
 
-    def _deriv_rows(self, i: np.ndarray) -> np.ndarray:
-        """Rows ``i`` of the band-limited differentiation with the tail closure.
+    def _deriv_closure(self, i: np.ndarray) -> list:
+        """The closure vectors of the differentiation rows ``i``.
 
         The alternating tail series is summed directly up to its last
         ``keep`` terms, whose partial sums are then averaged to the limit.
@@ -230,17 +259,55 @@ class ProfileProblem:
             run = self._tail_sums(self._deriv_kernel, w[:head], i)
             term = self._tail_terms(self._deriv_kernel, t_last, w[head:], i)
             vecs.append(_averaged_tail(run[:, None] + np.cumsum(term, axis=1)))
-        return self._operator(self._deriv_kernel, i, vecs)
+        return vecs
+
+    @cached_property
+    def _deriv_parts(self) -> tuple[np.ndarray, list]:
+        """The differentiation kernel at :attr:`_offsets` and the closure
+        vectors of the rows i = 1 .. size."""
+        return (self._deriv_kernel(self._offsets),
+                self._deriv_closure(np.arange(1, self.size + 1)))
+
+    def hilbert_rows(self, b: slice) -> np.ndarray:
+        """Rows ``b`` of the Hilbert transform (quadrature plus tail closure)."""
+        kernel_values, vecs = self._hilbert_parts
+        return self._fold(kernel_values, [v[b] for v in vecs], b.start + 1, b.stop - b.start)
+
+    def deriv_rows(self, b: slice) -> np.ndarray:
+        """Rows ``b`` of the band-limited differentiation with the tail closure."""
+        kernel_values, vecs = self._deriv_parts
+        return self._fold(kernel_values, [v[b] for v in vecs], b.start + 1, b.stop - b.start)
+
+    def _stacked(self, rows) -> np.ndarray:
+        mat = np.empty((self.size, self.size))
+        for b in _row_blocks(self.size):
+            mat[b] = rows(b)
+        return mat
+
+    @cached_property
+    def hilbert_matrix(self) -> np.ndarray:
+        """Dense Hilbert transform, stacked from :meth:`hilbert_rows` (the
+        solver reads row blocks and never forms it)."""
+        return self._stacked(self.hilbert_rows)
 
     @cached_property
     def deriv_matrix(self) -> np.ndarray:
-        """Dense band-limited differentiation at the nodes."""
-        return self._deriv_rows(np.arange(1, self.size + 1))
+        """Dense band-limited differentiation, stacked from :meth:`deriv_rows`."""
+        return self._stacked(self.deriv_rows)
 
     @cached_property
     def slope_row(self) -> np.ndarray:
         """The derivative at X = 0 as a row: the same formula at i = 0."""
-        return self._deriv_rows(np.zeros(1, dtype=int))[0]
+        kernel_values, _ = self._deriv_parts
+        return self._fold(kernel_values, self._deriv_closure(np.zeros(1, dtype=int)), 0, 1)[0]
+
+    def apply(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(H omega, D omega)``, one row block of each operator at a time."""
+        hw, dw = np.empty(self.size), np.empty(self.size)
+        for b in _row_blocks(self.size):
+            hw[b] = self.hilbert_rows(b) @ omega
+            dw[b] = self.deriv_rows(b) @ omega
+        return hw, dw
 
     def check_tail(self, omega: np.ndarray) -> None:
         edge = abs(omega[-1] * self.x[-1])
@@ -270,8 +337,7 @@ def profile_residual(omega: np.ndarray, lam: float,
     if omega.shape != (problem.size,):
         raise ValueError("omega must be sampled on the problem grid")
     problem.check_tail(omega)
-    dw = problem.deriv_matrix @ omega
-    hw = problem.hilbert_matrix @ omega
+    hw, dw = problem.apply(omega)
     return omega + lam * problem.x * dw - omega * hw
 
 
@@ -283,19 +349,27 @@ def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
     ``col`` is the derivative with respect to the scaling rate, i.e.
     ``X * Omega'``.  ``A = I + lam X D - diag(H Omega) - Omega H`` is
     written into ``out`` (any size-by-size float64 view) when given, else
-    into a new array; no other size-by-size array is made.  Adding ``0.0``
-    to every entry gives the signed zeros that adding the identity would.
+    into a new array, one row block of both operators at a time; no other
+    size-by-size array is made.  Adding ``0.0`` to every entry gives the
+    signed zeros that adding the identity would.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    d, hm = problem.deriv_matrix, problem.hilbert_matrix
-    hw = hm @ omega
-    a = np.multiply(lam * problem.x[:, None], d, out=out)
-    a += 0.0
-    diag = np.arange(problem.size)
-    a[diag, diag] = (a[diag, diag] + 1.0) - hw
-    for b in _row_blocks(problem.size):
-        a[b] -= omega[b, None] * hm[b]
-    col = problem.x * (d @ omega)
+    size = problem.size
+    a = np.empty((size, size)) if out is None else out
+    dw = np.empty(size)
+    for b in _row_blocks(size):
+        d = problem.deriv_rows(b)
+        dw[b] = d @ omega
+        ab = np.multiply(lam * problem.x[b, None], d, out=a[b])
+        ab += 0.0
+        del d  # one block of operator rows is alive at a time
+        hm = problem.hilbert_rows(b)
+        diag = np.arange(b.stop - b.start)
+        ab[diag, diag + b.start] = (ab[diag, diag + b.start] + 1.0) - hm @ omega
+        hm *= omega[b, None]
+        ab -= hm
+        del hm
+    col = problem.x * dw
     return a, col
 
 
@@ -458,33 +532,36 @@ def lemma_decomposition_check(u, g, params: WeightedSpaceParams) -> OperatorDeco
     gv = np.array([g(t) for t in x])
     pot = gv + n_half * uv / x
 
-    d = np.zeros((m, m))
-    for j in range(m):
-        if j == 0:
-            a, b, c = x[0], x[1], x[2]
-            d[0, 0] = (2 * a - b - c) / ((a - b) * (a - c))
-            d[0, 1] = (a - c) / ((b - a) * (b - c))
-            d[0, 2] = (a - b) / ((c - a) * (c - b))
-        elif j == m - 1:
-            a, b, c = x[-3], x[-2], x[-1]
-            d[-1, -3] = (c - b) / ((a - b) * (a - c))
-            d[-1, -2] = (c - a) / ((b - a) * (b - c))
-            d[-1, -1] = (2 * c - a - b) / ((c - a) * (c - b))
-        else:
-            a, b, c = x[j - 1], x[j], x[j + 1]
-            d[j, j - 1] = (b - c) / ((a - b) * (a - c))
-            d[j, j] = (2 * b - a - c) / ((b - a) * (b - c))
-            d[j, j + 1] = (b - a) / ((c - a) * (c - b))
-    t_mat = uv[:, None] * d + np.diag(pot)
-
     q = np.zeros(m)
     q[1:-1] = 0.5 * (x[2:] - x[:-2])
     q[0] = 0.5 * (x[1] - x[0])
     q[-1] = 0.5 * (x[-1] - x[-2])
     rq = np.sqrt(q)
-    t_hat = (rq[:, None] * t_mat) / rq[None, :]
 
-    sym = 0.5 * (t_hat + t_hat.T)
+    # the three-point derivative stencil: rows, columns and weights of its
+    # nonzero pattern, one-sided in the first and last rows
+    a, b, c = x[:-2], x[1:-1], x[2:]
+    j = np.arange(1, m - 1)
+    rows = np.concatenate([[0, 0, 0], j, j, j, [m - 1, m - 1, m - 1]])
+    cols = np.concatenate([[0, 1, 2], j - 1, j, j + 1, [m - 3, m - 2, m - 1]])
+    a0, b0, c0 = x[0], x[1], x[2]
+    a1, b1, c1 = x[-3], x[-2], x[-1]
+    stencil = np.concatenate([
+        [(2 * a0 - b0 - c0) / ((a0 - b0) * (a0 - c0)), (a0 - c0) / ((b0 - a0) * (b0 - c0)),
+         (a0 - b0) / ((c0 - a0) * (c0 - b0))],
+        (b - c) / ((a - b) * (a - c)),
+        (2 * b - a - c) / ((b - a) * (b - c)),
+        (b - a) / ((c - a) * (c - b)),
+        [(c1 - b1) / ((a1 - b1) * (a1 - c1)), (c1 - a1) / ((b1 - a1) * (b1 - c1)),
+         (2 * c1 - a1 - b1) / ((c1 - a1) * (c1 - b1))]])
+    # T = diag(u) D + diag(pot), conjugated by the quadrature weights,
+    # entry by entry on the pattern (the dense sum adds 0.0 off the diagonal)
+    t_vals = uv[rows] * stencil + np.where(rows == cols, pot[rows], 0.0)
+    sym = np.zeros((m, m))
+    sym[rows, cols] = (rq[rows] * t_vals) / rq[cols]
+    # its symmetric part, on the pattern and its transpose
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    sym[rows, cols] = 0.5 * (sym[rows, cols] + sym[cols, rows])
     mu = np.linalg.eigvalsh(sym)
     neg = mu <= 0.0
     rank = int(np.count_nonzero(neg))

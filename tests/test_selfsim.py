@@ -203,6 +203,32 @@ class TestWorkingSet:
         assert sol.converged
         assert peak < 4 * (n // 2) ** 2 * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
+    def test_newton_reads_the_operators_in_row_blocks(self):
+        """On a fresh problem at n = 1024 the solve holds the bordered
+        matrix, O(n) operator parts and one row block at a time: its traced
+        peak stays below 1.5 (n/2)^2 float64 values (3 MiB), and it never
+        forms the dense operators (6.6 MiB when it did)."""
+        n = 1024
+        tracemalloc.start()
+        try:
+            pb = ss.ProfileProblem(n=n, L=20.0)
+            sol = ss.newton_solve(pb, presets.perturbed_profile(pb, 0.05), lam0=1.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 1.5 * (n // 2) ** 2 * 8, f"traced peak {peak / 2**20:.2f} MiB"
+        assert "hilbert_matrix" not in vars(pb) and "deriv_matrix" not in vars(pb)
+
+    # size 65 ends in a one-row rest, which joins the block before it
+    @pytest.mark.parametrize("n, L", [(256, 17.3), (1024, 20.0), (130, 13.7)])
+    def test_block_matvecs_are_bit_identical_to_the_dense_ones(self, n, L):
+        pb = ss.ProfileProblem(n=n, L=L)
+        w = presets.perturbed_profile(pb, 0.05)
+        hw, dw = pb.apply(w)
+        assert _same_bits(hw, pb.hilbert_matrix @ w)
+        assert _same_bits(dw, pb.deriv_matrix @ w)
+
 
 class TestProfileResidual:
     def test_vanishes_at_the_closed_form_pair(self, problem_512, problem_1024):
@@ -318,6 +344,49 @@ class TestLemmaDecomposition:
         mu, _ = np.linalg.eigh(seen[-1])  # the Gauss-Legendre rule makes the first
         assert dec.rank == np.count_nonzero(mu <= 0.0)
         assert dec.c_coercive == pytest.approx(mu[mu > 0.0].min(), rel=1e-14, abs=0.0)
+
+    def test_symmetric_part_is_the_dense_formula_on_its_band(self, monkeypatch):
+        """The check writes the symmetric part into one m-by-m array (traced
+        peak below two of them), and its split reads the bits of the dense
+        conjugation of diag(u) D + diag(pot)."""
+        u, g = (lambda t: t * (1.0 - t)), (lambda t: 1.0)
+        params = ss.WeightedSpaceParams(N=8, delta=0.1)
+        tracemalloc.start()
+        try:
+            dec = ss.lemma_decomposition_check(u, g, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        x = dec.x
+        m = x.size
+        assert peak < 2 * m * m * 8, f"traced peak {peak / 2**20:.2f} MiB"
+        seen, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(seen.append(a.copy()) or a))
+        ss.lemma_decomposition_check(u, g, params)
+        uv = np.array([u(t) for t in x])
+        pot = np.array([g(t) for t in x]) + 0.5 * params.N * uv / x
+        d = np.zeros((m, m))
+        for j in range(m):
+            k = min(max(j, 1), m - 2)  # the stencil's centre; one-sided at the ends
+            a, b, c = x[k - 1], x[k], x[k + 1]
+            if j == 0:
+                d[0, :3] = [(2 * a - b - c) / ((a - b) * (a - c)),
+                            (a - c) / ((b - a) * (b - c)), (a - b) / ((c - a) * (c - b))]
+            elif j == m - 1:
+                d[-1, -3:] = [(c - b) / ((a - b) * (a - c)), (c - a) / ((b - a) * (b - c)),
+                              (2 * c - a - b) / ((c - a) * (c - b))]
+            else:
+                d[j, j - 1:j + 2] = [(b - c) / ((a - b) * (a - c)),
+                                     (2 * b - a - c) / ((b - a) * (b - c)),
+                                     (b - a) / ((c - a) * (c - b))]
+        q = np.concatenate([[x[1] - x[0]], x[2:] - x[:-2], [x[-1] - x[-2]]]) * 0.5
+        rq = np.sqrt(q)
+        t_hat = (rq[:, None] * (uv[:, None] * d + np.diag(pot))) / rq[None, :]
+        sym = 0.5 * (t_hat + t_hat.T)
+        assert _same_bits(seen[-1], sym)
+        mu = real(sym)
+        assert dec.rank == np.count_nonzero(mu <= 0.0)
+        assert _same_bits(np.float64(dec.c_coercive), mu[mu > 0.0].min())
 
     @pytest.mark.parametrize("N", [6, 8, 10])
     @pytest.mark.parametrize("name", ["parabola", "sine"])

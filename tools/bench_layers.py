@@ -41,10 +41,14 @@ first, and each child measures in-process:
   sampler builds and sampled points per flow step.  A short run with
   markers comes first, so the timed run finds the cached spline symbols
   and its workspace sizes warm;
-- ``selfsim_1024_build_ms`` and ``selfsim_1024_newton_ms``: building both
-  dense operators of a fresh n = 1024, L = 20 ``selfsim.ProfileProblem``,
-  and ``selfsim.newton_solve`` on it from the ``selfsim_recovery`` guess
-  (5% bump, lam0 1.1, tol 1e-10); median of 5 problems;
+- ``selfsim_1024_build_ms`` and ``selfsim_1024_newton_ms``: building what
+  a solve caches of the operators of a fresh n = 1024, L = 20
+  ``selfsim.ProfileProblem``, and ``selfsim.newton_solve`` on it from the
+  ``selfsim_recovery`` guess (5% bump, lam0 1.1, tol 1e-10); median of 5
+  problems.  The build is timed as the solve's own first calls, the slope
+  row and the residual of the guess, so it measures whatever a tree
+  caches there (the dense operators, or their kernels and closure vectors
+  that row blocks are formed from at every use);
 - ``refined_sup_65536_ms``: one ``models1d.refined_sup`` call on the
   n = 65536 CLM datum of the ``solvers-1d`` benchmark workload (cosine,
   amplitude 20), median of 30;
@@ -68,12 +72,21 @@ Each round also measures start-up per tree, in fresh interpreters:
 - ``selfsim_1024_maxrss_mb`` and ``selfsim_2048_maxrss_mb``: the same for
   one interpreter that dispatches the ``selfsim_recovery`` shape (L = 20,
   5% bump, lam0 1.1) at n = 1024 and at n = 2048;
-- ``euler_256_peak_rss_mb``: the peak resident set of one interpreter that
-  dispatches the run of the ``euler-256`` benchmark workload (its config
-  for seed 1, from ``bench/workloads.py``), read as ``VmHWM`` from
-  ``/proc/self/status``: unlike ``ru_maxrss``, which the benchmark reports
-  and which starts at the resident set of the process that started the
-  child, it counts the interpreter's own pages only (Linux).
+- ``clm_65536_minflt``: the minor page faults (``ru_minflt``) of that CLM
+  run in one interpreter that has made one such run before and nothing
+  else: how often the allocator hands memory back to the system and
+  faults it in again, a count that repeats exactly from run to run where
+  the time does not.  It is not taken in the child above, whose 2D runs
+  have raised glibc's mmap threshold past the CLM temporaries, so that
+  they never leave the heap;
+- ``euler_256_peak_rss_mb`` and ``solvers_1d_peak_rss_mb``: the peak
+  resident set of one interpreter that dispatches the runs of the
+  ``euler-256`` or of the ``solvers-1d`` benchmark workload (their configs
+  for seed 1, from ``bench/workloads.py``, back to back), read as
+  ``VmHWM`` from ``/proc/self/status``: unlike ``ru_maxrss``, which the
+  benchmark reports and which starts at the resident set of the process
+  that started the child, it counts the interpreter's own pages only
+  (Linux).
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -82,7 +95,8 @@ results.
 With ``--gates`` the tool also times, per tree and round, the acceptance
 gates 03, 06 and 07 with pytest in the checkout that holds the source tree
 (``SRC/../tests``).  The output is one JSON object: per metric, the values
-of every round and their median for each tree, plus the environment.  All
+of every round and their median for each tree, and the ratio of the
+medians (null where the parent's is 0), plus the environment.  All
 inputs are seeded, so both trees do the same arithmetic.
 """
 
@@ -247,9 +261,10 @@ builds, solves = [], []
 for _ in range(5):
     t0 = time.perf_counter()
     problem = selfsim.ProfileProblem(n=1024, L=20.0)
-    problem.hilbert_matrix, problem.deriv_matrix
+    guess = presets.perturbed_profile(problem, 0.05)
+    problem.slope_row, selfsim.profile_residual(guess, 1.1, problem)
     t1 = time.perf_counter()
-    sol = selfsim.newton_solve(problem, presets.perturbed_profile(problem, 0.05), lam0=1.1)
+    sol = selfsim.newton_solve(problem, guess, lam0=1.1)
     assert sol.converged
     builds.append(t1 - t0)
     solves.append(time.perf_counter() - t1)
@@ -301,12 +316,28 @@ print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
 """
 
 
-# one config in a fresh interpreter: its own peak RSS (VmHWM), in MiB
+# the minor page faults of a warm CLM run of the solvers-1d shape in a
+# fresh interpreter
+_CLM_FAULTS = r"""
+import json, resource
+from eulerlab import models1d, presets
+from eulerlab.grids import Grid1
+datum = presets.clm_cosine(Grid1(65536), 20.0)
+models1d.model_run(datum, "clm", t_end=0.2, cfl=0.2, omega_cap=10500.0)
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+models1d.model_run(datum, "clm", t_end=0.2, cfl=0.2, omega_cap=10500.0)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))
+"""
+
+
+# (config, expected exit) pairs run back to back in a fresh interpreter:
+# its own peak RSS (VmHWM), in MiB
 _HWM_FOOTPRINT = r"""
 import json, sys, tempfile
 from eulerlab import cli, config
-with tempfile.TemporaryDirectory() as out:
-    assert cli.dispatch(config.parse_config(sys.argv[1]), out) == cli.EXIT_OK
+for text, expected in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.dispatch(config.parse_config(text), out) == expected
 with open("/proc/self/status") as fh:
     hwm = next(line for line in fh if line.startswith("VmHWM:"))
 print(json.dumps(int(hwm.split()[1]) / 1024.0))
@@ -314,19 +345,22 @@ print(json.dumps(int(hwm.split()[1]) / 1024.0))
 
 
 @functools.cache
-def _euler_256_config() -> str:
-    """The config of the ``euler-256`` benchmark workload for seed 1.
+def _workload_runs(name: str) -> str:
+    """The (config, expected exit) pairs of a benchmark workload for seed 1,
+    as JSON.
 
-    It is made in a child: the transforms of its ``rms`` would raise this
-    process's resident set, which the ``ru_maxrss`` rows of the children
-    it starts afterwards would read as their floor."""
-    script = ('import workloads; (run,) = workloads.WORKLOADS["euler-256"].make_runs(1); '
-              'print(run.config, end="")')
+    They are made in a child: the transforms of the ``euler-256`` config's
+    ``rms`` would raise this process's resident set, which the
+    ``ru_maxrss`` rows of the children it starts afterwards would read as
+    their floor."""
+    script = ("import json, workloads; print(json.dumps([[run.config, run.expected_exit] "
+              f"for run in workloads.WORKLOADS[{name!r}].make_runs(1)]))")
     return subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT / "bench", check=True,
-                          stdout=subprocess.PIPE, text=True).stdout
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
-def _maxrss(script: str, env: dict, *args: str):
+def _fresh(script: str, env: dict, *args: str):
+    """Run ``script`` in a fresh interpreter; the JSON of its last line."""
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -343,15 +377,17 @@ def _startup(src: Path) -> dict:
     trace = subprocess.run([sys.executable, "-X", "importtime", "-c", "from eulerlab import cli"],
                            env=env, check=True, stderr=subprocess.PIPE, text=True).stderr
     line = next(ln for ln in trace.splitlines() if ln.split("|")[-1].strip() == "eulerlab.cli")
-    maxrss_mb, markers_count = _maxrss(_MARKERS_FOOTPRINT, env)
+    maxrss_mb, markers_count = _fresh(_MARKERS_FOOTPRINT, env)
     return {"import_cli_ms": statistics.median(times),
             "scipy_modules_at_import": count,
             "importtime_cli_ms": int(line.split("|")[1]) / 1e3,
             "markers_96_maxrss_mb": maxrss_mb,
             "scipy_modules_after_markers_96": markers_count,
-            "selfsim_1024_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 1024, env),
-            "selfsim_2048_maxrss_mb": _maxrss(_SELFSIM_FOOTPRINT % 2048, env),
-            "euler_256_peak_rss_mb": _maxrss(_HWM_FOOTPRINT, env, _euler_256_config())}
+            "selfsim_1024_maxrss_mb": _fresh(_SELFSIM_FOOTPRINT % 1024, env),
+            "selfsim_2048_maxrss_mb": _fresh(_SELFSIM_FOOTPRINT % 2048, env),
+            "clm_65536_minflt": _fresh(_CLM_FAULTS, env),
+            "euler_256_peak_rss_mb": _fresh(_HWM_FOOTPRINT, env, _workload_runs("euler-256")),
+            "solvers_1d_peak_rss_mb": _fresh(_HWM_FOOTPRINT, env, _workload_runs("solvers-1d"))}
 
 
 def _child(src: Path) -> dict:
@@ -400,7 +436,8 @@ def main(argv=None) -> int:
         for label in trees:
             values = [r[key] for r in runs[label]]
             entry[label] = {"median": statistics.median(values), "values": values}
-        entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+        parent = entry["parent"]["median"]
+        entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
         metrics[key] = entry
     report = {"environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                               "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
