@@ -1,25 +1,19 @@
 """2D incompressible Euler in vorticity form, plus steady-state tooling.
 
 The solver advances the dealiased pseudo-spectral vorticity equation with
-RK4 under a CFL-limited adaptive step.  Runs can co-transport passive
-scalars (inside the same RK4 stages) and a marker lattice, and emit
-conservation/BKM diagnostics at a fixed cadence.  The markers do not act
-on the flow, so they step apart from it: one RK4 step per two flow steps
-(one where a diagnostics time or the end ends the first), with velocities
-sampled only at the flow's step boundaries and, for the mid-time, a cubic
-Hermite value in time through the velocities and their time derivatives
-at the boundaries (dense output, Hairer, Norsett and Wanner, *Solving
-ODEs I*, section II.6).  The lifts stay 4th-order in time.
+RK4 under a CFL-limited adaptive step.  Runs can carry a marker lattice
+and emit conservation/BKM diagnostics at a fixed cadence.  The markers do
+not act on the flow, so they step apart from it: one RK4 step per two flow
+steps (one where a diagnostics time or the end ends the first), with
+velocities sampled only at the flow's step boundaries and, for the
+mid-time, a cubic Hermite value in time through the velocities and their
+time derivatives at the boundaries (dense output, Hairer, Norsett and
+Wanner, *Solving ODEs I*, section II.6).  The lifts stay 4th-order in time.
 
 Steady-state tooling covers the stream-function formulation: the residual
 under the Euler stage, an inexact-Newton solver for the semilinear balance
-``laplacian(psi) = F(psi)`` on mean-free fields, a convexity-based
-stability certificate with a perturbation experiment, and a dense probe
-for kernels of the linearized operator.
-
-On the torus the boundary condition of the classical stability theorem is
-replaced by a mean-free constraint on psi; the certificate is that torus
-adaptation, not a verbatim transcription.
+``laplacian(psi) = F(psi)`` on mean-free fields, and a dense probe for
+kernels of the linearized operator.
 """
 
 from __future__ import annotations
@@ -34,8 +28,7 @@ from .grids import Grid2
 from .lagrangian import (MarkerTrack, ParticleSet, VelocitySampler, _lattice_gradient,
                          check_lattice)
 from .operators import (_scratch, _stream_function, _velocity_component, biot_savart, dealias,
-                        gradient_sup, leray_project, transport_coeffs)
-from .presets import random_bandlimited
+                        leray_project, transport_coeffs)
 # not called here (a run hands its fields to its ``snapshot`` callable); the
 # name stays bound for bench/test_bench.py, which checks that the tracer
 # rebinds ``write_snapshot`` in this module
@@ -75,8 +68,6 @@ class EulerRunResult:
     final: EulerState
     diagnostics: list
     marker_snapshots: list = dc_field(default_factory=list)
-    scalars: dict = dc_field(default_factory=dict)
-    scalar_gradients: dict = dc_field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -84,15 +75,15 @@ class EulerRunResult:
 
 
 class _StageEval:
-    """One RK4 stage of (vorticity, *scalars): the velocity of the vorticity
-    transports all of them.
+    """One RK4 stage of the vorticity, as the one-entry tuples of
+    :func:`eulerlab.stepping.march`.
 
     Everything the stage computes lives in its workspace and is rewritten by
     the next stage: the stream function, in the scratch that the transport
     takes over once the velocity samples are made; one velocity coefficient
     array, which the two components go through in turn; the velocity
     samples, which stay until then for the CFL rule.  The tendencies go
-    into ``out``, whose entries may be ``None`` for freshly allocated ones;
+    into ``out``, whose entry may be ``None`` for a freshly allocated one;
     ``k`` is the vorticity tendency of the latest stage.
     """
 
@@ -105,13 +96,13 @@ class _StageEval:
 
     def __call__(self, t: float, y: tuple, out: tuple) -> tuple:
         g, w = self.grid, self.work
-        c, *scalars = y
+        (c,) = y
         psi = _stream_function(c, g, _scratch(g, w)[0])
         u1v, u2v = (to_values(_velocity_component(psi, g, i, self.uc), v)
                     for i, v in enumerate((self.u1v, self.u2v)))
         self.k = k = transport_coeffs(c, u1v, u2v, g, out[0], w)
         k[0, 0] = 0.0
-        return (k, *(transport_coeffs(s, u1v, u2v, g, o, w) for s, o in zip(scalars, out[1:])))
+        return (k,)
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, powers,
@@ -138,40 +129,34 @@ def _check_finite(rec: DiagnosticsRecord) -> bool:
 
 def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         diag_every: float = 0.5, casimirs=(4,), marker_lattice: int | None = None,
-        scalars: dict | None = None, snapshot_every: float = 0.0, observer=None,
-        snapshot=None) -> EulerRunResult:
+        snapshot_every: float = 0.0, snapshot=None) -> EulerRunResult:
     """Advance 2D Euler to t_end with diagnostics at a fixed cadence.
 
-    Optional extras ride along: named passive scalar fields, transported
-    inside the same RK4 stages, whose sup-gradient history is recorded, and
-    a marker lattice (``marker_lattice`` markers per direction) whose
-    snapshots are stored at the diagnostic cadence.  The markers take one
-    RK4 step per two flow steps, or one where a diagnostics time or t_end
-    ends the first.  A marker step samples the velocity at its ends and at
-    its mid-time, there as the cubic Hermite value in time through the
-    velocities and their time derivatives (the Biot-Savart velocities of
-    the vorticity tendencies) at the ends of the flow step that holds it:
-    dense output, E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary
-    Differential Equations I*, section II.6.  That value is 3rd-order in
-    the flow step, so the lifts are 4th-order in time.  ``observer(state)``
-    is called at every diagnostic time.  Every field the run saves goes to
-    ``snapshot(name, fields, t)`` (when given), with ``fields`` the list of
-    sample blocks: ``snap_NNNNN.eulb`` every ``snapshot_every`` (when
-    positive) and, before a non-finite vorticity sup after a step or
-    non-finite diagnostics raise :class:`BlowupError`, the last finite
-    state as ``checkpoint_abort.eulb``.
+    A marker lattice (``marker_lattice`` markers per direction) can ride
+    along, its snapshots stored at the diagnostic cadence.  The markers
+    take one RK4 step per two flow steps, or one where a diagnostics time or
+    t_end ends the first.  A marker step samples the velocity at its ends
+    and at its mid-time, there as the cubic Hermite value in time through
+    the velocities and their time derivatives (the Biot-Savart velocities
+    of the vorticity tendencies) at the ends of the flow step that holds
+    it: dense output, E. Hairer, S. P. Norsett and G. Wanner, *Solving
+    Ordinary Differential Equations I*, section II.6.  That value is
+    3rd-order in the flow step, so the lifts are 4th-order in time.  Every
+    field the run saves goes to ``snapshot(name, fields, t)`` (when given),
+    with ``fields`` the list of sample blocks: ``snap_NNNNN.eulb`` every
+    ``snapshot_every`` (when positive) and, before a non-finite vorticity
+    sup after a step or non-finite diagnostics raise :class:`BlowupError`,
+    the last finite state as ``checkpoint_abort.eulb``.
     """
     check_schedule(cfl, diag_every, snapshot_every)
     check_casimir_powers(casimirs)
     EulerState(omega0, 0.0)  # rejects a vorticity with a nonzero mean
     grid = omega0.grid
-    scalars = scalars or {}
-    names = list(scalars)
     # popped into march, so that the first step frees the initial state: the
     # run keeps no other reference to it
-    start = [tuple(dealias(f).coeffs for f in (omega0, *scalars.values()))]
-    del omega0, scalars
-    records, gradients, marker_snapshots = [], {name: [] for name in names}, []
+    start = [(dealias(omega0).coeffs,)]
+    del omega0
+    records, marker_snapshots = [], []
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
     work = Workspace()
@@ -194,16 +179,12 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
                 checkpoint("checkpoint_abort.eulb", omega, t)
             raise BlowupError(t, step, records[-1] if records else None)
         records.append(rec)
-        for name, fc in zip(names, y[1:]):
-            gradients[name].append(gradient_sup(fc, grid, work))
         if track is not None:
             if k1 is None:  # the end of the run, where march makes no first stage
-                stage(t, y[:1], (None,))
+                stage(t, y, (None,))
             track.boundary(t, y[0], stage.k, end=True)
             marker_snapshots.append(ParticleSet(
                 track.lifts.copy(), markers.lifts0.copy(), t, grid.lx, grid.ly))
-        if observer is not None:
-            observer(EulerState(SpectralField2.from_coeffs(grid, y[0]), t))
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
         nonlocal bkm, sup_prev
@@ -228,12 +209,9 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
                  periodic if snapshot is not None else None, after_step, work)
     # the vorticity's mean coefficient is exactly zero (it starts so, and every
     # stage zeroes it in the tendency), so the state array is the final field
-    # as it stands; a scalar's round-off mean is snapped to zero in a copy
-    return EulerRunResult(
-        final=EulerState(SpectralField2(grid, y[0]), t), diagnostics=records,
-        marker_snapshots=marker_snapshots,
-        scalars={n: SpectralField2.from_coeffs(grid, fc) for n, fc in zip(names, y[1:])},
-        scalar_gradients=gradients)
+    # as it stands
+    return EulerRunResult(final=EulerState(SpectralField2(grid, y[0]), t),
+                          diagnostics=records, marker_snapshots=marker_snapshots)
 
 
 # -- Weber formula check -------------------------------------------------------
@@ -487,61 +465,17 @@ def semilinear_solve(F, F_prime, guess: SpectralField2, tol: float = 1e-10) -> S
                        f"(residual {rnorm:.3e})")
 
 
-def _h2_norm(g: Grid2, psi_c: np.ndarray) -> float:
-    w = (1.0 + g.k2) ** 2
-    return float(math.sqrt(g.measure * np.sum(w * mode_power(g, psi_c))))
-
-
-def arnold_certificate(steady: SteadyState, epsilon: float = 1e-3,
-                       t_end: float = 20.0) -> dict:
-    """Convexity certificate for a steady state, plus a perturbation run.
-
-    Certified when F' stays positive over the attained range of psi.  The
-    experiment evolves the steady vorticity plus a random band-limited
-    perturbation (seed 0) of stream-level H2 size epsilon at CFL number 0.4
-    and records the largest H2 distance from the steady stream function,
-    sampled every 0.5 over [0, t_end].
-
-    The H2 distances are computed spectrally:
-    ``sqrt(lx*ly * sum(w (1+|k|^2)^2 |psi1_hat - psi2_hat|^2))`` over the half
-    spectrum with the grid's Parseval weight w.
-    """
-    grid = steady.psi.grid
-    pv = steady.psi.values
-    lo, hi = float(np.min(pv)), float(np.max(pv))
-    samples = np.linspace(lo, hi, 401)
-    min_fprime = float(np.min(steady.F_prime(samples)))
-    certified = min_fprime > 0.0
-
-    omega_star = SpectralField2.from_coeffs(grid, -grid.k2 * steady.psi.coeffs)
-
-    eta_psi = random_bandlimited(grid, 0, kmax=3, rms=1.0)
-    eta_psi = eta_psi * (1.0 / _h2_norm(grid, eta_psi.coeffs))
-    eta_omega = SpectralField2.from_coeffs(grid, -grid.k2 * eta_psi.coeffs)
-
-    omega_pert = omega_star + epsilon * eta_omega
-    distances = []
-
-    def observer(state: EulerState) -> None:
-        distances.append(_h2_norm(grid, grid.inv_minus_k2
-                                  * (state.omega.coeffs - omega_star.coeffs)))
-
-    run(omega_pert.project_mean_free(), t_end, cfl=0.4, diag_every=0.5, casimirs=(),
-        observer=observer)
-    return {"certified": certified, "min_Fprime": min_fprime,
-            "h2_initial": distances[0], "h2_max": float(np.max(distances)),
-            "h2_series": np.array(distances)}
-
-
 def kernel_probe(steady: SteadyState) -> dict:
-    """Smallest singular values of the linearized steady operator.
+    """Smallest singular values of the linearized steady operator, and the
+    dimension of its kernel.
 
     The operator is the one :func:`semilinear_solve` inverts, laplacian
     minus the dealiased multiplication by F'(psi) on mean-free collocation
     fields.  It is assembled densely, column by column, symmetrized, and
     the constant mode is shifted out of the way; the probe reports the 6
-    smallest singular values, flagging a kernel when sigma_min < 1e-8 *
-    sigma_max.  Dense assembly is O(N^2) memory, so probe on modest grids.
+    smallest singular values and, as ``kernel``, the kernel's dimension:
+    how many of all the singular values lie below 1e-8 * sigma_max.  Dense
+    assembly is O(N^2) memory, so probe on modest grids.
     """
     grid = steady.psi.grid
     n = grid.nx * grid.ny
@@ -561,7 +495,6 @@ def kernel_probe(steady: SteadyState) -> dict:
     eigs = np.linalg.eigvalsh(mat)
     sigma = np.sort(np.abs(eigs))
     sigma_max = float(sigma[-1])
-    smallest = [float(s) for s in sigma[:6]]
-    return {"smallest_singular_values": smallest,
+    return {"smallest_singular_values": [float(s) for s in sigma[:6]],
             "sigma_max": sigma_max,
-            "kernel": smallest[0] < 1e-8 * sigma_max}
+            "kernel": int(np.count_nonzero(sigma < 1e-8 * sigma_max))}

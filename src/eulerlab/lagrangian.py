@@ -1,8 +1,8 @@
 """Flow maps, winding diagnostics, and passive-scalar mixing tools.
 
 Particles carry both wrapped positions and lifts to the universal cover;
-winding numbers, shear-stability metrics, and Jacobian checks all operate
-on the lifts so that wrapping never introduces jumps.
+winding numbers and Jacobian checks operate on the lifts so that wrapping
+never introduces jumps.
 """
 
 from __future__ import annotations
@@ -441,27 +441,6 @@ def twisting_series(source) -> tuple[np.ndarray, np.ndarray]:
             np.array([r.spread for r in recs]))
 
 
-def lagrangian_stability_metrics(source, u_star) -> dict:
-    """Shear-relative drift metrics along a marker trajectory series.
-
-    ``u_star`` maps y to the reference horizontal shear speed.  m1 measures
-    how far particles have moved across shear lines (profile speed at the
-    current wrapped height vs the initial one); m2 compares the x-lift
-    against the straight-line drift t*u_star evaluated at the y-lift.
-    Marker norms are lattice-averaged L2.
-    """
-    ts, m1, m2 = [], [], []
-    for p in getattr(source, "marker_snapshots", source):
-        w = math.sqrt(1.0 / p.count)
-        ustar_now = u_star(p.positions[:, 1])
-        ustar_init = u_star(p.lifts0[:, 1] % p.ly)
-        drift = p.lifts[:, 0] - p.t * u_star(p.lifts[:, 1]) - p.lifts0[:, 0]
-        ts.append(p.t)
-        m1.append(w * float(np.linalg.norm(ustar_now - ustar_init)))
-        m2.append(w * float(np.linalg.norm(drift)))
-    return {"t": np.array(ts), "m1": np.array(m1), "m2": np.array(m2)}
-
-
 # -- passive scalars -----------------------------------------------------------
 
 
@@ -516,71 +495,3 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,
                         final=final, fields=fields)
-
-
-def period_function(u, seeds, dt: float = 1e-3,
-                    t_max: float = 200.0, tol: float = 1e-3) -> list[float]:
-    """First-return times of trajectories seeded on closed orbits.
-
-    ``u`` is a VectorField2, a sampler, or a callable (t, points).  The
-    seeds step as one (s, 2) state on :func:`march`.  A seed must first
-    leave its neighborhood (10x tol), then come back within ``tol`` in the
-    torus metric after at least 3 steps; its first return time is sharpened
-    by the parabola through the last three squared distances.  The seeds
-    step while t < ``t_max`` and some seed has not returned; those that
-    never return (e.g. stagnation points) yield ``inf``.
-    """
-    _check_dt(dt)
-    vel = _as_sampler(u)
-    size = (np.array([u.grid.lx, u.grid.ly]) if isinstance(u, (VectorField2, VelocitySampler))
-            else np.full(2, TWO_PI))
-    seeds = np.asarray(seeds, dtype=np.float64).reshape(-1, 2)
-    period = np.full(len(seeds), math.inf)
-    left = np.zeros(len(seeds), dtype=bool)
-    # the squared distances of the last three steps, oldest first
-    d2 = np.zeros((3, len(seeds)))
-
-    def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (vel(t, y[0]),)
-
-    def after_step(t: float, h: float, y: tuple, y_new: tuple, step: int) -> None:
-        gap = np.remainder(y_new[0] - seeds + size / 2, size) - size / 2
-        d = np.hypot(gap[:, 0], gap[:, 1])
-        d2[:2] = d2[1:]
-        d2[2] = d * d
-        back = left & (d < tol) & (period == math.inf) & (step >= 3)
-        s0, s1, s2 = d2[:, back]
-        denom = s0 - 2 * s1 + s2
-        period[back] = t + np.divide(0.5 * dt * (s0 - s2), denom,
-                                     out=np.zeros_like(denom), where=denom > 0)
-        left[d > 10.0 * tol] = True
-
-    # no horizon: a last step cut to t_max would break the parabola's equal spacing
-    march(rhs, (seeds.copy(),), math.inf, lambda t, y: dt, after_step=after_step,
-          stop=lambda t, y: not (t < t_max and np.isinf(period).any()))
-    return period.tolist()
-
-
-def gradient_growth(result, fit_window: tuple[float, float] | None = None) -> dict:
-    """Sup-gradient growth of the scalars carried by an Euler run.
-
-    Returns the recorded series for each transported scalar and, per
-    scalar, the least-squares exponential rate of the series over
-    ``fit_window`` (default: the whole run).
-    """
-    series = getattr(result, "scalar_gradients", None)
-    if not series:
-        raise ValueError("run carried no transported scalars")
-    ts = np.array([rec.t for rec in result.diagnostics])
-    out = {"t": ts, "series": {}, "rates": {}}
-    for name, vals in series.items():
-        vals = np.asarray(vals)
-        out["series"][name] = vals
-        lo, hi = fit_window if fit_window else (ts[0], ts[-1])
-        m = (ts >= lo) & (ts <= hi) & (vals > 0)
-        if np.count_nonzero(m) >= 2:
-            slope, _ = np.polyfit(ts[m], np.log(vals[m]), 1)
-            out["rates"][name] = float(slope)
-        else:
-            out["rates"][name] = 0.0
-    return out

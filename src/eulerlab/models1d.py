@@ -324,7 +324,6 @@ def model_run(
     cfl: float = 0.1,
     omega_cap: float | None = None,
     store_states: bool = False,
-    store_factor: float | None = None,
 ) -> ModelRunResult:
     """
     Integrate a 1D model on :func:`~eulerlab.stepping.march` with adaptive
@@ -339,11 +338,8 @@ def model_run(
     A spectral tail above 1e-6 sets the ``under_resolved`` flag rather
     than aborting.  A tail of at least 0.5 on 1000 consecutive
     steps raises :class:`ResolutionLost` (not at n = 8, where the tail band
-    starts at mode 1 and reads 1 on any field).
-
-    With ``store_factor`` set, states are kept only when the sup norm has
-    grown by that factor since the last stored state (plus the final one),
-    which keeps memory bounded on fine grids.
+    starts at mode 1 and reads 1 on any field).  With ``store_states`` the
+    result keeps the state of every step, the initial one first.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {tuple(MODELS)}")
@@ -373,7 +369,7 @@ def model_run(
         return cap_reached
 
     def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
-        nonlocal under_resolved, last_stored_sup, lost
+        nonlocal under_resolved, lost
         (c,) = y_new
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} (step {step})")
@@ -387,9 +383,8 @@ def model_run(
         lost = lost + 1 if tail >= _LOST_TAIL else 0
         if lost >= lost_limit:
             raise ResolutionLost(t + dt, step)
-        if store_states and (store_factor is None or sup_new >= store_factor * last_stored_sup):
+        if store_states:
             states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
-            last_stored_sup = sup_new
 
     # popped into march, so that the first step frees the initial state
     start = [(dealias(omega0).coeffs.copy(),)]
@@ -399,13 +394,9 @@ def model_run(
     cap_reached, lost = False, 0
     if store_states:
         states.append(ModelState(SpectralField1.from_coeffs(grid, start[0][0]), 0.0))
-    last_stored_sup = sups[0]
 
     t, (c,) = march(rhs, start.pop(), t_end, dt_rule, after_step=after_step, stop=stop,
                     work=work)
-
-    if store_states and states[-1].t < t:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, c), t))
 
     ts_a, sups_a = np.array(ts), np.array(sups)
     detected, t_star = False, None
@@ -420,82 +411,3 @@ def model_run(
                           under_resolved=under_resolved, cap_reached=cap_reached)
     final = ModelState(SpectralField1.from_coeffs(grid, c), t)
     return ModelRunResult(report=report, final=final, states=states)
-
-
-# -- self-similar rescaling --------------------------------------------------
-
-
-@dataclass
-class RescalingSeries:
-    """Profiles (T - t) * omega(x_star + (T - t) X) on the caller's fixed X grid."""
-
-    times: np.ndarray
-    profiles: np.ndarray  # shape (len(times), len(X))
-    cauchy_sups: np.ndarray  # sup |P_{j+1} - P_j|
-    x_star: float
-    t_star: float
-
-
-def locate_blowup_point(omega: SpectralField1) -> float:
-    """Midpoint of the adjacent extremes of omega (wrap-aware).
-
-    Near a symmetric peak/trough pair this recovers the center where the
-    field crosses zero and the rescaled profiles are odd.
-    """
-    vals = omega.values
-    x = omega.grid.x
-    xmax = x[int(np.argmax(vals))]
-    xmin = x[int(np.argmin(vals))]
-    d = (xmin - xmax) % omega.grid.length
-    if d > omega.grid.length / 2:
-        d -= omega.grid.length
-    return float((xmax + d / 2.0) % omega.grid.length)
-
-
-def selfsim_extract(
-    result: ModelRunResult,
-    X: np.ndarray | None = None,
-    n_times: int = 6,
-) -> RescalingSeries:
-    """
-    Rescale stored states near a detected blow-up onto a fixed similarity
-    grid and report sup-norm Cauchy differences between consecutive
-    rescalings (their decrease is the self-similarity diagnostic).
-
-    The rescaling centres on :func:`locate_blowup_point` of the last stored
-    state and uses the fitted blow-up time T, so it is sensitive to errors
-    in T - t at the latest times.
-    """
-    report = result.report
-    if not report.detected or report.t_star_estimate is None:
-        raise ValueError("no detected blow-up: selfsim_extract requires a detected run")
-    if not result.states:
-        raise ValueError("run was not stored with store_states=True")
-    t_star = report.t_star_estimate
-    x_star = locate_blowup_point(result.states[-1].omega)
-    if X is None:
-        X = np.linspace(-10.0, 10.0, 401)
-    X = np.asarray(X, dtype=np.float64)
-
-    usable = [st for st in result.states if st.t < t_star]
-    if len(usable) < 2:
-        raise ValueError("not enough stored states below the fitted blow-up time")
-    picks = usable[-1:]
-    s_last = t_star - picks[0].t
-    target = s_last
-    for st in reversed(usable[:-1]):
-        if t_star - st.t >= 2.0 * target:
-            picks.append(st)
-            target = t_star - st.t
-        if len(picks) == n_times:
-            break
-    picks = picks[::-1]
-
-    times = np.array([st.t for st in picks])
-    profiles = np.empty((len(picks), len(X)))
-    for j, st in enumerate(picks):
-        s = t_star - st.t
-        profiles[j] = s * st.omega.eval_at(x_star + s * X)
-    cauchy = np.max(np.abs(np.diff(profiles, axis=0)), axis=1)
-    return RescalingSeries(times=times, profiles=profiles, cauchy_sups=cauchy,
-                           x_star=x_star, t_star=t_star)

@@ -162,15 +162,21 @@ class TestRunDiagnostics:
         for a, b in zip(r1.diagnostics, r2.diagnostics):
             assert a.energy == b.energy and a.enstrophy == b.enstrophy
 
-    def test_records_match_diagnostics_from_the_coefficients(self, tmp_path):
+    def test_records_match_diagnostics_from_the_coefficients(self, tmp_path, monkeypatch):
         # the run reads the samples its steps made; a record made afresh from
         # the coefficients, and the snapshot of the same time, have its bits
         g = Grid2(32, 32)
         w = random_band(g, 4, 4, 0.5)
-        states = []
-        res = e2.run(w, 1.0, diag_every=0.25, casimirs=(2, 3, 4),
-                     snapshot=Writer(tmp_path), snapshot_every=0.25,
-                     observer=lambda s: states.append((s.t, s.omega.coeffs.copy())))
+        states, real = [], e2._diagnostics
+
+        def recording(grid, c, t, *rest):
+            states.append((t, c.copy()))
+            return real(grid, c, t, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(e2, "_diagnostics", recording)
+            res = e2.run(w, 1.0, diag_every=0.25, casimirs=(2, 3, 4),
+                         snapshot=Writer(tmp_path), snapshot_every=0.25)
         assert len(res.diagnostics) == len(states) == 5
         for rec, (t, c) in zip(res.diagnostics, states):
             assert rec == e2._diagnostics(g, c, t, rec.bkm_integral, (2, 3, 4), to_values(c),
@@ -231,13 +237,9 @@ class TestWorkspace:
         # 72^2 samples markers through the spline path, whose arrays are reused
         g = Grid2(72, 72)
         w = random_band(g, 5, 6, 0.5)
-        scalars = {"a": field(g, lambda X, Y: np.cos(X + Y)),
-                   "b": field(g, lambda X, Y: np.sin(2 * X) * np.cos(Y))}
-        first, second = (e2.run(w, 0.5, diag_every=0.25, casimirs=(), marker_lattice=8,
-                                scalars=scalars) for _ in range(2))
+        first, second = (e2.run(w, 0.5, diag_every=0.25, casimirs=(), marker_lattice=8)
+                         for _ in range(2))
         assert first.final.omega.coeffs.tobytes() == second.final.omega.coeffs.tobytes()
-        for name in scalars:
-            assert first.scalars[name].coeffs.tobytes() == second.scalars[name].coeffs.tobytes()
         for a, b in zip(first.marker_snapshots, second.marker_snapshots):
             assert a.lifts.tobytes() == b.lifts.tobytes()
         assert len(first.marker_snapshots) == 3
@@ -254,22 +256,21 @@ class TestWorkspace:
         def diagnostics(*args):
             windows.append((tracemalloc.get_traced_memory()[1] - state["base"],
                             state["steps"]))
-            return real_diag(*args)
+            rec = real_diag(*args)
+            # the end of each diagnostics call opens a window
+            tracemalloc.reset_peak()
+            state.update(base=tracemalloc.get_traced_memory()[0], steps=0)
+            return rec
 
         def counting_cfl(*args):
             state["steps"] += 1
             return real_cfl(*args)
 
-        def observer(_):  # the end of each diagnostics call opens a window
-            tracemalloc.reset_peak()
-            state.update(base=tracemalloc.get_traced_memory()[0], steps=0)
-
         monkeypatch.setattr(e2, "_diagnostics", diagnostics)
         monkeypatch.setattr(e2, "cfl_dt", counting_cfl)
         tracemalloc.start()
         try:
-            e2.run(w, 3.0, cfl=0.4, diag_every=1.0, casimirs=(), observer=observer,
-                   scalars={"s": field(g, lambda X, Y: np.cos(X + 2 * Y))})
+            e2.run(w, 3.0, cfl=0.4, diag_every=1.0, casimirs=())
         finally:
             tracemalloc.stop()
         bound = 2 * 16 * g.coeff_shape[0] * g.coeff_shape[1]
@@ -279,7 +280,7 @@ class TestWorkspace:
 
     def test_whole_run_holds_its_working_set(self):
         """A whole run at 128^2 (the t = 0 record, the steps, snapshots and the
-        final state, no markers, no scalars) from a vorticity it alone holds
+        final state, no markers) from a vorticity it alone holds
         peaks below 15.5 coefficient arrays: its workspace (the five RK4
         sets, the stage's velocity coefficients, samples and scratch, and
         the vorticity samples) is 12, and the inverse transform's temporary
@@ -490,30 +491,21 @@ class TestKernelProbe:
         probe = e2.kernel_probe(st_)
         assert probe["kernel"]
 
+    @pytest.mark.parametrize("n, r2", [(1, 4), (2, 4), (5, 8), (25, 12)])
+    def test_kernel_of_a_resonant_shift_counts_the_lattice_points(self, n, r2):
+        # at psi = 0 with F' = -n the operator is -|k|^2 + n on the band, so
+        # its kernel is the modes with |k|^2 = n: r2(n) of them, all inside
+        # the 2/3 band of a 24^2 grid
+        g = Grid2(24, 24)
+        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.full_like(s, -float(n)),
+                             0.0, 0.0, 0)
+        assert e2.kernel_probe(st_)["kernel"] == r2
+
     def test_guards(self):
         g = Grid2(128, 128)
         st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.ones_like(s), 0.0, 0.0, 0)
         with pytest.raises(ValueError, match="too large"):
             e2.kernel_probe(st_)
-
-
-class TestStabilityCertificate:
-    def test_monotone_profile_is_certified(self):
-        g = Grid2(64, 64)
-        st_ = e2.SteadyState(SpectralField2.zeros(g), lambda s: np.ones_like(s), 0.0, 0.0, 0)
-        cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=20.0)
-        assert cert["certified"]
-        assert cert["min_Fprime"] == pytest.approx(1.0)
-        assert cert["h2_max"] / cert["h2_initial"] < 1.5
-
-    def test_resonant_profile_is_not_certified(self):
-        g = Grid2(64, 64)
-        guess = field(g, lambda X, Y: np.cos(X) * np.cos(Y))
-        st_ = e2.SteadyState(guess, lambda s: -2 * np.ones_like(s), 0.0, 0.0, 0)
-        cert = e2.arnold_certificate(st_, epsilon=1e-3, t_end=5.0)
-        assert not cert["certified"]
-        assert cert["min_Fprime"] == pytest.approx(-2.0)
-        assert cert["h2_max"] / cert["h2_initial"] < 2.0
 
 
 class TestMarkerSteps:
@@ -586,15 +578,20 @@ class TestMarkerSteps:
         g = Grid2(32, 32)
         w = field(g, lambda X, Y: np.cos(Y))
         dt = 0.4 * g.dx
-        counts, real = [0], e2.cfl_dt
+        counts, real, real_diag = [0], e2.cfl_dt, e2._diagnostics
 
         def counting(*args):
             counts[-1] += 1
             return real(*args)
 
+        def diagnostics(*args):  # each diagnostics time starts a new count
+            counts.append(0)
+            return real_diag(*args)
+
         monkeypatch.setattr(e2, "cfl_dt", counting)
+        monkeypatch.setattr(e2, "_diagnostics", diagnostics)
         res = e2.run(w, 4 * 2.9 * dt, cfl=0.4, diag_every=2.9 * dt, casimirs=(),
-                     marker_lattice=8, observer=lambda state: counts.append(0))
+                     marker_lattice=8)
         assert counts[1:-1] == [3, 3, 3, 3]
         assert [s.t for s in res.marker_snapshots] == list(res.times)
         for p in res.marker_snapshots:

@@ -241,6 +241,20 @@ class TestAdvection:
         assert 100.0 - q.t > 1e-12
         assert calls[-1] == q.t
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_a_step_that_cannot_advance_is_rejected(self, dt):
+        def hang(signum, frame):
+            raise TimeoutError(f"dt = {dt} did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="dt"):
+                lag.advect(lag.ParticleSet.lattice(2), cell_velocity, dt, n_steps=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_stage_times_start_at_the_particles_time(self):
         calls = []
 
@@ -333,17 +347,6 @@ class TestWinding:
         assert np.all(np.diff(spreads) > 0)
         with pytest.raises(ValueError, match="snapshot"):
             lag.twisting_series([])
-
-
-class TestStabilityMetrics:
-    def test_unperturbed_shear_has_zero_drift(self):
-        g = Grid2(64, 64)
-        w = field(g, lambda X, Y: np.cos(Y))
-        res = e2.run(w, 2.0, diag_every=0.5, casimirs=(), marker_lattice=32)
-        # vorticity cos y integrates to the drift profile u1 = -sin y
-        met = lag.lagrangian_stability_metrics(res, lambda y: -np.sin(y))
-        assert np.max(met["m1"]) < 1e-12
-        assert np.max(met["m2"]) < 1e-12
 
 
 def envelope_exponent(ts, p, lo=10.0, hi=80.0, nbin=7):
@@ -440,135 +443,3 @@ class TestMixing:
         other = SpectralField2.zeros(Grid2(16, 16))
         with pytest.raises(ValueError, match="grids"):
             lag.passive_scalar_evolve(self.u_shear, other, 1.0)
-
-
-def vortex_velocity(t, pts):
-    # stream function sin(x)sin(y): a center sits at (pi/2, pi/2)
-    x, y = pts[..., 0], pts[..., 1]
-    return np.stack([-np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)], axis=-1)
-
-
-class TestPeriodFunction:
-    def test_shear_orbits_have_reciprocal_speed_periods(self):
-        def u(t, pts):
-            y = pts[..., 1]
-            return np.stack([np.sin(y), np.zeros_like(y)], axis=-1)
-
-        seeds = np.array([[0.0, 0.7], [0.0, 1.2], [0.0, np.pi / 2]])
-        per = np.asarray(lag.period_function(u, seeds, dt=1e-3))
-        exact = TWO_PI / np.abs(np.sin(seeds[:, 1]))
-        assert np.max(np.abs(per - exact)) < 1e-10
-
-    def test_cellular_orbit_periods_match_ode_oracle(self):
-        from scipy.integrate import solve_ivp
-
-        svals = np.linspace(0.1, 1.0, 10)
-        seeds = np.stack([np.pi / 2 + svals, np.full(10, np.pi / 2)], axis=1)
-        per = np.asarray(lag.period_function(vortex_velocity, seeds, dt=1e-3))
-
-        def rhs(t, z):
-            return [-np.sin(z[0]) * np.cos(z[1]), np.cos(z[0]) * np.sin(z[1])]
-
-        def section(t, z):
-            return z[1] - np.pi / 2
-        section.direction = -1.0
-
-        oracle = []
-        for s in svals:
-            sol = solve_ivp(rhs, (0.0, 40.0), [np.pi / 2 + s, np.pi / 2],
-                            rtol=1e-11, atol=1e-12, events=section)
-            oracle.append([t for t in sol.t_events[0] if t > 1.0][0])
-        assert np.max(np.abs(per - np.asarray(oracle))) < 1e-5
-        # the period is nowhere locally constant: strictly monotone in orbit size,
-        # approaching the harmonic value 2*pi at the cell center
-        assert np.all(np.diff(per) > 0)
-        assert 1.0 < per[0] / TWO_PI < 1.01
-
-    def test_stagnation_points_never_return(self):
-        seeds = np.array([[0.0, 0.0], [np.pi / 2, np.pi / 2]])
-        per = lag.period_function(vortex_velocity, seeds, dt=1e-3, t_max=5.0)
-        assert all(math.isinf(p) for p in per)
-
-    def test_the_oracle_seeds_step_together(self):
-        # one state for all ten seeds: four velocity calls per step until the
-        # longest orbit is back, where the seeds one after another take ten times that
-        calls = []
-
-        def counting(t, pts):
-            calls.append(t)
-            return vortex_velocity(t, pts)
-
-        svals = np.linspace(0.1, 1.0, 10)
-        seeds = np.stack([np.pi / 2 + svals, np.full(10, np.pi / 2)], axis=1)
-        dt = 1e-3
-        per = lag.period_function(counting, seeds, dt=dt)
-        assert len(calls) <= 4 * (math.ceil(max(per) / dt) + 2)
-
-    def test_a_mixed_batch_keeps_each_seeds_first_return(self):
-        # the center never returns, so the batch runs to t_max past three
-        # returns of the orbit, which keeps its first
-        orbit = [np.pi / 2 + 0.5, np.pi / 2]
-        (alone,) = lag.period_function(vortex_velocity, [orbit], dt=4e-3, tol=1e-2)
-        per = lag.period_function(vortex_velocity, [[np.pi / 2, np.pi / 2], orbit],
-                                  dt=4e-3, t_max=3.2 * alone, tol=1e-2)
-        assert math.isinf(per[0])
-        assert per[1] == alone
-        assert 1.0 < alone / TWO_PI < 1.1
-
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
-    def test_a_step_that_cannot_advance_is_rejected(self, dt):
-        def hang(signum, frame):
-            raise TimeoutError(f"dt = {dt} did not return within 10 s")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(10)
-        try:
-            with pytest.raises(ValueError, match="dt"):
-                lag.period_function(vortex_velocity, [[2.0, np.pi / 2]], dt=dt, t_max=1.0)
-            with pytest.raises(ValueError, match="dt"):
-                lag.advect(lag.ParticleSet.lattice(2), vortex_velocity, dt, n_steps=3)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-
-class TestGradientGrowth:
-    def test_shear_gradient_grows_like_its_closed_form(self):
-        g = Grid2(16, 512)
-        X, Y = g.meshgrid()
-        w = SpectralField2.from_values(g, np.cos(Y)).project_mean_free()
-        f0 = SpectralField2.from_values(g, np.cos(X))
-        res = e2.run(w, 80.0, cfl=0.4, diag_every=2.0, casimirs=(),
-                     scalars={"dye": f0})
-        gr = lag.gradient_growth(res, fit_window=(10.0, 80.0))
-        exact = np.sqrt(1.0 + gr["t"] ** 2)
-        assert np.max(np.abs(gr["series"]["dye"] - exact)) < 1e-10
-
-    def test_quiescent_flow_freezes_the_gradient(self):
-        g = Grid2(32, 32)
-        X, _ = g.meshgrid()
-        res = e2.run(SpectralField2.zeros(g), 20.0, diag_every=2.0, casimirs=(),
-                     scalars={"dye": SpectralField2.from_values(g, np.cos(X))})
-        gr = lag.gradient_growth(res, fit_window=(2.0, 20.0))
-        assert abs(gr["rates"]["dye"]) < 1e-15
-        assert np.ptp(gr["series"]["dye"]) < 1e-12
-
-    def test_cellular_perturbed_flow_stretches_the_dye(self):
-        g = Grid2(64, 64)
-        X, Y = g.meshgrid()
-        w = SpectralField2.from_values(
-            g, -2 * np.cos(X) * np.cos(Y) + 0.3 * np.cos(2 * X) * np.cos(Y)
-        ).project_mean_free()
-        f0 = SpectralField2.from_values(g, np.cos(X))
-        res = e2.run(w, 10.0, diag_every=1.0, casimirs=(), scalars={"dye": f0})
-        gr = lag.gradient_growth(res, fit_window=(1.0, 10.0))
-        assert gr["rates"]["dye"] > 0.05
-        assert gr["series"]["dye"][-1] / gr["series"]["dye"][0] > 5.0
-
-    def test_run_without_scalars_is_rejected(self):
-        g = Grid2(32, 32)
-        _, Y = g.meshgrid()
-        res = e2.run(SpectralField2.from_values(g, np.cos(Y)).project_mean_free(),
-                     1.0, diag_every=0.5, casimirs=())
-        with pytest.raises(ValueError, match="scalar"):
-            lag.gradient_growth(res)

@@ -17,11 +17,9 @@ from eulerlab.models1d import (
     clm_exact,
     MODELS,
     ResolutionLost,
-    locate_blowup_point,
     model_rhs,
     model_run,
     refined_sup,
-    selfsim_extract,
 )
 from eulerlab.operators import hilbert_transform
 
@@ -355,6 +353,8 @@ class TestModelRun:
         amp, n = 20.0, 1024
         res = model_run(cosine(n, amp), "clm", t_end=0.2, cfl=0.0125,
                         omega_cap=100.0, store_states=True)
+        # one stored state per entry of the series, from t = 0 to the end
+        assert [s.t for s in res.states] == res.report.ts.tolist()
         x = res.final.omega.grid.x
         w0, h0 = amp * np.cos(x), amp * np.sin(x)
         worst = 0.0
@@ -365,14 +365,6 @@ class TestModelRun:
             expect = 4 * w0 / ((2 - t * h0) ** 2 + (t * w0) ** 2)
             worst = max(worst, float(np.max(np.abs(st_.omega.values - expect))))
         assert worst < 1e-6
-
-    def test_store_factor_thins_states(self):
-        res = model_run(cosine(2048), "clm", t_end=2.5, cfl=0.1,
-                        omega_cap=30.0, store_states=True, store_factor=2.0)
-        sups = [refined_sup(s.omega) for s in res.states]
-        assert res.states[0].t == 0.0
-        assert all(b / a >= 2.0 for a, b in zip(sups[:-2], sups[1:-1]))
-        assert res.states[-1].t == res.report.ts[-1]
 
     def test_degregorio_sine_steady_to_t10(self):
         g = Grid1(256)
@@ -426,60 +418,3 @@ class TestBkmGrowth:
             at_cap.append(b[i - 1] + f * (b[i] - b[i - 1]))
         assert at_cap[1] - at_cap[0] >= math.log(10.0)
         assert at_cap[2] - at_cap[1] >= math.log(10.0)
-
-
-@pytest.fixture(scope="module")
-def rescaled_blowup():
-    res = model_run(cosine(131072), "clm", t_end=2.5, cfl=0.05,
-                    omega_cap=1200.0, store_states=True, store_factor=1.9)
-    X = np.linspace(-10.0, 10.0, 401)
-    return X, selfsim_extract(res, X=X, n_times=6)
-
-
-class TestSelfsimExtract:
-    def test_profiles_converge_to_algebraic_limit(self, rescaled_blowup):
-        X, ss = rescaled_blowup
-        limit = -4 * X / (1 + 4 * X**2)
-        err_last = np.max(np.abs(ss.profiles[-1] - limit))
-        assert ss.t_star - ss.times[-1] <= 1e-3
-        assert err_last <= 5e-3
-
-    def test_cauchy_differences_decrease(self, rescaled_blowup):
-        _, ss = rescaled_blowup
-        assert np.all(np.diff(ss.cauchy_sups) < 0)
-
-    def test_blowup_point_and_time(self, rescaled_blowup):
-        _, ss = rescaled_blowup
-        assert abs(ss.x_star - np.pi / 2) < 1e-5
-        assert abs(ss.t_star - 2.0) < 1e-4
-
-    def test_times_increase_and_shapes_agree(self, rescaled_blowup):
-        X, ss = rescaled_blowup
-        assert np.all(np.diff(ss.times) > 0)
-        assert ss.profiles.shape == (len(ss.times), len(X))
-        assert len(ss.cauchy_sups) == len(ss.times) - 1
-
-    def test_refuses_non_blowup_run(self):
-        g = Grid1(256)
-        w = SpectralField1.from_values(g, 2.0 + np.cos(g.x))
-        res = model_run(w, "clm", t_end=5.0, cfl=0.2, store_states=True)
-        with pytest.raises(ValueError, match="detected"):
-            selfsim_extract(res)
-
-    def test_requires_stored_states(self):
-        res = model_run(cosine(8192), "clm", t_end=2.5, cfl=0.1,
-                        omega_cap=50.0)
-        with pytest.raises(ValueError, match="store"):
-            selfsim_extract(res)
-
-
-class TestLocateBlowupPoint:
-    def test_midpoint_of_adjacent_extremes(self):
-        g = Grid1(512)
-        f = SpectralField1.from_values(g, np.sin(g.x - 5.0))
-        expect = (5.0 + np.pi) % (2 * np.pi)
-        assert abs(locate_blowup_point(f) - expect) <= g.dx
-
-    def test_late_clm_state_centers_at_half_pi(self):
-        w = cosine(1024)
-        assert abs(locate_blowup_point(clm_exact(w, 1.9)) - np.pi / 2) < Grid1(1024).dx
