@@ -12,6 +12,7 @@ from eulerlab import euler2d as e2, lagrangian as lag
 from eulerlab.fields import (SpectralField2, VectorField2, Workspace, mode_power, resample,
                              resample_coeffs, to_coeffs, to_values)
 from eulerlab.grids import Grid2
+from eulerlab.operators import dx, dy
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +40,35 @@ def random_band(g, seed, kmax, rms):
 def cell_velocity(t, pts):
     x, y = pts[..., 0], pts[..., 1]
     return np.stack([np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)], axis=-1)
+
+
+def vortex_velocity(t, pts):
+    # stream function sin(x)sin(y): a center sits at (pi/2, pi/2)
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([-np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)], axis=-1)
+
+
+def vortex_paths(lifts0, t):
+    """Where the cellular flow of :func:`vortex_velocity` carries ``lifts0``
+    by time ``t``: scipy's adaptive integrator at tolerance 1e-12."""
+    from scipy.integrate import solve_ivp
+
+    m = len(lifts0)
+
+    def rhs(_, z):
+        x, y = z[:m], z[m:]
+        return np.concatenate([-np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)])
+
+    sol = solve_ivp(rhs, (0.0, t), np.concatenate([lifts0[:, 0], lifts0[:, 1]]),
+                    rtol=1e-12, atol=1e-13)
+    z = sol.y[:, -1]
+    return np.stack([z[:m], z[m:]], axis=1)
+
+
+def seeded(points):
+    """A particle set at ``points`` (at least four), at t = 0."""
+    pts = np.array(points, dtype=float)
+    return lag.ParticleSet(pts.copy(), pts.copy(), 0.0)
 
 
 class TestVelocitySampler:
@@ -268,6 +298,83 @@ class TestAdvection:
         assert q.t == 1.5
 
 
+class TestOrbits:
+    """Closed orbits of steady flows, against their periods and an ODE oracle."""
+
+    @pytest.mark.parametrize("y0", [0.7, 1.2, np.pi / 2])
+    def test_shear_orbits_wrap_once_in_their_reciprocal_speed_period(self, y0):
+        def u(t, pts):
+            y = pts[..., 1]
+            return np.stack([np.sin(y), np.zeros_like(y)], axis=-1)
+
+        period = TWO_PI / np.sin(y0)
+        p = seeded([[x, y0] for x in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)])
+        q = lag.advect(p, u, period / 1000, n_steps=1000)
+        assert q.t == pytest.approx(period, rel=1e-12)
+        assert np.max(np.abs(q.lifts - p.lifts0 - [TWO_PI, 0.0])) < 1e-12
+
+    def test_cellular_orbits_match_the_ode_oracle(self):
+        s = np.linspace(0.1, 1.0, 10)
+        p = seeded(np.stack([np.pi / 2 + s, np.full(10, np.pi / 2)], axis=1))
+        q = lag.advect(p, vortex_velocity, 1e-3, n_steps=5000)
+        assert np.max(np.abs(q.lifts - vortex_paths(p.lifts0, q.t))) < 1e-10
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0])
+    def test_a_cellular_orbit_closes_after_its_oracle_period(self, s):
+        from scipy.integrate import solve_ivp
+
+        def rhs(t, z):
+            return [-np.sin(z[0]) * np.cos(z[1]), np.cos(z[0]) * np.sin(z[1])]
+
+        def section(t, z):
+            return z[1] - np.pi / 2
+        section.direction = -1.0
+
+        seed = [np.pi / 2 + s, np.pi / 2]
+        sol = solve_ivp(rhs, (0.0, 40.0), seed, rtol=1e-12, atol=1e-13, events=section)
+        period = [t for t in sol.t_events[0] if t > 1.0][0]
+        n = math.ceil(period / 4e-3)
+        p = seeded([seed] * 4)
+        q = lag.advect(p, vortex_velocity, period / n, n_steps=n)
+        assert np.max(np.abs(q.lifts - p.lifts0)) < 1e-9
+
+    def test_stagnation_points_stay_put(self):
+        # the saddles at the corners of each cell and the four cell centers
+        pts = [[a * np.pi, b * np.pi] for a in (0, 1) for b in (0, 1)]
+        pts += [[a * np.pi, b * np.pi] for a in (0.5, 1.5) for b in (0.5, 1.5)]
+        p = seeded(pts)
+        q = lag.advect(p, vortex_velocity, 1e-2, n_steps=500)
+        assert np.max(np.abs(q.lifts - p.lifts0)) < 1e-12
+
+
+class TestMarkerPaths:
+    """Markers of a run whose vorticity is steady follow the steady flow's paths."""
+
+    def test_unperturbed_shear_markers_drift_with_the_profile(self):
+        g = Grid2(64, 64)
+        w = field(g, lambda X, Y: np.cos(Y))
+        res = e2.run(w, 2.0, diag_every=0.5, casimirs=(), marker_lattice=32)
+        assert len(res.marker_snapshots) == 5
+        # vorticity cos y integrates to the drift profile u1 = -sin y
+        for snap in res.marker_snapshots:
+            x0, y0 = snap.lifts0[:, 0], snap.lifts0[:, 1]
+            assert np.max(np.abs(snap.lifts[:, 0] - (x0 - np.sin(y0) * snap.t))) < 1e-12
+            assert np.max(np.abs(snap.lifts[:, 1] - y0)) < 1e-12
+
+    def test_steady_cellular_markers_follow_the_ode_oracle(self):
+        # vorticity -2 sin x sin y is steady and moves fluid with vortex_velocity;
+        # the markers read it through the spline sampler, fourth order in the grid
+        errs = {}
+        for n in (32, 64):
+            g = Grid2(n, n)
+            w = field(g, lambda X, Y: -2.0 * np.sin(X) * np.sin(Y))
+            res = e2.run(w, 2.0, diag_every=0.5, casimirs=(), marker_lattice=8)
+            errs[n] = max(np.max(np.abs(snap.lifts - vortex_paths(snap.lifts0, snap.t)))
+                          for snap in res.marker_snapshots)
+        assert errs[64] < 1e-6
+        assert errs[32] / errs[64] > 10.0
+
+
 class TestTransportIdentity:
     def test_vorticity_rides_the_flow_map(self):
         g = Grid2(128, 128)
@@ -399,6 +506,25 @@ class TestMixing:
         late = np.max(np.abs(p[res.times >= 70.0]))
         early = np.max(np.abs(p[res.times <= 10.0]))
         assert late > 0.5 * early
+
+    def test_shear_scalar_and_its_gradient_follow_the_closed_form(self):
+        # f = cos(x - t sin y); its gradient peaks at sqrt(1 + t^2) on the node
+        # (pi/2, 0), where the shear does not move the dye
+        X, Y = self.g.meshgrid()
+        res = lag.passive_scalar_evolve(self.u_shear, self.f0, 10.0, cfl=0.4,
+                                        diag_every=2.0, store_fields=True)
+        assert len(res.fields) == 6
+        for t, f in zip(res.times, res.fields):
+            assert np.max(np.abs(f.values - np.cos(X - t * np.sin(Y)))) < 1e-4
+            grad = np.hypot(dx(f).values, dy(f).values)
+            assert abs(np.max(grad) - math.sqrt(1.0 + t * t)) < 1e-10
+
+    def test_a_fluid_at_rest_leaves_the_scalar_as_it_was(self):
+        X, _ = self.g.meshgrid()
+        rest = VectorField2.from_values(self.g, np.zeros_like(X), np.zeros_like(X))
+        res = lag.passive_scalar_evolve(rest, self.f0, 5.0, diag_every=1.0)
+        assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert res.final.coeffs.tobytes() == lag.dealias(self.f0).coeffs.tobytes()
 
     def test_test_functions_leave_the_scalar_unchanged(self, monkeypatch):
         # the pairings read the first stage of the next step; only the final

@@ -418,3 +418,41 @@ class TestBkmGrowth:
             at_cap.append(b[i - 1] + f * (b[i] - b[i - 1]))
         assert at_cap[1] - at_cap[0] >= math.log(10.0)
         assert at_cap[2] - at_cap[1] >= math.log(10.0)
+
+
+@pytest.fixture(scope="module")
+def late_clm_states():
+    """The stored states of a cos-datum CLM run from t = 1.9 to its cap."""
+    res = model_run(cosine(4096), "clm", t_end=2.5, cfl=0.05, omega_cap=100.0,
+                    store_states=True)
+    return [s for s in res.states if s.t >= 1.9]
+
+
+class TestSelfSimilarApproach:
+    """Near t* = 2 the stepped state is (t* - t)^-1 Omega((x - pi/2) / (t* - t))
+    with Omega(X) = -4X / (1 + 4X^2), the limit of the closed form."""
+
+    def test_rescaled_states_approach_the_algebraic_profile(self, late_clm_states):
+        errs = []
+        for s in late_clm_states[::8]:
+            tau = 2.0 - s.t
+            X = (s.omega.grid.x - np.pi / 2) / tau
+            near = np.abs(X) <= 3.0
+            limit = -4 * X[near] / (1 + 4 * X[near] ** 2)
+            errs.append(np.max(np.abs(tau * s.omega.values[near] - limit)))
+        assert len(errs) >= 5
+        assert np.all(np.diff(errs) < 0)
+        assert errs[-1] < 5e-3
+
+    def test_sup_grows_like_the_inverse_time_to_blowup(self, late_clm_states):
+        # the profile's sup is 1, at X = -1/2
+        scaled = [(2.0 - s.t) * refined_sup(s.omega) for s in late_clm_states]
+        assert np.all(np.diff(scaled) < 0)
+        assert 1.0 < scaled[-1] < 1.002
+
+    def test_adjacent_extremes_center_on_half_pi(self, late_clm_states):
+        for s in late_clm_states:
+            x, v = s.omega.grid.x, s.omega.values
+            top, bottom = x[np.argmax(v)], x[np.argmin(v)]
+            assert top < np.pi / 2 < bottom
+            assert abs(0.5 * (top + bottom) - np.pi / 2) <= s.omega.grid.dx
