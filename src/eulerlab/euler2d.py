@@ -75,16 +75,16 @@ class EulerRunResult:
 
 
 class _StageEval:
-    """One RK4 stage of the vorticity, as the one-entry tuples of
+    """One RK4 stage of the vorticity coefficients, the state of
     :func:`eulerlab.stepping.march`.
 
     Everything the stage computes lives in its workspace and is rewritten by
     the next stage: the stream function, in the scratch that the transport
     takes over once the velocity samples are made; one velocity coefficient
     array, which the two components go through in turn; the velocity
-    samples, which stay until then for the CFL rule.  The tendencies go
-    into ``out``, whose entry may be ``None`` for a freshly allocated one;
-    ``k`` is the vorticity tendency of the latest stage.
+    samples, which stay until then for the CFL rule.  The tendency goes
+    into ``out``, which may be ``None`` for a freshly allocated one; ``k``
+    is the vorticity tendency of the latest stage.
     """
 
     def __init__(self, grid: Grid2, work: Workspace | None = None):
@@ -94,15 +94,14 @@ class _StageEval:
         self.u1v, self.u2v = (work.array(("stage.uv", i), grid.shape) for i in range(2))
         self.k = None
 
-    def __call__(self, t: float, y: tuple, out: tuple) -> tuple:
+    def __call__(self, t: float, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         g, w = self.grid, self.work
-        (c,) = y
         psi = _stream_function(c, g, _scratch(g, w)[0])
         u1v, u2v = (to_values(_velocity_component(psi, g, i, self.uc), v)
                     for i, v in enumerate((self.u1v, self.u2v)))
-        self.k = k = transport_coeffs(c, u1v, u2v, g, out[0], w)
+        self.k = k = transport_coeffs(c, u1v, u2v, g, out, w)
         k[0, 0] = 0.0
-        return (k,)
+        return k
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, powers,
@@ -154,7 +153,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     grid = omega0.grid
     # popped into march, so that the first step frees the initial state: the
     # run keeps no other reference to it
-    start = [(dealias(omega0).coeffs,)]
+    start = [dealias(omega0).coeffs]
     del omega0
     records, marker_snapshots = [], []
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
@@ -164,7 +163,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
 
     # the samples of the current vorticity: made here for t = 0, then by
     # after_step for each new state; emit and the snapshots read them
-    omega = to_values(start[0][0], work.array("run.omega", grid.shape))
+    omega = to_values(start[0], work.array("run.omega", grid.shape))
     bkm = 0.0
     sup_prev = sup_abs(omega)
 
@@ -172,8 +171,8 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         if snapshot is not None:
             snapshot(name, [vals], t)
 
-    def emit(t: float, y: tuple, step: int, k1) -> None:
-        rec = _diagnostics(grid, y[0], t, bkm, casimirs, omega, work)
+    def emit(t: float, c: np.ndarray, step: int, k1) -> None:
+        rec = _diagnostics(grid, c, t, bkm, casimirs, omega, work)
         if not _check_finite(rec):
             if math.isfinite(rec.omega_max):
                 checkpoint("checkpoint_abort.eulb", omega, t)
@@ -181,36 +180,36 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         records.append(rec)
         if track is not None:
             if k1 is None:  # the end of the run, where march makes no first stage
-                stage(t, y, (None,))
-            track.boundary(t, y[0], stage.k, end=True)
+                stage(t, c, None)
+            track.boundary(t, c, stage.k, end=True)
             marker_snapshots.append(ParticleSet(
                 track.lifts.copy(), markers.lifts0.copy(), t, grid.lx, grid.ly))
 
-    def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
+    def after_step(t: float, dt: float, c: np.ndarray, c_new: np.ndarray, step: int) -> None:
         nonlocal bkm, sup_prev
-        sup_new = sup_abs(to_values(y_new[0], omega))
+        sup_new = sup_abs(to_values(c_new, omega))
         if not math.isfinite(sup_new):
-            checkpoint("checkpoint_abort.eulb", to_values(y[0]), t)
+            checkpoint("checkpoint_abort.eulb", to_values(c), t)
             raise BlowupError(t + dt, step, records[-1])
         bkm += 0.5 * dt * (sup_prev + sup_new)
         sup_prev = sup_new
 
-    def dt_rule(t: float, y: tuple) -> float:
+    def dt_rule(t: float, c: np.ndarray) -> float:
         # the stage holds the first stage of the step from t, which emit has
         # handed to the markers already when t is a diagnostics time
         if track is not None:
-            track.boundary(t, y[0], stage.k, end=False)
+            track.boundary(t, c, stage.k, end=False)
         return cfl_dt(grid, stage.u1v, stage.u2v, cfl)
 
-    def periodic(t: float, y: tuple, index: int) -> None:
+    def periodic(t: float, c: np.ndarray, index: int) -> None:
         checkpoint(f"snap_{index:05d}.eulb", omega, t)
 
-    t, y = march(stage, start.pop(), t_end, dt_rule, diag_every, emit, snapshot_every,
+    t, c = march(stage, start.pop(), t_end, dt_rule, diag_every, emit, snapshot_every,
                  periodic if snapshot is not None else None, after_step, work)
     # the vorticity's mean coefficient is exactly zero (it starts so, and every
     # stage zeroes it in the tendency), so the state array is the final field
     # as it stands
-    return EulerRunResult(final=EulerState(SpectralField2(grid, y[0]), t),
+    return EulerRunResult(final=EulerState(SpectralField2(grid, c), t),
                           diagnostics=records, marker_snapshots=marker_snapshots)
 
 
@@ -307,7 +306,7 @@ def steady_residual(psi: SpectralField2) -> float:
     """L2 norm of the vorticity tendency that the runs' Euler stage gives the
     stream function psi: the dealiased Poisson bracket of psi and its Laplacian."""
     g = psi.grid
-    (k,) = _StageEval(g)(0.0, (-g.k2 * psi.coeffs * g.dealias_mask,), (None,))
+    k = _StageEval(g)(0.0, -g.k2 * psi.coeffs * g.dealias_mask, None)
     return SpectralField2(g, k).norm_l2()
 
 

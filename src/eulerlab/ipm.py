@@ -111,7 +111,7 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     grid = rho0.grid
     # popped into march, so that the first step frees the initial state: the
     # run keeps no other reference to it
-    start = [(dealias(rho0).coeffs,)]
+    start = [dealias(rho0).coeffs]
     del rho0
     yrow = grid.y[None, :]
     outer = _outer_band(grid)
@@ -123,15 +123,14 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     velocity = tuple(work.array(("stage.uv", i), grid.shape) for i in range(2))
     rho = work.array("run.rho", grid.shape)
 
-    def rhs(t: float, y: tuple, out: tuple) -> tuple:
+    def rhs(t: float, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         for m, v in zip(symbols, velocity):
-            to_values(np.multiply(m, y[0], out=uc), v)
-        return (transport_coeffs(y[0], *velocity, grid, out[0], work),)
+            to_values(np.multiply(m, c, out=uc), v)
+        return transport_coeffs(c, *velocity, grid, out, work)
 
-    def emit(t: float, y: tuple, step: int, k1) -> None:
+    def emit(t: float, c: np.ndarray, step: int, k1) -> None:
         # the Casimir, the gradient and rho * y go through the stage's
         # scratch in turn, each once the one before is summed
-        c = y[0]
         vals = to_values(c, rho)
         rec = IpmDiagnostics(
             t=t,
@@ -147,8 +146,8 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
             raise BlowupError(t, step, records[-1] if records else None)
         records.append(rec)
 
-    t, (c,) = march(rhs, start.pop(), t_end, lambda t, y: cfl_dt(grid, *velocity, cfl),
-                    diag_every, emit, work=work)
+    t, c = march(rhs, start.pop(), t_end, lambda t, c: cfl_dt(grid, *velocity, cfl),
+                 diag_every, emit, work=work)
     # the state array is the final density: snapping its round-off mean in
     # place gives the bits of from_coeffs without a copy
     return IpmRunResult(final=IpmState(SpectralField2(grid, _snap_mean(c)), t),

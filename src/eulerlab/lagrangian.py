@@ -283,11 +283,11 @@ def advect(particles: ParticleSet, velocity_source, dt: float,
     vel = _as_sampler(velocity_source)
     t0 = particles.t
 
-    def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (vel(t0 + t, y[0]),)
+    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return vel(t0 + t, y)
 
-    t, (lifts,) = march(rhs, (particles.lifts.copy(),), math.inf, lambda t, y: dt,
-                        stop=lambda t, y: t > (n_steps - 0.5) * dt)
+    t, lifts = march(rhs, particles.lifts.copy(), math.inf, lambda t, y: dt,
+                     stop=lambda t, y: t > (n_steps - 0.5) * dt)
     return ParticleSet(lifts, particles.lifts0.copy(), t0 + t, particles.lx, particles.ly)
 
 
@@ -361,13 +361,13 @@ class MarkerTrack:
         # next step's stage 1
         coeffs = iter((None, self._hermite(nodes, 0.5 * dt), None, nodes[-1][1][0]))
 
-        def rhs(t: float, y: tuple, out: tuple) -> tuple:
+        def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
             c = next(coeffs)
             if c is not None:
                 self.sampler = self._sampler(c)
-            return (self.sampler(y[0], out[0]),)
+            return self.sampler(y, out)
 
-        (self.lifts,) = rk4_step(rhs, nodes[0][0], (self.lifts,), dt, work=self.work)
+        self.lifts = rk4_step(rhs, nodes[0][0], self.lifts, dt, work=self.work)
 
 
 # -- lattice differential diagnostics -----------------------------------------
@@ -473,24 +473,24 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
 
     work = Workspace()
 
-    def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (transport_coeffs(y[0], u1v, u2v, grid, out[0], work),)
+    def rhs(t: float, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        return transport_coeffs(c, u1v, u2v, grid, out, work)
 
     times, rows, fields = [], [], []
 
-    def emit(t: float, y: tuple, step: int, k1) -> None:
+    def emit(t: float, c: np.ndarray, step: int, k1) -> None:
         times.append(t)
         if phis:
             # u . grad f is -k1, the first stage of the next step; at t_end no
             # step follows, and the last record evaluates it
-            k1 = rhs(t, y, (None,)) if k1 is None else k1
-            adv = SpectralField2(grid, np.negative(k1[0]))
+            k1 = rhs(t, c, None) if k1 is None else k1
+            adv = SpectralField2(grid, np.negative(k1))
             rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
-            fields.append(SpectralField2.from_coeffs(grid, y[0]))
+            fields.append(SpectralField2.from_coeffs(grid, c))
 
-    _, (c,) = march(rhs, (dealias(f0).coeffs.copy(),), t_end, lambda t, y: dt_cfl,
-                    diag_every, emit, work=work)
+    _, c = march(rhs, dealias(f0).coeffs.copy(), t_end, lambda t, c: dt_cfl,
+                 diag_every, emit, work=work)
     final = SpectralField2.from_coeffs(grid, c)
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,

@@ -353,24 +353,23 @@ def model_run(
     u = work.array("stage.u", grid.shape) if a != 0.0 else None
     k_max = (grid.n // 3) * (2.0 * np.pi / grid.length)
 
-    def rhs(t: float, y: tuple, out: tuple) -> tuple:
-        return (_rhs_coeffs(y[0], grid, a, u),)
+    def rhs(t: float, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _rhs_coeffs(c, grid, a, u)
 
-    def dt_rule(t: float, y: tuple) -> float:
+    def dt_rule(t: float, c: np.ndarray) -> float:
         dt = cfl / max(sups[-1], 1e-12)
         speed = abs(a) * sup_abs(u) * k_max if a != 0.0 else 0.0
         if speed != 0.0:  # RK4 is stable to ~2.8 on the imaginary axis
             dt = min(dt, 2.5 / speed)
         return dt
 
-    def stop(t: float, y: tuple) -> bool:
+    def stop(t: float, c: np.ndarray) -> bool:
         nonlocal cap_reached
         cap_reached = omega_cap is not None and sups[-1] >= omega_cap
         return cap_reached
 
-    def after_step(t: float, dt: float, y: tuple, y_new: tuple, step: int) -> None:
+    def after_step(t: float, dt: float, c_old: np.ndarray, c: np.ndarray, step: int) -> None:
         nonlocal under_resolved, lost
-        (c,) = y_new
         if not np.all(np.isfinite(c)):
             raise FloatingPointError(f"non-finite state at t = {t + dt:.6g} (step {step})")
         sup_new = refined_sup(SpectralField1(grid, c))
@@ -387,16 +386,16 @@ def model_run(
             states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
 
     # popped into march, so that the first step frees the initial state
-    start = [(dealias(omega0).coeffs.copy(),)]
-    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, start[0][0]))], [0.0]
+    start = [dealias(omega0).coeffs.copy()]
+    ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, start[0]))], [0.0]
     states: list[ModelState] = []
-    under_resolved = _spectral_tail(start[0][0], band) > _UNDER_RESOLVED_TAIL
+    under_resolved = _spectral_tail(start[0], band) > _UNDER_RESOLVED_TAIL
     cap_reached, lost = False, 0
     if store_states:
-        states.append(ModelState(SpectralField1.from_coeffs(grid, start[0][0]), 0.0))
+        states.append(ModelState(SpectralField1.from_coeffs(grid, start[0]), 0.0))
 
-    t, (c,) = march(rhs, start.pop(), t_end, dt_rule, after_step=after_step, stop=stop,
-                    work=work)
+    t, c = march(rhs, start.pop(), t_end, dt_rule, after_step=after_step, stop=stop,
+                 work=work)
 
     ts_a, sups_a = np.array(ts), np.array(sups)
     detected, t_star = False, None

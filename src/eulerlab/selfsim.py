@@ -123,8 +123,8 @@ class ProfileProblem:
     An odd profile is carried by its samples at the ``size = n // 2``
     nodes ``X = h, 2h, ..., L`` with ``h = 2L / n`` (``n`` even), so ``n``
     counts the nodes of the symmetric grid of ``[-L, L)`` that the odd
-    extension lives on.  :meth:`check_tail` rejects states whose edge
-    sample is incompatible with an integrable 1/X tail.
+    extension lives on.  :meth:`check_profile` rejects off-grid states and
+    edge samples incompatible with an integrable 1/X tail.
     """
 
     n: int = 1024
@@ -309,7 +309,9 @@ class ProfileProblem:
             dw[b] = self.deriv_rows(b) @ omega
         return hw, dw
 
-    def check_tail(self, omega: np.ndarray) -> None:
+    def check_profile(self, omega: np.ndarray) -> None:
+        if omega.shape != (self.size,):
+            raise ValueError("omega must be sampled on the problem grid")
         edge = abs(omega[-1] * self.x[-1])
         if not np.isfinite(edge) or edge > 4.0:
             raise ValueError(
@@ -334,21 +336,21 @@ def profile_residual(omega: np.ndarray, lam: float,
                      problem: ProfileProblem) -> np.ndarray:
     """Pointwise residual Omega + lam*X*Omega' - Omega*H(Omega)."""
     omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (problem.size,):
-        raise ValueError("omega must be sampled on the problem grid")
-    problem.check_tail(omega)
+    problem.check_profile(omega)
     hw, dw = problem.apply(omega)
     return omega + lam * problem.x * dw - omega * hw
 
 
 def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
-                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet derivative of the residual.
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Frechet derivative of the residual, and the residual itself.
 
-    Returns ``(A, col)`` where ``A`` acts on profile perturbations and
+    Returns ``(A, col, res)`` where ``A`` acts on profile perturbations,
     ``col`` is the derivative with respect to the scaling rate, i.e.
-    ``X * Omega'``.  ``A = I + lam X D - diag(H Omega) - Omega H`` is
-    written into ``out`` (any size-by-size float64 view) when given, else
+    ``X * Omega'``, and ``res`` is :func:`profile_residual` at (omega, lam),
+    bit for bit, from the same row blocks (but unchecked).
+    ``A = I + lam X D - diag(H Omega) - Omega H`` is written into ``out``
+    (any size-by-size float64 view) when given, else
     into a new array, one row block of both operators at a time; no other
     size-by-size array is made.  Adding ``0.0`` to every entry gives the
     signed zeros that adding the identity would.
@@ -356,7 +358,7 @@ def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
     omega = np.asarray(omega, dtype=np.float64)
     size = problem.size
     a = np.empty((size, size)) if out is None else out
-    dw = np.empty(size)
+    hw, dw = np.empty(size), np.empty(size)
     for b in _row_blocks(size):
         d = problem.deriv_rows(b)
         dw[b] = d @ omega
@@ -364,13 +366,13 @@ def linearized_operator(omega: np.ndarray, lam: float, problem: ProfileProblem,
         ab += 0.0
         del d  # one block of operator rows is alive at a time
         hm = problem.hilbert_rows(b)
+        hw[b] = hm @ omega
         diag = np.arange(b.stop - b.start)
-        ab[diag, diag + b.start] = (ab[diag, diag + b.start] + 1.0) - hm @ omega
+        ab[diag, diag + b.start] = (ab[diag, diag + b.start] + 1.0) - hw[b]
         hm *= omega[b, None]
         ab -= hm
         del hm
-    col = problem.x * dw
-    return a, col
+    return a, problem.x * dw, omega + lam * problem.x * dw - omega * hw
 
 
 def check_max_iter(max_iter: int) -> None:
@@ -394,38 +396,37 @@ def newton_solve(problem: ProfileProblem, omega0: np.ndarray,
     check_max_iter(max_iter)
     omega = np.asarray(omega0, dtype=np.float64).copy()
     lam = float(lam0)
-    norm_row = problem.slope_row
-    res = profile_residual(omega, lam, problem)
-    defect = norm_row @ omega + 4.0
-    rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    bordered, step_norm = None, 0.0
-    for k in range(1, max_iter + 1):
-        if rnorm < tol:
-            return ProfileSolution(omega, lam, rnorm, k - 1, True, step_norm)
-        if bordered is None:
-            bordered = np.zeros((problem.size + 1, problem.size + 1))
-            bordered[-1, :-1] = norm_row
-        _, col = linearized_operator(omega, lam, problem, out=bordered[:-1, :-1])
+    # the operator parts first, so that the temporaries of their build and
+    # the bordered matrix are never alive together
+    norm_row, _ = problem.slope_row, problem._hilbert_parts
+    bordered = np.zeros((problem.size + 1, problem.size + 1))
+    bordered[-1, :-1] = norm_row
+    step_norm = 0.0
+    # one pass of row blocks per iterate, whose linearization gives its
+    # residual; the last pass only measures
+    for k in range(max_iter + 1):
+        problem.check_profile(omega)
+        _, col, res = linearized_operator(omega, lam, problem, out=bordered[:-1, :-1])
+        defect = norm_row @ omega + 4.0
+        rnorm = max(float(np.max(np.abs(res))), abs(defect))
+        if rnorm < tol or k == max_iter:
+            return ProfileSolution(omega, lam, rnorm, k, bool(rnorm < tol), step_norm)
         bordered[:-1, -1] = col
         rhs = np.concatenate([-res, [-defect]])
         try:
             step = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
-                f"Hypothesis 1 fails at iterate {k}: "
+                f"Hypothesis 1 fails at iterate {k + 1}: "
                 f"singular bordered linearization ({exc})") from exc
         err = np.linalg.norm(bordered @ step - rhs)
         if not np.isfinite(err) or err > 1e-6 * max(np.linalg.norm(rhs), 1e-300):
             raise RuntimeError(
-                f"Hypothesis 1 fails at iterate {k}: bordered linearization "
+                f"Hypothesis 1 fails at iterate {k + 1}: bordered linearization "
                 f"is numerically singular (solve defect {err:.3g})")
         step_norm = float(np.max(np.abs(step)))
         omega = omega + step[:-1]
         lam = lam + step[-1]
-        res = profile_residual(omega, lam, problem)
-        defect = norm_row @ omega + 4.0
-        rnorm = max(float(np.max(np.abs(res))), abs(defect))
-    return ProfileSolution(omega, lam, rnorm, max_iter, bool(rnorm < tol), step_norm)
 
 
 def outgoing_check(u_star, lam_star: float, x: np.ndarray | None = None) -> dict:

@@ -1,9 +1,9 @@
-"""The one time integrator of the lab: classical RK4 over a tuple of arrays.
+"""The one time integrator of the lab: classical RK4 over one array.
 
-Each time-stepping system (2D Euler with its scalars, the markers of a 2D
-Euler run, IPM, passive scalars, particles, the 1D models) supplies a
-right-hand side ``rhs(t, y, out)`` over its state tuple ``y`` and steps it
-with :func:`rk4_step`.  :func:`march` is the only time loop, for adaptive
+Each time-stepping system (2D Euler, the markers of a 2D Euler run, IPM,
+passive scalars, particles, the 1D models) supplies a right-hand side
+``rhs(t, y, out)`` over its state array ``y`` and steps it with
+:func:`rk4_step`.  :func:`march` is the only time loop, for adaptive
 and fixed steps alike (the markers' single steps run inside the flow's):
 a step-size rule such as :func:`cfl_dt`, optional diagnostics and
 snapshots at fixed cadences, a per-step hook and an optional stop
@@ -15,18 +15,17 @@ the binary powering of :func:`integer_powers`.
 
 Buffers.  :func:`rk4_step` keeps its arrays in a
 :class:`~eulerlab.fields.Workspace` (its own, unless the caller passes
-one): one set of tendency buffers, one accumulator set, one set of stage
-inputs and two sets of results, five arrays per entry of ``y``.  ``out``
-is the tendency set, one array per entry of ``y`` with that entry's shape
-and dtype, and every stage is handed the same set.  The rhs returns its
-tendencies; it may write them into ``out`` and return those arrays, or
-return arrays of its own, but never the arrays of its input ``y``.  Each
+one): one tendency array, one accumulator, one stage input and two
+results, five arrays of the shape and dtype of ``y``.  ``out`` is the
+tendency array, and every stage is handed the same one.  The rhs
+returns its tendency; it may write it into ``out`` and return that
+array, or return an array of its own, but never its input ``y``.  Each
 tendency is added into the accumulator as its stage returns, so the
 accumulator holds k1, then k1 + 2 k2, then + 2 k3, then + k4, and a
 tendency is dead once the next stage input is made from it: a k1 in the
-tendency set is overwritten by stage 2.  The stage input set is rewritten
+tendency array is overwritten by stage 2.  The stage input is rewritten
 before each of stages 2-4 and holds 2 k2 and 2 k3 in between.  The result
-of a step goes into whichever result set does not hold ``y``: it stays
+of a step goes into whichever result array does not hold ``y``: it stays
 valid through the next step, which reads it as its ``y``, and is
 overwritten by the step after.  A caller that keeps a state longer copies
 it.
@@ -97,57 +96,34 @@ def cfl_dt(grid, u1v: np.ndarray, u2v: np.ndarray, cfl: float) -> float:
     return cfl * lim
 
 
-def _buffers(work: Workspace, name: str, y: tuple) -> tuple:
-    """One workspace array per entry of ``y``, with its shape and dtype."""
-    return tuple(work.array((name, i), a.shape, a.dtype) for i, a in enumerate(y))
-
-
-def _results(work: Workspace, y: tuple) -> tuple:
-    """Per entry of ``y``, the result buffer of the two that does not hold it."""
-    out = []
-    for i, a in enumerate(y):
-        b = work.array(("rk4.y0", i), a.shape, a.dtype)
-        out.append(work.array(("rk4.y1", i), a.shape, a.dtype) if a is b else b)
-    return tuple(out)
-
-
-def _stage_input(y: tuple, h: float, k: tuple, out: tuple) -> tuple:
-    """y + h k into ``out``, entry by entry."""
-    for a, kk, o in zip(y, k, out):
-        np.add(a, np.multiply(h, kk, out=o), out=o)
-    return out
-
-
-def rk4_step(rhs, t: float, y: tuple, dt: float, k1: tuple | None = None,
-             work: Workspace | None = None) -> tuple:
-    """One RK4 step of the tuple ``y``; ``rhs(t, y, out)`` gives one tendency per entry.
+def rk4_step(rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray | None = None,
+             work: Workspace | None = None) -> np.ndarray:
+    """One RK4 step of the array ``y``; ``rhs(t, y, out)`` gives its tendency.
 
     A caller that has evaluated the first stage already (to pick ``dt``
     from its velocity) passes it as ``k1``.  The buffers live in ``work``
     (see the module docstring for who owns them and for how long).
     """
     work = Workspace() if work is None else work
-    k = _buffers(work, "rk4.k", y)
+    k = work.array("rk4.k", y.shape, y.dtype)
     if k1 is None:
         k1 = rhs(t, y, k)
-    acc, stage = _buffers(work, "rk4.acc", y), _buffers(work, "rk4.stage", y)
-    for a, p in zip(acc, k1):
-        np.copyto(a, p)
+    acc = work.array("rk4.acc", y.shape, y.dtype)
+    stage = work.array("rk4.stage", y.shape, y.dtype)
+    np.copyto(acc, k1)
     # acc = ((k1 + 2 k2) + 2 k3) + k4 in that order of operations; 2 k2 and
-    # 2 k3 go through the stage input set once their stages have read it
+    # 2 k3 go through the stage input once their stages have read it
     kk = k1
     for h, twice in ((0.5 * dt, True), (0.5 * dt, True), (dt, False)):
-        kk = rhs(t + h, _stage_input(y, h, kk, stage), k)
-        for a, q, tmp in zip(acc, kk, stage):
-            a += np.multiply(2.0, q, out=tmp) if twice else q
-    w = dt / 6.0
-    y_new = _results(work, y)
-    for a, s, o in zip(y, acc, y_new):
-        np.add(a, np.multiply(w, s, out=s), out=o)
-    return y_new
+        kk = rhs(t + h, np.add(y, np.multiply(h, kk, out=stage), out=stage), k)
+        acc += np.multiply(2.0, kk, out=stage) if twice else kk
+    y_new = work.array("rk4.y0", y.shape, y.dtype)
+    if y_new is y:
+        y_new = work.array("rk4.y1", y.shape, y.dtype)
+    return np.add(y, np.multiply(dt / 6.0, acc, out=acc), out=y_new)
 
 
-def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float = math.inf, emit=None,
+def march(rhs, y: np.ndarray, t_end: float, dt_rule, diag_every: float = math.inf, emit=None,
           snapshot_every: float = 0.0, snapshot=None, after_step=None,
           work: Workspace | None = None, stop=None) -> tuple:
     """Advance ``y`` from t = 0 to ``t_end``; returns the final (t, y).
@@ -179,7 +155,7 @@ def march(rhs, y: tuple, t_end: float, dt_rule, diag_every: float = math.inf, em
     snap_idx = 0
     while True:
         more = t < t_end - _TOL and not (stop is not None and stop(t, y))
-        k1 = rhs(t, y, _buffers(work, "rk4.k", y)) if more else None
+        k1 = rhs(t, y, work.array("rk4.k", y.shape, y.dtype)) if more else None
         if emit is not None and (due or not more):
             emit(t, y, step, k1)
         if not more:

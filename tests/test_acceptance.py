@@ -213,7 +213,7 @@ def test_gate_09_self_similar_recovery():
                           lam0=1.1, tol=1e-10)
     lam_err = abs(sol.lam - 1.0)
 
-    a, col = ss.linearized_operator(exact, 1.0, problem)
+    a, col, _ = ss.linearized_operator(exact, 1.0, problem)
     scaling_dir = X * (problem.deriv_matrix @ exact)
     kernel_defect = float(np.max(np.abs(a @ scaling_dir))
                           / np.max(np.abs(scaling_dir)))

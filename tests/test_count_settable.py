@@ -1,6 +1,7 @@
 """tools/count_settable.py: the count of values a user can set."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -54,3 +55,31 @@ def test_the_script_prints_three_parts_and_their_sum():
     assert m, proc.stdout
     params, fields, keys, total = map(int, m.groups())
     assert params + fields + keys == total
+
+
+def run_script(*args):
+    """The script with this checkout's package on PYTHONPATH, which must not
+    stand in for the one under the given root."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "count_settable.py"), *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_a_root_without_the_package_prints_the_usage(tmp_path):
+    for args in ([str(tmp_path)], ["--help"], [], [str(ROOT / "src"), str(ROOT / "src")]):
+        proc = run_script(*args)
+        assert proc.returncode == 2, (args, proc.stdout)
+        assert proc.stdout == "" and proc.stderr.startswith("usage:")
+
+
+def test_the_config_keys_come_from_the_given_root(tmp_path):
+    package = tmp_path / "eulerlab"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "config.py").write_text(
+        "class _Entry:\n    keys = ('a', 'b')\n\n"
+        "_shared = _Entry()\nREGISTRY = {'x': _shared, 'y': _shared}\n"
+        "_COMMON = ('seed',)\n\n\ndef check(a, b):\n    pass\n")
+    proc = run_script(str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "parameters 2 + dataclass fields 0 + config keys 3 = 5\n"

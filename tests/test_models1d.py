@@ -261,7 +261,7 @@ class TestModelRun:
         # *args tuple would keep the state alive itself
         def march(rhs, y, t_end, dt_rule, diag_every=math.inf, emit=None, *,
                   after_step, stop, work):
-            refs.append(weakref.ref(y[0]))
+            refs.append(weakref.ref(y))
             box = [y]
             del y
 

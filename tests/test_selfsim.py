@@ -175,12 +175,12 @@ class TestWorkingSet:
         lam, d, hm, m = 1.1, pb.deriv_matrix, pb.hilbert_matrix, pb.size
         ref = (np.eye(m) + lam * pb.x[:, None] * d
                - np.diag(hm @ w) - w[:, None] * hm)
-        fresh, col = ss.linearized_operator(w, lam, pb)
+        fresh, col, _ = ss.linearized_operator(w, lam, pb)
         assert _same_bits(fresh, ref)
         assert np.array_equal(col, pb.x * (d @ w))
         for buf in (np.full((m, m), np.nan), np.full((m + 1, m + 1), np.nan)):
             out = buf[:m, :m]  # the second is strided, as in newton_solve
-            a, _ = ss.linearized_operator(w, lam, pb, out=out)
+            a, _, _ = ss.linearized_operator(w, lam, pb, out=out)
             assert a is out
             assert _same_bits(out, ref)
 
@@ -220,6 +220,27 @@ class TestWorkingSet:
         assert peak < 1.5 * (n // 2) ** 2 * 8, f"traced peak {peak / 2**20:.2f} MiB"
         assert "hilbert_matrix" not in vars(pb) and "deriv_matrix" not in vars(pb)
 
+    def test_linearization_gives_the_residual_bit_for_bit(self):
+        pb = ss.ProfileProblem(n=256, L=17.3)
+        w = presets.perturbed_profile(pb, 0.05)
+        _, _, res = ss.linearized_operator(w, 1.1, pb)
+        assert _same_bits(res, ss.profile_residual(w, 1.1, pb))
+
+    def test_newton_forms_each_row_block_once_per_iterate(self, monkeypatch):
+        # the linearization at an iterate gives its residual, so a solve
+        # reads the blocks once per iterate, the guess included
+        pb = ss.ProfileProblem(n=512, L=20.0)
+        calls, real = [], ss.ProfileProblem.hilbert_rows
+
+        def counting(self, b):
+            calls.append(b)
+            return real(self, b)
+
+        monkeypatch.setattr(ss.ProfileProblem, "hilbert_rows", counting)
+        sol = ss.newton_solve(pb, presets.perturbed_profile(pb, 0.05), lam0=1.1)
+        assert sol.converged and sol.iterations >= 2
+        assert len(calls) == (sol.iterations + 1) * len(ss._row_blocks(pb.size))
+
     # size 65 ends in a one-row rest, which joins the block before it
     @pytest.mark.parametrize("n, L", [(256, 17.3), (1024, 20.0), (130, 13.7)])
     def test_block_matvecs_are_bit_identical_to_the_dense_ones(self, n, L):
@@ -257,7 +278,7 @@ class TestLinearization:
     def test_scaling_direction_lies_in_the_kernel(self, problem_1024):
         pb = problem_1024
         w = ss.closed_form_profile(pb.x)
-        a, col = ss.linearized_operator(w, 1.0, pb)
+        a, col, _ = ss.linearized_operator(w, 1.0, pb)
         v = pb.x * (pb.deriv_matrix @ w)
         assert np.max(np.abs(a @ v)) / np.max(np.abs(v)) < 5e-7
         assert np.array_equal(col, v)
@@ -265,7 +286,7 @@ class TestLinearization:
     def test_matrix_is_the_exact_frechet_derivative(self, problem_1024):
         pb = problem_1024
         w = ss.closed_form_profile(pb.x)
-        a, _ = ss.linearized_operator(w, 1.0, pb)
+        a, _, _ = ss.linearized_operator(w, 1.0, pb)
         base = ss.profile_residual(w, 1.0, pb)
         v = pb.x * np.exp(-pb.x ** 2 / 9.0)
         rems = []

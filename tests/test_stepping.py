@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -12,88 +13,99 @@ from eulerlab.stepping import (BlowupError, casimir_integrals, cfl_dt, integer_p
                                rk4_step)
 
 
-def mixed_rhs(t, y, out=None):
-    """Three independent linear problems of different shapes and dtypes."""
-    a, b, c = y
-    return (-a, 1j * b, np.cos(t) * np.ones_like(c))
+class Case(NamedTuple):
+    """A state kind of the lab's runs, with a linear problem of known solution
+    and a nonlinear rhs of its own."""
+
+    state: Callable
+    linear: Callable
+    exact: Callable
+    nonlinear: Callable
 
 
-def mixed_exact(t, y0):
-    a, b, c = y0
-    return (a * math.exp(-t), b * np.exp(1j * t), c + math.sin(t))
+def half_spectrum():
+    """A complex (n, n/2 + 1) half spectrum, the state of the spectral runs."""
+    rng = np.random.default_rng(3)
+    return rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
 
 
-def mixed_state():
-    return (np.array([1.0, -2.0, 0.5]),
-            np.array([[1.0 + 1.0j, 0.5], [-0.25j, 2.0]]),
-            np.arange(8.0).reshape(4, 2))
+def lifts():
+    """Real (p, 2) marker lifts, the state of the particle runs."""
+    return np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(40, 2))
 
 
-def rk4_errors(n_steps):
-    y0 = mixed_state()
+CASES = {
+    "half_spectrum": Case(
+        half_spectrum,
+        lambda t, c, out=None: 1j * c,
+        lambda t, c0: c0 * np.exp(1j * t),
+        lambda t, c: 1j * np.cos(t) * c - 0.1 * c * np.abs(c) + np.mean(np.sin(c.real))),
+    "lifts": Case(
+        lifts,
+        lambda t, p, out=None: np.cos(t) - p,
+        lambda t, p0: (p0 - 0.5) * math.exp(-t) + 0.5 * (math.cos(t) + math.sin(t)),
+        lambda t, p: np.stack([np.sin(p[:, 1]) + np.cos(t), np.cos(p[:, 0]) * np.sin(t)],
+                              axis=1)),
+}
+
+
+@pytest.fixture(params=list(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def writing(f):
+    """The rhs of ``f(t, y)`` that writes into ``out`` when it is given."""
+    def rhs(t, y, out=None):
+        if out is None:
+            return f(t, y)
+        out[...] = f(t, y)
+        return out
+    return rhs
+
+
+def rk4_error(case, n_steps):
+    y0 = case.state()
     y, t, dt = y0, 0.0, 1.0 / n_steps
     for _ in range(n_steps):
-        y = rk4_step(mixed_rhs, t, y, dt)
+        y = rk4_step(case.linear, t, y, dt)
         t += dt
-    return [float(np.max(np.abs(got - want))) for got, want in zip(y, mixed_exact(1.0, y0))]
+    return float(np.max(np.abs(y - case.exact(1.0, y0))))
 
 
 class TestRk4Step:
-    def test_fourth_order_on_mixed_shapes(self):
-        coarse, fine = rk4_errors(10), rk4_errors(20)
-        for e_coarse, e_fine in zip(coarse, fine):
-            assert e_fine > 0.0
-            assert 13.0 < e_coarse / e_fine < 19.0
+    def test_fourth_order(self, case):
+        coarse, fine = rk4_error(case, 10), rk4_error(case, 20)
+        assert fine > 0.0
+        assert 13.0 < coarse / fine < 19.0
 
-    def test_shapes_and_dtypes_kept(self):
-        y = mixed_state()
-        out = rk4_step(mixed_rhs, 0.0, y, 0.1)
-        assert [(a.shape, a.dtype) for a in out] == [(a.shape, a.dtype) for a in y]
+    def test_shape_and_dtype_kept(self, case):
+        y = case.state()
+        out = rk4_step(case.linear, 0.0, y, 0.1)
+        assert (out.shape, out.dtype) == (y.shape, y.dtype)
 
-    def test_given_first_stage_is_used(self):
-        y = mixed_state()
-        k1 = mixed_rhs(0.0, y)
+    def test_given_first_stage_is_used(self, case):
+        y = case.state()
+        k1 = case.linear(0.0, y)
         calls = []
 
         def counting(t, y, out):
             calls.append(t)
-            return mixed_rhs(t, y)
+            return case.linear(t, y)
 
         with_k1 = rk4_step(counting, 0.0, y, 0.1, k1)
         assert calls == [0.05, 0.05, 0.1]
-        for a, b in zip(with_k1, rk4_step(mixed_rhs, 0.0, y, 0.1)):
-            assert np.array_equal(a, b)
-
-
-def spectral_state():
-    """A complex (n, n/2 + 1) half spectrum and real (p, 2) marker lifts."""
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
-    return (c, rng.uniform(0.0, 2.0 * np.pi, size=(40, 2)))
-
-
-def coupled_rhs(t, y, out=None):
-    """A nonlinear coupled rhs that writes into ``out`` when it is given."""
-    c, p = y
-    kc = 1j * np.cos(t) * c - 0.1 * c * np.abs(c) + np.mean(np.sin(p))
-    kp = np.stack([np.sin(p[:, 1]) + c[1, 1].real, np.cos(p[:, 0]) * c[2, 0].imag], axis=1)
-    if out is None:
-        return kc, kp
-    out[0][...] = kc
-    out[1][...] = kp
-    return out
+        assert np.array_equal(with_k1, rk4_step(case.linear, 0.0, y, 0.1))
 
 
 def reference_rk4(rhs, t, y, dt):
     """RK4 with fresh arrays in the operation order of :func:`rk4_step`."""
     k1 = rhs(t, y)
     h = 0.5 * dt
-    k2 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k1)))
-    k3 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
-    w = dt / 6.0
-    return tuple(a + w * (p + 2.0 * q + 2.0 * r + s)
-                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+    k2 = rhs(t + h, y + h * k1)
+    k3 = rhs(t + h, y + h * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def same_bits(a, b):
@@ -101,53 +113,51 @@ def same_bits(a, b):
 
 
 class TestBuffers:
-    def test_workspace_steps_match_fresh_arrays_bit_for_bit(self):
-        y0 = spectral_state()
+    def test_workspace_steps_match_fresh_arrays_bit_for_bit(self, case):
+        rhs, y0 = writing(case.nonlinear), case.state()
         work = Workspace()
         y, want, t, dt = y0, y0, 0.0, 0.037
         for _ in range(5):
-            y = rk4_step(coupled_rhs, t, y, dt, work=work)
-            want = reference_rk4(coupled_rhs, t, want, dt)
+            y = rk4_step(rhs, t, y, dt, work=work)
+            want = reference_rk4(rhs, t, want, dt)
             t += dt
-            assert all(same_bits(a, b) for a, b in zip(y, want))
-        assert all(same_bits(a, b) for a, b in zip(y0, spectral_state()))
+            assert same_bits(y, want)
+        assert same_bits(y0, case.state())
 
-    def test_result_survives_the_next_step(self):
-        work = Workspace()
-        y1 = rk4_step(coupled_rhs, 0.0, spectral_state(), 0.05, work=work)
-        kept = tuple(a.copy() for a in y1)
-        y2 = rk4_step(coupled_rhs, 0.05, y1, 0.05, work=work)
-        assert all(same_bits(a, b) for a, b in zip(y1, kept))
-        assert all(a is not b for a, b in zip(y1, y2))
+    def test_result_survives_the_next_step(self, case):
+        rhs, work = writing(case.nonlinear), Workspace()
+        y1 = rk4_step(rhs, 0.0, case.state(), 0.05, work=work)
+        kept = y1.copy()
+        y2 = rk4_step(rhs, 0.05, y1, 0.05, work=work)
+        assert same_bits(y1, kept) and y1 is not y2
 
-    def test_five_arrays_per_state_entry(self):
-        # one tendency set, the accumulator, the stage inputs and two results
-        work, y = Workspace(), spectral_state()
+    def test_five_arrays_per_state(self, case):
+        # the tendency, the accumulator, the stage input and two results
+        rhs, work, y = writing(case.nonlinear), Workspace(), case.state()
         for step in range(3):
-            y = rk4_step(coupled_rhs, 0.05 * step, y, 0.05, work=work)
-        assert len(work._arrays) == 5 * len(y)
+            y = rk4_step(rhs, 0.05 * step, y, 0.05, work=work)
+        assert len(work._arrays) == 5
 
-    def test_march_with_a_workspace_matches_fresh_steps(self):
-        steps, emitted = [], []
-        t, y = march(coupled_rhs, spectral_state(), 0.12, lambda t, y: 0.05, 1.0,
-                     lambda t, y, step, k1: emitted.append(tuple(a.copy() for a in y)),
+    def test_march_with_a_workspace_matches_fresh_steps(self, case):
+        rhs, steps, emitted = writing(case.nonlinear), [], []
+        t, y = march(rhs, case.state(), 0.12, lambda t, y: 0.05, 1.0,
+                     lambda t, y, step, k1: emitted.append(y.copy()),
                      after_step=lambda t, dt, y, y_new, step: steps.append((t, dt)),
                      work=Workspace())
-        want = spectral_state()
+        want = case.state()
         for tw, dt in steps:
-            want = reference_rk4(coupled_rhs, tw, want, dt)
+            want = reference_rk4(rhs, tw, want, dt)
         assert len(steps) == 3 and t == pytest.approx(0.12)
-        assert all(same_bits(a, b) for a, b in zip(y, want))
-        assert all(same_bits(a, b) for a, b in zip(emitted[-1], want))
+        assert same_bits(y, want) and same_bits(emitted[-1], want)
 
 
 def zero_rhs(t, y, out):
-    return tuple(np.zeros_like(a) for a in y)
+    return np.zeros_like(y)
 
 
 def run_march(t_end, diag_every, dt, snapshot_every=0.0):
     log = {"emit": [], "snap": [], "dt": []}
-    march(zero_rhs, (np.zeros(2),), t_end, lambda t, y: dt, diag_every,
+    march(zero_rhs, np.zeros(2), t_end, lambda t, y: dt, diag_every,
           lambda t, y, step, k1: log["emit"].append((t, step)),
           snapshot_every, lambda t, y, index: log["snap"].append((t, index)),
           lambda t, dt, y, y_new, step: log["dt"].append(dt))
@@ -172,7 +182,7 @@ class TestMarch:
 
     def test_no_snapshots_without_a_callback(self):
         log = {"dt": []}
-        march(zero_rhs, (np.zeros(2),), 1.0, lambda t, y: 0.7, 0.5,
+        march(zero_rhs, np.zeros(2), 1.0, lambda t, y: 0.7, 0.5,
               lambda t, y, step, k1: None, 0.25, None,
               lambda t, dt, y, y_new, step: log["dt"].append(dt))
         assert log["dt"] == [0.5, 0.5]
@@ -193,19 +203,17 @@ class TestMarch:
         with pytest.raises(ValueError, match="t_end must be nonnegative"):
             run_march(t_end, 0.3, 0.07)
 
-    def test_emit_gets_the_first_stage_of_the_next_step(self):
+    def test_emit_gets_the_first_stage_of_the_next_step(self, case):
         calls, records = [], []
 
         def counting_rhs(t, y, out):
             calls.append(t)
-            return coupled_rhs(t, y, out)
+            return writing(case.nonlinear)(t, y, out)
 
         def emit(t, y, step, k1):
-            fresh = coupled_rhs(t, y)
-            records.append((step, None if k1 is None
-                            else all(same_bits(a, b) for a, b in zip(k1, fresh))))
+            records.append((step, None if k1 is None else same_bits(k1, case.nonlinear(t, y))))
 
-        march(counting_rhs, spectral_state(), 0.2, lambda t, y: 0.03, 0.05, emit)
+        march(counting_rhs, case.state(), 0.2, lambda t, y: 0.03, 0.05, emit)
         steps = records[-1][0]
         assert [same for _, same in records] == [True] * 4 + [None]
         assert len(calls) == 4 * steps
@@ -222,10 +230,10 @@ class TestMarch:
                 log["asked"].append(t)
                 return stop(t, y)
 
-            t, (y,) = march(rhs, (np.zeros(2),), 1.0, lambda t, y: 0.1, 0.3,
-                            lambda t, y, step, k1: log["emit"].append((t, step, k1)),
-                            after_step=lambda t, dt, y, y_new, step: log["steps"].append(step),
-                            stop=asked)
+            t, y = march(rhs, np.zeros(2), 1.0, lambda t, y: 0.1, 0.3,
+                         lambda t, y, step, k1: log["emit"].append((t, step, k1)),
+                         after_step=lambda t, dt, y, y_new, step: log["steps"].append(step),
+                         stop=asked)
             return t, log
 
         t, log = run(lambda t, y: True)
@@ -237,21 +245,20 @@ class TestMarch:
         assert t == pytest.approx(1.0) and max(log["asked"]) < 1.0 - 1e-12
         assert len(log["asked"]) == len(log["steps"])
 
-    def test_no_cadence_and_no_emit_step_as_an_infinite_cadence(self):
+    def test_no_cadence_and_no_emit_step_as_an_infinite_cadence(self, case):
         def run(*record):
             dts = []
-            t, y = march(coupled_rhs, spectral_state(), 0.2, lambda t, y: 0.03, *record,
+            t, y = march(writing(case.nonlinear), case.state(), 0.2, lambda t, y: 0.03, *record,
                          after_step=lambda t, dt, y, y_new, step: dts.append(dt))
             return t, y, dts
 
         t, y, dts = run()
         t_ref, y_ref, dts_ref = run(math.inf, lambda t, y, step, k1: None)
-        assert t == t_ref and dts == dts_ref
-        assert all(same_bits(a, b) for a, b in zip(y, y_ref))
+        assert t == t_ref and dts == dts_ref and same_bits(y, y_ref)
 
     def test_returns_final_time_and_state(self):
-        t, (y,) = march(lambda t, y, out: (np.ones_like(y[0]),), (np.zeros(3),), 1.0,
-                        lambda t, y: 0.1, 0.5, lambda t, y, step, k1: None)
+        t, y = march(lambda t, y, out: np.ones_like(y), np.zeros(3), 1.0,
+                     lambda t, y: 0.1, 0.5, lambda t, y, step, k1: None)
         assert t == pytest.approx(1.0)
         np.testing.assert_allclose(y, 1.0, atol=1e-12)
 

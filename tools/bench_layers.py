@@ -148,8 +148,8 @@ def median_ms(call, reps=200, warm=10):
 
 def stage_call(grid, omega):
     stage = euler2d._StageEval(grid)
-    y, out = (omega.coeffs.copy(),), (np.empty(grid.coeff_shape, np.complex128),)
-    return lambda: stage(0.0, y, out)
+    c, out = omega.coeffs.copy(), np.empty(grid.coeff_shape, np.complex128)
+    return lambda: stage(0.0, c, out)
 
 
 def sampler_call(grid, omega, points):

@@ -5,14 +5,16 @@ Usage::
     python tools/count_settable.py SRC_ROOT
 
 ``SRC_ROOT`` is a directory that holds an ``eulerlab`` package (the ``src``
-directory of a checkout).  The count has three parts:
+directory of a checkout); for any other argument the script prints its
+usage and exits with status 2.  The count has three parts:
 
 - the parameters of public module-level functions, and of the public
   methods and ``__init__`` of public classes; ``self`` and ``cls`` are left
   out, and so are properties;
 - the fields of every dataclass;
 - the keys of each distinct ``config.REGISTRY`` entry (systems that share
-  one entry count it once), plus the keys every system has.
+  one entry count it once), plus the keys every system has, read from the
+  ``eulerlab.config`` under ``SRC_ROOT`` whatever else ``sys.path`` holds.
 
 The script prints the three parts and their sum, e.g.
 ``parameters 258 + dataclass fields 99 + config keys 49 = 406``.
@@ -68,6 +70,8 @@ def count_source(tree: ast.Module) -> tuple[int, int]:
 
 
 def count_config_keys(src_root: Path) -> int:
+    # ahead of every other entry, so that the package under src_root is the
+    # one imported (main has checked that there is one)
     sys.path.insert(0, str(src_root))
     from eulerlab import config
 
@@ -76,10 +80,10 @@ def count_config_keys(src_root: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    src_root = Path(argv[0]).resolve() if len(argv) == 1 else None
+    if src_root is None or not (src_root / "eulerlab" / "__init__.py").is_file():
         print("usage: python tools/count_settable.py SRC_ROOT", file=sys.stderr)
         return 2
-    src_root = Path(argv[0]).resolve()
     params = fields = 0
     for path in sorted((src_root / "eulerlab").glob("*.py")):
         p, f = count_source(ast.parse(path.read_text()))
