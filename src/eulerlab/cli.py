@@ -15,9 +15,7 @@ failure).
 
 from __future__ import annotations
 
-import argparse
 import datetime as _dt
-import hashlib
 import json
 import os
 import platform
@@ -56,7 +54,17 @@ def csv_bytes(header: list[str], rows) -> bytes:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    """The sha256 of a file, from CPython's own SHA-256: ``hashlib`` would
+    load OpenSSL's libcrypto into every run process for the same digest."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:  # a build without either
+            from hashlib import sha256
+
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -165,6 +173,8 @@ def _run(config: ExperimentConfig, manifest: RunManifest) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="euler-lab",
         description="Config-driven runs of the flow laboratory.")

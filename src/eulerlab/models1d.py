@@ -385,8 +385,10 @@ def model_run(
         if store_states:
             states.append(ModelState(SpectralField1.from_coeffs(grid, c), t + dt))
 
-    # popped into march, so that the first step frees the initial state
-    start = [dealias(omega0).coeffs.copy()]
+    # popped into march, so that the first step frees the initial state; the
+    # datum is dropped, so a caller that does not hold it frees it here
+    start = [dealias(omega0).coeffs]
+    del omega0
     ts, sups, bkm = [0.0], [refined_sup(SpectralField1(grid, start[0]))], [0.0]
     states: list[ModelState] = []
     under_resolved = _spectral_tail(start[0], band) > _UNDER_RESOLVED_TAIL

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import eulerlab
 from eulerlab import config, euler2d, lagrangian, models1d, presets, selfsim
-from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, csv_bytes, main)
+from eulerlab.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _sha256, csv_bytes,
+                          main)
 from eulerlab.stepping import BlowupError
 
 TINY_EULER = """\
@@ -633,10 +634,14 @@ class TestCsvFormatting:
 
 # Imports eulerlab, parses every shipped config, dispatches the configs
 # given as JSON and prints whether scipy was loaded before the first
-# dispatch, the exit codes and the scipy subpackages loaded.
+# dispatch, the exit codes and the scipy subpackages loaded, and which of
+# OpenSSL's ``_hashlib`` and ``argparse`` were loaded at the import and
+# after the runs.  It imports neither itself.
 _FOOTPRINT_CHILD = r"""
 import json, pathlib, sys
 from eulerlab import cli, config
+unneeded = lambda: sorted({"_hashlib", "argparse"} & set(sys.modules))
+unneeded_at_import = unneeded()
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cfg")):
     config.parse_config_file(str(path))
 scipy_at_start = "scipy" in sys.modules
@@ -645,7 +650,9 @@ codes = [cli.dispatch(config.parse_config(text), out / str(i))
          for i, text in enumerate(json.loads(sys.argv[3]))]
 print(json.dumps({"scipy_at_start": scipy_at_start, "codes": codes,
                   "loaded": sorted({m.split(".")[1] for m in sys.modules
-                                    if m.startswith("scipy.")})}))
+                                    if m.startswith("scipy.")}),
+                  "unneeded_at_import": unneeded_at_import,
+                  "unneeded_after_runs": unneeded()}))
 """
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -679,6 +686,33 @@ class TestImportFootprint:
         got = self._child(tmp_path, texts)
         assert got["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BLOWUP, EXIT_OK]
         assert HEAVY_SCIPY.isdisjoint(got["loaded"]), got["loaded"]
+
+    def test_start_up_loads_neither_openssl_nor_argparse(self, tmp_path):
+        """The digests use CPython's SHA-256 and only ``main`` parses arguments."""
+        got = self._child(tmp_path, [])
+        assert got["unneeded_at_import"] == []
+
+    def test_runs_load_neither_openssl_nor_argparse(self, tmp_path):
+        texts = [
+            TINY_CLM,
+            "system = selfsim\nn = 64\n",
+            (CONFIG_DIR / "lemma_parabola.cfg").read_text(),
+            "system = ipm\nnx = 32\nny = 32\npreset = heavy_over_light\neps = 0.01\n"
+            "t_end = 0.5\ndiag_every = 0.25\n",
+            "system = passive_scalar\nnx = 16\nny = 64\nvelocity = shear_sin\n"
+            "test_function = bessel_pair\nt_end = 1.0\ndiag_every = 0.5\n",
+        ]
+        got = self._child(tmp_path, texts)
+        assert got["codes"] == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert got["unneeded_after_runs"] == [], got["unneeded_after_runs"]
+
+    # empty, one byte, and three chunks of the digest's 1 MiB reads
+    @pytest.mark.parametrize("size", [0, 1, (2 << 20) + 1])
+    def test_digests_are_hashlibs_sha256(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
     def test_the_bicubic_marker_sampler_loads_no_scipy_subpackage(self, tmp_path):
         text = ("system = euler2d\nnx = 96\nny = 96\npreset = taylor_green_perturbed\n"

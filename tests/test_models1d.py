@@ -1,4 +1,5 @@
 """Tests for the 1D blow-up models: CLM and its transport variant."""
+import gc
 import itertools
 import math
 import time
@@ -275,6 +276,20 @@ class TestModelRun:
 
         monkeypatch.setattr(models1d, "march", march)
         model_run(cosine(64), "clm", t_end=0.5)
+        assert alive == [False]
+
+    def test_a_datum_its_caller_does_not_hold_is_freed_before_the_march(self, monkeypatch):
+        real, alive = models1d.march, []
+        box = [cosine(64)]
+        datum = weakref.ref(box[0].coeffs)
+
+        def march(*args, **kwargs):
+            gc.collect()
+            alive.append(datum() is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models1d, "march", march)
+        model_run(box.pop(), "clm", t_end=0.5)
         assert alive == [False]
 
     @pytest.mark.parametrize("model", list(MODELS))

@@ -62,6 +62,8 @@ Each round also measures start-up per tree, in fresh interpreters:
   timed inside the interpreter, median of 15 interpreters;
 - ``scipy_modules_at_import``: how many ``scipy.*`` modules that import
   leaves in ``sys.modules``;
+- ``import_cli_hwm_mb``: the peak resident set (``VmHWM``, see below) of
+  such an interpreter right after that import, median of the 15;
 - ``importtime_cli_ms``: the cumulative time of ``eulerlab.cli`` that
   ``python -X importtime -c "from eulerlab import cli"`` reports;
 - ``markers_96_maxrss_mb`` and ``scipy_modules_after_markers_96``: the
@@ -86,7 +88,10 @@ Each round also measures start-up per tree, in fresh interpreters:
   ``VmHWM`` from ``/proc/self/status``: unlike ``ru_maxrss``, which the
   benchmark reports and which starts at the resident set of the process
   that started the child, it counts the interpreter's own pages only
-  (Linux).
+  (Linux);
+- ``openssl_after_solvers_1d``: 1 if OpenSSL's ``_hashlib`` is in
+  ``sys.modules`` after those ``solvers-1d`` runs, else 0.  The manifest
+  digests need none of it.
 
 The interpreters inherit the environment, so whether they can reuse
 cached byte code (``PYTHONDONTWRITEBYTECODE``) is recorded with the
@@ -285,7 +290,10 @@ import json, sys, time
 t0 = time.perf_counter()
 from eulerlab import cli, config
 ms = 1e3 * (time.perf_counter() - t0)
-print(json.dumps([ms, sum(m.startswith("scipy.") for m in sys.modules)]))
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([ms, sum(m.startswith("scipy.") for m in sys.modules),
+                  int(hwm.split()[1]) / 1024.0]))
 """
 
 STARTUP_RUNS = 15
@@ -331,7 +339,7 @@ print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))
 
 
 # (config, expected exit) pairs run back to back in a fresh interpreter:
-# its own peak RSS (VmHWM), in MiB
+# its own peak RSS (VmHWM), in MiB, and whether OpenSSL was loaded
 _HWM_FOOTPRINT = r"""
 import json, sys, tempfile
 from eulerlab import cli, config
@@ -340,7 +348,7 @@ for text, expected in json.loads(sys.argv[1]):
         assert cli.dispatch(config.parse_config(text), out) == expected
 with open("/proc/self/status") as fh:
     hwm = next(line for line in fh if line.startswith("VmHWM:"))
-print(json.dumps(int(hwm.split()[1]) / 1024.0))
+print(json.dumps([int(hwm.split()[1]) / 1024.0, int("_hashlib" in sys.modules)]))
 """
 
 
@@ -368,26 +376,29 @@ def _fresh(script: str, env: dict, *args: str):
 
 def _startup(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    times = []
+    times, hwms = [], []
     for _ in range(STARTUP_RUNS):
-        out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, check=True,
-                             stdout=subprocess.PIPE, text=True).stdout
-        ms, count = json.loads(out.strip().splitlines()[-1])
+        ms, count, hwm = _fresh(_STARTUP, env)
         times.append(ms)
+        hwms.append(hwm)
     trace = subprocess.run([sys.executable, "-X", "importtime", "-c", "from eulerlab import cli"],
                            env=env, check=True, stderr=subprocess.PIPE, text=True).stderr
     line = next(ln for ln in trace.splitlines() if ln.split("|")[-1].strip() == "eulerlab.cli")
     maxrss_mb, markers_count = _fresh(_MARKERS_FOOTPRINT, env)
+    euler_hwm, _ = _fresh(_HWM_FOOTPRINT, env, _workload_runs("euler-256"))
+    solvers_hwm, openssl = _fresh(_HWM_FOOTPRINT, env, _workload_runs("solvers-1d"))
     return {"import_cli_ms": statistics.median(times),
             "scipy_modules_at_import": count,
+            "import_cli_hwm_mb": statistics.median(hwms),
             "importtime_cli_ms": int(line.split("|")[1]) / 1e3,
             "markers_96_maxrss_mb": maxrss_mb,
             "scipy_modules_after_markers_96": markers_count,
             "selfsim_1024_maxrss_mb": _fresh(_SELFSIM_FOOTPRINT % 1024, env),
             "selfsim_2048_maxrss_mb": _fresh(_SELFSIM_FOOTPRINT % 2048, env),
             "clm_65536_minflt": _fresh(_CLM_FAULTS, env),
-            "euler_256_peak_rss_mb": _fresh(_HWM_FOOTPRINT, env, _workload_runs("euler-256")),
-            "solvers_1d_peak_rss_mb": _fresh(_HWM_FOOTPRINT, env, _workload_runs("solvers-1d"))}
+            "euler_256_peak_rss_mb": euler_hwm,
+            "solvers_1d_peak_rss_mb": solvers_hwm,
+            "openssl_after_solvers_1d": openssl}
 
 
 def _child(src: Path) -> dict:
