@@ -27,8 +27,7 @@ from .fields import SpectralField2, VectorField2, Workspace, mode_power, to_coef
 from .grids import Grid2
 from .lagrangian import (MarkerTrack, ParticleSet, VelocitySampler, _lattice_gradient,
                          check_lattice)
-from .operators import (_scratch, _stream_function, _velocity_component, biot_savart, dealias,
-                        leray_project, transport_coeffs)
+from .operators import _stream_law, _TransportStage, biot_savart, dealias, leray_project
 # not called here (a run hands its fields to its ``snapshot`` callable); the
 # name stays bound for bench/test_bench.py, which checks that the tracer
 # rebinds ``write_snapshot`` in this module
@@ -72,36 +71,6 @@ class EulerRunResult:
     @property
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.diagnostics])
-
-
-class _StageEval:
-    """One RK4 stage of the vorticity coefficients, the state of
-    :func:`eulerlab.stepping.march`.
-
-    Everything the stage computes lives in its workspace and is rewritten by
-    the next stage: the stream function, in the scratch that the transport
-    takes over once the velocity samples are made; one velocity coefficient
-    array, which the two components go through in turn; the velocity
-    samples, which stay until then for the CFL rule.  The tendency goes
-    into ``out``, which may be ``None`` for a freshly allocated one; ``k``
-    is the vorticity tendency of the latest stage.
-    """
-
-    def __init__(self, grid: Grid2, work: Workspace | None = None):
-        self.grid = grid
-        self.work = work = Workspace() if work is None else work
-        self.uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
-        self.u1v, self.u2v = (work.array(("stage.uv", i), grid.shape) for i in range(2))
-        self.k = None
-
-    def __call__(self, t: float, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        g, w = self.grid, self.work
-        psi = _stream_function(c, g, _scratch(g, w)[0])
-        u1v, u2v = (to_values(_velocity_component(psi, g, i, self.uc), v)
-                    for i, v in enumerate((self.u1v, self.u2v)))
-        self.k = k = transport_coeffs(c, u1v, u2v, g, out, w)
-        k[0, 0] = 0.0
-        return k
 
 
 def _diagnostics(grid: Grid2, c: np.ndarray, t: float, bkm: float, powers,
@@ -159,7 +128,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
     markers = ParticleSet.lattice(marker_lattice, grid.lx, grid.ly) if marker_lattice else None
     track = MarkerTrack(grid, markers.lifts.copy()) if markers is not None else None
     work = Workspace()
-    stage = _StageEval(grid, work)
+    stage = _TransportStage(grid, _stream_law, work, mean_free=True)
 
     # the samples of the current vorticity: made here for t = 0, then by
     # after_step for each new state; emit and the snapshots read them
@@ -199,7 +168,7 @@ def run(omega0: SpectralField2, t_end: float, cfl: float = 0.4,
         # handed to the markers already when t is a diagnostics time
         if track is not None:
             track.boundary(t, c, stage.k, end=False)
-        return cfl_dt(grid, stage.u1v, stage.u2v, cfl)
+        return cfl_dt(grid, *stage.uv, cfl)
 
     def periodic(t: float, c: np.ndarray, index: int) -> None:
         checkpoint(f"snap_{index:05d}.eulb", omega, t)
@@ -306,7 +275,8 @@ def steady_residual(psi: SpectralField2) -> float:
     """L2 norm of the vorticity tendency that the runs' Euler stage gives the
     stream function psi: the dealiased Poisson bracket of psi and its Laplacian."""
     g = psi.grid
-    k = _StageEval(g)(0.0, -g.k2 * psi.coeffs * g.dealias_mask, None)
+    stage = _TransportStage(g, _stream_law, Workspace(), mean_free=True)
+    k = stage(0.0, -g.k2 * psi.coeffs * g.dealias_mask, None)
     return SpectralField2(g, k).norm_l2()
 
 

@@ -40,16 +40,18 @@ class Workspace:
     ``array(name, shape, dtype)`` returns the same array for a name on every
     call, zero-filled when first made (and made anew if the shape or dtype
     changes).  Names are namespaced by their users: ``"rk4..."`` for the
-    integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for what a 2D
-    stage keeps until the next one (its velocity samples, which the CFL
-    rule reads), ``"scratch..."`` for the 2D stage's scratch,
+    integrator (:mod:`eulerlab.stepping`), ``"stage..."`` for what the 2D
+    stage (:class:`eulerlab.operators._TransportStage`) keeps: the velocity
+    samples ``("stage.uv", i)``, which the CFL rule reads, and the velocity
+    coefficients ``"stage.uc"`` of a law that makes the velocity (a frozen
+    one takes none), ``"scratch..."`` for the 2D stage's scratch,
     ``"sampler..."`` for the marker sampler, ``"casimir..."`` and
     ``"gradient..."`` for what the diagnostics reductions need beyond the
     scratch, and ``"run..."`` for what a run keeps between its callbacks.
 
     The scratch is one complex coefficient array ``"scratch.c"`` and two
     real sample arrays ``("scratch.v", 0)`` and ``("scratch.v", 1)``: the
-    stream function and the gradient samples of
+    stream function of Euler's law and the gradient samples of
     :func:`eulerlab.operators.transport_coeffs`.  It is dead from the end of
     one stage to the start of the next, where :func:`eulerlab.stepping.march`
     runs its callbacks, so whatever runs there may keep its temporaries in

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import SpectralField2, VectorField2, Workspace, _snap_mean, mode_power, to_values
 from .grids import Grid2
-from .operators import _scratch, dealias, gradient_sup, transport_coeffs
+from .operators import _scratch, _TransportStage, dealias, gradient_sup
 from .stepping import BlowupError, casimir_integrals, cfl_dt, check_schedule, march
 
 __all__ = ["IpmState", "IpmDiagnostics", "IpmRunResult", "ipm_velocity", "ipm_run"]
@@ -118,15 +118,13 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
     records = []
     work = Workspace()
     symbols = _velocity_symbols(grid)
-    uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
-    # the last stage's velocity samples, kept for the CFL rule
-    velocity = tuple(work.array(("stage.uv", i), grid.shape) for i in range(2))
-    rho = work.array("run.rho", grid.shape)
 
-    def rhs(t: float, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for m, v in zip(symbols, velocity):
-            to_values(np.multiply(m, c, out=uc), v)
-        return transport_coeffs(c, *velocity, grid, out, work)
+    def law(c: np.ndarray, grid: Grid2, work: Workspace):
+        uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
+        return (np.multiply(m, c, out=uc) for m in symbols)
+
+    stage = _TransportStage(grid, law, work, mean_free=False)
+    rho = work.array("run.rho", grid.shape)
 
     def emit(t: float, c: np.ndarray, step: int, k1) -> None:
         # the Casimir, the gradient and rho * y go through the stage's
@@ -146,7 +144,7 @@ def ipm_run(rho0: SpectralField2, t_end: float, cfl: float = 0.4,
             raise BlowupError(t, step, records[-1] if records else None)
         records.append(rec)
 
-    t, c = march(rhs, start.pop(), t_end, lambda t, c: cfl_dt(grid, *velocity, cfl),
+    t, c = march(stage, start.pop(), t_end, lambda t, c: cfl_dt(grid, *stage.uv, cfl),
                  diag_every, emit, work=work)
     # the state array is the final density: snapping its round-off mean in
     # place gives the bits of from_coeffs without a copy

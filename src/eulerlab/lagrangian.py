@@ -14,9 +14,9 @@ from dataclasses import field as dc_field
 
 import numpy as np
 
-from .fields import SpectralField2, VectorField2, Workspace, l2_inner
+from .fields import SpectralField2, VectorField2, Workspace, l2_inner, to_values
 from .grids import TWO_PI, Grid2
-from .operators import dealias, stream_velocity, transport_coeffs
+from .operators import _TransportStage, dealias, stream_velocity
 from .stepping import cfl_dt, check_schedule, march, rk4_step
 
 
@@ -466,16 +466,12 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
         raise ValueError("velocity and scalar live on different grids")
     check_schedule(cfl, diag_every)
     grid = f0.grid
-    phis = test_functions or []
-    u1v = u.u1.values
-    u2v = u.u2.values
-    dt_cfl = cfl_dt(grid, u1v, u2v, cfl)
-
-    work = Workspace()
-
-    def rhs(t: float, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        return transport_coeffs(c, u1v, u2v, grid, out, work)
-
+    phis = test_functions or ()
+    # a frozen velocity: its law yields nothing, and its samples are made once
+    stage = _TransportStage(grid, lambda c, grid, work: (), Workspace(), mean_free=False)
+    for ui, v in zip((u.u1, u.u2), stage.uv):
+        to_values(ui.coeffs, v)
+    dt_cfl = cfl_dt(grid, *stage.uv, cfl)
     times, rows, fields = [], [], []
 
     def emit(t: float, c: np.ndarray, step: int, k1) -> None:
@@ -483,14 +479,14 @@ def passive_scalar_evolve(u: VectorField2, f0: SpectralField2, t_end: float,
         if phis:
             # u . grad f is -k1, the first stage of the next step; at t_end no
             # step follows, and the last record evaluates it
-            k1 = rhs(t, c, None) if k1 is None else k1
+            k1 = stage(t, c, None) if k1 is None else k1
             adv = SpectralField2(grid, np.negative(k1))
             rows.append([l2_inner(adv, phi) for phi in phis])
         if store_fields:
             fields.append(SpectralField2.from_coeffs(grid, c))
 
-    _, c = march(rhs, dealias(f0).coeffs.copy(), t_end, lambda t, c: dt_cfl,
-                 diag_every, emit, work=work)
+    _, c = march(stage, dealias(f0).coeffs, t_end, lambda t, c: dt_cfl, diag_every, emit,
+                 work=stage.work)
     final = SpectralField2.from_coeffs(grid, c)
     pair = np.array(rows).T if phis else np.zeros((0, len(times)))
     return MixingResult(times=np.array(times), pairings=pair,

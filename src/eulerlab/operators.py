@@ -94,7 +94,9 @@ def dealias(f: SpectralField) -> SpectralField:
 # churn in hot loops; these helpers keep that code in one place.  Each
 # writes its result into ``out`` when given one (and returns it), and keeps
 # its temporaries in ``work`` (a :class:`~eulerlab.fields.Workspace`), so a
-# stage that passes both allocates no grid-sized array of its own.
+# stage that passes both allocates no grid-sized array of its own.  Every 2D
+# stepper steps through one :class:`_TransportStage` over a velocity law:
+# Euler's :func:`_stream_law`, IPM's two real multipliers, or none (frozen).
 
 
 def _stream_function(omega_c: np.ndarray, grid: Grid2, out: np.ndarray) -> np.ndarray:
@@ -121,6 +123,14 @@ def stream_velocity(omega_c: np.ndarray, grid: Grid2,
     return _velocity_component(psi, grid, 0, u1), _velocity_component(psi, grid, 1, u2)
 
 
+def _stream_law(omega_c: np.ndarray, grid: Grid2, work: Workspace):
+    """Euler's velocity law: perp_grad of the stream function (made in the
+    stage's scratch), one component at a time in ``"stage.uc"``."""
+    psi = _stream_function(omega_c, grid, _scratch(grid, work)[0])
+    uc = work.array("stage.uc", grid.coeff_shape, np.complex128)
+    return (_velocity_component(psi, grid, i, uc) for i in range(2))
+
+
 def _scratch(grid: Grid2, work: Workspace) -> tuple:
     """The 2D stage's scratch in ``work``: one complex coefficient array and two
     real sample arrays (see :class:`~eulerlab.fields.Workspace`)."""
@@ -143,6 +153,29 @@ def transport_coeffs(f_c: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid
     adv = to_coeffs(np.add(fx, fy, out=fx), out)
     adv *= grid.dealias_mask
     return np.negative(adv, out=adv)
+
+
+class _TransportStage:
+    """One RK4 stage of a transported field: -u.grad(f) into ``out`` (``None``
+    for a fresh array), with u's coefficients from ``law(c, grid, work)``, u1
+    then u2, each transformed into its samples ``("stage.uv", i)`` (kept for
+    the CFL rule) before the next is made.  A frozen velocity's law yields
+    nothing; its caller writes the samples once.  ``mean_free`` zeroes the
+    tendency's mean coefficient; ``k`` is the latest tendency."""
+
+    __slots__ = ("grid", "law", "work", "mean_free", "uv", "k")
+
+    def __init__(self, grid: Grid2, law, work: Workspace, mean_free: bool):
+        self.grid, self.law, self.work, self.mean_free, self.k = grid, law, work, mean_free, None
+        self.uv = (work.array(("stage.uv", 0), grid.shape), work.array(("stage.uv", 1), grid.shape))
+
+    def __call__(self, t: float, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        for uc, v in zip(self.law(c, self.grid, self.work), self.uv):
+            to_values(uc, v)
+        self.k = k = transport_coeffs(c, *self.uv, self.grid, out, self.work)
+        if self.mean_free:
+            k[0, 0] = 0.0
+        return k
 
 
 def gradient_sup(f_c: np.ndarray, grid: Grid2, work: Workspace) -> float:

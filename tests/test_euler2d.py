@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerlab import euler2d as e2
 from eulerlab import lagrangian as lag
-from eulerlab import presets, stepping
+from eulerlab import operators, presets, stepping
 from eulerlab.fields import (SpectralField2, Workspace, l2_inner, mode_power, to_coeffs,
                              to_values)
 from eulerlab.grids import Grid2
@@ -49,7 +49,8 @@ def random_band(g, seed, kmax, rms):
 
 def tendency(w):
     """The vorticity tendency -u.grad(omega) of one Euler stage, dealiased and mean-free."""
-    return SpectralField2(w.grid, e2._StageEval(w.grid)(0.0, w.coeffs, None))
+    stage = operators._TransportStage(w.grid, operators._stream_law, Workspace(), mean_free=True)
+    return SpectralField2(w.grid, stage(0.0, w.coeffs, None))
 
 
 class TestVorticityTendency:
@@ -315,7 +316,7 @@ class TestBlowup:
             self, tmp_path, monkeypatch):
         g = Grid2(16, 16)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
-        poison_after(monkeypatch, e2, 4 * 3)  # four stages a step: step 4 goes bad
+        poison_after(monkeypatch, operators, 4 * 3)  # four stages a step: step 4 goes bad
         with pytest.raises(e2.BlowupError) as info:
             e2.run(w, 2.0, diag_every=0.25, casimirs=(), snapshot=Writer(tmp_path))
         exc = info.value
@@ -344,7 +345,7 @@ class TestBlowup:
         g = Grid2(16, 16)
         w = field(g, lambda X, Y: -2 * np.cos(X) * np.cos(Y))
         got = []
-        poison_after(monkeypatch, e2, 4 * 7)  # four stages a step: step 8 goes bad
+        poison_after(monkeypatch, operators, 4 * 7)  # four stages a step: step 8 goes bad
         with pytest.raises(e2.BlowupError) as info:
             e2.run(w, 2.0, diag_every=0.5, casimirs=(), snapshot_every=0.25,
                    snapshot=lambda name, fields, t: got.append((name, fields[0].copy(), t)))

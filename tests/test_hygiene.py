@@ -1,4 +1,5 @@
-"""Import hygiene: no module, test or tool imports a name it never reads.
+"""Hygiene: no module, test or tool imports a name it never reads, and only
+the one 2D transport stage calls the transport.
 
 An AST scan stands in for a linter.  A name counts as read when the module
 loads it anywhere (``np`` in ``np.sum`` counts) or lists it in ``__all__``.
@@ -52,3 +53,41 @@ def test_the_scan_finds_an_unread_import_and_honours_the_exemptions():
               "__all__ = ['loads']\n"
               "print(os.sep)\n")
     assert unused_imports(source) == [(3, "math"), (4, "d")]
+
+
+def transport_callers(source: str) -> set[str]:
+    """The top-level definitions of ``source`` (``<module>`` for its other
+    statements) that call a ``transport_coeffs``, by name or attribute."""
+    callers = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "transport_coeffs":
+                    callers.add(getattr(top, "name", "<module>"))
+    return callers
+
+
+def test_only_the_transport_stage_calls_the_transport():
+    """Every 2D stepper steps through ``operators._TransportStage``: a new
+    velocity law goes on that stage, not into a stage of its own."""
+    found = {f"{path.stem}.{name}" for path in sorted((ROOT / "src/eulerlab").glob("*.py"))
+             for name in transport_callers(path.read_text())}
+    assert found == {"operators._TransportStage"}
+
+
+def test_the_transport_scan_finds_calls_by_name_and_attribute():
+    source = ("from eulerlab import operators\n"
+              "from eulerlab.operators import transport_coeffs\n"
+              "def run(c):\n"
+              "    def rhs(t, c, out):\n"
+              "        return transport_coeffs(c, u1, u2, g, out)\n"
+              "    return rhs\n"
+              "class Stage:\n"
+              "    def __call__(self, c):\n"
+              "        return operators.transport_coeffs(c, u1, u2, g)\n"
+              "k = transport_coeffs\n"
+              "def other():\n"
+              "    return k(c)\n")
+    assert transport_callers(source) == {"run", "Stage"}

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eulerlab import ipm
+from eulerlab import ipm, operators
 from eulerlab.fields import SpectralField2, to_coeffs
 from eulerlab.grids import Grid2
 from eulerlab.operators import dealias
@@ -130,8 +130,8 @@ class TestRun:
 
     def test_nonfinite_diagnostics_raise_typed_error(self, monkeypatch):
         g = Grid2(32, 32)
-        real = ipm.transport_coeffs
-        monkeypatch.setattr(ipm, "transport_coeffs",
+        real = operators.transport_coeffs
+        monkeypatch.setattr(operators, "transport_coeffs",
                             lambda *args: real(*args) * np.nan)
         with pytest.raises(ipm.BlowupError) as info:
             ipm.ipm_run(heavy_over_light(g, eps=1e-2), 1.0, diag_every=0.5)

@@ -1,7 +1,7 @@
-"""Time the spectral stage, the marker sampler, the Weber check, the
-diagnostics records, a 256^2 run, a 96^2 run with markers, the n = 1024
-self-similar solve, the 1D sup refinement and the n = 65536 CLM run in two
-source trees, with the memory peaks of the first three.
+"""Time the Euler and IPM spectral stages, the marker sampler, the Weber
+check, the diagnostics records, a 256^2 run, a 96^2 run with markers, the
+n = 1024 self-similar solve, the 1D sup refinement and the n = 65536 CLM
+run in two source trees, with the memory peaks of the first four.
 
 Usage::
 
@@ -30,6 +30,11 @@ first, and each child measures in-process:
 - ``ipm_emit_128_ms``: one IPM diagnostics record at 128^2 (the ``emit``
   callback that ``ipm.ipm_run`` hands to ``march``, taken from a run of
   zero length), median of 200;
+- ``ipm_stage_128_ms``: one IPM RK4 stage at 128^2 (the right-hand side
+  that such a run hands to ``march``: two velocity multipliers and their
+  inverse transforms, then the transport), median of 200, and
+  ``ipm_stage_128_peak_kib``: the ``tracemalloc`` peak of that zero-length
+  run plus one such stage, in KiB;
 - ``run_256``: ``euler2d.run`` on seeded band noise at 256^2 with the
   shape of the ``euler-256`` benchmark workload (t_end 5, cfl 0.4,
   diagnostics every 1.25, no snapshots): wall time, steps, ms per step and
@@ -152,7 +157,12 @@ def median_ms(call, reps=200, warm=10):
 
 
 def stage_call(grid, omega):
-    stage = euler2d._StageEval(grid)
+    # the Euler stage by the name the tree holds: its own stage class, or the
+    # shared transport stage over Euler's velocity law
+    if hasattr(euler2d, "_StageEval"):
+        stage = euler2d._StageEval(grid)
+    else:
+        stage = operators._TransportStage(grid, operators._stream_law, fields.Workspace(), True)
     c, out = omega.coeffs.copy(), np.empty(grid.coeff_shape, np.complex128)
     return lambda: stage(0.0, c, out)
 
@@ -168,11 +178,13 @@ def diagnostics_call(grid, omega):
     return lambda: euler2d._diagnostics(grid, c, 1.0, 0.0, (2, 3, 4), vals, work)
 
 
-def ipm_emit_call(grid, rho):
+# the right-hand side, start state and emit that a zero-length ipm.ipm_run
+# hands to march
+def ipm_march_args(rho):
     grabbed, real_march = {}, ipm.march
 
     def grab(rhs, y, t_end, dt_rule, diag_every, emit, **kwargs):
-        grabbed.update(emit=emit, y=y)
+        grabbed.update(rhs=rhs, emit=emit, y=y)
         return real_march(rhs, y, t_end, dt_rule, diag_every, emit, **kwargs)
 
     ipm.march = grab
@@ -180,8 +192,19 @@ def ipm_emit_call(grid, rho):
         ipm.ipm_run(rho, 0.0)
     finally:
         ipm.march = real_march
+    return grabbed
+
+
+def ipm_emit_call(grid, rho):
+    grabbed = ipm_march_args(rho)
     emit, y = grabbed["emit"], grabbed["y"]
     return lambda: emit(0.0, y, 0, None)
+
+
+def ipm_stage_call(grid, rho):
+    grabbed = ipm_march_args(rho)
+    rhs, y, out = grabbed["rhs"], grabbed["y"], np.empty(grid.coeff_shape, np.complex128)
+    return lambda: rhs(0.0, y, out)
 
 
 # the tracemalloc peak of make() and one call of what it returns, in KiB
@@ -213,6 +236,9 @@ res["weber_96_ms"] = median_ms(weber_call(grid, omega, 64), reps=50, warm=3)
 res["weber_96_peak_kib"] = peak_kib(lambda: weber_call(grid, omega, 64))
 res["diagnostics_128_ms"] = median_ms(diagnostics_call(*band(128)))
 res["ipm_emit_128_ms"] = median_ms(ipm_emit_call(*band(128)))
+grid, rho = band(128)
+res["ipm_stage_128_ms"] = median_ms(ipm_stage_call(grid, rho))
+res["ipm_stage_128_peak_kib"] = peak_kib(lambda: ipm_stage_call(grid, rho))
 
 grid, omega = band(256)
 euler2d.run(omega, 0.2, cfl=0.4, diag_every=0.1, casimirs=(4,))  # warm-up
